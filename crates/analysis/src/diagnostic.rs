@@ -12,10 +12,7 @@
 //! * `HAS001`–`HAS012` — structural validation errors, one per
 //!   [`ValidationError`] variant;
 //! * `HAS101`–`HAS110` — semantic analyzer findings (dataflow, dead
-//!   services, counter influence);
-//! * `HAS111`–`HAS116` — query pre-solver summaries (statically decided
-//!   sub-queries, per-filter refutation counts, certified counter bounds;
-//!   see [`crate::presolve`]).
+//!   services, counter influence).
 
 use has_model::ValidationError;
 use std::fmt;

@@ -21,13 +21,6 @@
 //!    [`dimension_cone`], applied by the verifier to each `(T, β, τ_in)`
 //!    coverability query.
 //!
-//! A fourth, per-query pass lives in [`presolve`]: sound static refutation
-//! filters (control skeleton, state-equation Z-relaxation,
-//! counter-abstraction DFA, lasso circulation) that the verifier runs before
-//! building any Karp–Miller graph, plus per-dimension boundedness
-//! certificates for the queries that survive. Its aggregated verdict counts
-//! render as `HAS111`–`HAS116` diagnostics.
-//!
 //! All findings flow through the [`Diagnostic`] type with stable `HASnnn`
 //! codes; structural [`has_model::ValidationError`]s join the same stream
 //! via `From` (`HAS001`–`HAS012`).
@@ -39,15 +32,11 @@ pub mod cone;
 pub mod dataflow;
 pub mod diagnostic;
 pub mod guards;
-pub mod presolve;
 
 pub use cone::{dimension_cone, dimension_cone_multi, DimensionCone};
 pub use dataflow::{dataflow_diagnostics, property_footprint, Dataflow, PropertyFootprint};
 pub use diagnostic::{Diagnostic, Severity};
 pub use guards::{guard_status, GuardStatus, ATOM_CAP};
-pub use presolve::{
-    presolve_diagnostics, presolve_query, PresolveStats, QueryPresolve, Refutation,
-};
 
 use has_ltl::HltlFormula;
 use has_model::{validate, ArtifactSystem, Condition, TaskId};
@@ -84,6 +73,43 @@ impl DeadServices {
 /// verifier consults this map (when projection is enabled) to skip the
 /// corresponding transitions during symbolic graph construction.
 pub type DeadServiceMap = BTreeMap<TaskId, DeadServices>;
+
+/// Counters of the former query pre-solver. Nothing fills them any more, so
+/// every field is always zero; the type is kept only because the frozen
+/// benchmark driver (`perfbench/`) still reads it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PresolveStats {
+    /// Always zero.
+    pub queries: usize,
+    /// Always zero.
+    pub decided: usize,
+    /// Always zero.
+    pub control: usize,
+    /// Always zero.
+    pub state_eq: usize,
+    /// Always zero.
+    pub counter_dfa: usize,
+    /// Always zero.
+    pub circulation: usize,
+    /// Always zero.
+    pub skipped_builds: usize,
+    /// Always zero.
+    pub bounded_dims: usize,
+}
+
+impl PresolveStats {
+    /// Adds `other` into `self`.
+    pub fn absorb(&mut self, other: &PresolveStats) {
+        self.queries += other.queries;
+        self.decided += other.decided;
+        self.control += other.control;
+        self.state_eq += other.state_eq;
+        self.counter_dfa += other.counter_dfa;
+        self.circulation += other.circulation;
+        self.skipped_builds += other.skipped_builds;
+        self.bounded_dims += other.bounded_dims;
+    }
+}
 
 /// The result of [`analyze`]: diagnostics plus the dead-service map the
 /// verifier prunes with.

@@ -18,9 +18,6 @@
 //!   for programs over non-negative variables, sized for the hundreds of
 //!   variables that circulation problems on coverability graphs produce
 //!   (where Fourier–Motzkin elimination would blow up).
-//! * [`flow`] — the relaxed state-equation / circulation LP builder the
-//!   static pre-solver of `has-analysis` instantiates per coverability and
-//!   lasso query (DESIGN.md §5.11).
 //! * [`cells`] — sign conditions, non-empty cell enumeration, refinement and
 //!   projection of cells.
 //! * [`hcd`] — the Hierarchical Cell Decomposition of Section 5 / Appendix D,
@@ -55,7 +52,6 @@
 #![deny(missing_docs)]
 
 pub mod cells;
-pub mod flow;
 pub mod fm;
 pub mod hcd;
 pub mod linear;
@@ -63,7 +59,6 @@ pub mod lp;
 pub mod rational;
 
 pub use cells::{Cell, CellId, CellSet, Sign, SignCondition};
-pub use flow::FlowLp;
 pub use fm::{eliminate_variable, is_satisfiable, project_onto};
 pub use hcd::{HcdBuilder, HierarchicalCellDecomposition, TaskCells};
 pub use linear::{LinExpr, LinearConstraint, RelOp};

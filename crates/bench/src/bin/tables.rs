@@ -11,7 +11,7 @@
 //! #   record per printed row (see has_bench::records_to_json)
 //! ```
 
-use has_analysis::{analyze, presolve_diagnostics, PresolveStats, Severity};
+use has_analysis::{analyze, Severity};
 use has_arith::{CellSet, LinExpr, Rational};
 use has_bench::{
     bench_config, engine_modes, fast_config, measure, write_records, BenchRecord, Measurement,
@@ -375,12 +375,9 @@ fn exp_cells(rec: &mut Recorder) {
 /// EXP-A1 — the static analyzer over every workload the harness verifies:
 /// both travel variants, the orders and counter-gadget systems, and the
 /// Tables 1/2 generator grids. Prints each model's full diagnostic report
-/// (stable `HASnnn` codes, `outcome.rs`-style rendering), followed by the
-/// query pre-solver's `HAS111`–`HAS116` summaries from a capped verifier
-/// run (statically decided sub-queries, per-filter refutation counts,
-/// certified dimension bounds), and exits with status 1 if any model
-/// reports an `Error`-severity finding — which is how CI lints the workload
-/// zoo on every push.
+/// (stable `HASnnn` codes, `outcome.rs`-style rendering), and exits with
+/// status 1 if any model reports an `Error`-severity finding — which is how
+/// CI lints the workload zoo on every push.
 fn exp_analyze(rec: &mut Recorder) {
     println!("== EXP-A1: static analysis — diagnostics over all workloads ==");
     let mut errors = 0usize;
@@ -394,15 +391,6 @@ fn exp_analyze(rec: &mut Recorder) {
         errors += report.with_severity(Severity::Error).count();
         println!("--- {label} ---");
         println!("{report}");
-        if let Some(property) = property.filter(|_| !report.has_errors()) {
-            // The pre-solver's verdicts are per-query, so they come from a
-            // (cheap, capped) verifier run rather than the model alone.
-            let outcome =
-                Verifier::with_config(system, property, fast_config()).verify();
-            for d in presolve_diagnostics(&outcome.stats.presolve) {
-                println!("{d}");
-            }
-        }
         println!();
         rec.raw(BenchRecord {
             experiment: "analyze".to_string(),
@@ -449,15 +437,12 @@ fn exp_projection(rec: &mut Recorder) {
     for (i, projection) in [false, true].into_iter().enumerate() {
         let t = travel_booking(TravelVariant::Buggy);
         let property = travel_property(&t);
-        // The pre-solver is pinned off so this experiment isolates the
-        // projection axis; EXP-R2 toggles the pre-solver at the same caps.
         let config = VerifierConfig {
             max_successors: 48,
             max_control_states: 20_000,
             km_node_cap: 50_000,
             threads: 1,
             projection,
-            presolve: false,
             ..VerifierConfig::default()
         };
         let row = measure(
@@ -481,125 +466,8 @@ fn exp_projection(rec: &mut Recorder) {
     println!();
 }
 
-/// EXP-R1/R2 — the query pre-solver (DESIGN.md §5.11). EXP-R1 replays the
-/// Tables 1/2 grids plus the realistic workloads with the pre-solver on and
-/// reports, per instance and in aggregate, how many of the per-query
-/// coverability/lasso sub-queries the static filters decided without
-/// touching Karp–Miller — broken down by refuting filter (control skeleton,
-/// state-equation Z-relaxation, counter-abstraction DFA, lasso
-/// circulation), plus how many graph builds were skipped outright and how
-/// many counter dimensions were certified bounded. EXP-R2 repeats the
-/// EXP-A2 fixed-budget travel A.2 measurement with the pre-solver off and
-/// on — the before/after pair EXPERIMENTS.md quotes.
-fn exp_presolve(rec: &mut Recorder) {
-    println!("== EXP-R1: query pre-solver — statically decided sub-queries ==");
-    println!("{}", Measurement::header());
-    let mut total = PresolveStats::default();
-    let mut record = |rec: &mut Recorder, row: &Measurement| {
-        total.absorb(&row.presolve);
-        rec.measurement("presolve", row);
-        println!("{}", row.row());
-    };
-    for arithmetic in [false, true] {
-        for params in grid_params(arithmetic) {
-            let generated = params.generate();
-            let config = VerifierConfig {
-                use_cells: arithmetic,
-                ..bench_config()
-            };
-            let row = measure(
-                &generated.label,
-                &generated.system,
-                &generated.property,
-                config,
-            );
-            record(rec, &row);
-        }
-    }
-    for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
-        let t = travel_booking(variant);
-        let property = travel_property(&t);
-        let row = measure(
-            &format!("travel-booking/{variant:?}"),
-            &t.system,
-            &property,
-            fast_config(),
-        );
-        record(rec, &row);
-    }
-    let o = order_fulfilment();
-    let row = measure(
-        "order-fulfilment/ship-after-quote",
-        &o.system,
-        &ship_after_quote_property(&o),
-        fast_config(),
-    );
-    record(rec, &row);
-    let g = counter_gadget(2);
-    let row = measure(
-        "counter-gadget/d=2",
-        &g.system,
-        &counter_liveness_property(&g),
-        fast_config(),
-    );
-    record(rec, &row);
-    let decided_pct = if total.queries > 0 {
-        100.0 * total.decided as f64 / total.queries as f64
-    } else {
-        0.0
-    };
-    println!(
-        "decided {}/{} sub-queries ({:.1}%): control {}, state-eq {}, dfa {}, \
-         circulation {}; km builds skipped {}; dims certified bounded {}",
-        total.decided,
-        total.queries,
-        decided_pct,
-        total.control,
-        total.state_eq,
-        total.counter_dfa,
-        total.circulation,
-        total.skipped_builds,
-        total.bounded_dims
-    );
-    println!();
-
-    println!("== EXP-R2: pre-solver off/on — travel A.2 at fixed KM cap ==");
-    println!("{}", Measurement::header());
-    let mut nodes = [0usize; 2];
-    for (i, presolve) in [false, true].into_iter().enumerate() {
-        let t = travel_booking(TravelVariant::Buggy);
-        let property = travel_property(&t);
-        let config = VerifierConfig {
-            max_successors: 48,
-            max_control_states: 20_000,
-            km_node_cap: 50_000,
-            threads: 1,
-            presolve,
-            ..VerifierConfig::default()
-        };
-        let row = measure(
-            &format!("travel-A.2/presolve={}", if presolve { "on" } else { "off" }),
-            &t.system,
-            &property,
-            config,
-        );
-        nodes[i] = row.coverability_nodes;
-        rec.measurement("presolve", &row);
-        println!("{}", row.row());
-    }
-    if nodes[1] > 0 {
-        println!(
-            "km-node reduction factor: {:.2}x ({} -> {})",
-            nodes[0] as f64 / nodes[1] as f64,
-            nodes[0],
-            nodes[1]
-        );
-    }
-    println!();
-}
-
 /// EXP-S1 — the shared incremental Karp–Miller arena (DESIGN.md §5.12):
-/// the Appendix A.2 policy on both travel variants at the EXP-A2/R2 fixed
+/// the Appendix A.2 policy on both travel variants at the EXP-A2 fixed
 /// budgets, with `max_merge_pairs` raised to 12 so the refinement actually
 /// generates the violating `Cancel` configuration (see
 /// `tests/a2_violation.rs`), measured with the arena off and on. The
@@ -658,22 +526,20 @@ fn exp_shared(rec: &mut Recorder) {
 /// ground-truth corpus (DESIGN.md §5.10): every sampled instance carries a
 /// certificate (clean by construction, or exactly one planted violation with
 /// its kind and originating task), and every instance runs through the full
-/// configuration matrix — threads × projection × presolve × witnesses ×
-/// shared Karp–Miller — with each
-/// reconstructed witness tree replayed through the `has-sim` executor and
-/// judged by the runtime monitor. Prints the per-certificate-kind scoreboard
-/// and exits with status 1 on any soundness mismatch — which is how CI
-/// scores the verifier on every push. `HAS_FUZZ_DEEP=1` switches from the
+/// configuration matrix — threads × projection × witnesses × shared
+/// Karp–Miller — with each reconstructed witness tree replayed through the
+/// `has-sim` executor and judged by the runtime monitor. Prints the
+/// per-certificate-kind scoreboard and exits with status 1 on any soundness
+/// mismatch — which is how CI scores the verifier on every push. `HAS_FUZZ_DEEP=1` switches from the
 /// smoke batch (EXP-C1) to the deep sweep (EXP-C2, ≥1,000 instances).
 fn exp_fuzz(rec: &mut Recorder) {
     let deep = std::env::var("HAS_FUZZ_DEEP").map(|v| v == "1").unwrap_or(false);
-    // The sharing axis doubled the matrix to 32 points, so the smoke batch
-    // stays at 12 instances (two full plant rotations, so every certificate
-    // kind is still scored evenly) to remain within CI's `timeout 120`
-    // (~15s release on a single core); the deep sweep covers the acceptance
+    // The smoke batch runs 24 instances (four full plant rotations, so
+    // every certificate kind is scored evenly) over the 16-point matrix,
+    // well within CI's `timeout 120`; the deep sweep covers the acceptance
     // bar of ≥1,000 instances.
     let opts = FuzzOptions {
-        count: if deep { 1200 } else { 12 },
+        count: if deep { 1200 } else { 24 },
         ..FuzzOptions::default()
     };
     println!(
@@ -764,7 +630,6 @@ const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("scaling", exp_scaling),
     ("analyze", exp_analyze),
     ("projection", exp_projection),
-    ("presolve", exp_presolve),
     ("shared", exp_shared),
     ("fuzz", exp_fuzz),
 ];

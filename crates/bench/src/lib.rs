@@ -5,15 +5,14 @@
 //! verifier on a workload and extracts the cost measures the paper's
 //! complexity analysis talks about: wall time, symbolic control states,
 //! Karp–Miller coverability nodes, counter dimensions, HCD cells, and the
-//! static-reduction counters (projection dimensions, dead guards, query
-//! pre-solver verdicts). [`BenchRecord`]/[`records_to_json`] turn the same
+//! static-reduction counters (projection dimensions, dead guards).
+//! [`BenchRecord`]/[`records_to_json`] turn the same
 //! rows into the tracked `BENCH_<tag>.json` documents CI commits for
 //! regression comparison.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use has_analysis::PresolveStats;
 use has_core::{Outcome, Verifier, VerifierConfig};
 use has_ltl::HltlFormula;
 use has_model::ArtifactSystem;
@@ -55,16 +54,13 @@ pub struct Measurement {
     /// Karp–Miller expansions pruned by the arena's subsumption check
     /// (0 with sharing off).
     pub km_subsumed: usize,
-    /// Query pre-solver verdict counts (all zero when the pre-solver is
-    /// off).
-    pub presolve: PresolveStats,
 }
 
 impl Measurement {
     /// One formatted row for the `tables` binary.
     pub fn row(&self) -> String {
         format!(
-            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>9} {:>13} {:>7} {:>9.1}",
+            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>13} {:>7} {:>9.1}",
             self.label,
             if self.holds { "holds" } else { "viol." },
             self.threads,
@@ -72,7 +68,6 @@ impl Measurement {
             self.coverability_nodes,
             self.counter_dimensions,
             format!("{}->{}", self.counter_dims_before, self.counter_dims_after),
-            format!("{}/{}", self.presolve.decided, self.presolve.queries),
             format!("{}/{}", self.km_reused, self.km_subsumed),
             self.hcd_cells,
             self.time.as_secs_f64() * 1000.0
@@ -82,7 +77,7 @@ impl Measurement {
     /// The header matching [`Measurement::row`].
     pub fn header() -> String {
         format!(
-            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>9} {:>13} {:>7} {:>9}",
+            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>13} {:>7} {:>9}",
             "instance",
             "result",
             "thr",
@@ -90,7 +85,6 @@ impl Measurement {
             "km-nodes",
             "dims",
             "proj",
-            "presolve",
             "reuse/subsume",
             "cells",
             "time(ms)"
@@ -139,9 +133,6 @@ pub struct BenchRecord {
     pub mismatches: Option<usize>,
     /// Runs excused as bounded by the exploration caps (fuzz rows only).
     pub bounded: Option<usize>,
-    /// Query pre-solver verdict counts (verifier rows only; omitted when
-    /// every counter is zero — e.g. the pre-solver was off).
-    pub presolve: Option<PresolveStats>,
 }
 
 impl BenchRecord {
@@ -162,7 +153,6 @@ impl BenchRecord {
             dead_services: Some(m.dead_services),
             km_reused: Some(m.km_reused),
             km_subsumed: Some(m.km_subsumed),
-            presolve: (m.presolve != PresolveStats::default()).then_some(m.presolve),
             ..BenchRecord::default()
         }
     }
@@ -217,23 +207,6 @@ impl BenchRecord {
         }
         if let Some(bounded) = self.bounded {
             let _ = write!(out, ",\"bounded\":{bounded}");
-        }
-        if let Some(p) = self.presolve {
-            let _ = write!(
-                out,
-                ",\"presolve_queries\":{},\"presolve_decided\":{},\
-                 \"presolve_control\":{},\"presolve_state_eq\":{},\
-                 \"presolve_dfa\":{},\"presolve_circulation\":{},\
-                 \"presolve_km_skipped\":{},\"presolve_bounded_dims\":{}",
-                p.queries,
-                p.decided,
-                p.control,
-                p.state_eq,
-                p.counter_dfa,
-                p.circulation,
-                p.skipped_builds,
-                p.bounded_dims
-            );
         }
         out.push('}');
         out
@@ -312,7 +285,6 @@ pub fn measure(
         dead_services: outcome.stats.dead_services_pruned,
         km_reused: outcome.stats.km_reused,
         km_subsumed: outcome.stats.km_subsumed,
-        presolve: outcome.stats.presolve,
     }
 }
 

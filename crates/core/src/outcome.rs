@@ -8,7 +8,6 @@
 //! originates. DESIGN.md §5.7 describes the reconstruction and how the
 //! chosen counterexample stays byte-identical at every thread count.
 
-use has_analysis::PresolveStats;
 use has_model::TaskId;
 use has_symbolic::{ProjectionKey, SymState};
 use std::fmt;
@@ -322,10 +321,6 @@ pub struct Stats {
     /// Service guards proven unsatisfiable and excluded from graph
     /// construction (0 when projection is off).
     pub dead_services_pruned: usize,
-    /// Query pre-solver verdict counts: sub-queries examined and statically
-    /// decided per filter, Karp–Miller builds skipped, dimensions certified
-    /// bounded (all zero when the pre-solver is off).
-    pub presolve: PresolveStats,
     /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
     /// of being recomputed (0 when [`crate::VerifierConfig::shared_km`] is
     /// off — DESIGN.md §5.12).
@@ -363,7 +358,6 @@ impl Stats {
         self.counter_dims_before += other.counter_dims_before;
         self.counter_dims_after += other.counter_dims_after;
         self.dead_services_pruned += other.dead_services_pruned;
-        self.presolve.absorb(&other.presolve);
         self.km_reused += other.km_reused;
         self.km_subsumed += other.km_subsumed;
     }
@@ -374,7 +368,7 @@ impl fmt::Display for Stats {
         write!(
             f,
             "states={} transitions={} km-nodes={} dims={} buchi={} (T,β)={} R_T={} cells={} \
-             proj={}->{} dead={} presolve={}/{} km-skip={} bounded={} km-reuse={} km-subsume={}",
+             proj={}->{} dead={} km-reuse={} km-subsume={}",
             self.control_states,
             self.transitions,
             self.coverability_nodes,
@@ -386,10 +380,6 @@ impl fmt::Display for Stats {
             self.counter_dims_before,
             self.counter_dims_after,
             self.dead_services_pruned,
-            self.presolve.decided,
-            self.presolve.queries,
-            self.presolve.skipped_builds,
-            self.presolve.bounded_dims,
             self.km_reused,
             self.km_subsumed
         )

@@ -4,9 +4,7 @@
 use crate::compiled::CompiledBuchi;
 use crate::outcome::{Stats, WitnessStep};
 use crate::verifier::VerifierConfig;
-use has_analysis::{
-    dimension_cone, dimension_cone_multi, presolve_query, DeadServiceMap, PresolveStats,
-};
+use has_analysis::{dimension_cone, dimension_cone_multi, DeadServiceMap, PresolveStats};
 use has_ltl::buchi::{Buchi, BuchiState};
 use has_ltl::hltl::TaskProp;
 use has_ltl::Ltl;
@@ -32,8 +30,8 @@ pub struct QueryCost {
     pub dims_before: usize,
     /// The dimension actually searched (the cone size).
     pub dims_after: usize,
-    /// Pre-solver verdict counts for this query's three Lemma 21
-    /// sub-queries (all zero when [`VerifierConfig::presolve`] is off).
+    /// Always zero: the query pre-solver that filled it is gone, and the
+    /// field is kept only for the frozen benchmark driver (`perfbench/`).
     pub presolve: PresolveStats,
     /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
     /// of being recomputed (0 when [`VerifierConfig::shared_km`] is off).
@@ -1157,56 +1155,7 @@ impl<'a> TaskVerifier<'a> {
         let vass = projected.as_ref().unwrap_or(&graph.vass);
         let mut candidates: Vec<RtEntry> = Vec::new();
         let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-
-        // Query pre-solver (DESIGN.md §5.11): static refutation filters over
-        // the (projected) VASS, run before any Karp–Miller construction. The
-        // three target sets below are exactly what the scans after the build
-        // look for, so a refuted sub-query's scan would find nothing — the
-        // capped build under-approximates coverability, which is why skipping
-        // refuted work is verdict- and witness-identical (only the cost
-        // statistics change).
-        let presolved = self.config.presolve.then(|| {
-            let mut returning = vec![false; states.len()];
-            let mut blocking = vec![false; states.len()];
-            let lasso: Vec<bool> = (0..states.len())
-                .map(|q| graph.accepting.contains(q))
-                .collect();
-            for (q, cs) in states.iter().enumerate() {
-                if !finite_ok(cs) {
-                    continue;
-                }
-                if cs.closed {
-                    returning[q] = true;
-                } else {
-                    blocking[q] = cs
-                        .children
-                        .iter()
-                        .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-                }
-            }
-            let pre = presolve_query(vass, init, &returning, &blocking, &lasso);
-            cost.presolve.record(&pre);
-            pre
-        });
-        if presolved.as_ref().is_some_and(|pre| pre.skip_build()) {
-            // All three sub-queries statically refuted: no entry can exist
-            // for this initial state, so no graph is built at all.
-            return (candidates, cost);
-        }
-        let bounded: &[bool] = presolved
-            .as_ref()
-            .map_or(&[], |pre| pre.bounded_dims.as_slice());
-        let cover = CoverabilityGraph::build_capped_with_bounds(
-            vass,
-            init,
-            self.config.km_node_cap,
-            bounded,
-        );
-        let skip = |refuted: Option<has_analysis::Refutation>| refuted.is_some();
-        let (skip_returning, skip_blocking, skip_lasso) = presolved.as_ref().map_or(
-            (false, false, false),
-            |pre| (skip(pre.returning), skip(pre.blocking), skip(pre.lasso)),
-        );
+        let cover = CoverabilityGraph::build_capped(vass, init, self.config.km_node_cap);
 
         // Witness retention: the run realization of a candidate is the label
         // sequence of its Karp–Miller path (actions and transitions share
@@ -1235,9 +1184,6 @@ impl<'a> TaskVerifier<'a> {
         // and return variables) — the paper's τ_out — which also keeps
         // the number of distinct R_T entries small.
         for (node_id, node) in cover.nodes().enumerate() {
-            if skip_returning {
-                break;
-            }
             let cs = &states[node.state];
             if cs.closed && finite_ok(cs) {
                 let projected =
@@ -1253,9 +1199,6 @@ impl<'a> TaskVerifier<'a> {
         }
         // Blocking paths: a child was opened with a never-returning run.
         for (node_id, node) in cover.nodes().enumerate() {
-            if skip_blocking {
-                break;
-            }
             let cs = &states[node.state];
             let blocking_child = cs
                 .children
@@ -1279,39 +1222,15 @@ impl<'a> TaskVerifier<'a> {
         // (the former `lasso_cycle_bound` config under-approximated this
         // query and could miss violations). With retention on, the decision
         // and the pump-cycle materialization come from one pipeline run
-        // (`nonneg_cycle_search_through_pred`): the walk's actions label the
-        // cycle, the Karp–Miller path to its start node labels the prefix;
-        // a walk past the materialization cap truncates the rendering only,
-        // never the decision.
-        if graph.accepting.any() && !skip_lasso {
+        // (`nonneg_cycle_search_through_pred`, rendered by
+        // `ExploredGraph::lasso_details`).
+        if graph.accepting.any() {
             let accepting = |s: usize| graph.accepting.contains(s);
             let (lasso, details) = if retain {
-                match cover.nonneg_cycle_search_through_pred(
-                    vass,
-                    &accepting,
-                    WITNESS_CYCLE_CAP,
-                ) {
-                    CycleSearch::None => (false, None),
-                    CycleSearch::Witness(walk) => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: steps_to(walk[0].0),
-                            cycle: walk
-                                .iter()
-                                .map(|&(_, action, _)| graph.labels[action].clone())
-                                .collect(),
-                            cycle_truncated: false,
-                        })),
-                    ),
-                    CycleSearch::ExceedsCap => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: Vec::new(),
-                            cycle: Vec::new(),
-                            cycle_truncated: true,
-                        })),
-                    ),
-                }
+                graph.lasso_details(
+                    cover.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP),
+                    steps_to,
+                )
             } else {
                 (cover.nonneg_cycle_through_pred(vass, &accepting), None)
             };
@@ -1387,51 +1306,7 @@ impl<'a> TaskVerifier<'a> {
         let vass = shared.vass.as_ref().unwrap_or(&graph.vass);
         let mut candidates: Vec<RtEntry> = Vec::new();
         let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-
-        // The pre-solver runs per initial state on the pair-level VASS —
-        // same filters as unshared mode, only the projection differs (the
-        // union cone instead of the per-init cone).
-        let presolved = self.config.presolve.then(|| {
-            let mut returning = vec![false; states.len()];
-            let mut blocking = vec![false; states.len()];
-            let lasso: Vec<bool> = (0..states.len())
-                .map(|q| graph.accepting.contains(q))
-                .collect();
-            for (q, cs) in states.iter().enumerate() {
-                if !finite_ok(cs) {
-                    continue;
-                }
-                if cs.closed {
-                    returning[q] = true;
-                } else {
-                    blocking[q] = cs
-                        .children
-                        .iter()
-                        .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-                }
-            }
-            let pre = presolve_query(vass, init, &returning, &blocking, &lasso);
-            cost.presolve.record(&pre);
-            pre
-        });
-        if presolved.as_ref().is_some_and(|pre| pre.skip_build()) {
-            return (candidates, cost);
-        }
-        let bounded: &[bool] = presolved
-            .as_ref()
-            .map_or(&[], |pre| pre.bounded_dims.as_slice());
-        // Boundedness certificates become *standing* constraints: fresh
-        // arena expansions skip ω-acceleration of certified dimensions for
-        // this and every later query of the pair (certificates come from
-        // the same pair-level VASS every time, so they compose).
-        let run = shared
-            .arena
-            .query(vass, init, self.config.km_node_cap, bounded);
-        let skip = |refuted: Option<has_analysis::Refutation>| refuted.is_some();
-        let (skip_returning, skip_blocking, skip_lasso) = presolved.as_ref().map_or(
-            (false, false, false),
-            |pre| (skip(pre.returning), skip(pre.blocking), skip(pre.lasso)),
-        );
+        let run = shared.arena.query(vass, init, self.config.km_node_cap);
 
         let retain = self.config.witnesses;
         let steps_to = |vidx: usize| -> Vec<WitnessStep> {
@@ -1452,9 +1327,6 @@ impl<'a> TaskVerifier<'a> {
 
         // Returning paths, over the visit order.
         for (vidx, state) in run.states().enumerate() {
-            if skip_returning {
-                break;
-            }
             let cs = &states[state];
             if cs.closed && finite_ok(cs) {
                 let projected =
@@ -1470,9 +1342,6 @@ impl<'a> TaskVerifier<'a> {
         }
         // Blocking paths.
         for (vidx, state) in run.states().enumerate() {
-            if skip_blocking {
-                break;
-            }
             let cs = &states[state];
             let blocking_child = cs
                 .children
@@ -1493,35 +1362,13 @@ impl<'a> TaskVerifier<'a> {
             }
         }
         // Lasso paths — the tiered decision described above.
-        if graph.accepting.any() && !skip_lasso {
+        if graph.accepting.any() {
             let accepting = |s: usize| graph.accepting.contains(s);
             let (mut lasso, mut details) = if retain {
-                match run.nonneg_cycle_search_through_pred(
-                    vass,
-                    &accepting,
-                    WITNESS_CYCLE_CAP,
-                ) {
-                    CycleSearch::None => (false, None),
-                    CycleSearch::Witness(walk) => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: steps_to(walk[0].0),
-                            cycle: walk
-                                .iter()
-                                .map(|&(_, action, _)| graph.labels[action].clone())
-                                .collect(),
-                            cycle_truncated: false,
-                        })),
-                    ),
-                    CycleSearch::ExceedsCap => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: Vec::new(),
-                            cycle: Vec::new(),
-                            cycle_truncated: true,
-                        })),
-                    ),
-                }
+                graph.lasso_details(
+                    run.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP),
+                    steps_to,
+                )
             } else {
                 (run.nonneg_cycle_through_pred(vass, &accepting), None)
             };
@@ -1529,12 +1376,7 @@ impl<'a> TaskVerifier<'a> {
                 // Ambiguous: a cycle exists only through jump edges, whose
                 // targets over-approximate. One from-scratch build decides;
                 // its nodes are charged to this query's cost.
-                let cover = CoverabilityGraph::build_capped_with_bounds(
-                    vass,
-                    init,
-                    self.config.km_node_cap,
-                    bounded,
-                );
+                let cover = CoverabilityGraph::build_capped(vass, init, self.config.km_node_cap);
                 cost.km_nodes += cover.node_count();
                 let fallback_steps = |node: usize| -> Vec<WitnessStep> {
                     cover
@@ -1544,32 +1386,10 @@ impl<'a> TaskVerifier<'a> {
                         .collect()
                 };
                 let (l, d) = if retain {
-                    match cover.nonneg_cycle_search_through_pred(
-                        vass,
-                        &accepting,
-                        WITNESS_CYCLE_CAP,
-                    ) {
-                        CycleSearch::None => (false, None),
-                        CycleSearch::Witness(walk) => (
-                            true,
-                            Some(Arc::new(EntryDetails {
-                                prefix: fallback_steps(walk[0].0),
-                                cycle: walk
-                                    .iter()
-                                    .map(|&(_, action, _)| graph.labels[action].clone())
-                                    .collect(),
-                                cycle_truncated: false,
-                            })),
-                        ),
-                        CycleSearch::ExceedsCap => (
-                            true,
-                            Some(Arc::new(EntryDetails {
-                                prefix: Vec::new(),
-                                cycle: Vec::new(),
-                                cycle_truncated: true,
-                            })),
-                        ),
-                    }
+                    graph.lasso_details(
+                        cover.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP),
+                        fallback_steps,
+                    )
                 } else {
                     (cover.nonneg_cycle_through_pred(vass, &accepting), None)
                 };
@@ -1619,7 +1439,6 @@ impl<'a> TaskVerifier<'a> {
             stats.coverability_nodes += cost.km_nodes;
             stats.counter_dims_before += cost.dims_before;
             stats.counter_dims_after += cost.dims_after;
-            stats.presolve.absorb(&cost.presolve);
             stats.km_reused += cost.km_reused;
             stats.km_subsumed += cost.km_subsumed;
             for e in candidates {
@@ -1670,6 +1489,39 @@ impl ExploredGraph {
     /// position `0..initial_count()`.
     pub fn initial_count(&self) -> usize {
         self.initial_states.len()
+    }
+
+    /// The lasso decision and retained details of a pump-cycle search:
+    /// `steps_to` renders the Karp–Miller path to the walk's start node as
+    /// the prefix, the walk's actions label the cycle, and a walk past the
+    /// materialization cap truncates the rendering only, never the decision.
+    fn lasso_details(
+        &self,
+        search: CycleSearch<(usize, usize, usize)>,
+        steps_to: impl Fn(usize) -> Vec<WitnessStep>,
+    ) -> (bool, Option<Arc<EntryDetails>>) {
+        match search {
+            CycleSearch::None => (false, None),
+            CycleSearch::Witness(walk) => (
+                true,
+                Some(Arc::new(EntryDetails {
+                    prefix: steps_to(walk[0].0),
+                    cycle: walk
+                        .iter()
+                        .map(|&(_, action, _)| self.labels[action].clone())
+                        .collect(),
+                    cycle_truncated: false,
+                })),
+            ),
+            CycleSearch::ExceedsCap => (
+                true,
+                Some(Arc::new(EntryDetails {
+                    prefix: Vec::new(),
+                    cycle: Vec::new(),
+                    cycle_truncated: true,
+                })),
+            ),
+        }
     }
 }
 

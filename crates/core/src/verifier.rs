@@ -78,19 +78,6 @@ pub struct VerifierConfig {
     /// `counter_dims_*`/`dead_services_pruned` statistics change. On by
     /// default; defaults to [`VerifierConfig::default_projection`].
     pub projection: bool,
-    /// Whether to run the query pre-solver before each Lemma 21 query
-    /// (DESIGN.md §5.11): sound static refutation filters — control
-    /// skeleton, state-equation Z-relaxation, counter-abstraction DFA,
-    /// lasso circulation — decide sub-queries without building a
-    /// Karp–Miller graph, and per-dimension boundedness certificates prune
-    /// ω-acceleration work for the queries that survive. Every filter
-    /// refutes only genuinely empty sub-queries and the capped build
-    /// under-approximates the search, so verdicts, entry lists and
-    /// witnesses are identical with and without the pre-solver
-    /// (`tests/presolve_equivalence.rs` enforces it) — only
-    /// `coverability_nodes` and the `presolve` statistics change. On by
-    /// default; defaults to [`VerifierConfig::default_presolve`].
-    pub presolve: bool,
     /// Whether the Lemma 21 queries of one `(T, β)` pair share an
     /// incremental Karp–Miller arena with antichain subsumption pruning
     /// (DESIGN.md §5.12) instead of each building a coverability graph from
@@ -121,7 +108,6 @@ impl Default for VerifierConfig {
             threads: Self::default_threads(),
             witnesses: false,
             projection: Self::default_projection(),
-            presolve: Self::default_presolve(),
             shared_km: Self::default_shared_km(),
         }
     }
@@ -149,19 +135,6 @@ impl VerifierConfig {
     /// exists for A/B benchmarking — see EXPERIMENTS.md).
     pub fn default_projection() -> bool {
         match std::env::var("HAS_PROJECTION") {
-            Ok(value) => !matches!(
-                value.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false"
-            ),
-            Err(_) => true,
-        }
-    }
-
-    /// The default pre-solver switch: *on*, unless the `HAS_PRESOLVE`
-    /// environment variable is set to `0`, `off` or `false` (the opt-out
-    /// exists for A/B benchmarking — see EXPERIMENTS.md).
-    pub fn default_presolve() -> bool {
-        match std::env::var("HAS_PRESOLVE") {
             Ok(value) => !matches!(
                 value.trim().to_ascii_lowercase().as_str(),
                 "0" | "off" | "false"
@@ -204,14 +177,6 @@ impl VerifierConfig {
     #[must_use]
     pub fn with_projection(mut self, projection: bool) -> Self {
         self.projection = projection;
-        self
-    }
-
-    /// Returns this configuration with the query pre-solver switched on or
-    /// off (see [`VerifierConfig::presolve`]).
-    #[must_use]
-    pub fn with_presolve(mut self, presolve: bool) -> Self {
-        self.presolve = presolve;
         self
     }
 

@@ -1,9 +1,9 @@
 //! The differential fuzzing driver.
 //!
 //! [`fuzz`] samples a seeded corpus, runs every instance through the full
-//! configuration matrix (threads ∈ {1, 4} × projection on/off × presolve
-//! on/off × witnesses on/off × shared Karp–Miller on/off), and cross-checks
-//! each outcome against the instance's [`Certificate`]:
+//! configuration matrix (threads ∈ {1, 4} × projection on/off × witnesses
+//! on/off × shared Karp–Miller on/off), and cross-checks each outcome
+//! against the instance's [`Certificate`]:
 //!
 //! * **verdict** — clean instances must verify; planted instances must be
 //!   reported violated (a missed plant is excused only when the exploration
@@ -35,8 +35,6 @@ pub struct ConfigPoint {
     pub threads: usize,
     /// Cone-of-influence query projection.
     pub projection: bool,
-    /// The query pre-solver (static refutation filters).
-    pub presolve: bool,
     /// Witness reconstruction.
     pub witnesses: bool,
     /// Shared incremental Karp–Miller arena (DESIGN.md §5.12).
@@ -47,18 +45,17 @@ impl fmt::Display for ConfigPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads={} projection={} presolve={} witnesses={} shared={}",
+            "threads={} projection={} witnesses={} shared={}",
             self.threads,
             if self.projection { "on" } else { "off" },
-            if self.presolve { "on" } else { "off" },
             if self.witnesses { "on" } else { "off" },
             if self.shared { "on" } else { "off" }
         )
     }
 }
 
-/// The full matrix: threads ∈ {1, 4} × projection × presolve × witnesses ×
-/// shared Karp–Miller. The `shared` axis pins the arena on or off per point
+/// The full matrix: threads ∈ {1, 4} × projection × witnesses × shared
+/// Karp–Miller. The `shared` axis pins the arena on or off per point
 /// (overriding any `HAS_SHARED_KM` in the environment), so every campaign
 /// cross-checks verdict, kind and origin between the shared and unshared
 /// engines at otherwise identical configurations.
@@ -66,17 +63,14 @@ pub fn config_matrix() -> Vec<ConfigPoint> {
     let mut out = Vec::new();
     for threads in [1usize, 4] {
         for projection in [true, false] {
-            for presolve in [true, false] {
-                for witnesses in [false, true] {
-                    for shared in [false, true] {
-                        out.push(ConfigPoint {
-                            threads,
-                            projection,
-                            presolve,
-                            witnesses,
-                            shared,
-                        });
-                    }
+            for witnesses in [false, true] {
+                for shared in [false, true] {
+                    out.push(ConfigPoint {
+                        threads,
+                        projection,
+                        witnesses,
+                        shared,
+                    });
                 }
             }
         }
@@ -344,7 +338,6 @@ fn check_at(
         .clone()
         .with_threads(at.threads)
         .with_projection(at.projection)
-        .with_presolve(at.presolve)
         .with_witnesses(at.witnesses)
         .with_shared_km(at.shared);
     let outcome = Verifier::with_config(&inst.system, &inst.property, config.clone()).verify();
@@ -417,7 +410,7 @@ mod tests {
         };
         let report = fuzz(&opts);
         assert_eq!(report.instances, 6);
-        assert_eq!(report.runs, 6 * 32);
+        assert_eq!(report.runs, 6 * 16);
         assert!(
             report.sound(),
             "mismatches: {:#?}",
@@ -451,7 +444,6 @@ mod tests {
         let at = ConfigPoint {
             threads: 1,
             projection: true,
-            presolve: true,
             witnesses: false,
             shared: true,
         };

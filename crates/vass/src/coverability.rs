@@ -156,20 +156,7 @@ impl AncestorIndex {
     /// `state`: any ancestor whose marking is dominated by (and not equal
     /// to) the current `next` pumps the strictly larger coordinates to ω.
     /// Ancestors apply nearest-first, exactly like the replaced chain walk.
-    ///
-    /// `bounded` carries per-dimension boundedness certificates (empty =
-    /// none): a certified dimension is provably never the strictly larger
-    /// coordinate of a domination (see
-    /// [`crate::zrelax::certified_bounded_dims`]), so it is excluded from the
-    /// `strictly` test — the resulting graph is byte-identical, the
-    /// certificate only removes comparison work.
-    fn accelerate(
-        &self,
-        graph: &CoverabilityGraph,
-        state: u32,
-        next: &mut [u64],
-        bounded: &[bool],
-    ) {
+    fn accelerate(&self, graph: &CoverabilityGraph, state: u32, next: &mut [u64]) {
         let s = state as usize;
         if self.stamp[s] != self.current {
             return;
@@ -180,22 +167,18 @@ impl AncestorIndex {
             let row = graph.row(node as usize);
             let mut dominated = true;
             let mut strictly = false;
-            for (d, (a, n)) in row.iter().zip(next.iter()).enumerate() {
+            for (a, n) in row.iter().zip(next.iter()) {
                 if *a > *n {
                     dominated = false;
                     break;
                 }
-                if *a < *n && !bounded.get(d).copied().unwrap_or(false) {
+                if *a < *n {
                     strictly = true;
                 }
             }
             if dominated && strictly {
-                for (d, (a, n)) in row.iter().zip(next.iter_mut()).enumerate() {
+                for (a, n) in row.iter().zip(next.iter_mut()) {
                     if *a < *n {
-                        debug_assert!(
-                            !bounded.get(d).copied().unwrap_or(false),
-                            "certified-bounded dimension {d} would be accelerated"
-                        );
                         *n = OMEGA;
                     }
                 }
@@ -222,7 +205,7 @@ impl CoverabilityGraph {
 
     /// Builds the coverability graph of `vass` from `(init, 0̄)`.
     pub fn build(vass: &Vass, init: usize) -> Self {
-        Self::build_inner(vass, init, usize::MAX, None, &[])
+        Self::build_inner(vass, init, usize::MAX, None)
     }
 
     /// Like [`CoverabilityGraph::build`], but never creates more than
@@ -232,24 +215,7 @@ impl CoverabilityGraph {
     /// reachability (everything it contains is genuinely coverable); callers
     /// that rely on exhaustiveness should pass `usize::MAX`.
     pub fn build_capped(vass: &Vass, init: usize, max_nodes: usize) -> Self {
-        Self::build_inner(vass, init, max_nodes, None, &[])
-    }
-
-    /// Like [`CoverabilityGraph::build_capped`], with per-dimension
-    /// boundedness certificates from the static pre-solver
-    /// ([`crate::zrelax::certified_bounded_dims`]): a certified dimension is
-    /// provably never ω-accelerated, so the builder skips the acceleration
-    /// machinery for it — entirely, when every dimension is certified. The
-    /// constructed graph is **byte-identical** to
-    /// [`CoverabilityGraph::build_capped`]'s (the determinism contract,
-    /// DESIGN.md §5.11); only the work changes.
-    pub fn build_capped_with_bounds(
-        vass: &Vass,
-        init: usize,
-        max_nodes: usize,
-        bounded_dims: &[bool],
-    ) -> Self {
-        Self::build_inner(vass, init, max_nodes, None, bounded_dims)
+        Self::build_inner(vass, init, max_nodes, None)
     }
 
     /// Like [`CoverabilityGraph::build`], but stops as soon as a node with
@@ -258,16 +224,10 @@ impl CoverabilityGraph {
     /// extracting a witness path to `target` ([`Self::path_to_state`]) —
     /// both of which only need the prefix built so far.
     pub fn build_to_state(vass: &Vass, init: usize, target: usize) -> Self {
-        Self::build_inner(vass, init, usize::MAX, Some(target), &[])
+        Self::build_inner(vass, init, usize::MAX, Some(target))
     }
 
-    fn build_inner(
-        vass: &Vass,
-        init: usize,
-        max_nodes: usize,
-        stop_at: Option<usize>,
-        bounded: &[bool],
-    ) -> Self {
+    fn build_inner(vass: &Vass, init: usize, max_nodes: usize, stop_at: Option<usize>) -> Self {
         let mut graph = Self::empty(vass.dim);
         if max_nodes == 0 {
             return graph;
@@ -292,10 +252,9 @@ impl CoverabilityGraph {
         let mut current = vec![0u64; vass.dim];
         let mut next = vec![0u64; vass.dim];
         let mut ancestors = AncestorIndex::new(vass.states);
-        // With every dimension certified bounded (or no dimensions at all)
-        // acceleration can never fire: skip the ancestor index entirely.
-        let accelerable =
-            (0..vass.dim).any(|d| !bounded.get(d).copied().unwrap_or(false));
+        // Without dimensions acceleration can never fire: skip the ancestor
+        // index entirely.
+        let accelerable = vass.dim > 0;
 
         while let Some(node_id) = worklist.pop_front() {
             if expanded.len() < graph.node_count() {
@@ -322,7 +281,7 @@ impl CoverabilityGraph {
                     continue;
                 }
                 if accelerable {
-                    ancestors.accelerate(&graph, action.to as u32, &mut next, bounded);
+                    ancestors.accelerate(&graph, action.to as u32, &mut next);
                 }
                 let Some((target, is_new)) =
                     graph.intern(action.to as u32, &next, node_id, action_idx, max_nodes)

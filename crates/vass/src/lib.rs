@@ -18,10 +18,6 @@
 //! * [`BoundedExplorer`] — an explicit-state explorer with counter caps, used
 //!   for witness replay and as a test oracle against the Karp–Miller
 //!   procedures;
-//! * [`zrelax`] — the static pre-solver relaxations (state-equation and
-//!   circulation LPs, per-dimension truncation-DFA abstraction, boundedness
-//!   certificates) that refute queries before any graph is built
-//!   (DESIGN.md §5.11).
 //!
 //! The paper cites the Rackoff/Habermehl EXPSPACE bounds for these problems;
 //! Karp–Miller is the standard practical algorithm deciding the same queries
@@ -46,7 +42,6 @@ pub mod cycle;
 pub mod dense;
 pub mod shared;
 pub mod vass;
-pub mod zrelax;
 
 pub use bounded::BoundedExplorer;
 pub use coverability::{CoverabilityGraph, Marking, NodeRef, OMEGA};
@@ -57,7 +52,3 @@ pub use cycle::{
 pub use dense::{fx_hash, BitSet, FxBuildHasher, FxHashMap, FxHasher, Interner};
 pub use shared::{SharedCoverability, SharedRun};
 pub use vass::{Action, ActionCsr, Vass};
-pub use zrelax::{
-    certified_bounded_dims, control_reachable, counter_dfa_refutes, z_cover_feasible,
-    z_lasso_feasible,
-};

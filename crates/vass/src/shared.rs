@@ -171,19 +171,8 @@ impl SharedCoverability {
     }
 
     /// Runs one coverability query from `init` (all counters zero),
-    /// visiting at most `max_nodes` nodes. `bounded` carries the
-    /// pre-solver's per-dimension boundedness certificates (empty = none):
-    /// certified dimensions are excluded from ω-acceleration *for fresh
-    /// expansions of this and every later query* — the standing pruning
-    /// constraint of DESIGN.md §5.12. Callers must pass certificates
-    /// derived from the same VASS for every query of one arena.
-    pub fn query(
-        &mut self,
-        vass: &Vass,
-        init: usize,
-        max_nodes: usize,
-        bounded: &[bool],
-    ) -> SharedRun {
+    /// visiting at most `max_nodes` nodes.
+    pub fn query(&mut self, vass: &Vass, init: usize, max_nodes: usize) -> SharedRun {
         debug_assert_eq!(vass.dim, self.dim, "arena reused across VASS dimensions");
         self.generation = self
             .generation
@@ -228,8 +217,7 @@ impl SharedCoverability {
         let mut worklist = VecDeque::from([root]);
         let mut current = vec![0u64; self.dim];
         let mut next = vec![0u64; self.dim];
-        let accelerable =
-            (0..self.dim).any(|d| !bounded.get(d).copied().unwrap_or(false));
+        let accelerable = self.dim > 0;
 
         while let Some(id) = worklist.pop_front() {
             let node = id as usize;
@@ -267,7 +255,7 @@ impl SharedCoverability {
                     continue;
                 }
                 if accelerable {
-                    self.anc_accelerate(action.to as u32, &mut next, bounded);
+                    self.anc_accelerate(action.to as u32, &mut next);
                 }
                 // Always interned — even when traversal prunes it below —
                 // so the stored span records the node's true successors.
@@ -457,9 +445,8 @@ impl SharedCoverability {
 
     /// ω-accelerates `next` against the indexed overlay ancestors with
     /// control state `state` — semantics identical to the from-scratch
-    /// builder's `AncestorIndex::accelerate`, including the
-    /// certified-bounded dimension exclusion.
-    fn anc_accelerate(&self, state: u32, next: &mut [u64], bounded: &[bool]) {
+    /// builder's `AncestorIndex::accelerate`.
+    fn anc_accelerate(&self, state: u32, next: &mut [u64]) {
         let s = state as usize;
         if self.anc_stamp[s] != self.anc_current {
             return;
@@ -470,12 +457,12 @@ impl SharedCoverability {
             let row = row_of(&self.rows, self.dim, node);
             let mut dominated = true;
             let mut strictly = false;
-            for (d, (a, n)) in row.iter().zip(next.iter()).enumerate() {
+            for (a, n) in row.iter().zip(next.iter()) {
                 if *a > *n {
                     dominated = false;
                     break;
                 }
-                if *a < *n && !bounded.get(d).copied().unwrap_or(false) {
+                if *a < *n {
                     strictly = true;
                 }
             }
@@ -648,7 +635,7 @@ mod tests {
         let v = pump_drain(3);
         let mut arena = SharedCoverability::new(&v);
         for init in [0usize, 1, 0, 1] {
-            let run = arena.query(&v, init, usize::MAX, &[]);
+            let run = arena.query(&v, init, usize::MAX);
             assert!(!run.capped);
             assert_eq!(coverable_states(&run), reference_states(&v, init));
         }
@@ -658,10 +645,10 @@ mod tests {
     fn second_identical_query_reuses_the_arena() {
         let v = pump_drain(2);
         let mut arena = SharedCoverability::new(&v);
-        let first = arena.query(&v, 0, usize::MAX, &[]);
+        let first = arena.query(&v, 0, usize::MAX);
         assert_eq!(first.reused, 0);
         let nodes = arena.arena_nodes();
-        let second = arena.query(&v, 0, usize::MAX, &[]);
+        let second = arena.query(&v, 0, usize::MAX);
         assert_eq!(second.reused, second.node_count());
         assert_eq!(arena.arena_nodes(), nodes, "replay interns nothing new");
         assert_eq!(coverable_states(&first), coverable_states(&second));
@@ -674,7 +661,7 @@ mod tests {
         let mut v = Vass::new(1, 1);
         v.add_action(0, vec![1], 0);
         let mut arena = SharedCoverability::new(&v);
-        let run = arena.query(&v, 0, usize::MAX, &[]);
+        let run = arena.query(&v, 0, usize::MAX);
         assert!(run.subsumed > 0);
         assert_eq!(coverable_states(&run), reference_states(&v, 0));
     }
@@ -685,8 +672,8 @@ mod tests {
         let mut a = SharedCoverability::new(&v);
         let mut b = SharedCoverability::new(&v);
         for init in [0usize, 1, 0] {
-            let ra = a.query(&v, init, usize::MAX, &[]);
-            let rb = b.query(&v, init, usize::MAX, &[]);
+            let ra = a.query(&v, init, usize::MAX);
+            let rb = b.query(&v, init, usize::MAX);
             assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }
     }
@@ -695,7 +682,7 @@ mod tests {
     fn cap_zero_yields_an_empty_run() {
         let v = pump_drain(1);
         let mut arena = SharedCoverability::new(&v);
-        let run = arena.query(&v, 0, 0, &[]);
+        let run = arena.query(&v, 0, 0);
         assert_eq!(run.node_count(), 0);
         assert!(!run.capped);
     }
@@ -704,11 +691,11 @@ mod tests {
     fn capped_run_marks_truncation_and_stores_no_span() {
         let v = pump_drain(3);
         let mut arena = SharedCoverability::new(&v);
-        let capped = arena.query(&v, 0, 2, &[]);
+        let capped = arena.query(&v, 0, 2);
         assert!(capped.capped);
         assert!(capped.node_count() <= 2);
         // A later uncapped query must not trust holes left by the cap.
-        let full = arena.query(&v, 0, usize::MAX, &[]);
+        let full = arena.query(&v, 0, usize::MAX);
         assert!(!full.capped);
         assert_eq!(coverable_states(&full), reference_states(&v, 0));
     }
@@ -719,7 +706,7 @@ mod tests {
         let reference = CoverabilityGraph::build(&v, 0);
         let expect = reference.nonneg_cycle_through_pred(&v, &|s| s == 0);
         let mut arena = SharedCoverability::new(&v);
-        let run = arena.query(&v, 0, usize::MAX, &[]);
+        let run = arena.query(&v, 0, usize::MAX);
         let sound = run.nonneg_cycle_through_pred(&v, &|s| s == 0);
         let complete = run.augmented_nonneg_cycle_through_pred(&v, &|s| s == 0);
         // The tiers bracket the truth.
@@ -732,7 +719,7 @@ mod tests {
     fn path_to_node_chains_control_states_from_the_root() {
         let v = pump_drain(2);
         let mut arena = SharedCoverability::new(&v);
-        let run = arena.query(&v, 0, usize::MAX, &[]);
+        let run = arena.query(&v, 0, usize::MAX);
         for vidx in 0..run.node_count() {
             let path = run.path_to_node(vidx);
             let mut state = 0usize;

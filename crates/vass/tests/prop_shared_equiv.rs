@@ -77,7 +77,7 @@ proptest! {
         // Every state as init, twice over: the second round replays
         // stored spans over a warm arena.
         for init in [0usize, 1, 2, 3, 0, 1, 2, 3] {
-            let run = arena.query(&vass, init, usize::MAX, &[]);
+            let run = arena.query(&vass, init, usize::MAX);
             prop_assert!(!run.capped);
             prop_assert_eq!(
                 shared_states(&run),
@@ -91,7 +91,7 @@ proptest! {
     fn lasso_tiers_bracket_and_decide(vass in arb_vass(4, 2)) {
         let mut arena = SharedCoverability::new(&vass);
         for init in [0usize, 1, 2, 3] {
-            let run = arena.query(&vass, init, usize::MAX, &[]);
+            let run = arena.query(&vass, init, usize::MAX);
             let reference = CoverabilityGraph::build(&vass, init);
             for target in 0..4usize {
                 let expect = reference.nonneg_cycle_through_pred(&vass, &|s| s == target);
@@ -113,7 +113,7 @@ proptest! {
     fn materialized_cycles_are_wellformed(vass in arb_vass(4, 2)) {
         let mut arena = SharedCoverability::new(&vass);
         for init in [0usize, 1, 2, 3] {
-            let run = arena.query(&vass, init, usize::MAX, &[]);
+            let run = arena.query(&vass, init, usize::MAX);
             for target in 0..4usize {
                 let search =
                     run.nonneg_cycle_search_through_pred(&vass, &|s| s == target, 4_096);
@@ -143,7 +143,7 @@ proptest! {
     fn witness_paths_chain_control_states(vass in arb_vass(4, 2)) {
         let mut arena = SharedCoverability::new(&vass);
         for init in [0usize, 1, 2, 3, 2, 1] {
-            let run = arena.query(&vass, init, usize::MAX, &[]);
+            let run = arena.query(&vass, init, usize::MAX);
             for vidx in 0..run.node_count() {
                 let mut state = init;
                 for a in run.path_to_node(vidx) {
@@ -159,8 +159,8 @@ proptest! {
     fn capped_runs_underapproximate(vass in arb_vass(4, 2), cap in 0usize..12) {
         let mut arena = SharedCoverability::new(&vass);
         // Warm the arena first so the capped query replays stored spans.
-        let _ = arena.query(&vass, 0, usize::MAX, &[]);
-        let run = arena.query(&vass, 1, cap, &[]);
+        let _ = arena.query(&vass, 0, usize::MAX);
+        let run = arena.query(&vass, 1, cap);
         prop_assert!(run.node_count() <= cap);
         let reference = reference_states(&vass, 1);
         prop_assert!(shared_states(&run).is_subset(&reference));
@@ -171,8 +171,8 @@ proptest! {
         let mut a = SharedCoverability::new(&vass);
         let mut b = SharedCoverability::new(&vass);
         for init in [0usize, 3, 1, 2, 0, 3] {
-            let ra = a.query(&vass, init, usize::MAX, &[]);
-            let rb = b.query(&vass, init, usize::MAX, &[]);
+            let ra = a.query(&vass, init, usize::MAX);
+            let rb = b.query(&vass, init, usize::MAX);
             prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }
     }

@@ -3,9 +3,12 @@
 //! count, on the hand-written workloads and on randomly generated instances.
 
 use has::verifier::{Verifier, VerifierConfig};
+use has::workloads::counters::{counter_gadget, counter_liveness_property};
 use has::workloads::generator::GeneratorParams;
 use has::workloads::orders::{never_enqueue_property, order_fulfilment, ship_after_quote_property};
-use has::workloads::travel::{travel_booking, travel_property, TravelVariant};
+use has::workloads::travel::{
+    travel_booking, travel_liveness_property, travel_property, TravelVariant,
+};
 use has_model::SchemaClass;
 use proptest::prelude::*;
 
@@ -135,6 +138,34 @@ fn shared_km_is_deterministic_across_thread_counts() {
         &generated.property,
         config,
         &[1, 2, 8],
+    );
+}
+
+#[test]
+fn travel_liveness_is_deterministic_across_thread_counts() {
+    for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
+        let t = travel_booking(variant);
+        let property = travel_liveness_property(&t);
+        assert_identical_across_threads(
+            &format!("travel-liveness/{variant:?}"),
+            &t.system,
+            &property,
+            capped(),
+            &[1, 8],
+        );
+    }
+}
+
+#[test]
+fn counter_gadget_is_deterministic_across_thread_counts() {
+    let g = counter_gadget(2);
+    let property = counter_liveness_property(&g);
+    assert_identical_across_threads(
+        "counter-gadget/d=2",
+        &g.system,
+        &property,
+        capped(),
+        &[1, 8],
     );
 }
 
