@@ -329,6 +329,12 @@ pub struct Stats {
     /// antichain — covered on arrival or retro-pruned by a larger marking
     /// (0 when sharing is off).
     pub km_subsumed: usize,
+    /// Internal-service post-state lists enumerated: misses of the graph
+    /// build's post-state memo, keyed on the pre-state's input projection
+    /// and the service (DESIGN.md §5.13).
+    pub post_enumerations: usize,
+    /// Post-state lists served from that memo instead of re-enumerated.
+    pub post_memo_hits: usize,
 }
 
 impl Stats {
@@ -360,6 +366,8 @@ impl Stats {
         self.dead_services_pruned += other.dead_services_pruned;
         self.km_reused += other.km_reused;
         self.km_subsumed += other.km_subsumed;
+        self.post_enumerations += other.post_enumerations;
+        self.post_memo_hits += other.post_memo_hits;
     }
 }
 
@@ -368,7 +376,7 @@ impl fmt::Display for Stats {
         write!(
             f,
             "states={} transitions={} km-nodes={} dims={} buchi={} (T,β)={} R_T={} cells={} \
-             proj={}->{} dead={} km-reuse={} km-subsume={}",
+             proj={}->{} dead={} km-reuse={} km-subsume={} post-enum={} post-hits={}",
             self.control_states,
             self.transitions,
             self.coverability_nodes,
@@ -381,7 +389,9 @@ impl fmt::Display for Stats {
             self.counter_dims_after,
             self.dead_services_pruned,
             self.km_reused,
-            self.km_subsumed
+            self.km_subsumed,
+            self.post_enumerations,
+            self.post_memo_hits
         )
     }
 }

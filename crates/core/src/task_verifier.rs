@@ -149,14 +149,6 @@ pub struct TaskSummary {
 }
 
 impl TaskSummary {
-    /// Entries matching an input key.
-    pub fn matching(&self, input_key: &ProjectionKey) -> Vec<&RtEntry> {
-        self.entries
-            .iter()
-            .filter(|e| &e.input_key == input_key)
-            .collect()
-    }
-
     /// Returns `true` if some entry has a non-returning run with the given
     /// predicate on `β`.
     pub fn has_non_returning<F>(&self, mut pred: F) -> bool
@@ -184,6 +176,98 @@ enum ChildStatus {
 /// state, sparse counter deltas as `(dim, amount)` pairs, target control
 /// state.
 type FlatTransition = (u32, Vec<(u32, i64)>, u32);
+
+/// The part of a letter fixed by the symbolic state alone: the
+/// word-packed truth values of the condition propositions, and the bits the
+/// abstraction leaves undetermined (see [`TaskVerifier::valuation`]).
+struct Valuation {
+    bits: Box<[u64]>,
+    unknown: Vec<usize>,
+}
+
+/// The memos of one [`TaskVerifier::build_graph`] call, each keyed on
+/// exactly what its step reads (DESIGN.md §5.13). They live for one `(T, β)`
+/// pair and are dropped when the build returns; the per-sym tables are
+/// indexed by dense sym id and grow with the arena.
+#[derive(Default)]
+struct BuildMemo {
+    /// The [`TaskVerifier::post_base`] of each sym id, as an id into
+    /// `bases`.
+    base_of: Vec<Option<u32>>,
+    /// Distinct post-state bases (input-variable projections).
+    bases: Interner<SymState>,
+    /// Post-state id lists keyed on `(base id, internal service index)`.
+    posts: FxHashMap<(u32, usize), Vec<u32>>,
+    /// Misses and hits of `posts` ([`Stats::post_enumerations`],
+    /// [`Stats::post_memo_hits`]).
+    post_enumerations: usize,
+    post_hits: usize,
+    /// The condition valuation of each sym id.
+    valuation_of: Vec<Option<Valuation>>,
+    /// Letter lists of the steps without a child choice, keyed on
+    /// `(sym id, service)`.
+    letters: FxHashMap<(u32, ServiceRef), Vec<Box<[u64]>>>,
+    /// The ways of opening a child, keyed on `(sym id, child)`.
+    opens: FxHashMap<(u32, TaskId), OpenChild>,
+    /// Returned-state ids keyed on `(sym, child, output)` ids.
+    returns: FxHashMap<(u32, TaskId, u32), u32>,
+}
+
+/// The entry of a table indexed by dense sym id, growing the table to
+/// cover `id`.
+fn sym_slot<T>(table: &mut Vec<Option<T>>, id: u32) -> &mut Option<T> {
+    let i = id as usize;
+    if table.len() <= i {
+        table.resize_with(i + 1, || None);
+    }
+    &mut table[i]
+}
+
+/// The counter dimensions of `V(T, β)`: one per TS-isomorphism type — the
+/// projection of a symbolic state onto the task's input and artifact-tuple
+/// variables (Definition 17) — numbered in first-encounter order.
+struct CounterDims {
+    /// The projected variables, sorted.
+    vars: Vec<VarId>,
+    /// Dimension per projection. Lookup-only (never iterated), so
+    /// deterministic hashing suffices.
+    index: FxHashMap<ProjectionKey, usize>,
+    /// The dimension of each sym id, memoized (DESIGN.md §5.13).
+    of_sym: Vec<Option<usize>>,
+}
+
+impl CounterDims {
+    /// The dimension of `sym`, allocating the next one on first encounter
+    /// of its projection. The memo leaves the allocation order unchanged:
+    /// a state's projection is first looked up exactly when an unmemoized
+    /// lookup would first have seen it.
+    fn dim(&mut self, ctx: &TaskContext, syms: &Interner<SymState>, sym: u32) -> usize {
+        let CounterDims { vars, index, of_sym } = self;
+        *sym_slot(of_sym, sym).get_or_insert_with(|| {
+            let key = syms.get(sym).project_vars(ctx, vars);
+            let next = index.len();
+            *index.entry(key).or_insert(next)
+        })
+    }
+}
+
+/// The opening steps of one child from one symbolic state: the child's
+/// input projection key and, per matching summary entry, the choice it
+/// offers.
+struct OpenChild {
+    key: ProjectionKey,
+    choices: Vec<OpenChoice>,
+}
+
+/// One summary entry a child can be opened with.
+struct OpenChoice {
+    /// Index of the entry in the child's [`TaskSummary::entries`].
+    entry: usize,
+    /// The entry's output as a sym id (`None`: the child never returns).
+    output: Option<u32>,
+    /// The letters of the opening step under this entry's `β`.
+    letters: Vec<Box<[u64]>>,
+}
 
 /// A control state of `V(T, β)`.
 ///
@@ -422,22 +506,29 @@ impl<'a> TaskVerifier<'a> {
     // Successor enumeration for internal services
     // ------------------------------------------------------------------
 
-    /// Enumerates the possible post-states of an internal service from
-    /// `state`: input variables keep their pattern, every other variable is
-    /// rewritten (restriction 1 of Section 6), constrained by the
-    /// post-condition.
-    fn enumerate_post_states(&self, state: &SymState, post: &Condition) -> Vec<SymState> {
+    /// What an internal service keeps of its pre-state `state`: the blank
+    /// state with the input variables' pattern adopted (restriction 1 of
+    /// Section 6 — every other variable is rewritten). It is everything
+    /// [`TaskVerifier::enumerate_post_states`] reads of the pre-state.
+    fn post_base(&self, state: &SymState) -> SymState {
         let schema = self.schema();
-        let t = schema.task(self.task);
+        let mut base = SymState::blank(self.ctx, schema);
+        base.adopt_vars(self.ctx, state, &schema.task(self.task).input_vars);
+        base
+    }
+
+    /// Enumerates the possible post-states of an internal service from the
+    /// [`TaskVerifier::post_base`] of its pre-state: input variables keep
+    /// their pattern, every other variable is rewritten, constrained by the
+    /// post-condition.
+    fn enumerate_post_states(&self, base: SymState, post: &Condition) -> Vec<SymState> {
+        let t = self.schema().task(self.task);
         let free_vars: Vec<VarId> = t
             .variables
             .iter()
             .copied()
             .filter(|v| !t.input_vars.contains(v))
             .collect();
-
-        let mut base = SymState::blank(self.ctx, schema);
-        base.adopt_vars(self.ctx, state, &t.input_vars);
 
         let mut states = vec![base];
         let mut remaining: std::collections::BTreeSet<VarId> = free_vars.iter().copied().collect();
@@ -562,9 +653,29 @@ impl<'a> TaskVerifier<'a> {
     // Letters and Büchi stepping
     // ------------------------------------------------------------------
 
+    /// The truth values of the condition propositions in `sym`, with the
+    /// bits the abstraction leaves undetermined (arithmetic atoms when cell
+    /// tracking is disabled) listed separately, truncated to
+    /// [`VerifierConfig::max_unknown_props`]. The part of a letter that
+    /// depends on the symbolic state alone.
+    fn valuation(&self, sym: &SymState) -> Valuation {
+        let mut bits = vec![0u64; self.cbuchi.words()].into_boxed_slice();
+        let mut unknown: Vec<usize> = Vec::new();
+        for (bit, p) in self.props.iter().enumerate() {
+            let TaskProp::Condition(c) = p else { continue };
+            match sym.satisfies(self.ctx, c, &Self::no_arith) {
+                Some(true) => bits[bit / 64] |= 1u64 << (bit % 64),
+                Some(false) => {}
+                None => unknown.push(bit),
+            }
+        }
+        unknown.truncate(self.config.max_unknown_props);
+        Valuation { bits, unknown }
+    }
+
     /// The truth assignments ("letters") compatible with observing `service`
-    /// in state `sym`, branching over propositions left undetermined by the
-    /// abstraction (arithmetic atoms when cell tracking is disabled).
+    /// in a state with the given [`TaskVerifier::valuation`], branching over
+    /// the propositions it leaves undetermined.
     ///
     /// A letter is a word-packed truth assignment over the canonical sorted
     /// proposition list `self.props` (bit `i` ⇔ `props[i]` holds; absent —
@@ -574,21 +685,14 @@ impl<'a> TaskVerifier<'a> {
     /// proposition order, matching the former enumeration exactly.
     fn letters(
         &self,
-        sym: &SymState,
+        valuation: &Valuation,
         service: ServiceRef,
         child_choice: Option<(TaskId, &[bool])>,
     ) -> Vec<Box<[u64]>> {
-        let mut base = vec![0u64; self.cbuchi.words()];
-        let mut unknown: Vec<usize> = Vec::new();
+        let mut base = valuation.bits.clone();
         for (bit, p) in self.props.iter().enumerate() {
             let value = match p {
-                TaskProp::Condition(c) => match sym.satisfies(self.ctx, c, &Self::no_arith) {
-                    Some(b) => b,
-                    None => {
-                        unknown.push(bit);
-                        false
-                    }
-                },
+                TaskProp::Condition(_) => false,
                 TaskProp::Service(s) => *s == service,
                 TaskProp::Child { child, phi_index } => match (child_choice, service) {
                     (Some((chosen, beta)), ServiceRef::Opening(opened))
@@ -603,7 +707,7 @@ impl<'a> TaskVerifier<'a> {
                 base[bit / 64] |= 1u64 << (bit % 64);
             }
         }
-        unknown.truncate(self.config.max_unknown_props);
+        let unknown = &valuation.unknown;
         let mut letters = Vec::with_capacity(1 << unknown.len());
         for mask in 0..(1usize << unknown.len()) {
             let mut letter = base.clone();
@@ -612,7 +716,7 @@ impl<'a> TaskVerifier<'a> {
                     letter[bit / 64] |= 1u64 << (bit % 64);
                 }
             }
-            letters.push(letter.into_boxed_slice());
+            letters.push(letter);
         }
         letters
     }
@@ -767,6 +871,109 @@ impl<'a> TaskVerifier<'a> {
     }
 
     // ------------------------------------------------------------------
+    // Build-layer memos (DESIGN.md §5.13)
+    // ------------------------------------------------------------------
+
+    /// The post-state ids of internal service `service_idx` from symbolic
+    /// state `sym`, memoized on `(post_base(sym), service_idx)` — exactly
+    /// what [`TaskVerifier::enumerate_post_states`] reads. A miss enumerates
+    /// and interns the list, as an unmemoized build would at this point; a
+    /// hit returns the ids re-interning the same list would return.
+    fn post_states(
+        &self,
+        memo: &mut BuildMemo,
+        syms: &mut Interner<SymState>,
+        sym: u32,
+        service_idx: usize,
+    ) -> Vec<u32> {
+        let base = *sym_slot(&mut memo.base_of, sym)
+            .get_or_insert_with(|| memo.bases.intern(self.post_base(syms.get(sym))).0);
+        if let Some(ids) = memo.posts.get(&(base, service_idx)) {
+            memo.post_hits += 1;
+            return ids.clone();
+        }
+        memo.post_enumerations += 1;
+        let service = &self.schema().task(self.task).internal_services[service_idx];
+        let list = self.enumerate_post_states(memo.bases.get(base).clone(), &service.post);
+        let ids: Vec<u32> = list.into_iter().map(|s| syms.intern(s).0).collect();
+        memo.posts.insert((base, service_idx), ids.clone());
+        ids
+    }
+
+    /// The [`TaskVerifier::valuation`] of `sym`, memoized per sym id.
+    fn valuation_of<'m>(
+        &self,
+        table: &'m mut Vec<Option<Valuation>>,
+        syms: &Interner<SymState>,
+        sym: u32,
+    ) -> &'m Valuation {
+        sym_slot(table, sym).get_or_insert_with(|| self.valuation(syms.get(sym)))
+    }
+
+    /// The letters of observing `service` in `sym` (a step without a child
+    /// choice), memoized on `(sym, service)`.
+    fn letters_of<'m>(
+        &self,
+        memo: &'m mut BuildMemo,
+        syms: &Interner<SymState>,
+        sym: u32,
+        service: ServiceRef,
+    ) -> &'m [Box<[u64]>] {
+        let BuildMemo { letters, valuation_of, .. } = memo;
+        letters.entry((sym, service)).or_insert_with(|| {
+            self.letters(self.valuation_of(valuation_of, syms, sym), service, None)
+        })
+    }
+
+    /// The ways of opening `child` from `sym`, memoized on `(sym, child)`:
+    /// the child's input key ([`TaskVerifier::child_input`]), the summary
+    /// entries matching it with their outputs interned in entry order, and
+    /// each entry's opening letters.
+    fn open_child<'m>(
+        &self,
+        memo: &'m mut BuildMemo,
+        syms: &mut Interner<SymState>,
+        sym: u32,
+        child: TaskId,
+    ) -> &'m OpenChild {
+        let BuildMemo { opens, valuation_of, .. } = memo;
+        opens.entry((sym, child)).or_insert_with(|| {
+            let (_, key) = self.child_input(syms.get(sym), child);
+            let sref = ServiceRef::Opening(child);
+            let mut choices = Vec::new();
+            for (entry, e) in self.children[&child].entries.iter().enumerate() {
+                if e.input_key != key {
+                    continue;
+                }
+                let output = e.output.as_ref().map(|s| syms.intern(s.clone()).0);
+                let valuation = self.valuation_of(valuation_of, syms, sym);
+                let letters = self.letters(valuation, sref, Some((child, &e.beta)));
+                choices.push(OpenChoice { entry, output, letters });
+            }
+            OpenChild { key, choices }
+        })
+    }
+
+    /// The id of [`TaskVerifier::apply_return`]`(sym, child, output)`,
+    /// memoized on the id triple.
+    fn returned(
+        &self,
+        memo: &mut BuildMemo,
+        syms: &mut Interner<SymState>,
+        sym: u32,
+        child: TaskId,
+        output: u32,
+    ) -> u32 {
+        if let Some(&id) = memo.returns.get(&(sym, child, output)) {
+            return id;
+        }
+        let next = self.apply_return(syms.get(sym), child, syms.get(output));
+        let id = syms.intern(next).0;
+        memo.returns.insert((sym, child, output), id);
+        id
+    }
+
+    // ------------------------------------------------------------------
     // Main exploration
     // ------------------------------------------------------------------
 
@@ -815,9 +1022,19 @@ impl<'a> TaskVerifier<'a> {
         // which is the canonical order of DESIGN.md §5.6/§5.8.
         let mut syms: Interner<SymState> = Interner::new();
         let mut cstates: Interner<CState> = Interner::new();
-        // Counter dimensions in first-encounter order; the map is
-        // lookup-only (never iterated), so deterministic hashing suffices.
-        let mut counter_dims: FxHashMap<ProjectionKey, usize> = FxHashMap::default();
+        let mut counter_dims = CounterDims {
+            vars: {
+                let mut v: Vec<VarId> = t.input_vars.clone();
+                if let Some(ar) = &t.artifact_relation {
+                    v.extend(ar.tuple.iter().copied());
+                }
+                v.sort();
+                v.dedup();
+                v
+            },
+            index: FxHashMap::default(),
+            of_sym: Vec::new(),
+        };
         // Transitions: (from, delta as sparse (dim, amount) pairs, to). A
         // service contributes at most one insert and one retrieve, so a flat
         // two-entry vector replaces the former per-transition `BTreeMap`.
@@ -839,12 +1056,16 @@ impl<'a> TaskVerifier<'a> {
             }
         };
 
+        // The step memos (DESIGN.md §5.13), dropped when the build returns.
+        let mut memo = BuildMemo::default();
+
         // Initial states: step the Büchi automaton on the opening letter.
         for (input_index, input) in inputs.iter().enumerate() {
             input_keys.push(input.project_vars(self.ctx, &t.input_vars));
             let sym_id = syms.intern(input.clone()).0;
-            for letter in self.letters(input, ServiceRef::Opening(self.task), None) {
-                for q in self.step_buchi(None, &letter) {
+            let letters = self.letters_of(&mut memo, &syms, sym_id, ServiceRef::Opening(self.task));
+            for letter in letters {
+                for q in self.step_buchi(None, letter) {
                     let c = CState {
                         sym: sym_id,
                         q,
@@ -867,21 +1088,7 @@ impl<'a> TaskVerifier<'a> {
         // `seen_in_worklist` insert succeeding); terminal `closed` states
         // are interned but never enqueued.
         let mut worklist: VecDeque<u32> = initial_states.iter().map(|&i| i as u32).collect();
-        let ts_vars: Vec<VarId> = {
-            let mut v: Vec<VarId> = t.input_vars.clone();
-            if let Some(ar) = &t.artifact_relation {
-                v.extend(ar.tuple.iter().copied());
-            }
-            v.sort();
-            v.dedup();
-            v
-        };
 
-        // Post-state enumeration is the expensive step and depends only on
-        // the symbolic state and the service, not on the Büchi/children
-        // components of the control state: memoize it, keyed by dense sym
-        // id (id equality is structural equality within the arena).
-        let mut post_cache: FxHashMap<(u32, usize), Vec<u32>> = FxHashMap::default();
         while let Some(id) = worklist.pop_front() {
             if cstates.len() > self.config.max_control_states {
                 break;
@@ -903,39 +1110,26 @@ impl<'a> TaskVerifier<'a> {
                     {
                         continue;
                     }
-                    let cache_key = (current.sym, service_idx);
-                    let posts: Vec<u32> = match post_cache.get(&cache_key) {
-                        Some(ids) => ids.clone(),
-                        None => {
-                            let list = self
-                                .enumerate_post_states(syms.get(current.sym), &service.post);
-                            let ids: Vec<u32> =
-                                list.into_iter().map(|s| syms.intern(s).0).collect();
-                            post_cache.insert(cache_key, ids.clone());
-                            ids
-                        }
-                    };
+                    let posts = self.post_states(&mut memo, &mut syms, current.sym, service_idx);
+                    // Counter update (Definition 17's a̅ vector). The insert
+                    // dimension depends on the pre-state only; it is looked
+                    // up before the first post-state's retrieve, which keeps the
+                    // first-encounter numbering of the dimensions.
+                    let counted = t.artifact_relation.is_some();
+                    let insert_dim = (counted && service.delta.inserts() && !posts.is_empty())
+                        .then(|| counter_dims.dim(self.ctx, &syms, current.sym));
+                    let sref = ServiceRef::Internal(self.task, service_idx);
                     for post_id in posts {
-                        // Counter update (Definition 17's a̅ vector).
                         let mut delta: Vec<(u32, i64)> = Vec::new();
-                        if t.artifact_relation.is_some() {
-                            if service.delta.inserts() {
-                                let key =
-                                    syms.get(current.sym).project_vars(self.ctx, &ts_vars);
-                                let dims = counter_dims.len();
-                                let dim = *counter_dims.entry(key).or_insert(dims);
-                                bump(&mut delta, dim, 1);
-                            }
-                            if service.delta.retrieves() {
-                                let key = syms.get(post_id).project_vars(self.ctx, &ts_vars);
-                                let dims = counter_dims.len();
-                                let dim = *counter_dims.entry(key).or_insert(dims);
-                                bump(&mut delta, dim, -1);
-                            }
+                        if let Some(dim) = insert_dim {
+                            bump(&mut delta, dim, 1);
                         }
-                        let sref = ServiceRef::Internal(self.task, service_idx);
-                        for letter in self.letters(syms.get(post_id), sref, None) {
-                            for q in self.step_buchi(Some(current.q), &letter) {
+                        if counted && service.delta.retrieves() {
+                            let dim = counter_dims.dim(self.ctx, &syms, post_id);
+                            bump(&mut delta, dim, -1);
+                        }
+                        for letter in self.letters_of(&mut memo, &syms, post_id, sref) {
+                            for q in self.step_buchi(Some(current.q), letter) {
                                 let next = CState {
                                     sym: post_id,
                                     q,
@@ -971,20 +1165,19 @@ impl<'a> TaskVerifier<'a> {
                 if !self.sat_optimistic(syms.get(current.sym), opening_pre) {
                     continue;
                 }
-                let (_, child_key) = self.child_input(syms.get(current.sym), child);
                 let summary = &self.children[&child];
-                for entry in summary.matching(&child_key) {
-                    let out_id = entry.output.as_ref().map(|s| syms.intern(s.clone()).0);
-                    let sref = ServiceRef::Opening(child);
-                    for letter in
-                        self.letters(syms.get(current.sym), sref, Some((child, &entry.beta)))
-                    {
-                        for q in self.step_buchi(Some(current.q), &letter) {
+                let open = self.open_child(&mut memo, &mut syms, current.sym, child);
+                for choice in &open.choices {
+                    let entry = &summary.entries[choice.entry];
+                    for letter in &choice.letters {
+                        for q in self.step_buchi(Some(current.q), letter) {
                             let next = CState {
                                 sym: current.sym,
                                 q,
-                                children: current
-                                    .with_child(child, ChildStatus::Active { output: out_id }),
+                                children: current.with_child(
+                                    child,
+                                    ChildStatus::Active { output: choice.output },
+                                ),
                                 closed: false,
                                 input_index: current.input_index,
                             };
@@ -995,7 +1188,7 @@ impl<'a> TaskVerifier<'a> {
                                     child,
                                     child_name: schema.task(child).name.clone(),
                                     beta: entry.beta.clone(),
-                                    input_key: child_key.clone(),
+                                    input_key: open.key.clone(),
                                     output: entry.output.clone(),
                                 });
                             }
@@ -1012,13 +1205,10 @@ impl<'a> TaskVerifier<'a> {
                 let ChildStatus::Active { output: Some(out) } = status else {
                     continue;
                 };
-                let new_sym =
-                    self.apply_return(syms.get(current.sym), child, syms.get(out));
+                let new_sym_id = self.returned(&mut memo, &mut syms, current.sym, child, out);
                 let sref = ServiceRef::Closing(child);
-                let letters = self.letters(&new_sym, sref, None);
-                let new_sym_id = syms.intern(new_sym).0;
-                for letter in letters {
-                    for q in self.step_buchi(Some(current.q), &letter) {
+                for letter in self.letters_of(&mut memo, &syms, new_sym_id, sref) {
+                    for q in self.step_buchi(Some(current.q), letter) {
                         let next = CState {
                             sym: new_sym_id,
                             q,
@@ -1048,8 +1238,8 @@ impl<'a> TaskVerifier<'a> {
                 && self.sat_optimistic(syms.get(current.sym), &t.closing.pre)
             {
                 let sref = ServiceRef::Closing(self.task);
-                for letter in self.letters(syms.get(current.sym), sref, None) {
-                    for q in self.step_buchi(Some(current.q), &letter) {
+                for letter in self.letters_of(&mut memo, &syms, current.sym, sref) {
+                    for q in self.step_buchi(Some(current.q), letter) {
                         let next = CState {
                             sym: current.sym,
                             q,
@@ -1072,12 +1262,14 @@ impl<'a> TaskVerifier<'a> {
         let syms = syms.into_items();
         stats.control_states = states.len();
         stats.transitions = transitions.len();
-        stats.counter_dimensions = counter_dims.len();
+        stats.counter_dimensions = counter_dims.index.len();
+        stats.post_enumerations = memo.post_enumerations;
+        stats.post_memo_hits = memo.post_hits;
 
         // ----------------------------------------------------------------
         // Build the VASS and answer the Lemma 21 queries per initial state.
         // ----------------------------------------------------------------
-        let dim = counter_dims.len();
+        let dim = counter_dims.index.len();
         let mut vass = Vass::new(states.len(), dim);
         for (from, delta, to) in &transitions {
             let mut d = vec![0i64; dim];

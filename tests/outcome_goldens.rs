@@ -1,15 +1,26 @@
 //! Golden outcomes: the rendered verdict, violation kind, origin, input
-//! description and witness tree of the travel Appendix A.2 instances and the
-//! counter gadget, pinned byte for byte. `Stats` is left out on purpose —
-//! cost counters may move when the search changes; what the verifier
-//! *concludes* and *reports* must not.
+//! description and witness tree of the travel Appendix A.2 instances, the
+//! counter gadget and the twelve EXP-T2 grid rows, pinned byte for byte.
+//! The rendering leaves `Stats` out on purpose — cost counters may move
+//! when the search changes; what the verifier *concludes* and *reports*
+//! must not.
 //!
-//! The expected renderings live in `tests/goldens/`, one file per instance.
-//! Both configurations pin the shared Karp–Miller arena on, so a suite run
-//! under `HAS_SHARED_KM=0` still checks the engine the goldens came from.
+//! Separately, `goldens/stats.txt` pins the size of what the verifier built
+//! for each instance: one line of graph and query counts per instance. A
+//! change that only makes the build faster (memoization, a cheaper data
+//! structure) must leave every line byte-identical; a change that alters
+//! the search must re-record them and say why.
+//!
+//! The expected renderings live in `tests/goldens/`, one file per instance
+//! (one file for the whole grid). Every configuration pins the shared
+//! Karp–Miller arena, projection and one thread, so a suite run under
+//! `HAS_SHARED_KM=0`, `HAS_PROJECTION=0` or `HAS_THREADS=n` still checks the
+//! engine the goldens came from.
 
-use has::verifier::{Outcome, Verifier, VerifierConfig};
+use has::model::SchemaClass;
+use has::verifier::{Outcome, Stats, Verifier, VerifierConfig};
 use has::workloads::counters::{counter_gadget, counter_liveness_property};
+use has::workloads::generator::GeneratorParams;
 use has::workloads::travel::{travel_booking, travel_property, TravelVariant};
 
 /// Everything an outcome reports except its statistics.
@@ -38,6 +49,36 @@ fn assert_golden(golden: &str, outcome: &Outcome) {
     );
 }
 
+/// The counts of `goldens/stats.txt`: the control-state graph, its counter
+/// dimension and the query phase's work, which together pin the graph the
+/// build produced.
+fn render_stats(label: &str, stats: &Stats) -> String {
+    format!(
+        "{label} control_states={} transitions={} counter_dimensions={} coverability_nodes={} \
+         rt_entries={} km_reused={} km_subsumed={}",
+        stats.control_states,
+        stats.transitions,
+        stats.counter_dimensions,
+        stats.coverability_nodes,
+        stats.rt_entries,
+        stats.km_reused,
+        stats.km_subsumed,
+    )
+}
+
+/// Checks an instance's statistics against its line in `goldens/stats.txt`.
+fn assert_stats_golden(label: &str, stats: &Stats) {
+    let golden = include_str!("goldens/stats.txt")
+        .lines()
+        .find(|line| line.split(' ').next() == Some(label))
+        .unwrap_or_else(|| panic!("no stats golden for `{label}`"));
+    let actual = render_stats(label, stats);
+    assert!(
+        actual == golden,
+        "stats differ from their golden:\n--- expected\n{golden}\n--- actual\n{actual}"
+    );
+}
+
 /// The `tests/a2_violation.rs` configuration: default search budgets,
 /// `max_merge_pairs = 12`, witnesses on.
 fn a2_config() -> VerifierConfig {
@@ -47,6 +88,7 @@ fn a2_config() -> VerifierConfig {
     }
     .with_witnesses(true)
     .with_threads(1)
+    .with_projection(true)
     .with_shared_km(true)
 }
 
@@ -60,6 +102,22 @@ fn gadget_config() -> VerifierConfig {
     }
     .with_witnesses(true)
     .with_threads(1)
+    .with_projection(true)
+    .with_shared_km(true)
+}
+
+/// perfbench's `grid` configuration: `has_bench::bench_config`'s caps, with
+/// the cell decomposition on for the arithmetic rows.
+fn grid_config(arithmetic: bool) -> VerifierConfig {
+    VerifierConfig {
+        max_successors: 48,
+        max_control_states: 3_000,
+        km_node_cap: 20_000,
+        use_cells: arithmetic,
+        ..VerifierConfig::default()
+    }
+    .with_threads(1)
+    .with_projection(true)
     .with_shared_km(true)
 }
 
@@ -77,18 +135,16 @@ fn gadget(d: usize) -> Outcome {
 
 #[test]
 fn travel_a2_buggy_outcome_matches_golden() {
-    assert_golden(
-        include_str!("goldens/travel_a2_buggy.txt"),
-        &travel_a2(TravelVariant::Buggy),
-    );
+    let outcome = travel_a2(TravelVariant::Buggy);
+    assert_golden(include_str!("goldens/travel_a2_buggy.txt"), &outcome);
+    assert_stats_golden("travel-a2/buggy", &outcome.stats);
 }
 
 #[test]
 fn travel_a2_fixed_outcome_matches_golden() {
-    assert_golden(
-        include_str!("goldens/travel_a2_fixed.txt"),
-        &travel_a2(TravelVariant::Fixed),
-    );
+    let outcome = travel_a2(TravelVariant::Fixed);
+    assert_golden(include_str!("goldens/travel_a2_fixed.txt"), &outcome);
+    assert_stats_golden("travel-a2/fixed", &outcome.stats);
 }
 
 #[test]
@@ -99,6 +155,73 @@ fn counter_gadget_outcomes_match_goldens() {
         include_str!("goldens/counter_gadget_d3.txt"),
     ];
     for (d, golden) in (1..=3).zip(goldens) {
-        assert_golden(golden, &gadget(d));
+        let outcome = gadget(d);
+        assert_golden(golden, &outcome);
+        assert_stats_golden(&format!("counter-gadget/d={d}"), &outcome.stats);
     }
+}
+
+/// perfbench's twelve `grid` rows (EXP-T1/T2 at d2w1): schema class ×
+/// artifact relations × arithmetic. Their rendered outcomes are
+/// concatenated into one golden, each under a `== label ==` header.
+#[test]
+fn grid_outcomes_match_goldens() {
+    let mut rendered = String::new();
+    for arithmetic in [false, true] {
+        for schema_class in [
+            SchemaClass::Acyclic,
+            SchemaClass::LinearlyCyclic,
+            SchemaClass::Cyclic,
+        ] {
+            for artifact_relations in [false, true] {
+                let generated = GeneratorParams {
+                    schema_class,
+                    artifact_relations,
+                    arithmetic,
+                    depth: 2,
+                    width: 1,
+                    numeric_vars: if arithmetic { 2 } else { 1 },
+                }
+                .generate();
+                let outcome = Verifier::with_config(
+                    &generated.system,
+                    &generated.property,
+                    grid_config(arithmetic),
+                )
+                .verify();
+                assert_stats_golden(&generated.label, &outcome.stats);
+                rendered.push_str(&format!("== {} ==\n{}", generated.label, render(&outcome)));
+            }
+        }
+    }
+    let golden = include_str!("goldens/grid.txt");
+    assert!(
+        rendered == golden,
+        "grid outcomes differ from their golden:\n--- expected\n{golden}\n--- actual\n{rendered}"
+    );
+}
+
+/// The graph build enumerates an internal service's post-states once per
+/// distinct input projection of the pre-state, not once per symbolic state
+/// (DESIGN.md §5.13). On this grid row, keying the memo on the full
+/// symbolic state made 1,386 enumerations; keyed on what the enumeration
+/// reads, 46 remain and every other lookup is a hit.
+#[test]
+fn post_states_are_enumerated_once_per_input_projection() {
+    let generated = GeneratorParams {
+        schema_class: SchemaClass::Cyclic,
+        artifact_relations: true,
+        arithmetic: true,
+        depth: 2,
+        width: 1,
+        numeric_vars: 2,
+    }
+    .generate();
+    assert_eq!(generated.label, "cyclic/+ar/+arith/d2w1v2");
+    let stats =
+        Verifier::with_config(&generated.system, &generated.property, grid_config(true))
+            .verify()
+            .stats;
+    assert_eq!(stats.post_enumerations, 46);
+    assert_eq!(stats.post_memo_hits, 2_321);
 }

@@ -25,7 +25,10 @@ fn capped() -> VerifierConfig {
 
 /// Runs one system/property at the given thread counts and asserts that the
 /// rendered `Outcome` (including the violation and every statistic) is
-/// byte-identical across all of them.
+/// byte-identical across all of them. Every statistic includes the graph
+/// build's memo counters (`post_enumerations`, `post_memo_hits`): the memos
+/// are private to one `(T, β)` pair, so their counts cannot depend on which
+/// worker built the pair.
 fn assert_identical_across_threads(
     label: &str,
     system: &has::model::ArtifactSystem,
