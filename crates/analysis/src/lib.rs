@@ -18,8 +18,8 @@
 //!    fire for lack of any insertion (`HAS103`), and an informational
 //!    summary (`HAS110`). The per-query refinement of the same idea — which
 //!    counter *dimensions* can influence a verdict — is
-//!    [`dimension_cone`], applied by the verifier to each `(T, β, τ_in)`
-//!    coverability query.
+//!    [`dimension_cone`]; the verifier projects each `(T, β)` pair's
+//!    coverability queries onto the union cone [`dimension_cone_multi`].
 //!
 //! All findings flow through the [`Diagnostic`] type with stable `HASnnn`
 //! codes; structural [`has_model::ValidationError`]s join the same stream

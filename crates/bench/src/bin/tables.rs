@@ -147,15 +147,15 @@ fn exp_travel(rec: &mut Recorder) {
 
 /// EXP-P1 — wall-clock scaling of the parallel engine over the Tables 1/2
 /// grids plus the deep-narrow chain. One row per thread count with each
-/// workload's total verification time and the speedup relative to the
-/// sequential engine. (On a single-core host the speedups hover around
+/// workload's total verification time and the speedup relative to one
+/// worker. (On a single-core host the speedups hover around
 /// 1.0× — the jobs timeshare one CPU.)
 ///
 /// The `deep(d6w1)` column is the family the readiness scheduler exists
 /// for: a chain of six tasks has one task per hierarchy level, so PR 3's
 /// level barriers exposed almost no job supply per level and serialized the
-/// run; the work-stealing scheduler pipelines each task's query jobs with
-/// its parent's build instead (DESIGN.md §5.6).
+/// run; the work-stealing scheduler starts each task's pairs the moment its
+/// children commit instead (DESIGN.md §5.6).
 fn exp_scaling(rec: &mut Recorder) {
     println!("== EXP-P1: parallel engine scaling — speedup vs thread count ==");
     println!(
@@ -466,76 +466,21 @@ fn exp_projection(rec: &mut Recorder) {
     println!();
 }
 
-/// EXP-S1 — the shared incremental Karp–Miller arena (DESIGN.md §5.12):
-/// the Appendix A.2 policy on both travel variants at the EXP-A2 fixed
-/// budgets, with `max_merge_pairs` raised to 12 so the refinement actually
-/// generates the violating `Cancel` configuration (see
-/// `tests/a2_violation.rs`), measured with the arena off and on. The
-/// verdicts must agree; the `reuse/subsume` column shows where the shared
-/// engine's km-node reduction comes from, and the printed factor is the
-/// off/on node pair EXPERIMENTS.md quotes.
-fn exp_shared(rec: &mut Recorder) {
-    println!("== EXP-S1: shared Karp-Miller arena off/on — travel A.2 ==");
-    println!("{}", Measurement::header());
-    for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
-        let t = travel_booking(variant);
-        let property = travel_property(&t);
-        let mut nodes = [0usize; 2];
-        let mut verdicts = [true; 2];
-        for (i, shared) in [false, true].into_iter().enumerate() {
-            let config = VerifierConfig {
-                max_successors: 48,
-                max_control_states: 20_000,
-                km_node_cap: 50_000,
-                max_merge_pairs: 12,
-                threads: 1,
-                ..VerifierConfig::default()
-            }
-            .with_shared_km(shared);
-            let row = measure(
-                &format!(
-                    "travel-A.2/{variant:?}/shared={}",
-                    if shared { "on" } else { "off" }
-                ),
-                &t.system,
-                &property,
-                config,
-            );
-            nodes[i] = row.coverability_nodes;
-            verdicts[i] = row.holds;
-            rec.measurement("shared", &row);
-            println!("{}", row.row());
-        }
-        if verdicts[0] != verdicts[1] {
-            eprintln!("error: shared and unshared engines disagree on travel/{variant:?}");
-            std::process::exit(1);
-        }
-        if nodes[1] > 0 {
-            println!(
-                "km-node reduction factor ({variant:?}): {:.2}x ({} -> {})",
-                nodes[0] as f64 / nodes[1] as f64,
-                nodes[0],
-                nodes[1]
-            );
-        }
-    }
-    println!();
-}
-
 /// EXP-C1/C2 — differential fuzzing of the verifier against the seeded
 /// ground-truth corpus (DESIGN.md §5.10): every sampled instance carries a
 /// certificate (clean by construction, or exactly one planted violation with
 /// its kind and originating task), and every instance runs through the full
-/// configuration matrix — threads × projection × witnesses × shared
-/// Karp–Miller — with each reconstructed witness tree replayed through the
-/// `has-sim` executor and judged by the runtime monitor. Prints the
-/// per-certificate-kind scoreboard and exits with status 1 on any soundness
-/// mismatch — which is how CI scores the verifier on every push. `HAS_FUZZ_DEEP=1` switches from the
-/// smoke batch (EXP-C1) to the deep sweep (EXP-C2, ≥1,000 instances).
+/// configuration matrix — threads × projection × witnesses — with each
+/// reconstructed witness tree replayed through the `has-sim` executor and
+/// judged by the runtime monitor. Prints the per-certificate-kind
+/// scoreboard and exits with status 1 on any soundness mismatch — which is
+/// how CI scores the verifier on every push. `HAS_FUZZ_DEEP=1` switches
+/// from the smoke batch (EXP-C1) to the deep sweep (EXP-C2, ≥1,000
+/// instances).
 fn exp_fuzz(rec: &mut Recorder) {
     let deep = std::env::var("HAS_FUZZ_DEEP").map(|v| v == "1").unwrap_or(false);
     // The smoke batch runs 24 instances (four full plant rotations, so
-    // every certificate kind is scored evenly) over the 16-point matrix,
+    // every certificate kind is scored evenly) over the 8-point matrix,
     // well within CI's `timeout 120`; the deep sweep covers the acceptance
     // bar of ≥1,000 instances.
     let opts = FuzzOptions {
@@ -630,7 +575,6 @@ const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("scaling", exp_scaling),
     ("analyze", exp_analyze),
     ("projection", exp_projection),
-    ("shared", exp_shared),
     ("fuzz", exp_fuzz),
 ];
 

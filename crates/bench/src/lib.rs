@@ -30,7 +30,7 @@ pub struct Measurement {
     pub holds: bool,
     /// Wall-clock time.
     pub time: Duration,
-    /// Worker threads the verifier ran with (`1` = sequential engine).
+    /// Worker threads the verifier ran with (`1` = one inline worker).
     pub threads: usize,
     /// Symbolic control states constructed across all per-task VASS.
     pub control_states: usize,
@@ -49,10 +49,9 @@ pub struct Measurement {
     /// Service guards proven dead and pruned from graph construction.
     pub dead_services: usize,
     /// Karp–Miller nodes served from the shared arena instead of being
-    /// re-expanded (0 with sharing off).
+    /// re-expanded.
     pub km_reused: usize,
-    /// Karp–Miller expansions pruned by the arena's subsumption check
-    /// (0 with sharing off).
+    /// Karp–Miller expansions pruned by the arena's subsumption check.
     pub km_subsumed: usize,
 }
 
@@ -288,11 +287,10 @@ pub fn measure(
     }
 }
 
-/// The engine modes every verification bench reports: the exact sequential
-/// path and the parallel path at the default worker count, floored at two
-/// workers — even on a single-core machine (or under `HAS_THREADS=1`) the
-/// `par` mode must spawn a real pool, since a one-worker "pool" would run
-/// inline and skip the fan-out code path entirely.
+/// The engine modes every verification bench reports: one worker and the
+/// default worker count, floored at two workers — even on a single-core
+/// machine (or under `HAS_THREADS=1`) the `par` mode must spawn real
+/// threads, since a one-worker pool runs inline on the calling thread.
 pub fn engine_modes() -> Vec<(&'static str, usize)> {
     let par = VerifierConfig::default_threads().max(2);
     vec![("seq", 1), ("par", par)]
@@ -305,8 +303,8 @@ pub fn bench_config() -> VerifierConfig {
         max_successors: 48,
         max_control_states: 3_000,
         km_node_cap: 20_000,
-        // Benchmarks pin the sequential engine by default so rows are
-        // comparable across machines; the parallel mode is always reported
+        // Benchmarks pin one worker by default so rows are comparable
+        // across machines; the multi-worker mode is always reported
         // explicitly (see `engine_modes` and EXP-P1).
         threads: 1,
         ..VerifierConfig::default()

@@ -27,11 +27,10 @@
 //! catalogued in DESIGN.md §5 together with the direction in which each can
 //! affect precision.
 //!
-//! The engine runs either sequentially or in parallel
-//! ([`VerifierConfig::threads`]): sibling `(T, β)` explorations within a
-//! hierarchy level, and the per-initial-state Lemma 21 queries, are
-//! independent given the children's completed `R_T`, so they are fanned out
-//! over a scoped worker pool. The reported [`Outcome`] and [`Stats`] are
+//! The engine runs on a scoped work-stealing pool of
+//! [`VerifierConfig::threads`] workers (one worker runs inline): the
+//! `(T, β)` explorations of a task are independent given its children's
+//! completed `R_T`, so they are fanned out as soon as those commit. The reported [`Outcome`] and [`Stats`] are
 //! identical at every thread count — DESIGN.md §5.6 states the determinism
 //! contract.
 

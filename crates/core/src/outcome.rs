@@ -322,12 +322,10 @@ pub struct Stats {
     /// construction (0 when projection is off).
     pub dead_services_pruned: usize,
     /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
-    /// of being recomputed (0 when [`crate::VerifierConfig::shared_km`] is
-    /// off — DESIGN.md §5.12).
+    /// of being recomputed (DESIGN.md §5.12).
     pub km_reused: usize,
     /// Karp–Miller successors pruned by the shared arena's per-query
-    /// antichain — covered on arrival or retro-pruned by a larger marking
-    /// (0 when sharing is off).
+    /// antichain — covered on arrival or retro-pruned by a larger marking.
     pub km_subsumed: usize,
     /// Internal-service post-state lists enumerated: misses of the graph
     /// build's post-state memo, keyed on the pre-state's input projection
@@ -341,9 +339,9 @@ impl Stats {
     /// Merges two statistics records into one, by value.
     ///
     /// The merge is associative and commutative (every field is a plain
-    /// count, combined by addition), which is what lets the parallel engine
+    /// count, combined by addition), which is what lets the scheduler
     /// combine per-`(T, β)` statistics in *any* completion order and still
-    /// produce aggregates identical to the sequential run — see DESIGN.md
+    /// produce aggregates identical at every thread count — see DESIGN.md
     /// §5.6 for the determinism contract this supports.
     #[must_use]
     pub fn merge(mut self, other: &Stats) -> Stats {

@@ -4,14 +4,14 @@
 //! deep, narrow hierarchy exposed almost no job supply per level, so workers
 //! idled while one slow `(T, β)` pinned its whole level. The pool here runs a
 //! **dynamic** job set instead: handlers may push follow-on jobs while they
-//! run (the verifier's readiness scheduler pushes `InitQuery` jobs the moment
-//! a graph is built, and `BuildGraph` jobs the moment a task's last child
-//! commits — see [`crate::verifier`] and DESIGN.md §5.6).
+//! run (the verifier's readiness scheduler pushes a task's `(T, β)` pair
+//! jobs the moment its last child commits — see [`crate::verifier`] and
+//! DESIGN.md §5.6).
 //!
 //! Shape: one global injector queue for seed and cross-task jobs plus one
-//! deque per worker. A worker pops its own deque newest-first (so the queries
-//! of the graph it just built run while that graph is hot), then the injector
-//! oldest-first, then steals oldest-first from siblings. Everything is
+//! deque per worker. A worker pops its own deque newest-first (so the pair
+//! jobs its last commit released run next), then the injector oldest-first,
+//! then steals oldest-first from siblings. Everything is
 //! `std::sync::Mutex` + `Condvar` over `VecDeque` — no new dependencies, and
 //! `std::thread::scope` keeps jobs free to borrow from the caller's stack and
 //! propagates worker panics to the caller (a panicking handler aborts the
@@ -171,7 +171,7 @@ impl<J: Send> PoolShared<J> {
 /// # Panics
 /// A panic in `handler` aborts the pool (remaining queued jobs are dropped,
 /// parked workers drain out) and is then propagated to the caller by
-/// `std::thread::scope`, matching the sequential panic behaviour.
+/// `std::thread::scope`, matching the inline one-worker panic behaviour.
 pub(crate) fn run_pool<J, F>(threads: usize, seed: impl IntoIterator<Item = J>, handler: F)
 where
     J: Send,

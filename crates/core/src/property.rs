@@ -173,10 +173,9 @@ impl PropertyContext {
     /// The canonical `(task, β)` pair enumeration over a bottom-up task
     /// order: tasks in the given order, assignments in β-enumeration order.
     ///
-    /// Both engines are stated over this order — the sequential engine
-    /// simply iterates it, and the readiness scheduler indexes its job
-    /// buffers by position in it and reduces front to back — which is what
-    /// makes the determinism contract of DESIGN.md §5.6 a statement about
+    /// The readiness scheduler indexes its result buffers by position in
+    /// this order and aggregates front to back — which is what makes the
+    /// determinism contract of DESIGN.md §5.6 a statement about
     /// one fixed list rather than about scheduling. Witness reconstruction
     /// (§5.7) leans on the same order twice over: retained run details are
     /// reduced with their entries, and the descent reads the committed
@@ -201,9 +200,9 @@ impl PropertyContext {
 
     /// A shared handle to the cached `B(T, β)`.
     ///
-    /// The parallel engine calls [`PropertyContext::precompute_automata`]
-    /// once and then distributes these handles to its workers, so every
-    /// worker reads the *same* automaton the sequential engine would.
+    /// The scheduler calls [`PropertyContext::precompute_automata`] once
+    /// and then distributes these handles to its workers, so every worker
+    /// reads the *same* automaton.
     ///
     /// # Panics
     /// Panics if the automaton has not been built yet (via
@@ -217,8 +216,7 @@ impl PropertyContext {
     }
 
     /// Builds and caches `B(T, β)` for every task and every truth assignment
-    /// over its `Φ_T`, in the same `(task, β)` order the sequential engine
-    /// constructs them.
+    /// over its `Φ_T`, in the canonical `(task, β)` order.
     ///
     /// This is exactly the set of automata one full verification run builds
     /// anyway; precomputing moves the only mutation of `self` ahead of the

@@ -4,7 +4,7 @@
 use crate::compiled::CompiledBuchi;
 use crate::outcome::{Stats, WitnessStep};
 use crate::verifier::VerifierConfig;
-use has_analysis::{dimension_cone, dimension_cone_multi, DeadServiceMap, PresolveStats};
+use has_analysis::{dimension_cone_multi, DeadServiceMap, PresolveStats};
 use has_ltl::buchi::{Buchi, BuchiState};
 use has_ltl::hltl::TaskProp;
 use has_ltl::Ltl;
@@ -34,10 +34,9 @@ pub struct QueryCost {
     /// field is kept only for the frozen benchmark driver (`perfbench/`).
     pub presolve: PresolveStats,
     /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
-    /// of being recomputed (0 when [`VerifierConfig::shared_km`] is off).
+    /// of being recomputed.
     pub km_reused: usize,
-    /// Karp–Miller successors pruned by the shared arena's antichain (0
-    /// when sharing is off).
+    /// Karp–Miller successors pruned by the shared arena's antichain.
     pub km_subsumed: usize,
 }
 
@@ -326,9 +325,9 @@ pub struct TaskVerifier<'a> {
     cbuchi: CompiledBuchi,
     props: Vec<TaskProp>,
     /// Snapshot of the completed child summaries this exploration reads.
-    /// Owned (not borrowed) so the readiness scheduler can keep a verifier
-    /// alive in shared state across its `init_queries` jobs while the
-    /// published summary map keeps moving for other tasks.
+    /// Owned (not borrowed) so a scheduler job keeps the snapshot its graph
+    /// was built against while the published summary map keeps moving for
+    /// other tasks.
     children: Arc<SummaryMap>,
     /// Child contexts (needed to transfer input patterns).
     child_contexts: &'a BTreeMap<TaskId, TaskContext>,
@@ -977,34 +976,9 @@ impl<'a> TaskVerifier<'a> {
     // Main exploration
     // ------------------------------------------------------------------
 
-    /// Explores `V(T, β)` and returns the contributed `R_T` entries together
-    /// with exploration statistics.
-    ///
-    /// This is the sequential composition of the two independently callable
-    /// phases the parallel engine schedules separately:
-    /// [`TaskVerifier::build_graph`] (one job per `(T, β)`) followed by
-    /// [`TaskVerifier::init_queries`] for every initial state (one job per
-    /// `(T, β, τ_in)`), reduced in initial-state order by
-    /// [`TaskVerifier::reduce_queries`].
-    pub fn explore(&self) -> (Vec<RtEntry>, Stats) {
-        let graph = self.build_graph();
-        let per_init: Vec<(Vec<RtEntry>, QueryCost)> = if self.config.shared_km {
-            let mut shared = self.prepare_shared(&graph);
-            (0..graph.initial_count())
-                .map(|pos| self.init_queries_shared(&graph, pos, &mut shared))
-                .collect()
-        } else {
-            (0..graph.initial_count())
-                .map(|pos| self.init_queries(&graph, pos))
-                .collect()
-        };
-        Self::reduce_queries(&graph, per_init)
-    }
-
     /// Builds the control-state graph and VASS of `V(T, β)` — the forward
-    /// exploration half of [`TaskVerifier::explore`]; the Lemma 21 queries
-    /// over the result are issued separately per initial state through
-    /// [`TaskVerifier::init_queries`].
+    /// exploration of one pair; the Lemma 21 queries over the result are
+    /// issued per initial state through [`TaskVerifier::init_queries_shared`].
     pub fn build_graph(&self) -> ExploredGraph {
         let schema = self.schema();
         let t = schema.task(self.task);
@@ -1309,145 +1283,12 @@ impl<'a> TaskVerifier<'a> {
         }
     }
 
-    /// Answers the three Lemma 21 queries for the `pos`-th initial state of a
-    /// built graph, returning the candidate `R_T` entries **in deterministic
-    /// push order** (returning entries in coverability-node order, then the
-    /// blocking entry, then the lasso entry) together with the number of
-    /// Karp–Miller nodes this query explored.
-    ///
-    /// Candidates are *not* deduplicated against other initial states here —
-    /// that happens in [`TaskVerifier::reduce_queries`], which must run over
-    /// initial states in order. Queries for distinct initial states only read
-    /// the graph, so the parallel engine runs them concurrently.
-    ///
-    /// With [`crate::VerifierConfig::projection`] on, the query's VASS is
-    /// first projected onto its dimension cone of influence
-    /// ([`has_analysis::dimension_cone`]) — an exact reduction: counter
-    /// dimensions that cannot block any run from *this* initial state are
-    /// dropped (and actions proven unfireable are disabled) before the
-    /// Karp–Miller construction, which is the step whose cost explodes with
-    /// the dimension. Action indices are preserved by the projection, so
-    /// witness paths keep indexing into `graph.labels`.
-    pub fn init_queries(&self, graph: &ExploredGraph, pos: usize) -> (Vec<RtEntry>, QueryCost) {
-        let init = graph.initial_states[pos];
-        let states = &graph.states;
-        let input_key = graph.input_keys[states[init].input_index].clone();
-        let mut cost = QueryCost {
-            dims_before: graph.vass.dim,
-            dims_after: graph.vass.dim,
-            ..QueryCost::default()
-        };
-        let projected: Option<Vass> = if self.config.projection {
-            let cone = dimension_cone(&graph.vass, init);
-            cost.dims_after = cone.dims_after();
-            (!cone.is_trivial()).then(|| cone.project(&graph.vass))
-        } else {
-            None
-        };
-        let vass = projected.as_ref().unwrap_or(&graph.vass);
-        let mut candidates: Vec<RtEntry> = Vec::new();
-        let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-        let cover = CoverabilityGraph::build_capped(vass, init, self.config.km_node_cap);
-
-        // Witness retention: the run realization of a candidate is the label
-        // sequence of its Karp–Miller path (actions and transitions share
-        // indices, so a path's action list indexes straight into the labels
-        // recorded by `build_graph`).
-        let retain = self.config.witnesses;
-        let steps_to = |node: usize| -> Vec<WitnessStep> {
-            cover
-                .path_to_node(node)
-                .into_iter()
-                .map(|action| graph.labels[action].clone())
-                .collect()
-        };
-        let point_details = |node: usize| -> Option<Arc<EntryDetails>> {
-            retain.then(|| {
-                Arc::new(EntryDetails {
-                    prefix: steps_to(node),
-                    cycle: Vec::new(),
-                    cycle_truncated: false,
-                })
-            })
-        };
-
-        // Returning paths. The recorded output is the closing state
-        // projected onto the variables the parent can observe (the input
-        // and return variables) — the paper's τ_out — which also keeps
-        // the number of distinct R_T entries small.
-        for (node_id, node) in cover.nodes().enumerate() {
-            let cs = &states[node.state];
-            if cs.closed && finite_ok(cs) {
-                let projected =
-                    self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: Some(projected),
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness::default(),
-                    details: point_details(node_id),
-                });
-            }
-        }
-        // Blocking paths: a child was opened with a never-returning run.
-        for (node_id, node) in cover.nodes().enumerate() {
-            let cs = &states[node.state];
-            let blocking_child = cs
-                .children
-                .iter()
-                .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-            if !cs.closed && blocking_child && finite_ok(cs) {
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: None,
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness {
-                        blocking: true,
-                        lasso: false,
-                    },
-                    details: point_details(node_id),
-                });
-                break;
-            }
-        }
-        // Lasso paths — decided exactly; no cycle-length bound applies
-        // (the former `lasso_cycle_bound` config under-approximated this
-        // query and could miss violations). With retention on, the decision
-        // and the pump-cycle materialization come from one pipeline run
-        // (`nonneg_cycle_search_through_pred`, rendered by
-        // `ExploredGraph::lasso_details`).
-        if graph.accepting.any() {
-            let accepting = |s: usize| graph.accepting.contains(s);
-            let (lasso, details) = if retain {
-                graph.lasso_details(
-                    cover.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP),
-                    steps_to,
-                )
-            } else {
-                (cover.nonneg_cycle_through_pred(vass, &accepting), None)
-            };
-            if lasso {
-                candidates.push(RtEntry {
-                    input_key,
-                    output: None,
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness {
-                        blocking: false,
-                        lasso: true,
-                    },
-                    details,
-                });
-            }
-        }
-        cost.km_nodes = cover.node_count();
-        (candidates, cost)
-    }
-
-    /// Builds the shared query state of one `(T, β)` pair for
-    /// [`VerifierConfig::shared_km`] mode (DESIGN.md §5.12): the pair-level
-    /// projected VASS every `τ_in` query runs on — the *union* dimension
-    /// cone over all of the pair's initial states, so interned markings
-    /// stay comparable across queries — and the incremental
+    /// Builds the shared query state of one `(T, β)` pair (DESIGN.md
+    /// §5.12): the pair-level VASS every `τ_in` query runs on — with
+    /// [`crate::VerifierConfig::projection`] on, projected onto the *union*
+    /// dimension cone over all of the pair's initial states
+    /// ([`has_analysis::dimension_cone_multi`]), so interned markings stay
+    /// comparable across queries — and the incremental
     /// [`SharedCoverability`] arena those queries extend in initial-state
     /// order.
     pub fn prepare_shared(&self, graph: &ExploredGraph) -> PairShared {
@@ -1464,11 +1305,14 @@ impl<'a> TaskVerifier<'a> {
         PairShared { vass, dims_after, arena }
     }
 
-    /// The shared-arena counterpart of [`TaskVerifier::init_queries`]: one
-    /// `(T, β, τ_in)` Lemma 21 query extending the pair's incremental
-    /// arena instead of building a Karp–Miller graph from scratch. Callers
-    /// **must** invoke it in initial-state order on one [`PairShared`] —
-    /// the arena's evolution is part of the determinism contract.
+    /// Answers the three Lemma 21 queries (returning, blocking, lasso) for
+    /// the `pos`-th initial state of a built graph by extending the pair's
+    /// incremental Karp–Miller arena. Returns the candidate `R_T` entries
+    /// **in deterministic push order** (returning entries in visit order,
+    /// then the blocking entry, then the lasso entry) with the query's
+    /// cost. Callers **must** invoke it in initial-state order on one
+    /// [`PairShared`] — the arena's evolution is part of the determinism
+    /// contract — and deduplicate through [`TaskVerifier::reduce_queries`].
     ///
     /// The returning and blocking scans run over the query's visit order
     /// (every visited control state is genuinely coverable — arrival
@@ -1479,8 +1323,8 @@ impl<'a> TaskVerifier<'a> {
     /// failing that, no cycle over the jump-augmented edge relation
     /// refutes the lasso outright; in the remaining gap — a cycle that
     /// exists only through unjustified jump targets — one from-scratch
-    /// build (counted into `km_nodes`) decides exactly as unshared mode
-    /// would.
+    /// [`CoverabilityGraph`] build (counted into `km_nodes`) decides
+    /// exactly.
     pub fn init_queries_shared(
         &self,
         graph: &ExploredGraph,
@@ -1609,17 +1453,16 @@ impl<'a> TaskVerifier<'a> {
 
     /// Combines per-initial-state query results — which **must** be supplied
     /// in initial-state order — into the `(T, β)` pair's final entry list and
-    /// statistics, deduplicating candidates exactly as the sequential
-    /// exploration does: candidates for the same `(τ_in, τ_out, β)` tuple
-    /// collapse into one entry whose [`NonReturningWitness`] accumulates
-    /// every path kind witnessed for it.
+    /// statistics, deduplicating candidates: candidates for the same
+    /// `(τ_in, τ_out, β)` tuple collapse into one entry whose
+    /// [`NonReturningWitness`] accumulates every path kind witnessed for it.
     ///
     /// Retained details follow the kind the verifier will *report* for the
     /// entry (lasso is preferred over blocking when both are witnessed): the
     /// first lasso candidate's details win over a blocking candidate's;
     /// otherwise the first candidate in canonical order keeps its details.
-    /// Because this reduction runs over the canonical candidate order in
-    /// both engines, the surviving details — and hence the reconstructed
+    /// Because this reduction always runs over the canonical candidate
+    /// order, the surviving details — and hence the reconstructed
     /// counterexample — are identical at every thread count.
     pub fn reduce_queries(
         graph: &ExploredGraph,
@@ -1657,9 +1500,8 @@ impl<'a> TaskVerifier<'a> {
 /// building them (`coverability_nodes` and `rt_entries` are contributed later
 /// by the query phase).
 ///
-/// Produced by [`TaskVerifier::build_graph`] and consumed read-only by
-/// [`TaskVerifier::init_queries`], which is what lets the engine fan the
-/// per-initial-state Lemma 21 queries out across workers.
+/// Produced by [`TaskVerifier::build_graph`] and read by the pair's
+/// [`TaskVerifier::init_queries_shared`] calls.
 pub struct ExploredGraph {
     states: Vec<CState>,
     /// Arena of distinct symbolic states, indexed by the dense ids held in
@@ -1677,8 +1519,8 @@ pub struct ExploredGraph {
 }
 
 impl ExploredGraph {
-    /// Number of initial states — one [`TaskVerifier::init_queries`] job per
-    /// position `0..initial_count()`.
+    /// Number of initial states — one [`TaskVerifier::init_queries_shared`]
+    /// call per position `0..initial_count()`.
     pub fn initial_count(&self) -> usize {
         self.initial_states.len()
     }
@@ -1717,8 +1559,7 @@ impl ExploredGraph {
     }
 }
 
-/// The shared query state of one `(T, β)` pair in
-/// [`VerifierConfig::shared_km`] mode (DESIGN.md §5.12), produced by
+/// The shared query state of one `(T, β)` pair (DESIGN.md §5.12), produced by
 /// [`TaskVerifier::prepare_shared`] and threaded mutably through the
 /// pair's [`TaskVerifier::init_queries_shared`] calls in initial-state
 /// order.

@@ -2,11 +2,9 @@
 //! model-checking answer.
 
 use crate::outcome::{Outcome, Stats, Violation, ViolationKind, WitnessNode, WitnessStep};
-use crate::parallel::{run_pool, WorkerHandle};
+use crate::parallel::run_pool;
 use crate::property::PropertyContext;
-use crate::task_verifier::{
-    ExploredGraph, PairShared, QueryCost, RtEntry, SummaryMap, TaskSummary, TaskVerifier,
-};
+use crate::task_verifier::{RtEntry, SummaryMap, TaskSummary, TaskVerifier};
 use has_analysis::{DeadServiceMap, DeadServices};
 use has_arith::{HcdBuilder, LinExpr};
 use has_ltl::buchi::Buchi;
@@ -46,14 +44,13 @@ pub struct VerifierConfig {
     /// constraints (Section 5). The decomposition is reported in the
     /// statistics and used to refine arithmetic atoms where possible.
     pub use_cells: bool,
-    /// Number of worker threads for the `(T, β)` fan-out. `1` runs the exact
-    /// sequential code path (no threads are spawned); larger values run the
-    /// readiness-driven scheduler: every `(T, β)` exploration becomes ready
+    /// Number of worker threads for the `(T, β)` fan-out. Every value runs
+    /// the same readiness-driven scheduler: a `(T, β)` pair becomes ready
     /// the moment the last of its task's children commits its summary — no
-    /// level barrier — and per-initial-state Lemma 21 queries are pushed the
-    /// moment their graph is built, all on a work-stealing scoped pool. The
-    /// outcome and statistics are identical at every thread count
-    /// (DESIGN.md §5.6); `0` is treated as `1`.
+    /// level barrier — and runs on a work-stealing scoped pool; with `1`
+    /// the pool has one worker and runs inline on the calling thread (no
+    /// thread is spawned). The outcome and statistics are identical at
+    /// every thread count (DESIGN.md §5.6); `0` is treated as `1`.
     ///
     /// Defaults to [`VerifierConfig::default_threads`].
     pub threads: usize,
@@ -78,21 +75,6 @@ pub struct VerifierConfig {
     /// `counter_dims_*`/`dead_services_pruned` statistics change. On by
     /// default; defaults to [`VerifierConfig::default_projection`].
     pub projection: bool,
-    /// Whether the Lemma 21 queries of one `(T, β)` pair share an
-    /// incremental Karp–Miller arena with antichain subsumption pruning
-    /// (DESIGN.md §5.12) instead of each building a coverability graph from
-    /// scratch. Sharing groups the pair's per-initial-state queries into
-    /// one sequential chain (they extend the same arena in initial-state
-    /// order — across pairs the engine still fans out), reuses interned
-    /// nodes, stored successor lists and ω-accelerations across the chain,
-    /// and prunes any marking covered by an already-visited one. Verdicts
-    /// and witness *kinds* are those of the exact search on uncapped
-    /// instances; under a node cap the pruned search reaches much deeper —
-    /// this is what makes the Appendix A.2 violation findable
-    /// (`tests/a2_violation.rs`). Outcome, witnesses and statistics remain
-    /// byte-identical at every thread count. On by default; defaults to
-    /// [`VerifierConfig::default_shared_km`].
-    pub shared_km: bool,
 }
 
 impl Default for VerifierConfig {
@@ -108,7 +90,6 @@ impl Default for VerifierConfig {
             threads: Self::default_threads(),
             witnesses: false,
             projection: Self::default_projection(),
-            shared_km: Self::default_shared_km(),
         }
     }
 }
@@ -143,20 +124,6 @@ impl VerifierConfig {
         }
     }
 
-    /// The default shared-arena switch: *on*, unless the `HAS_SHARED_KM`
-    /// environment variable is set to `0`, `off` or `false` (the opt-out
-    /// exists for A/B benchmarking and the differential-fuzz sharing axis —
-    /// see EXPERIMENTS.md).
-    pub fn default_shared_km() -> bool {
-        match std::env::var("HAS_SHARED_KM") {
-            Ok(value) => !matches!(
-                value.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false"
-            ),
-            Err(_) => true,
-        }
-    }
-
     /// Returns this configuration with the given worker count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -177,14 +144,6 @@ impl VerifierConfig {
     #[must_use]
     pub fn with_projection(mut self, projection: bool) -> Self {
         self.projection = projection;
-        self
-    }
-
-    /// Returns this configuration with the shared incremental Karp–Miller
-    /// arena switched on or off (see [`VerifierConfig::shared_km`]).
-    #[must_use]
-    pub fn with_shared_km(mut self, shared_km: bool) -> Self {
-        self.shared_km = shared_km;
         self
     }
 }
@@ -224,14 +183,13 @@ impl<'a> Verifier<'a> {
     /// Returns an [`Outcome`] with the answer, a symbolic witness when the
     /// property can be violated, and exploration statistics.
     ///
-    /// With `config.threads > 1` the task hierarchy runs on a
-    /// readiness-driven work-stealing scheduler: each `(T, β)` exploration
-    /// starts as soon as *its* task's children have committed their
-    /// summaries (no level barrier), per-initial-state Lemma 21 queries
-    /// start as soon as their graph is built, and all results are buffered
-    /// and reduced in the fixed `(task, β, τ_in)` order — the outcome and
-    /// statistics are identical to `threads = 1` (DESIGN.md §5.6 states the
-    /// contract; `tests/parallel_determinism.rs` enforces it).
+    /// The task hierarchy runs on a readiness-driven work-stealing
+    /// scheduler at every thread count: each `(T, β)` pair starts as soon as
+    /// *its* task's children have committed their summaries (no level
+    /// barrier), and all results are reduced and committed in the fixed
+    /// `(task, β, τ_in)` order — the outcome and statistics are identical at
+    /// every `config.threads` (DESIGN.md §5.6 states the contract;
+    /// `tests/parallel_determinism.rs` enforces it).
     ///
     /// # Panics
     /// Panics if the property fails validation against the system.
@@ -263,12 +221,7 @@ impl<'a> Verifier<'a> {
         stats.dead_services_pruned = dead.values().map(DeadServices::count).sum();
 
         let order = self.bottom_up_order();
-        let threads = self.config.threads.max(1);
-        let (summaries, explored) = if threads == 1 {
-            self.run_sequential(&pc, &order, &dead)
-        } else {
-            self.run_parallel(&pc, &order, threads, &dead)
-        };
+        let (summaries, explored) = self.schedule(&pc, &order, &dead);
         stats = stats.merge(&explored);
 
         // Γ ⊨ φ iff there is no non-returning root run with β(ξ) = 0.
@@ -445,78 +398,29 @@ impl<'a> Verifier<'a> {
         order
     }
 
-    /// The exact sequential engine: one `(T, β)` exploration after another in
-    /// bottom-up task order, each immediately followed by its Lemma 21
-    /// queries. This is the `threads = 1` code path — no worker threads are
-    /// spawned anywhere.
-    fn run_sequential(
-        &self,
-        pc: &PropertyContext,
-        order: &[TaskId],
-        dead: &DeadServiceMap,
-    ) -> (SummaryMap, Stats) {
-        let contexts = &*pc.contexts;
-        let mut stats = Stats::default();
-        let mut summaries: Arc<SummaryMap> = Arc::new(SummaryMap::new());
-        for &task in order {
-            let mut summary = TaskSummary::default();
-            for beta in pc.assignments(task) {
-                let buchi = pc.buchi_shared(task, &beta);
-                let tv = TaskVerifier::new(
-                    self.system,
-                    &self.config,
-                    &contexts[&task],
-                    task,
-                    beta.clone(),
-                    pc.phi(task),
-                    &buchi,
-                    Arc::clone(&summaries),
-                    contexts,
-                    dead,
-                );
-                let (entries, task_stats) = tv.explore();
-                self.debug_pair(task, &beta, &entries, &task_stats);
-                stats.absorb(&task_stats);
-                summary.entries.extend(entries);
-            }
-            // Same commit the scheduler performs: shallow-clone the map (the
-            // summaries themselves are shared), add the finished task, swap.
-            let mut map = (*summaries).clone();
-            map.insert(task, Arc::new(summary));
-            summaries = Arc::new(map);
-        }
-        (
-            Arc::try_unwrap(summaries).unwrap_or_else(|shared| (*shared).clone()),
-            stats,
-        )
-    }
-
-    /// The parallel engine: a readiness-driven scheduler over two kinds of
-    /// work items — `BuildGraph(T, β)` (one [`TaskVerifier::build_graph`]
-    /// forward exploration) and `InitQuery(T, β, τ_in)` (the Lemma 21
-    /// queries of one initial state) — on a work-stealing scoped pool
-    /// ([`crate::parallel::run_pool`]). There is **no barrier between
-    /// hierarchy levels**:
-    ///
-    /// * every task tracks its unfinished-children count, and all of its
-    ///   `(T, β)` build jobs are pushed the moment the *last* child commits
-    ///   its summary — sibling subtrees proceed independently, so a deep,
-    ///   narrow hierarchy keeps every worker busy;
-    /// * the query jobs of a built graph are pushed immediately, while
-    ///   sibling graphs are still building.
+    /// The engine: a readiness-driven scheduler over one kind of work item,
+    /// the pair job `(T, β)` — one [`TaskVerifier::build_graph`] forward
+    /// exploration followed by its Lemma 21 queries, one per initial state
+    /// in initial-state order, all extending the pair's shared Karp–Miller
+    /// arena ([`TaskVerifier::prepare_shared`],
+    /// [`TaskVerifier::init_queries_shared`]) — on a work-stealing scoped
+    /// pool of `config.threads` workers ([`crate::parallel::run_pool`];
+    /// one worker runs inline). There is **no barrier between hierarchy
+    /// levels**: every task tracks its unfinished-children count, and all of
+    /// its pair jobs are pushed the moment the *last* child commits its
+    /// summary — sibling subtrees proceed independently, so a deep, narrow
+    /// hierarchy keeps every worker busy.
     ///
     /// Workers only *read* shared state: the committed summaries live behind
     /// an `Arc` that is shallow-cloned and swapped on each task commit, so a
-    /// `BuildGraph` job snapshots the map without copying any summary.
-    /// Results are buffered per `(T, β)` slot and per initial state, reduced
-    /// in the canonical `(task, β, τ_in)` order, and committed to the
+    /// pair job snapshots the map without copying any summary. Reduced
+    /// pairs are buffered by canonical position and committed to the
     /// summary map in β-enumeration order — which keeps the outcome
     /// independent of scheduling (DESIGN.md §5.6).
-    fn run_parallel(
+    fn schedule(
         &self,
         pc: &PropertyContext,
         order: &[TaskId],
-        threads: usize,
         dead: &DeadServiceMap,
     ) -> (SummaryMap, Stats) {
         let schema = &self.system.schema;
@@ -524,7 +428,7 @@ impl<'a> Verifier<'a> {
 
         // Canonical pair enumeration: tasks in bottom-up order, assignments
         // in β-enumeration order. Every buffer below is indexed by position
-        // in this list, and the final reduction walks it front to back.
+        // in this list, and the final aggregation walks it front to back.
         let pairs: Vec<(TaskId, Vec<bool>)> = pc.pairs(order);
         let buchis: Vec<Arc<Buchi<TaskProp>>> = pairs
             .iter()
@@ -536,7 +440,7 @@ impl<'a> Verifier<'a> {
         }
 
         // Readiness table: per task, how many children have not committed
-        // yet (build jobs are released when this hits zero) and how many of
+        // yet (pair jobs are released when this hits zero) and how many of
         // its own pairs are still unreduced (the summary commits when this
         // hits zero).
         let pending_children: BTreeMap<TaskId, AtomicUsize> = order
@@ -549,17 +453,10 @@ impl<'a> Verifier<'a> {
             .collect();
 
         // Committed summaries, swapped wholesale on each task commit; a
-        // build job clones the Arc (not the map) to snapshot every child it
+        // pair job clones the Arc (not the map) to snapshot every child it
         // can ever look up.
         let committed: Mutex<Arc<SummaryMap>> = Mutex::new(Arc::new(SummaryMap::new()));
 
-        // A built pair waiting for its queries: the verifier is kept alive
-        // (it owns the summary snapshot its graph was built against) and the
-        // graph is read-only, so query jobs share both through an Arc.
-        struct PairRuntime<'a> {
-            verifier: TaskVerifier<'a>,
-            graph: ExploredGraph,
-        }
         // A pair's reduced result. `entries` is *moved* into the task
         // summary when the task commits (leaving this empty), so the entry
         // list exists once; the counts stay behind for the deterministic
@@ -570,183 +467,83 @@ impl<'a> Verifier<'a> {
             total: usize,
             returning: usize,
         }
-        // Ordered-reduction buffer of one (T, β) pair. In shared-arena mode
-        // (`shared_km`) the pair additionally owns its [`PairShared`] state:
-        // exactly one query job of the pair is in flight at a time (each
-        // pushes its successor), so the job *takes* the state out of the
-        // mutex, extends the arena unlocked, and puts it back — queries of
-        // one pair form a sequential chain while distinct pairs still fan
-        // out across workers.
-        struct PairState<'a> {
-            runtime: Option<Arc<PairRuntime<'a>>>,
-            shared: Option<PairShared>,
-            results: Vec<Option<(Vec<RtEntry>, QueryCost)>>,
-            remaining: usize,
-            reduced: Option<ReducedPair>,
-        }
-        let pair_states: Vec<Mutex<PairState<'_>>> = pairs
-            .iter()
-            .map(|_| {
-                Mutex::new(PairState {
-                    runtime: None,
-                    shared: None,
-                    results: Vec::new(),
-                    remaining: 0,
-                    reduced: None,
-                })
-            })
-            .collect();
+        let reduced: Vec<Mutex<Option<ReducedPair>>> =
+            pairs.iter().map(|_| Mutex::new(None)).collect();
 
-        #[derive(Clone, Copy)]
-        enum Job {
-            /// Forward exploration of one `(T, β)` pair (by pair index).
-            Build(usize),
-            /// Lemma 21 queries of one `(T, β, τ_in)` (pair index, τ_in
-            /// position).
-            Query(usize, usize),
-        }
-
-        // Records a pair's reduced result; when it was the task's last pair,
-        // commits the task summary (pairs concatenated in β order — the
-        // sequential layout) and releases the parent's builds if this task
-        // was its last unfinished child.
-        let commit_pair =
-            |p: usize, (entries, stats): (Vec<RtEntry>, Stats), handle: &WorkerHandle<'_, Job>| {
-                let task = pairs[p].0;
-                let reduced = ReducedPair {
-                    total: entries.len(),
-                    returning: entries.iter().filter(|e| e.output.is_some()).count(),
-                    entries,
-                    stats,
-                };
-                pair_states[p].lock().expect("pair state poisoned").reduced = Some(reduced);
-                if remaining_pairs[&task].fetch_sub(1, Ordering::SeqCst) != 1 {
-                    return;
-                }
-                let mut summary = TaskSummary::default();
-                for &q in &task_pairs[&task] {
-                    let mut state = pair_states[q].lock().expect("pair state poisoned");
-                    let reduced = state.reduced.as_mut().expect("pair reduced");
-                    summary.entries.append(&mut reduced.entries);
-                }
-                {
-                    let mut shared = committed.lock().expect("summary map poisoned");
-                    let mut map = (**shared).clone();
-                    map.insert(task, Arc::new(summary));
-                    *shared = Arc::new(map);
-                }
-                if let Some(parent) = schema.task(task).parent {
-                    if pending_children[&parent].fetch_sub(1, Ordering::SeqCst) == 1 {
-                        for &q in &task_pairs[&parent] {
-                            handle.push(Job::Build(q));
-                        }
-                    }
-                }
-            };
-
-        // Seed: the leaves' build jobs, in canonical order.
-        let seeds: Vec<Job> = order
+        // Seed: the leaves' pair jobs, in canonical order.
+        let seeds: Vec<usize> = order
             .iter()
             .filter(|&&t| schema.task(t).children.is_empty())
-            .flat_map(|t| task_pairs[t].iter().copied().map(Job::Build))
+            .flat_map(|t| task_pairs[t].iter().copied())
             .collect();
 
-        run_pool(threads, seeds, |job, handle| match job {
-            Job::Build(p) => {
-                let (task, beta) = &pairs[p];
-                let snapshot = committed.lock().expect("summary map poisoned").clone();
-                let verifier = TaskVerifier::new(
-                    self.system,
-                    &self.config,
-                    &contexts[task],
-                    *task,
-                    beta.clone(),
-                    pc.phi(*task),
-                    &buchis[p],
-                    snapshot,
-                    contexts,
-                    dead,
-                );
-                let graph = verifier.build_graph();
-                let inits = graph.initial_count();
-                if inits == 0 {
-                    let reduced = TaskVerifier::reduce_queries(&graph, std::iter::empty());
-                    commit_pair(p, reduced, handle);
-                    return;
-                }
-                let shared = self
-                    .config
-                    .shared_km
-                    .then(|| verifier.prepare_shared(&graph));
-                {
-                    let mut state = pair_states[p].lock().expect("pair state poisoned");
-                    state.results = vec![None; inits];
-                    state.remaining = inits;
-                    state.shared = shared;
-                    state.runtime = Some(Arc::new(PairRuntime { verifier, graph }));
-                }
-                if self.config.shared_km {
-                    // Shared arena: the pair's queries run as a sequential
-                    // chain (each pushes the next), extending one arena in
-                    // initial-state order — the canonical order, so the
-                    // arena's evolution is identical at every thread count.
-                    handle.push(Job::Query(p, 0));
-                } else {
-                    for pos in 0..inits {
-                        handle.push(Job::Query(p, pos));
-                    }
-                }
+        run_pool(self.config.threads, seeds, |p, handle| {
+            let task = pairs[p].0;
+            let snapshot = committed.lock().expect("summary map poisoned").clone();
+            let verifier = TaskVerifier::new(
+                self.system,
+                &self.config,
+                &contexts[&task],
+                task,
+                pairs[p].1.clone(),
+                pc.phi(task),
+                &buchis[p],
+                snapshot,
+                contexts,
+                dead,
+            );
+            let graph = verifier.build_graph();
+            // The pair's queries extend one arena in initial-state order —
+            // the canonical order, so the arena's evolution is identical at
+            // every thread count.
+            let mut shared = verifier.prepare_shared(&graph);
+            let per_init = (0..graph.initial_count())
+                .map(|pos| verifier.init_queries_shared(&graph, pos, &mut shared));
+            let (entries, stats) = TaskVerifier::reduce_queries(&graph, per_init);
+            *reduced[p].lock().expect("pair slot poisoned") = Some(ReducedPair {
+                total: entries.len(),
+                returning: entries.iter().filter(|e| e.output.is_some()).count(),
+                entries,
+                stats,
+            });
+
+            // The task's last pair commits the task summary (pairs
+            // concatenated in β order) and releases the parent's pair jobs
+            // if this task was its last unfinished child.
+            if remaining_pairs[&task].fetch_sub(1, Ordering::SeqCst) != 1 {
+                return;
             }
-            Job::Query(p, pos) => {
-                let (runtime, mut shared) = {
-                    let mut state = pair_states[p].lock().expect("pair state poisoned");
-                    (
-                        state
-                            .runtime
-                            .clone()
-                            .expect("graph is built before its queries are pushed"),
-                        state.shared.take(),
-                    )
-                };
-                let result = match shared.as_mut() {
-                    Some(sh) => runtime.verifier.init_queries_shared(&runtime.graph, pos, sh),
-                    None => runtime.verifier.init_queries(&runtime.graph, pos),
-                };
-                let chained = shared.is_some();
-                let reduced = {
-                    let mut state = pair_states[p].lock().expect("pair state poisoned");
-                    state.results[pos] = Some(result);
-                    state.remaining -= 1;
-                    if state.remaining == 0 {
-                        let runtime = state.runtime.take().expect("runtime set until last query");
-                        let per_init: Vec<(Vec<RtEntry>, QueryCost)> = state
-                            .results
-                            .drain(..)
-                            .map(|r| r.expect("every query filled its slot"))
-                            .collect();
-                        Some(TaskVerifier::reduce_queries(&runtime.graph, per_init))
-                    } else {
-                        state.shared = shared.take();
-                        None
+            let mut summary = TaskSummary::default();
+            for &q in &task_pairs[&task] {
+                let mut slot = reduced[q].lock().expect("pair slot poisoned");
+                let pair = slot.as_mut().expect("pair reduced");
+                summary.entries.append(&mut pair.entries);
+            }
+            {
+                let mut shared = committed.lock().expect("summary map poisoned");
+                let mut map = (**shared).clone();
+                map.insert(task, Arc::new(summary));
+                *shared = Arc::new(map);
+            }
+            if let Some(parent) = schema.task(task).parent {
+                if pending_children[&parent].fetch_sub(1, Ordering::SeqCst) == 1 {
+                    for &q in &task_pairs[&parent] {
+                        handle.push(q);
                     }
-                };
-                match reduced {
-                    Some(reduced) => commit_pair(p, reduced, handle),
-                    None if chained => handle.push(Job::Query(p, pos + 1)),
-                    None => {}
                 }
             }
         });
 
-        // Deterministic aggregation: walk the canonical pair order, exactly
-        // as the sequential engine absorbed and traced its pairs.
+        // Deterministic aggregation: walk the canonical pair order.
         let mut stats = Stats::default();
-        for (p, state) in pair_states.into_iter().enumerate() {
-            let state = state.into_inner().expect("pair state poisoned");
-            let reduced = state.reduced.expect("scheduler reduced every pair");
+        for (p, slot) in reduced.into_iter().enumerate() {
+            let pair = slot
+                .into_inner()
+                .expect("pair slot poisoned")
+                .expect("scheduler reduced every pair");
             let (task, beta) = &pairs[p];
-            self.debug_pair_counts(*task, beta, reduced.total, reduced.returning, &reduced.stats);
-            stats.absorb(&reduced.stats);
+            self.debug_pair(*task, beta, pair.total, pair.returning, &pair.stats);
+            stats.absorb(&pair.stats);
         }
         let summaries = committed.into_inner().expect("summary map poisoned");
         (
@@ -755,20 +552,13 @@ impl<'a> Verifier<'a> {
         )
     }
 
-    /// `HAS_VERIFIER_DEBUG` trace line for one reduced `(T, β)` pair. The β
-    /// is the pair's actual assignment (it used to be recovered from the
-    /// first entry, which traced an empty β for entry-less pairs), and the
+    /// `HAS_VERIFIER_DEBUG` trace line for one reduced `(T, β)` pair, with
+    /// its entry counts precomputed: the scheduler moves a pair's entries
+    /// into the task summary at commit time and keeps only these counts for
+    /// the post-pool trace. The β is the pair's actual assignment, and the
     /// variable is treated as a switch: unset, empty, or `0` disables the
     /// trace.
-    fn debug_pair(&self, task: TaskId, beta: &[bool], entries: &[RtEntry], stats: &Stats) {
-        let returning = entries.iter().filter(|e| e.output.is_some()).count();
-        self.debug_pair_counts(task, beta, entries.len(), returning, stats);
-    }
-
-    /// [`Verifier::debug_pair`] with the counts precomputed — the parallel
-    /// engine moves a pair's entries into the task summary at commit time
-    /// and keeps only these counts for the post-pool trace.
-    fn debug_pair_counts(
+    fn debug_pair(
         &self,
         task: TaskId,
         beta: &[bool],

@@ -2,8 +2,8 @@
 //!
 //! [`fuzz`] samples a seeded corpus, runs every instance through the full
 //! configuration matrix (threads ∈ {1, 4} × projection on/off × witnesses
-//! on/off × shared Karp–Miller on/off), and cross-checks each outcome
-//! against the instance's [`Certificate`]:
+//! on/off), and cross-checks each outcome against the instance's
+//! [`Certificate`]:
 //!
 //! * **verdict** — clean instances must verify; planted instances must be
 //!   reported violated (a missed plant is excused only when the exploration
@@ -37,41 +37,31 @@ pub struct ConfigPoint {
     pub projection: bool,
     /// Witness reconstruction.
     pub witnesses: bool,
-    /// Shared incremental Karp–Miller arena (DESIGN.md §5.12).
-    pub shared: bool,
 }
 
 impl fmt::Display for ConfigPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads={} projection={} witnesses={} shared={}",
+            "threads={} projection={} witnesses={}",
             self.threads,
             if self.projection { "on" } else { "off" },
-            if self.witnesses { "on" } else { "off" },
-            if self.shared { "on" } else { "off" }
+            if self.witnesses { "on" } else { "off" }
         )
     }
 }
 
-/// The full matrix: threads ∈ {1, 4} × projection × witnesses × shared
-/// Karp–Miller. The `shared` axis pins the arena on or off per point
-/// (overriding any `HAS_SHARED_KM` in the environment), so every campaign
-/// cross-checks verdict, kind and origin between the shared and unshared
-/// engines at otherwise identical configurations.
+/// The full matrix: threads ∈ {1, 4} × projection × witnesses.
 pub fn config_matrix() -> Vec<ConfigPoint> {
     let mut out = Vec::new();
     for threads in [1usize, 4] {
         for projection in [true, false] {
             for witnesses in [false, true] {
-                for shared in [false, true] {
-                    out.push(ConfigPoint {
-                        threads,
-                        projection,
-                        witnesses,
-                        shared,
-                    });
-                }
+                out.push(ConfigPoint {
+                    threads,
+                    projection,
+                    witnesses,
+                });
             }
         }
     }
@@ -338,8 +328,7 @@ fn check_at(
         .clone()
         .with_threads(at.threads)
         .with_projection(at.projection)
-        .with_witnesses(at.witnesses)
-        .with_shared_km(at.shared);
+        .with_witnesses(at.witnesses);
     let outcome = Verifier::with_config(&inst.system, &inst.property, config.clone()).verify();
     check_outcome(inst, &outcome, at, &config, opts, replays)
 }
@@ -410,7 +399,7 @@ mod tests {
         };
         let report = fuzz(&opts);
         assert_eq!(report.instances, 6);
-        assert_eq!(report.runs, 6 * 16);
+        assert_eq!(report.runs, 6 * 8);
         assert!(
             report.sound(),
             "mismatches: {:#?}",
@@ -445,7 +434,6 @@ mod tests {
             threads: 1,
             projection: true,
             witnesses: false,
-            shared: true,
         };
         let verdict = check_at(&inst, at, &opts, &mut replays);
         assert!(matches!(verdict, RunVerdict::Mismatch(_)), "{verdict:?}");

@@ -28,13 +28,6 @@ fn a2_config() -> VerifierConfig {
     .with_witnesses(true)
 }
 
-/// The feature under test is the shared arena; when a fuzz/bench harness
-/// runs the suite with `HAS_SHARED_KM=0` the bounded-search `HOLDS` result
-/// is expected again, so the assertions only apply with sharing on.
-fn sharing_enabled() -> bool {
-    VerifierConfig::default_shared_km()
-}
-
 /// Appendix A.2, buggy variant: `Cancel` opens on `paid()` alone, so a
 /// discounted `AlsoBookHotel` payment can be followed by a `CancelFlight`
 /// without the discount penalty. The violation must be found within the
@@ -42,9 +35,6 @@ fn sharing_enabled() -> bool {
 /// must name the originating task.
 #[test]
 fn buggy_travel_violates_a2_within_default_search_budgets() {
-    if !sharing_enabled() {
-        return;
-    }
     let t = travel_booking(TravelVariant::Buggy);
     let property = travel_property(&t);
     let outcome = Verifier::with_config(&t.system, &property, a2_config()).verify();
@@ -83,9 +73,6 @@ fn buggy_travel_violates_a2_within_default_search_budgets() {
 /// attributable to the guard and not to search-budget noise.
 #[test]
 fn fixed_travel_holds_under_the_same_budgets() {
-    if !sharing_enabled() {
-        return;
-    }
     let t = travel_booking(TravelVariant::Fixed);
     let property = travel_property(&t);
     let outcome = Verifier::with_config(&t.system, &property, a2_config()).verify();

@@ -12,10 +12,9 @@
 //! the search must re-record them and say why.
 //!
 //! The expected renderings live in `tests/goldens/`, one file per instance
-//! (one file for the whole grid). Every configuration pins the shared
-//! Karp–Miller arena, projection and one thread, so a suite run under
-//! `HAS_SHARED_KM=0`, `HAS_PROJECTION=0` or `HAS_THREADS=n` still checks the
-//! engine the goldens came from.
+//! (one file for the whole grid). Every configuration pins projection and
+//! one thread, so a suite run under `HAS_PROJECTION=0` or `HAS_THREADS=n`
+//! still checks the engine the goldens came from.
 
 use has::model::SchemaClass;
 use has::verifier::{Outcome, Stats, Verifier, VerifierConfig};
@@ -89,7 +88,6 @@ fn a2_config() -> VerifierConfig {
     .with_witnesses(true)
     .with_threads(1)
     .with_projection(true)
-    .with_shared_km(true)
 }
 
 /// `has_bench::fast_config`'s caps, with witnesses on.
@@ -103,7 +101,6 @@ fn gadget_config() -> VerifierConfig {
     .with_witnesses(true)
     .with_threads(1)
     .with_projection(true)
-    .with_shared_km(true)
 }
 
 /// perfbench's `grid` configuration: `has_bench::bench_config`'s caps, with
@@ -118,7 +115,6 @@ fn grid_config(arithmetic: bool) -> VerifierConfig {
     }
     .with_threads(1)
     .with_projection(true)
-    .with_shared_km(true)
 }
 
 fn travel_a2(variant: TravelVariant) -> Outcome {

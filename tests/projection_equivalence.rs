@@ -60,7 +60,7 @@ fn assert_projection_equivalent(
                 format!("{base:?}"),
                 format!("{outcome:?}"),
                 "{label}: projection={projection} outcome at threads={threads} \
-                 differs from sequential"
+                 differs from threads=1"
             );
         }
         match &reference {
@@ -139,7 +139,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Projection preserves the verdict on generated instances too, at
-    /// sequential and parallel thread counts.
+    /// one and several worker threads.
     #[test]
     fn generated_instances_are_projection_invariant(params in arb_params()) {
         let generated = params.generate();

@@ -223,7 +223,7 @@ fn witness_choice_is_byte_identical_across_thread_counts() {
         assert_eq!(
             format!("{reference:?}"),
             format!("{outcome:?}"),
-            "witness at threads={threads} differs from sequential"
+            "witness at threads={threads} differs from threads=1"
         );
         let reference_tree = reference.violation.as_ref().and_then(|v| v.witness.as_ref());
         let tree = outcome.violation.as_ref().and_then(|v| v.witness.as_ref());
