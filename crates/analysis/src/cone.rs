@@ -114,16 +114,11 @@ impl DimensionCone {
     }
 }
 
-/// Computes the dimension cone of influence for the query starting at
-/// `init` — see the module docs for the fixpoint and its exactness.
-pub fn dimension_cone(vass: &Vass, init: usize) -> DimensionCone {
-    dimension_cone_multi(vass, &[init])
-}
-
-/// The union dimension cone over several start states at once — the cone
-/// the shared Karp–Miller arena (DESIGN.md §5.12) projects with, so every
-/// `τ_in` query of one `(T, β)` pair runs on the *same* projected VASS and
-/// interned markings stay comparable across queries.
+/// The dimension cone of influence over the queries starting at any of
+/// `inits` — see the module docs for the fixpoint and its exactness. The
+/// verifier passes all of a `(T, β)` pair's initial states (DESIGN.md
+/// §5.12), so every `τ_in` query of the pair runs on the *same* projected
+/// VASS; `&[init]` gives the single-query cone.
 ///
 /// The fixpoint is the single-init one with reachability seeded from all of
 /// `inits`, and it stays **exact for each individual init**: union
@@ -225,7 +220,7 @@ mod tests {
         let mut v = Vass::new(2, 1);
         v.add_action(0, vec![1], 0);
         v.add_action(0, vec![0], 1);
-        let cone = dimension_cone(&v, 0);
+        let cone = dimension_cone_multi(&v, &[0]);
         assert_eq!((cone.dims_before(), cone.dims_after()), (1, 0));
         assert!(!cone.is_trivial());
         let p = cone.project(&v);
@@ -240,7 +235,7 @@ mod tests {
         let mut v = Vass::new(3, 1);
         v.add_action(0, vec![0], 1); // plain step
         v.add_action(1, vec![-1], 2); // decrement never enabled
-        let cone = dimension_cone(&v, 0);
+        let cone = dimension_cone_multi(&v, &[0]);
         assert_eq!(cone.dims_after(), 0);
         assert!(cone.disables(1) && !cone.disables(0));
         let p = cone.project(&v);
@@ -257,7 +252,7 @@ mod tests {
         let mut v = Vass::new(2, 1);
         v.add_action(0, vec![1], 1);
         v.add_action(1, vec![-1], 0);
-        let cone = dimension_cone(&v, 0);
+        let cone = dimension_cone_multi(&v, &[0]);
         assert!(cone.is_trivial());
         assert_eq!(cone.dims_after(), 1);
     }
@@ -270,7 +265,7 @@ mod tests {
         v.add_action(0, vec![-1, 0], 1); // dead: dim 0 never incremented
         v.add_action(1, vec![0, 1], 2); // only increment of dim 1, stranded
         v.add_action(0, vec![0, -1], 3); // becomes dead once 1→2 is stranded
-        let cone = dimension_cone(&v, 0);
+        let cone = dimension_cone_multi(&v, &[0]);
         assert_eq!(cone.dims_after(), 0);
         assert!(cone.disables(0) && cone.disables(2));
         // The stranded increment is unreachable, not "disabled".
@@ -284,8 +279,8 @@ mod tests {
         let mut v = Vass::new(3, 1);
         v.add_action(0, vec![1], 1);
         v.add_action(1, vec![-1], 2);
-        assert!(dimension_cone(&v, 0).is_trivial());
-        let from_mid = dimension_cone(&v, 1);
+        assert!(dimension_cone_multi(&v, &[0]).is_trivial());
+        let from_mid = dimension_cone_multi(&v, &[1]);
         assert_eq!(from_mid.dims_after(), 0);
         assert!(from_mid.disables(1));
     }
@@ -300,7 +295,7 @@ mod tests {
         v.add_action(1, vec![-1, 0, 0], 2); // live retrieve (dim 0)
         v.add_action(1, vec![0, 1, 0], 3); // insert-only dim 1
         v.add_action(3, vec![0, 0, -1], 4); // dead retrieve (dim 2)
-        let cone = dimension_cone(&v, 0);
+        let cone = dimension_cone_multi(&v, &[0]);
         assert_eq!(cone.dims_after(), 1);
         assert!(cone.keeps(0) && !cone.keeps(1) && !cone.keeps(2));
         let p = cone.project(&v);

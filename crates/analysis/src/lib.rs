@@ -18,8 +18,8 @@
 //!    fire for lack of any insertion (`HAS103`), and an informational
 //!    summary (`HAS110`). The per-query refinement of the same idea — which
 //!    counter *dimensions* can influence a verdict — is
-//!    [`dimension_cone`]; the verifier projects each `(T, β)` pair's
-//!    coverability queries onto the union cone [`dimension_cone_multi`].
+//!    [`dimension_cone_multi`]; the verifier projects each `(T, β)` pair's
+//!    coverability queries onto the union cone over its initial states.
 //!
 //! All findings flow through the [`Diagnostic`] type with stable `HASnnn`
 //! codes; structural [`has_model::ValidationError`]s join the same stream
@@ -33,7 +33,7 @@ pub mod dataflow;
 pub mod diagnostic;
 pub mod guards;
 
-pub use cone::{dimension_cone, dimension_cone_multi, DimensionCone};
+pub use cone::{dimension_cone_multi, DimensionCone};
 pub use dataflow::{dataflow_diagnostics, property_footprint, Dataflow, PropertyFootprint};
 pub use diagnostic::{Diagnostic, Severity};
 pub use guards::{guard_status, GuardStatus, ATOM_CAP};
@@ -287,7 +287,7 @@ fn dead_service_pass(system: &ArtifactSystem, report: &mut AnalysisReport) {
 
 /// Model-level counter influence: how each artifact relation's counters are
 /// moved (`HAS102`, `HAS103`) plus the informational summary (`HAS110`).
-/// The per-query refinement is [`dimension_cone`].
+/// The per-query refinement is [`dimension_cone_multi`].
 fn counter_influence_pass(system: &ArtifactSystem, report: &mut AnalysisReport) {
     for (_, task) in system.schema.tasks() {
         let Some(relation) = &task.artifact_relation else {

@@ -48,10 +48,7 @@ pub struct Measurement {
     pub counter_dims_after: usize,
     /// Service guards proven dead and pruned from graph construction.
     pub dead_services: usize,
-    /// Karp–Miller nodes served from the shared arena instead of being
-    /// re-expanded.
-    pub km_reused: usize,
-    /// Karp–Miller expansions pruned by the arena's subsumption check.
+    /// Karp–Miller successors pruned by the per-query subsumption check.
     pub km_subsumed: usize,
 }
 
@@ -59,7 +56,7 @@ impl Measurement {
     /// One formatted row for the `tables` binary.
     pub fn row(&self) -> String {
         format!(
-            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>13} {:>7} {:>9.1}",
+            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9.1}",
             self.label,
             if self.holds { "holds" } else { "viol." },
             self.threads,
@@ -67,7 +64,7 @@ impl Measurement {
             self.coverability_nodes,
             self.counter_dimensions,
             format!("{}->{}", self.counter_dims_before, self.counter_dims_after),
-            format!("{}/{}", self.km_reused, self.km_subsumed),
+            self.km_subsumed,
             self.hcd_cells,
             self.time.as_secs_f64() * 1000.0
         )
@@ -76,7 +73,7 @@ impl Measurement {
     /// The header matching [`Measurement::row`].
     pub fn header() -> String {
         format!(
-            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>13} {:>7} {:>9}",
+            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9}",
             "instance",
             "result",
             "thr",
@@ -84,7 +81,7 @@ impl Measurement {
             "km-nodes",
             "dims",
             "proj",
-            "reuse/subsume",
+            "subsume",
             "cells",
             "time(ms)"
         )
@@ -122,9 +119,7 @@ pub struct BenchRecord {
     pub counter_dims_after: Option<usize>,
     /// Dead service guards pruned (verifier rows only).
     pub dead_services: Option<usize>,
-    /// Karp–Miller nodes served from the shared arena (verifier rows only).
-    pub km_reused: Option<usize>,
-    /// Karp–Miller expansions pruned by subsumption (verifier rows only).
+    /// Karp–Miller successors pruned by subsumption (verifier rows only).
     pub km_subsumed: Option<usize>,
     /// Corpus instances scored (fuzz rows only).
     pub instances: Option<usize>,
@@ -150,7 +145,6 @@ impl BenchRecord {
             counter_dims_before: Some(m.counter_dims_before),
             counter_dims_after: Some(m.counter_dims_after),
             dead_services: Some(m.dead_services),
-            km_reused: Some(m.km_reused),
             km_subsumed: Some(m.km_subsumed),
             ..BenchRecord::default()
         }
@@ -191,9 +185,6 @@ impl BenchRecord {
         }
         if let Some(dead) = self.dead_services {
             let _ = write!(out, ",\"dead_services\":{dead}");
-        }
-        if let Some(reused) = self.km_reused {
-            let _ = write!(out, ",\"km_reused\":{reused}");
         }
         if let Some(subsumed) = self.km_subsumed {
             let _ = write!(out, ",\"km_subsumed\":{subsumed}");
@@ -282,7 +273,6 @@ pub fn measure(
         counter_dims_before: outcome.stats.counter_dims_before,
         counter_dims_after: outcome.stats.counter_dims_after,
         dead_services: outcome.stats.dead_services_pruned,
-        km_reused: outcome.stats.km_reused,
         km_subsumed: outcome.stats.km_subsumed,
     }
 }

@@ -321,12 +321,16 @@ pub struct Stats {
     /// Service guards proven unsatisfiable and excluded from graph
     /// construction (0 when projection is off).
     pub dead_services_pruned: usize,
-    /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
-    /// of being recomputed (DESIGN.md §5.12).
-    pub km_reused: usize,
-    /// Karp–Miller successors pruned by the shared arena's per-query
-    /// antichain — covered on arrival or retro-pruned by a larger marking.
+    /// Karp–Miller successors pruned by the per-query antichain (DESIGN.md
+    /// §5.12) — covered on arrival or retro-pruned by a larger marking.
     pub km_subsumed: usize,
+    /// Karp–Miller builds (pruned, or tier-3 exact) that hit
+    /// [`km_node_cap`](crate::verifier::VerifierConfig::km_node_cap) and so
+    /// under-approximate their query.
+    pub km_capped: usize,
+    /// Tier-3 exact Karp–Miller builds: lasso queries the pruned build's
+    /// real and jump-augmented edges could not decide.
+    pub lasso_fallbacks: usize,
     /// Internal-service post-state lists enumerated: misses of the graph
     /// build's post-state memo, keyed on the pre-state's input projection
     /// and the service (DESIGN.md §5.13).
@@ -362,8 +366,9 @@ impl Stats {
         self.counter_dims_before += other.counter_dims_before;
         self.counter_dims_after += other.counter_dims_after;
         self.dead_services_pruned += other.dead_services_pruned;
-        self.km_reused += other.km_reused;
         self.km_subsumed += other.km_subsumed;
+        self.km_capped += other.km_capped;
+        self.lasso_fallbacks += other.lasso_fallbacks;
         self.post_enumerations += other.post_enumerations;
         self.post_memo_hits += other.post_memo_hits;
     }
@@ -374,7 +379,8 @@ impl fmt::Display for Stats {
         write!(
             f,
             "states={} transitions={} km-nodes={} dims={} buchi={} (T,β)={} R_T={} cells={} \
-             proj={}->{} dead={} km-reuse={} km-subsume={} post-enum={} post-hits={}",
+             proj={}->{} dead={} km-subsume={} km-capped={} lasso-fallbacks={} post-enum={} \
+             post-hits={}",
             self.control_states,
             self.transitions,
             self.coverability_nodes,
@@ -386,8 +392,9 @@ impl fmt::Display for Stats {
             self.counter_dims_before,
             self.counter_dims_after,
             self.dead_services_pruned,
-            self.km_reused,
             self.km_subsumed,
+            self.km_capped,
+            self.lasso_fallbacks,
             self.post_enumerations,
             self.post_memo_hits
         )

@@ -12,9 +12,7 @@ use has_model::{
     ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort,
 };
 use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
-use has_vass::{
-    BitSet, CoverabilityGraph, CycleSearch, FxHashMap, Interner, SharedCoverability, Vass,
-};
+use has_vass::{BitSet, CoverabilityGraph, CycleSearch, FxHashMap, Interner, KmScratch, Vass};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -33,11 +31,17 @@ pub struct QueryCost {
     /// Always zero: the query pre-solver that filled it is gone, and the
     /// field is kept only for the frozen benchmark driver (`perfbench/`).
     pub presolve: PresolveStats,
-    /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
-    /// of being recomputed.
+    /// Always zero: the cross-query Karp–Miller arena that filled it is
+    /// gone, and the field is kept only because the frozen benchmark
+    /// (`perfbench/`) reads it.
     pub km_reused: usize,
-    /// Karp–Miller successors pruned by the shared arena's antichain.
+    /// Karp–Miller successors pruned by the query's antichain.
     pub km_subsumed: usize,
+    /// Karp–Miller builds of this query (pruned or tier-3 exact) that hit
+    /// [`VerifierConfig::km_node_cap`].
+    pub km_capped: usize,
+    /// Tier-3 exact Karp–Miller builds this query's lasso decision needed.
+    pub lasso_fallbacks: usize,
 }
 
 /// The bottom-up store of completed task summaries the verifier threads
@@ -1287,10 +1291,9 @@ impl<'a> TaskVerifier<'a> {
     /// §5.12): the pair-level VASS every `τ_in` query runs on — with
     /// [`crate::VerifierConfig::projection`] on, projected onto the *union*
     /// dimension cone over all of the pair's initial states
-    /// ([`has_analysis::dimension_cone_multi`]), so interned markings stay
-    /// comparable across queries — and the incremental
-    /// [`SharedCoverability`] arena those queries extend in initial-state
-    /// order.
+    /// ([`has_analysis::dimension_cone_multi`]), so one projection serves
+    /// every query — and the per-control-state [`KmScratch`] those
+    /// queries' Karp–Miller builds reuse.
     pub fn prepare_shared(&self, graph: &ExploredGraph) -> PairShared {
         let (vass, dims_after) = if self.config.projection {
             let cone = dimension_cone_multi(&graph.vass, &graph.initial_states);
@@ -1301,29 +1304,34 @@ impl<'a> TaskVerifier<'a> {
         } else {
             (None, graph.vass.dim)
         };
-        let arena = SharedCoverability::new(vass.as_ref().unwrap_or(&graph.vass));
-        PairShared { vass, dims_after, arena }
+        let scratch = KmScratch::new(vass.as_ref().unwrap_or(&graph.vass).states);
+        PairShared {
+            vass,
+            dims_after,
+            scratch,
+        }
     }
 
     /// Answers the three Lemma 21 queries (returning, blocking, lasso) for
-    /// the `pos`-th initial state of a built graph by extending the pair's
-    /// incremental Karp–Miller arena. Returns the candidate `R_T` entries
-    /// **in deterministic push order** (returning entries in visit order,
-    /// then the blocking entry, then the lasso entry) with the query's
-    /// cost. Callers **must** invoke it in initial-state order on one
-    /// [`PairShared`] — the arena's evolution is part of the determinism
-    /// contract — and deduplicate through [`TaskVerifier::reduce_queries`].
+    /// the `pos`-th initial state of a built graph with one
+    /// subsumption-pruned Karp–Miller build
+    /// ([`CoverabilityGraph::build_pruned`]). Returns the candidate `R_T`
+    /// entries **in deterministic push order** (returning entries in node
+    /// order, then the blocking entry, then the lasso entry) with the
+    /// query's cost. The answer depends only on `pos` — the [`PairShared`]
+    /// scratch carries no state between queries — and callers deduplicate
+    /// through [`TaskVerifier::reduce_queries`] in initial-state order.
     ///
-    /// The returning and blocking scans run over the query's visit order
-    /// (every visited control state is genuinely coverable — arrival
-    /// pruning only skips markings covered by an already-visited one, and
+    /// The returning and blocking scans run over the build's node order
+    /// (every node's control state is genuinely coverable — arrival
+    /// pruning only skips markings covered by an existing one, and
     /// saturation preserves the coverable state *set*, so the candidate
-    /// entry set matches the from-scratch scan's). The lasso decision is
-    /// tiered: a non-negative cycle over *real* edges is sound evidence;
-    /// failing that, no cycle over the jump-augmented edge relation
-    /// refutes the lasso outright; in the remaining gap — a cycle that
-    /// exists only through unjustified jump targets — one from-scratch
-    /// [`CoverabilityGraph`] build (counted into `km_nodes`) decides
+    /// entry set matches the exact build's). The lasso decision is tiered:
+    /// a non-negative cycle over *real* edges is sound evidence; failing
+    /// that, no cycle over the jump-augmented edge relation refutes the
+    /// lasso outright; in the remaining gap — a cycle that exists only
+    /// through unjustified jump targets — one exact [`CoverabilityGraph`]
+    /// build (counted into `km_nodes` and `lasso_fallbacks`) decides
     /// exactly.
     pub fn init_queries_shared(
         &self,
@@ -1342,28 +1350,32 @@ impl<'a> TaskVerifier<'a> {
         let vass = shared.vass.as_ref().unwrap_or(&graph.vass);
         let mut candidates: Vec<RtEntry> = Vec::new();
         let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-        let run = shared.arena.query(vass, init, self.config.km_node_cap);
+        let run = CoverabilityGraph::build_pruned(
+            vass,
+            init,
+            self.config.km_node_cap,
+            &mut shared.scratch,
+        );
 
         let retain = self.config.witnesses;
-        let steps_to = |vidx: usize| -> Vec<WitnessStep> {
-            run.path_to_node(vidx)
+        let steps_to = |node: usize| -> Vec<WitnessStep> {
+            run.path_to_node(node)
                 .into_iter()
                 .map(|action| graph.labels[action].clone())
                 .collect()
         };
-        let point_details = |vidx: usize| -> Option<Arc<EntryDetails>> {
+        let point_details = |node: usize| -> Option<Arc<EntryDetails>> {
             retain.then(|| {
                 Arc::new(EntryDetails {
-                    prefix: steps_to(vidx),
+                    prefix: steps_to(node),
                     cycle: Vec::new(),
                     cycle_truncated: false,
                 })
             })
         };
 
-        // Returning paths, over the visit order.
-        for (vidx, state) in run.states().enumerate() {
-            let cs = &states[state];
+        // Returning paths, over the node order.
+        for (node, cs) in run.nodes().map(|n| &states[n.state]).enumerate() {
             if cs.closed && finite_ok(cs) {
                 let projected =
                     self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
@@ -1372,13 +1384,12 @@ impl<'a> TaskVerifier<'a> {
                     output: Some(projected),
                     beta: self.beta.clone(),
                     witness: NonReturningWitness::default(),
-                    details: point_details(vidx),
+                    details: point_details(node),
                 });
             }
         }
         // Blocking paths.
-        for (vidx, state) in run.states().enumerate() {
-            let cs = &states[state];
+        for (node, cs) in run.nodes().map(|n| &states[n.state]).enumerate() {
             let blocking_child = cs
                 .children
                 .iter()
@@ -1392,7 +1403,7 @@ impl<'a> TaskVerifier<'a> {
                         blocking: true,
                         lasso: false,
                     },
-                    details: point_details(vidx),
+                    details: point_details(node),
                 });
                 break;
             }
@@ -1410,10 +1421,12 @@ impl<'a> TaskVerifier<'a> {
             };
             if !lasso && run.augmented_nonneg_cycle_through_pred(vass, &accepting) {
                 // Ambiguous: a cycle exists only through jump edges, whose
-                // targets over-approximate. One from-scratch build decides;
-                // its nodes are charged to this query's cost.
+                // targets over-approximate. One exact build decides; it is
+                // charged to this query's cost.
                 let cover = CoverabilityGraph::build_capped(vass, init, self.config.km_node_cap);
                 cost.km_nodes += cover.node_count();
+                cost.lasso_fallbacks += 1;
+                cost.km_capped += usize::from(cover.capped());
                 let fallback_steps = |node: usize| -> Vec<WitnessStep> {
                     cover
                         .path_to_node(node)
@@ -1446,8 +1459,8 @@ impl<'a> TaskVerifier<'a> {
             }
         }
         cost.km_nodes += run.node_count();
-        cost.km_reused = run.reused;
-        cost.km_subsumed = run.subsumed;
+        cost.km_subsumed = run.subsumed();
+        cost.km_capped += usize::from(run.capped());
         (candidates, cost)
     }
 
@@ -1474,8 +1487,9 @@ impl<'a> TaskVerifier<'a> {
             stats.coverability_nodes += cost.km_nodes;
             stats.counter_dims_before += cost.dims_before;
             stats.counter_dims_after += cost.dims_after;
-            stats.km_reused += cost.km_reused;
             stats.km_subsumed += cost.km_subsumed;
+            stats.km_capped += cost.km_capped;
+            stats.lasso_fallbacks += cost.lasso_fallbacks;
             for e in candidates {
                 match entries.iter_mut().find(|kept| kept.same_tuple(&e)) {
                     Some(kept) => {
@@ -1561,8 +1575,7 @@ impl ExploredGraph {
 
 /// The shared query state of one `(T, β)` pair (DESIGN.md §5.12), produced by
 /// [`TaskVerifier::prepare_shared`] and threaded mutably through the
-/// pair's [`TaskVerifier::init_queries_shared`] calls in initial-state
-/// order.
+/// pair's [`TaskVerifier::init_queries_shared`] calls.
 pub struct PairShared {
     /// The union-cone-projected pair VASS (`None` when projection is off
     /// or the cone is trivial: queries run on the unprojected
@@ -1571,6 +1584,7 @@ pub struct PairShared {
     /// The union cone's dimension count (the `dims_after` every query of
     /// the pair reports).
     dims_after: usize,
-    /// The incremental coverability arena all queries extend.
-    arena: SharedCoverability,
+    /// Per-control-state Karp–Miller scratch (ancestor index, antichains),
+    /// allocated once per pair and stamped per query.
+    scratch: KmScratch,
 }

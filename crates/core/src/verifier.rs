@@ -400,9 +400,9 @@ impl<'a> Verifier<'a> {
 
     /// The engine: a readiness-driven scheduler over one kind of work item,
     /// the pair job `(T, β)` — one [`TaskVerifier::build_graph`] forward
-    /// exploration followed by its Lemma 21 queries, one per initial state
-    /// in initial-state order, all extending the pair's shared Karp–Miller
-    /// arena ([`TaskVerifier::prepare_shared`],
+    /// exploration followed by its Lemma 21 queries, one pruned Karp–Miller
+    /// build per initial state in initial-state order
+    /// ([`TaskVerifier::prepare_shared`],
     /// [`TaskVerifier::init_queries_shared`]) — on a work-stealing scoped
     /// pool of `config.threads` workers ([`crate::parallel::run_pool`];
     /// one worker runs inline). There is **no barrier between hierarchy
@@ -493,9 +493,8 @@ impl<'a> Verifier<'a> {
                 dead,
             );
             let graph = verifier.build_graph();
-            // The pair's queries extend one arena in initial-state order —
-            // the canonical order, so the arena's evolution is identical at
-            // every thread count.
+            // The pair's queries share one Karp–Miller scratch allocation;
+            // `reduce_queries` needs their results in initial-state order.
             let mut shared = verifier.prepare_shared(&graph);
             let per_init = (0..graph.initial_count())
                 .map(|pos| verifier.init_queries_shared(&graph, pos, &mut shared));

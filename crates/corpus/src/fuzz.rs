@@ -211,13 +211,13 @@ impl FuzzReport {
 }
 
 /// Whether the run's statistics show a configured exploration cap was
-/// reached. The statistics are summed across tasks, so this is a
+/// reached. Karp–Miller truncation is counted per build (`km_capped`); the
+/// control-state count is summed across tasks, so that half is a
 /// *conservative over*-classification (a sum can reach the cap without any
-/// single query having been truncated) — acceptable because bounded verdicts
-/// only ever excuse a missed plant, never a wrong violation.
+/// single graph having been truncated) — acceptable because bounded
+/// verdicts only ever excuse a missed plant, never a wrong violation.
 fn truncated(stats: &Stats, config: &VerifierConfig) -> bool {
-    stats.control_states >= config.max_control_states
-        || stats.coverability_nodes >= config.km_node_cap
+    stats.control_states >= config.max_control_states || stats.km_capped > 0
 }
 
 /// Checks one verifier outcome (and, with witnesses on, its replayed

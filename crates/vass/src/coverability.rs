@@ -1,4 +1,5 @@
-//! Karp–Miller coverability graph with ω-acceleration.
+//! Karp–Miller coverability graph with ω-acceleration, exact or
+//! subsumption-pruned.
 //!
 //! The graph stores its nodes in dense arenas (DESIGN.md §5.8): markings
 //! live in one flat row-major `Vec<u64>` arena, the `(state, marking) → id`
@@ -8,11 +9,32 @@
 //! consults a per-expansion ancestor index instead of re-walking the full
 //! parent chain per successor. Node ids are assigned in BFS-discovery
 //! order, which is what makes every downstream iteration deterministic.
+//!
+//! Two builds share that machinery (DESIGN.md §5.12):
+//!
+//! * the **exact** build ([`CoverabilityGraph::build`] and its capped and
+//!   target-stopped variants) interns every distinct successor;
+//! * the **pruned** build ([`CoverabilityGraph::build_pruned`]) keeps a
+//!   per-control-state **antichain** of its markings (componentwise `≤`
+//!   with [`OMEGA`] as ⊤): a successor covered by an existing marking is
+//!   not interned (*arrival pruning*), and when a strictly larger marking
+//!   lands, dominated antichain members are *retro-pruned* — dropped from
+//!   the antichain and, if not yet expanded, never expanded. Both prunings
+//!   record **jump edges** to the dominating node, so the graph stays
+//!   *saturated*: every node has, per firable action, an edge (real or
+//!   jump) to a node whose marking dominates the computed successor.
+//!
+//! Saturation is what keeps the pruned build exact for the verifier's
+//! questions. Its control-state set equals the exact build's (a pruned
+//! successor is covered by a node of the same state, and monotonicity
+//! lets the covering node reach everything the pruned one could). For
+//! lassos, a non-negative cycle over *real* edges is sound evidence, and
+//! the absence of one over real plus jump edges refutes the lasso
+//! ([`CoverabilityGraph::augmented_nonneg_cycle_through_pred`]).
 
 use crate::cycle::{self, DeltaEdge};
 use crate::dense::FxHasher;
 use crate::vass::Vass;
-use std::collections::VecDeque;
 use std::hash::Hasher;
 
 /// The ω value of a marking coordinate ("arbitrarily large").
@@ -23,11 +45,11 @@ pub const OMEGA: u64 = u64::MAX;
 pub type Marking = Vec<u64>;
 
 /// Sentinel for "no parent node / no incoming action" in the dense arrays.
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 /// Adds `delta` to `marking` into `out` (ω absorbs). Returns `false` when a
 /// non-ω coordinate would go negative.
-pub(crate) fn add_into(marking: &[u64], delta: &[i64], out: &mut [u64]) -> bool {
+fn add_into(marking: &[u64], delta: &[i64], out: &mut [u64]) -> bool {
     for ((m, d), o) in marking.iter().zip(delta).zip(out.iter_mut()) {
         if *m == OMEGA {
             *o = OMEGA;
@@ -40,6 +62,12 @@ pub(crate) fn add_into(marking: &[u64], delta: &[i64], out: &mut [u64]) -> bool 
         }
     }
     true
+}
+
+/// `a` componentwise dominates `b` (`≥` with [`OMEGA`] as ⊤, which plain
+/// `u64` comparison already gives since `OMEGA == u64::MAX`).
+fn dominates(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x >= y)
 }
 
 /// A view of one coverability-graph node. The marking borrows the graph's
@@ -77,10 +105,22 @@ pub struct CoverabilityGraph {
     via: Vec<u32>,
     /// Cached interner hash per node (so table growth never re-reads rows).
     hashes: Vec<u64>,
-    /// Edges `(from_node, action_index, to_node)` in discovery order — the
+    /// Real edges `(from_node, action_index, to_node)` in discovery order:
+    /// the target's marking is exactly the (accelerated) successor. The
     /// edge *indices* are part of the determinism contract (cycle witnesses
     /// are reported as indices into this list).
     edges: Vec<(u32, u32, u32)>,
+    /// Pruned build only — arrival-pruning jump edges `(from, action, to)`:
+    /// the target *strictly dominates* the computed successor.
+    jumps: Vec<(u32, u32, u32)>,
+    /// Pruned build only — retro-pruning ε-jumps `(pruned, dominator)`,
+    /// with zero effect.
+    eps_jumps: Vec<(u32, u32)>,
+    /// Successors not interned because a marking covered them, plus nodes
+    /// retro-pruned by a later, larger marking (pruned build only).
+    subsumed: usize,
+    /// Whether the node cap dropped any successor.
+    capped: bool,
     /// Open-addressing interner table over `(state, marking)`: slots hold
     /// `node id + 1` (`0` = empty); length is a power of two.
     table: Vec<u32>,
@@ -88,7 +128,7 @@ pub struct CoverabilityGraph {
 }
 
 /// Deterministic hash of an interner key (control state + marking row).
-pub(crate) fn hash_key(state: u32, row: &[u64]) -> u64 {
+fn hash_key(state: u32, row: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(state);
     for &w in row {
@@ -97,14 +137,22 @@ pub(crate) fn hash_key(state: u32, row: &[u64]) -> u64 {
     h.finish()
 }
 
+/// An interner miss: the key's hash and the empty slot its probe ended on.
+#[derive(Clone, Copy)]
+struct Probe {
+    hash: u64,
+    slot: usize,
+}
+
 /// The per-expansion ancestor index for ω-acceleration: one walk up the
 /// parent chain of the node being expanded builds, per control state, the
 /// chain of its ancestors with that state (nearest first). Each successor
 /// candidate then scans exactly the ancestors sharing its target state —
 /// O(1) lookup plus O(width) per *matching* ancestor — instead of
-/// re-walking the whole chain per candidate as the previous implementation
-/// did. Scratch buffers are stamped, so reuse across expansions is O(chain
-/// length), not O(|states|).
+/// re-walking the whole chain per candidate. Scratch buffers are stamped,
+/// so reuse across expansions (and across builds) is O(chain length), not
+/// O(|states|).
+#[derive(Clone, Debug)]
 struct AncestorIndex {
     /// Per control state: index+1 of the first (nearest) chain entry.
     head: Vec<u32>,
@@ -188,6 +236,52 @@ impl AncestorIndex {
     }
 }
 
+/// The pruned build's per-control-state antichains of node ids, stamped
+/// per build so a new build never pays a clearing pass.
+#[derive(Clone, Debug)]
+struct Antichains {
+    /// The build that last reset each state's member list.
+    stamp: Vec<u64>,
+    members: Vec<Vec<u32>>,
+    current: u64,
+}
+
+impl Antichains {
+    /// The antichain of control state `state` in the current build.
+    fn of(&mut self, state: usize) -> &mut Vec<u32> {
+        if self.stamp[state] != self.current {
+            self.stamp[state] = self.current;
+            self.members[state].clear();
+        }
+        &mut self.members[state]
+    }
+}
+
+/// Per-control-state scratch for [`CoverabilityGraph::build_pruned`]: the
+/// ω-acceleration ancestor index and the subsumption antichains. Both are
+/// sized by the VASS's state count and stamped per use, so a caller that
+/// runs many builds over one VASS allocates them once and passes the same
+/// scratch to every build.
+#[derive(Clone, Debug)]
+pub struct KmScratch {
+    ancestors: AncestorIndex,
+    antichains: Antichains,
+}
+
+impl KmScratch {
+    /// Scratch for builds over a VASS with `num_states` control states.
+    pub fn new(num_states: usize) -> Self {
+        KmScratch {
+            ancestors: AncestorIndex::new(num_states),
+            antichains: Antichains {
+                stamp: vec![0; num_states],
+                members: vec![Vec::new(); num_states],
+                current: 0,
+            },
+        }
+    }
+}
+
 impl CoverabilityGraph {
     fn empty(dim: usize) -> Self {
         CoverabilityGraph {
@@ -198,6 +292,10 @@ impl CoverabilityGraph {
             via: Vec::new(),
             hashes: Vec::new(),
             edges: Vec::new(),
+            jumps: Vec::new(),
+            eps_jumps: Vec::new(),
+            subsumed: 0,
+            capped: false,
             table: vec![0; 16],
             mask: 15,
         }
@@ -205,17 +303,18 @@ impl CoverabilityGraph {
 
     /// Builds the coverability graph of `vass` from `(init, 0̄)`.
     pub fn build(vass: &Vass, init: usize) -> Self {
-        Self::build_inner(vass, init, usize::MAX, None)
+        Self::build_exact(vass, init, usize::MAX, None)
     }
 
     /// Like [`CoverabilityGraph::build`], but never creates more than
     /// `max_nodes` nodes (the cap is enforced at interning time, so the
     /// documented bound holds exactly — not merely up to the out-degree of
     /// the node being expanded). A truncated graph under-approximates
-    /// reachability (everything it contains is genuinely coverable); callers
-    /// that rely on exhaustiveness should pass `usize::MAX`.
+    /// reachability (everything it contains is genuinely coverable) and
+    /// reports [`Self::capped`]; callers that rely on exhaustiveness should
+    /// pass `usize::MAX`.
     pub fn build_capped(vass: &Vass, init: usize, max_nodes: usize) -> Self {
-        Self::build_inner(vass, init, max_nodes, None)
+        Self::build_exact(vass, init, max_nodes, None)
     }
 
     /// Like [`CoverabilityGraph::build`], but stops as soon as a node with
@@ -224,12 +323,54 @@ impl CoverabilityGraph {
     /// extracting a witness path to `target` ([`Self::path_to_state`]) —
     /// both of which only need the prefix built so far.
     pub fn build_to_state(vass: &Vass, init: usize, target: usize) -> Self {
-        Self::build_inner(vass, init, usize::MAX, Some(target))
+        Self::build_exact(vass, init, usize::MAX, Some(target))
     }
 
-    fn build_inner(vass: &Vass, init: usize, max_nodes: usize, stop_at: Option<usize>) -> Self {
+    /// The subsumption-pruned build from `(init, 0̄)` with at most
+    /// `max_nodes` nodes (see the module docs): same control-state set as
+    /// the exact build, usually far fewer nodes. `scratch` must have been
+    /// created for `vass`'s state count; reusing it across builds saves its
+    /// per-state allocations.
+    pub fn build_pruned(
+        vass: &Vass,
+        init: usize,
+        max_nodes: usize,
+        scratch: &mut KmScratch,
+    ) -> Self {
+        debug_assert_eq!(
+            scratch.antichains.stamp.len(),
+            vass.states,
+            "scratch sized for another VASS"
+        );
+        scratch.antichains.current += 1;
+        Self::build_inner(
+            vass,
+            init,
+            max_nodes,
+            None,
+            &mut scratch.ancestors,
+            Some(&mut scratch.antichains),
+        )
+    }
+
+    fn build_exact(vass: &Vass, init: usize, max_nodes: usize, stop_at: Option<usize>) -> Self {
+        let mut ancestors = AncestorIndex::new(vass.states);
+        Self::build_inner(vass, init, max_nodes, stop_at, &mut ancestors, None)
+    }
+
+    /// The one Karp–Miller loop behind both builds; `antichains` selects
+    /// the pruned build.
+    fn build_inner(
+        vass: &Vass,
+        init: usize,
+        max_nodes: usize,
+        stop_at: Option<usize>,
+        ancestors: &mut AncestorIndex,
+        mut antichains: Option<&mut Antichains>,
+    ) -> Self {
         let mut graph = Self::empty(vass.dim);
         if max_nodes == 0 {
+            graph.capped = true;
             return graph;
         }
         // Per-state CSR adjacency, computed once: expansion below touches
@@ -237,34 +378,36 @@ impl CoverabilityGraph {
         // whole action list per node.
         let adjacency = vass.action_csr();
         let root_row = vec![0u64; vass.dim];
-        let (root, _) = graph
-            .intern(init as u32, &root_row, NONE, NONE, max_nodes)
-            .expect("the first intern is always under a non-zero cap");
+        let root = match graph.find(init as u32, &root_row) {
+            Ok(_) => unreachable!("an empty graph has no nodes"),
+            Err(probe) => graph.insert(probe, init as u32, &root_row, NONE, NONE),
+        };
+        if let Some(antichains) = antichains.as_deref_mut() {
+            antichains.of(init).push(root);
+        }
         if stop_at == Some(init) {
             return graph;
         }
-        let mut worklist = VecDeque::from([root]);
-        // Sized from the node arena (and re-synced with it at every pop):
-        // each node is enqueued exactly once, at interning time, so a pop
-        // can never observe an id the arena does not already hold.
-        let mut expanded = vec![false; graph.node_count()];
+        // Retro-pruned nodes, never expanded: the ε-jump to the dominator
+        // stands in for the whole subtree (monotonicity).
+        let mut pruned = vec![false];
         // Scratch marking buffers, reused across the whole construction.
         let mut current = vec![0u64; vass.dim];
         let mut next = vec![0u64; vass.dim];
-        let mut ancestors = AncestorIndex::new(vass.states);
         // Without dimensions acceleration can never fire: skip the ancestor
         // index entirely.
         let accelerable = vass.dim > 0;
 
-        while let Some(node_id) = worklist.pop_front() {
-            if expanded.len() < graph.node_count() {
-                expanded.resize(graph.node_count(), false);
-            }
-            let node = node_id as usize;
-            if expanded[node] {
+        // BFS: ids are assigned in discovery order, so expanding them in id
+        // order is the FIFO worklist.
+        let mut next_node = 0;
+        while next_node < graph.node_count() {
+            let node = next_node;
+            next_node += 1;
+            if pruned[node] {
                 continue;
             }
-            expanded[node] = true;
+            let node_id = node as u32;
             let state = graph.states[node] as usize;
             current.copy_from_slice(graph.row(node));
             // ω-acceleration: if some ancestor (in the Karp–Miller tree)
@@ -283,67 +426,105 @@ impl CoverabilityGraph {
                 if accelerable {
                     ancestors.accelerate(&graph, action.to as u32, &mut next);
                 }
-                let Some((target, is_new)) =
-                    graph.intern(action.to as u32, &next, node_id, action_idx, max_nodes)
-                else {
+                let probe = match graph.find(action.to as u32, &next) {
+                    Ok(existing) => {
+                        graph.edges.push((node_id, action_idx, existing));
+                        continue;
+                    }
+                    Err(probe) => probe,
+                };
+                // Arrival pruning: covered by an antichain member? (Strict
+                // domination is implied — an equal marking would have been
+                // found above.)
+                if let Some(antichains) = antichains.as_deref_mut() {
+                    if let Some(dominator) = graph.covering(antichains.of(action.to), &next) {
+                        graph.jumps.push((node_id, action_idx, dominator));
+                        graph.subsumed += 1;
+                        continue;
+                    }
+                }
+                if graph.node_count() >= max_nodes {
                     // Interning would exceed the node cap: drop the edge and
                     // keep expanding among the existing nodes.
+                    graph.capped = true;
                     continue;
-                };
+                }
+                let target = graph.insert(probe, action.to as u32, &next, node_id, action_idx);
                 graph.edges.push((node_id, action_idx, target));
-                if is_new {
-                    worklist.push_back(target);
-                    if stop_at == Some(action.to) {
-                        return graph;
-                    }
+                pruned.push(false);
+                if let Some(antichains) = antichains.as_deref_mut() {
+                    graph.retro_prune(antichains.of(action.to), target, &mut pruned);
+                }
+                if stop_at == Some(action.to) {
+                    return graph;
                 }
             }
         }
         graph
     }
 
-    /// Returns the canonical node id for `(state, row)` and whether it was
-    /// newly created, or `None` when creating it would push the node count
-    /// beyond `max_nodes`. One probe sequence serves both the hit and the
-    /// miss: a hit touches nothing, a miss copies the row into the arena
-    /// exactly once.
-    fn intern(
-        &mut self,
-        state: u32,
-        row: &[u64],
-        parent: u32,
-        via: u32,
-        max_nodes: usize,
-    ) -> Option<(u32, bool)> {
+    /// The first antichain member whose marking covers `row`, if any.
+    fn covering(&self, antichain: &[u32], row: &[u64]) -> Option<u32> {
+        antichain
+            .iter()
+            .copied()
+            .find(|&u| dominates(self.row(u as usize), row))
+    }
+
+    /// Adds the new node `newcomer` to its state's antichain. Members it
+    /// strictly dominates yield to it: each gets a zero-effect ε-jump to
+    /// the newcomer (saturation for the augmented refutation) and is
+    /// marked pruned, so it is skipped if not yet expanded.
+    fn retro_prune(&mut self, antichain: &mut Vec<u32>, newcomer: u32, pruned: &mut [bool]) {
+        let dim = self.dim;
+        let rows = &self.rows;
+        let new_row = &rows[newcomer as usize * dim..][..dim];
+        antichain.retain(|&u| {
+            let dominated = dominates(new_row, &rows[u as usize * dim..][..dim]);
+            if dominated {
+                pruned[u as usize] = true;
+                self.eps_jumps.push((u, newcomer));
+                self.subsumed += 1;
+            }
+            !dominated
+        });
+        antichain.push(newcomer);
+    }
+
+    /// Looks `(state, row)` up: its node id on a hit, or the probe to
+    /// [`Self::insert`] it with on a miss.
+    fn find(&self, state: u32, row: &[u64]) -> Result<u32, Probe> {
         debug_assert_eq!(row.len(), self.dim);
         let hash = hash_key(state, row);
         let mut slot = (hash as usize) & self.mask;
         loop {
             let entry = self.table[slot];
             if entry == 0 {
-                break;
+                return Err(Probe { hash, slot });
             }
             let id = (entry - 1) as usize;
             if self.hashes[id] == hash && self.states[id] == state && self.row(id) == row {
-                return Some((entry - 1, false));
+                return Ok(entry - 1);
             }
             slot = (slot + 1) & self.mask;
         }
-        if self.states.len() >= max_nodes {
-            return None;
-        }
+    }
+
+    /// Creates the node for a key [`Self::find`] missed, copying the row
+    /// into the arena exactly once.
+    fn insert(&mut self, probe: Probe, state: u32, row: &[u64], parent: u32, via: u32) -> u32 {
         let id = u32::try_from(self.states.len())
             .expect("coverability graph overflow: more than u32::MAX nodes");
         self.states.push(state);
         self.rows.extend_from_slice(row);
         self.parent.push(parent);
         self.via.push(via);
-        self.hashes.push(hash);
-        self.table[slot] = id + 1;
+        self.hashes.push(probe.hash);
+        self.table[probe.slot] = id + 1;
         if (self.states.len() + 1) * 8 > self.table.len() * 7 {
             self.grow_table();
         }
-        Some((id, true))
+        id
     }
 
     fn grow_table(&mut self) {
@@ -388,16 +569,29 @@ impl CoverabilityGraph {
         self.states.len()
     }
 
-    /// Number of edges.
+    /// Number of (real) edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
-    /// Iterates over the edges as `(from_node, action_index, to_node)`.
+    /// Iterates over the real edges as `(from_node, action_index, to_node)`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         self.edges
             .iter()
             .map(|&(f, a, t)| (f as usize, a as usize, t as usize))
+    }
+
+    /// Successors the pruned build did not intern because an existing
+    /// marking covered them, plus nodes it retro-pruned (always `0` for the
+    /// exact build).
+    pub fn subsumed(&self) -> usize {
+        self.subsumed
+    }
+
+    /// Whether the node cap dropped any successor: the graph then
+    /// under-approximates coverability.
+    pub fn capped(&self) -> bool {
+        self.capped
     }
 
     /// A sequence of VASS action indices leading from the root to some node
@@ -446,6 +640,11 @@ impl CoverabilityGraph {
     /// Like [`CoverabilityGraph::nonneg_cycle_through`], but accepts any
     /// control state satisfying the predicate (used by the verifier, where
     /// "accepting" is a property of the encoded Büchi component).
+    ///
+    /// Only real edges count, so on a pruned build a `true` is **sound**
+    /// lasso evidence (real edges carry exact successor markings, so the
+    /// cycle pumps into an actual infinite run — the classic Karp–Miller
+    /// argument), while a `false` proves nothing.
     pub fn nonneg_cycle_through_pred(&self, vass: &Vass, target: &dyn Fn(usize) -> bool) -> bool {
         cycle::nonneg_cycle_exists(
             self.node_count(),
@@ -483,24 +682,42 @@ impl CoverabilityGraph {
         })
     }
 
-    /// The walk of [`CoverabilityGraph::nonneg_cycle_search_through_pred`],
-    /// or `None` when no cycle exists or none could be materialized within
-    /// `max_len` traversals.
-    pub fn nonneg_cycle_witness_through_pred(
+    /// **Complete** lasso evidence for a pruned build: the decision of
+    /// [`Self::nonneg_cycle_through_pred`] over real edges *plus* jump
+    /// edges (at their action's effect) and retro-pruning ε-jumps (at zero
+    /// effect). Any real lasso shadow-maps into this augmented graph —
+    /// iterate the real pump cycle, follow the saturated edge relation, and
+    /// pigeonhole on (node, cycle position): the resulting closed walk
+    /// repeats the cycle's action multiset, whose summed effect is
+    /// non-negative. So `false` here **refutes** the lasso outright; `true`
+    /// alone proves nothing (a jump target may be unjustifiably large) —
+    /// decide `true` via the real edges or an exact build. On an exact
+    /// build the two decisions coincide.
+    pub fn augmented_nonneg_cycle_through_pred(
         &self,
         vass: &Vass,
         target: &dyn Fn(usize) -> bool,
-        max_len: usize,
-    ) -> Option<Vec<(usize, usize, usize)>> {
-        match self.nonneg_cycle_search_through_pred(vass, target, max_len) {
-            cycle::CycleSearch::Witness(walk) => Some(walk),
-            _ => None,
-        }
+    ) -> bool {
+        let zero = vec![0i64; vass.dim];
+        let mut edges = self.delta_edges(vass);
+        edges.extend(self.jumps.iter().map(|&(from, action, to)| DeltaEdge {
+            from: from as usize,
+            to: to as usize,
+            delta: &vass.actions[action as usize].delta,
+        }));
+        edges.extend(self.eps_jumps.iter().map(|&(from, to)| DeltaEdge {
+            from: from as usize,
+            to: to as usize,
+            delta: &zero,
+        }));
+        cycle::nonneg_cycle_exists(self.node_count(), vass.dim, &edges, &|node| {
+            target(self.states[node] as usize)
+        })
     }
 
-    /// The graph's edges as [`DeltaEdge`]s over coverability nodes, with
-    /// each edge *borrowing* its underlying VASS action effect — building
-    /// the cycle-search instance copies no delta vectors.
+    /// The graph's real edges as [`DeltaEdge`]s over coverability nodes,
+    /// with each edge *borrowing* its underlying VASS action effect —
+    /// building the cycle-search instance copies no delta vectors.
     fn delta_edges<'a>(&self, vass: &'a Vass) -> Vec<DeltaEdge<'a>> {
         self.edges
             .iter()
@@ -516,6 +733,7 @@ impl CoverabilityGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn acceleration_produces_omega() {
@@ -590,9 +808,11 @@ mod tests {
         v.add_action(2, vec![1], 1);
         let g = CoverabilityGraph::build(&v, 0);
         assert!(g.nonneg_cycle_through(&v, 1));
-        let walk = g
-            .nonneg_cycle_witness_through_pred(&v, &|s| s == 1, 10_000)
-            .expect("lasso exists");
+        let cycle::CycleSearch::Witness(walk) =
+            g.nonneg_cycle_search_through_pred(&v, &|s| s == 1, 10_000)
+        else {
+            panic!("lasso exists");
+        };
         // Chained and closed over coverability nodes, starting at state 1.
         for (k, &(_, _, to)) in walk.iter().enumerate() {
             assert_eq!(to, walk[(k + 1) % walk.len()].0);
@@ -683,5 +903,115 @@ mod tests {
         assert_eq!(g.node(1).state, 2);
         assert_eq!(g.node(2).state, 1);
         assert_eq!(g.node(1).marking, &[5]);
+    }
+
+    fn pump_drain(d: usize) -> Vass {
+        let mut v = Vass::new(2, d);
+        for i in 0..d {
+            let mut up = vec![0i64; d];
+            up[i] = 1;
+            v.add_action(0, up, 0);
+            let mut down = vec![0i64; d];
+            down[i] = -1;
+            v.add_action(1, down, 1);
+        }
+        v.add_action(0, vec![0; d], 1);
+        v
+    }
+
+    fn coverable_states(graph: &CoverabilityGraph) -> BTreeSet<usize> {
+        graph.nodes().map(|n| n.state).collect()
+    }
+
+    fn pruned(vass: &Vass, init: usize, max_nodes: usize) -> CoverabilityGraph {
+        CoverabilityGraph::build_pruned(vass, init, max_nodes, &mut KmScratch::new(vass.states))
+    }
+
+    #[test]
+    fn pruned_matches_exact_state_sets() {
+        let v = pump_drain(3);
+        let mut scratch = KmScratch::new(v.states);
+        for init in [0usize, 1, 0, 1] {
+            let g = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut scratch);
+            assert!(!g.capped());
+            assert_eq!(
+                coverable_states(&g),
+                coverable_states(&CoverabilityGraph::build(&v, init))
+            );
+        }
+    }
+
+    #[test]
+    fn subsumption_prunes_dominated_markings() {
+        // One state pumping one counter: 0 -> 1 -> ω in the exact build; the
+        // antichain additionally retro-prunes 0 and 1 once ω lands.
+        let mut v = Vass::new(1, 1);
+        v.add_action(0, vec![1], 0);
+        let g = pruned(&v, 0, usize::MAX);
+        assert!(g.subsumed() > 0);
+        assert_eq!(CoverabilityGraph::build(&v, 0).subsumed(), 0);
+        assert_eq!(
+            coverable_states(&g),
+            coverable_states(&CoverabilityGraph::build(&v, 0))
+        );
+    }
+
+    #[test]
+    fn repeat_queries_are_deterministic() {
+        let v = pump_drain(3);
+        let mut a = KmScratch::new(v.states);
+        let mut b = KmScratch::new(v.states);
+        for init in [0usize, 1, 0] {
+            let ga = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut a);
+            let gb = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut b);
+            assert_eq!(format!("{ga:?}"), format!("{gb:?}"));
+        }
+    }
+
+    #[test]
+    fn cap_zero_yields_an_empty_run() {
+        let v = pump_drain(1);
+        let g = pruned(&v, 0, 0);
+        assert_eq!(g.node_count(), 0);
+        // The cap dropped the root itself: the empty search is truncated.
+        assert!(g.capped());
+        assert!(CoverabilityGraph::build_capped(&v, 0, 0).capped());
+    }
+
+    #[test]
+    fn capped_run_marks_truncation() {
+        let v = pump_drain(3);
+        let g = pruned(&v, 0, 2);
+        assert!(g.capped());
+        assert!(g.node_count() <= 2);
+        assert!(!pruned(&v, 0, usize::MAX).capped());
+    }
+
+    #[test]
+    fn real_cycle_decision_matches_reference_on_pump_drain() {
+        let v = pump_drain(2);
+        let reference = CoverabilityGraph::build(&v, 0);
+        let expect = reference.nonneg_cycle_through_pred(&v, &|s| s == 0);
+        let g = pruned(&v, 0, usize::MAX);
+        let sound = g.nonneg_cycle_through_pred(&v, &|s| s == 0);
+        let complete = g.augmented_nonneg_cycle_through_pred(&v, &|s| s == 0);
+        // The tiers bracket the truth.
+        assert!(!sound || expect);
+        assert!(complete || !expect);
+        assert_eq!(sound, expect, "pump-drain decides on real edges alone");
+    }
+
+    #[test]
+    fn path_to_node_chains_control_states_from_the_root() {
+        let v = pump_drain(2);
+        let g = pruned(&v, 0, usize::MAX);
+        for node in 0..g.node_count() {
+            let mut state = 0usize;
+            for a in g.path_to_node(node) {
+                assert_eq!(v.actions[a].from, state);
+                state = v.actions[a].to;
+            }
+            assert_eq!(state, g.node(node).state);
+        }
     }
 }

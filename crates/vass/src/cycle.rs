@@ -326,22 +326,6 @@ pub fn nonneg_cycle_search(
     }
 }
 
-/// Like [`nonneg_cycle_exists`], but returns the witnessing closed walk of
-/// [`nonneg_cycle_search`], or `None` when no witness exists **or** none
-/// could be materialized within `max_len` traversals.
-pub fn nonneg_cycle_witness(
-    num_nodes: usize,
-    dim: usize,
-    edges: &[DeltaEdge<'_>],
-    is_target: &dyn Fn(usize) -> bool,
-    max_len: usize,
-) -> Option<Vec<usize>> {
-    match nonneg_cycle_search(num_nodes, dim, edges, is_target, max_len) {
-        CycleSearch::Witness(walk) => Some(walk),
-        CycleSearch::None | CycleSearch::ExceedsCap => None,
-    }
-}
-
 /// The per-SCC edge sets that contain at least one edge leaving a target
 /// node (a witnessing walk leaves its target at least once, and lies within
 /// one strongly connected component).
@@ -374,7 +358,7 @@ fn target_components(
 ///
 /// On success, returns the edge subset searched together with a feasible
 /// circulation over it whose support is weakly connected — the raw material
-/// [`nonneg_cycle_witness`] turns into a concrete closed walk.
+/// [`nonneg_cycle_search`] turns into a concrete closed walk.
 fn component_witness(
     dim: usize,
     edges: &[DeltaEdge<'_>],
@@ -692,6 +676,20 @@ mod tests {
         DeltaEdge { from, to, delta }
     }
 
+    /// The materialized walk of [`nonneg_cycle_search`], if any.
+    fn witness(
+        num_nodes: usize,
+        dim: usize,
+        edges: &[DeltaEdge<'_>],
+        is_target: &dyn Fn(usize) -> bool,
+        max_len: usize,
+    ) -> Option<Vec<usize>> {
+        match nonneg_cycle_search(num_nodes, dim, edges, is_target, max_len) {
+            CycleSearch::Witness(walk) => Some(walk),
+            CycleSearch::None | CycleSearch::ExceedsCap => None,
+        }
+    }
+
     #[test]
     fn sccs_of_a_cycle_and_a_tail() {
         // 0 → 1 → 2 → 0 is one SCC; 2 → 3 is a tail.
@@ -858,7 +856,7 @@ mod tests {
             for t in 0..nodes {
                 let is_target = |n: usize| n == t;
                 let exists = nonneg_cycle_exists(nodes, dim, &edges, &is_target);
-                let witness = nonneg_cycle_witness(nodes, dim, &edges, &is_target, 10_000);
+                let witness = witness(nodes, dim, &edges, &is_target, 10_000);
                 assert_eq!(exists, witness.is_some(), "target {t}, edges {edges:?}");
                 if let Some(walk) = witness {
                     assert_valid_walk(&edges, &walk, dim, &is_target);
@@ -873,7 +871,7 @@ mod tests {
         // 0 → 1 pays 3, 1 → 0 gains 1, and a +1 self-loop at 1 makes up the
         // difference: the witness must traverse the loop at least twice.
         let edges = [edge(0, 1, &[-3]), edge(1, 0, &[1]), edge(1, 1, &[1])];
-        let walk = nonneg_cycle_witness(2, 1, &edges, &|n| n == 0, 10_000).expect("lasso exists");
+        let walk = witness(2, 1, &edges, &|n| n == 0, 10_000).expect("lasso exists");
         assert_valid_walk(&edges, &walk, 1, &|n| n == 0);
         assert!(
             walk.iter().filter(|&&i| i == 2).count() >= 2,
@@ -887,14 +885,17 @@ mod tests {
         // 3 must refuse rather than truncate, while the decision stays true.
         let edges = [edge(0, 1, &[-3]), edge(1, 0, &[1]), edge(1, 1, &[1])];
         assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 0));
-        assert_eq!(nonneg_cycle_witness(2, 1, &edges, &|n| n == 0, 3), None);
+        assert!(matches!(
+            nonneg_cycle_search(2, 1, &edges, &|n| n == 0, 3),
+            CycleSearch::ExceedsCap
+        ));
     }
 
     #[test]
     fn witness_walks_the_long_ring() {
         let n = 100;
         let edges: Vec<DeltaEdge<'_>> = (0..n).map(|i| edge(i, (i + 1) % n, &[0])).collect();
-        let walk = nonneg_cycle_witness(n, 1, &edges, &|s| s == 0, 10_000).expect("ring cycles");
+        let walk = witness(n, 1, &edges, &|s| s == 0, 10_000).expect("ring cycles");
         assert_eq!(walk.len(), n);
         assert_valid_walk(&edges, &walk, 1, &|s| s == 0);
     }

@@ -8,7 +8,9 @@
 //!
 //! * [`Vass`] — explicit VASS with integer-delta actions;
 //! * [`CoverabilityGraph`] — the Karp–Miller coverability graph with
-//!   ω-acceleration;
+//!   ω-acceleration, built exactly or with antichain subsumption pruning
+//!   ([`CoverabilityGraph::build_pruned`], the build behind every Lemma 21
+//!   query of the verifier);
 //! * [`Vass::state_reachable`] — control-state reachability (used for the
 //!   *returning* and *blocking* paths of Lemma 21), with witness extraction;
 //! * [`Vass::state_repeated_reachable`] — repeated reachability (the *lasso*
@@ -27,11 +29,11 @@
 //! bound — by circulation feasibility per strongly connected component,
 //! solved with the exact rational simplex of `has-arith` and
 //! Kosaraju–Sullivan support refinement for connectivity. When a lasso
-//! exists, [`cycle::nonneg_cycle_witness`] additionally materializes the
+//! exists, [`cycle::nonneg_cycle_search`] additionally materializes the
 //! witnessing closed walk itself (scale the circulation to integers, thread
 //! an Eulerian circuit), which the verifier renders as the pump cycle of a
 //! counterexample report
-//! ([`CoverabilityGraph::nonneg_cycle_witness_through_pred`]).
+//! ([`CoverabilityGraph::nonneg_cycle_search_through_pred`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -40,15 +42,13 @@ pub mod bounded;
 pub mod coverability;
 pub mod cycle;
 pub mod dense;
-pub mod shared;
 pub mod vass;
 
 pub use bounded::BoundedExplorer;
-pub use coverability::{CoverabilityGraph, Marking, NodeRef, OMEGA};
+pub use coverability::{CoverabilityGraph, KmScratch, Marking, NodeRef, OMEGA};
 pub use cycle::{
-    nonneg_cycle_exists, nonneg_cycle_search, nonneg_cycle_witness,
-    strongly_connected_components, CycleSearch, DeltaEdge,
+    nonneg_cycle_exists, nonneg_cycle_search, strongly_connected_components, CycleSearch,
+    DeltaEdge,
 };
 pub use dense::{fx_hash, BitSet, FxBuildHasher, FxHashMap, FxHasher, Interner};
-pub use shared::{SharedCoverability, SharedRun};
 pub use vass::{Action, ActionCsr, Vass};

@@ -1,30 +1,30 @@
-//! Equivalence property suite for the shared incremental Karp–Miller arena
-//! (DESIGN.md §5.12).
+//! Equivalence property suite for the subsumption-pruned Karp–Miller build
+//! (DESIGN.md §5.12) against the exact build.
 //!
-//! [`SharedCoverability`] answers the same coverability and lasso
-//! sub-queries as a from-scratch [`CoverabilityGraph`] per query, while
-//! reusing interned nodes, stored successor spans, and ω-accelerations
-//! across the queries of one arena, and pruning via the per-control-state
-//! antichain. Pruning and reuse change the traversal, not the answers; the
-//! properties below pin that on random small VASS (the
-//! `prop_dense_equiv.rs` generator), always driving *sequences* of queries
-//! through one arena so cross-query reuse is actually exercised:
+//! [`CoverabilityGraph::build_pruned`] answers the same coverability and
+//! lasso sub-queries as [`CoverabilityGraph::build`], while pruning via
+//! the per-control-state antichain; the verifier runs one pruned build per
+//! query, all of a `(T, β)` pair's builds sharing one [`KmScratch`].
+//! Pruning changes the graph, not the answers; the properties below pin
+//! that on random small VASS (the `prop_dense_equiv.rs` generator),
+//! always driving *sequences* of builds through one scratch so its
+//! per-build stamping is actually exercised:
 //!
-//! * the coverable control-state set of every query equals the
-//!   from-scratch build's, regardless of what ran before it on the arena;
-//! * the lasso tiers bracket the from-scratch decision — a real-edge
-//!   non-negative cycle is sound evidence, the absence of one over the
-//!   jump-augmented graph is a sound refutation — and the full tiered
-//!   decision (with from-scratch fallback in the ambiguous gap) agrees
-//!   exactly;
+//! * the coverable control-state set of every build equals the exact
+//!   build's, regardless of what ran before it on the scratch;
+//! * the lasso tiers bracket the exact decision — a real-edge non-negative
+//!   cycle is sound evidence, the absence of one over the jump-augmented
+//!   graph is a sound refutation — and the full tiered decision (with an
+//!   exact build in the ambiguous gap) agrees exactly;
 //! * materialized pump-cycle witnesses are well-formed closed walks
 //!   through a target state with componentwise non-negative summed effect;
-//! * overlay witness paths chain control states from the root;
-//! * capped runs under-approximate, and identical query sequences on
-//!   fresh arenas are byte-identical (`Debug` render) — the determinism
-//!   contract sharing must uphold.
+//! * witness paths chain control states from the root;
+//! * capped builds under-approximate (and one that reports no truncation
+//!   is complete), and repeated builds are byte-identical (`Debug`
+//!   render) whether the scratch is fresh or warm — the determinism
+//!   contract.
 
-use has_vass::{CoverabilityGraph, SharedCoverability, SharedRun, Vass};
+use has_vass::{CoverabilityGraph, KmScratch, Vass};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -43,21 +43,18 @@ fn arb_vass(states: usize, dim: usize) -> impl Strategy<Value = Vass> {
     })
 }
 
-fn shared_states(run: &SharedRun) -> BTreeSet<usize> {
-    run.states().collect()
+fn states_of(graph: &CoverabilityGraph) -> BTreeSet<usize> {
+    graph.nodes().map(|n| n.state).collect()
 }
 
 fn reference_states(vass: &Vass, init: usize) -> BTreeSet<usize> {
-    CoverabilityGraph::build(vass, init)
-        .nodes()
-        .map(|n| n.state)
-        .collect()
+    states_of(&CoverabilityGraph::build(vass, init))
 }
 
-/// The verifier's four-tier lasso decision over a shared run: sound
-/// real-edge evidence, complete jump-augmented refutation, from-scratch
-/// rebuild in the gap.
-fn tiered_lasso(vass: &Vass, init: usize, run: &SharedRun, target: usize) -> bool {
+/// The verifier's three-tier lasso decision over a pruned build: sound
+/// real-edge evidence, complete jump-augmented refutation, exact build in
+/// the gap.
+fn tiered_lasso(vass: &Vass, init: usize, run: &CoverabilityGraph, target: usize) -> bool {
     let pred = |s: usize| s == target;
     if run.nonneg_cycle_through_pred(vass, &pred) {
         return true;
@@ -73,14 +70,14 @@ proptest! {
 
     #[test]
     fn coverable_state_sets_match_from_scratch(vass in arb_vass(4, 2)) {
-        let mut arena = SharedCoverability::new(&vass);
-        // Every state as init, twice over: the second round replays
-        // stored spans over a warm arena.
+        let mut scratch = KmScratch::new(vass.states);
+        // Every state as init, twice over: the second round runs on a
+        // warm scratch.
         for init in [0usize, 1, 2, 3, 0, 1, 2, 3] {
-            let run = arena.query(&vass, init, usize::MAX);
-            prop_assert!(!run.capped);
+            let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
+            prop_assert!(!run.capped());
             prop_assert_eq!(
-                shared_states(&run),
+                states_of(&run),
                 reference_states(&vass, init),
                 "coverable set from init {}", init
             );
@@ -89,9 +86,9 @@ proptest! {
 
     #[test]
     fn lasso_tiers_bracket_and_decide(vass in arb_vass(4, 2)) {
-        let mut arena = SharedCoverability::new(&vass);
+        let mut scratch = KmScratch::new(vass.states);
         for init in [0usize, 1, 2, 3] {
-            let run = arena.query(&vass, init, usize::MAX);
+            let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             let reference = CoverabilityGraph::build(&vass, init);
             for target in 0..4usize {
                 let expect = reference.nonneg_cycle_through_pred(&vass, &|s| s == target);
@@ -111,22 +108,22 @@ proptest! {
 
     #[test]
     fn materialized_cycles_are_wellformed(vass in arb_vass(4, 2)) {
-        let mut arena = SharedCoverability::new(&vass);
+        let mut scratch = KmScratch::new(vass.states);
         for init in [0usize, 1, 2, 3] {
-            let run = arena.query(&vass, init, usize::MAX);
+            let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             for target in 0..4usize {
                 let search =
                     run.nonneg_cycle_search_through_pred(&vass, &|s| s == target, 4_096);
                 if let has_vass::CycleSearch::Witness(walk) = search {
                     prop_assert!(!walk.is_empty());
                     let (start, _, _) = walk[0];
-                    prop_assert_eq!(run.state(start), target, "walk starts at a target");
+                    prop_assert_eq!(run.node(start).state, target, "walk starts at a target");
                     let mut total = vec![0i64; vass.dim];
                     let mut at = start;
                     for &(from, action, to) in &walk {
                         prop_assert_eq!(from, at, "consecutive edges chain");
-                        prop_assert_eq!(vass.actions[action].from, run.state(from));
-                        prop_assert_eq!(vass.actions[action].to, run.state(to));
+                        prop_assert_eq!(vass.actions[action].from, run.node(from).state);
+                        prop_assert_eq!(vass.actions[action].to, run.node(to).state);
                         for (t, d) in total.iter_mut().zip(&vass.actions[action].delta) {
                             *t += d;
                         }
@@ -141,38 +138,45 @@ proptest! {
 
     #[test]
     fn witness_paths_chain_control_states(vass in arb_vass(4, 2)) {
-        let mut arena = SharedCoverability::new(&vass);
+        let mut scratch = KmScratch::new(vass.states);
         for init in [0usize, 1, 2, 3, 2, 1] {
-            let run = arena.query(&vass, init, usize::MAX);
-            for vidx in 0..run.node_count() {
+            let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
+            for node in 0..run.node_count() {
                 let mut state = init;
-                for a in run.path_to_node(vidx) {
+                for a in run.path_to_node(node) {
                     prop_assert_eq!(vass.actions[a].from, state);
                     state = vass.actions[a].to;
                 }
-                prop_assert_eq!(state, run.state(vidx), "path ends at the node");
+                prop_assert_eq!(state, run.node(node).state, "path ends at the node");
             }
         }
     }
 
     #[test]
     fn capped_runs_underapproximate(vass in arb_vass(4, 2), cap in 0usize..12) {
-        let mut arena = SharedCoverability::new(&vass);
-        // Warm the arena first so the capped query replays stored spans.
-        let _ = arena.query(&vass, 0, usize::MAX);
-        let run = arena.query(&vass, 1, cap);
+        let mut scratch = KmScratch::new(vass.states);
+        // Warm the scratch first so the capped build runs on stale stamps.
+        let _ = CoverabilityGraph::build_pruned(&vass, 0, usize::MAX, &mut scratch);
+        let run = CoverabilityGraph::build_pruned(&vass, 1, cap, &mut scratch);
         prop_assert!(run.node_count() <= cap);
         let reference = reference_states(&vass, 1);
-        prop_assert!(shared_states(&run).is_subset(&reference));
+        prop_assert!(states_of(&run).is_subset(&reference));
+        if !run.capped() {
+            prop_assert_eq!(states_of(&run), reference, "an untruncated build is complete");
+        }
     }
 
     #[test]
-    fn identical_query_sequences_are_byte_identical(vass in arb_vass(4, 2)) {
-        let mut a = SharedCoverability::new(&vass);
-        let mut b = SharedCoverability::new(&vass);
+    fn repeated_builds_are_byte_identical(vass in arb_vass(4, 2)) {
+        let mut warm = KmScratch::new(vass.states);
         for init in [0usize, 3, 1, 2, 0, 3] {
-            let ra = a.query(&vass, init, usize::MAX);
-            let rb = b.query(&vass, init, usize::MAX);
+            let ra = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut warm);
+            let rb = CoverabilityGraph::build_pruned(
+                &vass,
+                init,
+                usize::MAX,
+                &mut KmScratch::new(vass.states),
+            );
             prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }
     }

@@ -6,7 +6,7 @@
 //! enough to *generate* the misbehaving `Cancel` configuration, and once it
 //! does (12 merge pairs), the lasso decisions over the resulting
 //! Karp–Miller graphs used to grind through the circulation LP for minutes.
-//! The shared arena's subsumption pruning plus the monotone-cycle fast path
+//! Antichain subsumption pruning plus the monotone-cycle fast path
 //! decide the whole instance in well under a second, with every *search*
 //! budget — the 50 000-node Karp–Miller cap included — at its default, so
 //! the verifier reports the violation the paper describes. The fixed
@@ -78,4 +78,18 @@ fn fixed_travel_holds_under_the_same_budgets() {
     let outcome = Verifier::with_config(&t.system, &property, a2_config()).verify();
     assert!(outcome.holds, "the fixed variant must hold: {outcome}");
     assert!(outcome.violation.is_none());
+}
+
+/// A Karp–Miller node cap far below what the A.2 queries need must not
+/// pass silently: every truncated build is counted in `km_capped`.
+#[test]
+fn small_km_node_cap_is_reported_as_capped() {
+    let t = travel_booking(TravelVariant::Buggy);
+    let property = travel_property(&t);
+    let config = VerifierConfig {
+        km_node_cap: 8,
+        ..a2_config()
+    };
+    let outcome = Verifier::with_config(&t.system, &property, config).verify();
+    assert!(outcome.stats.km_capped > 0, "{outcome}");
 }

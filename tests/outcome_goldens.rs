@@ -54,14 +54,15 @@ fn assert_golden(golden: &str, outcome: &Outcome) {
 fn render_stats(label: &str, stats: &Stats) -> String {
     format!(
         "{label} control_states={} transitions={} counter_dimensions={} coverability_nodes={} \
-         rt_entries={} km_reused={} km_subsumed={}",
+         rt_entries={} km_subsumed={} km_capped={} lasso_fallbacks={}",
         stats.control_states,
         stats.transitions,
         stats.counter_dimensions,
         stats.coverability_nodes,
         stats.rt_entries,
-        stats.km_reused,
         stats.km_subsumed,
+        stats.km_capped,
+        stats.lasso_fallbacks,
     )
 }
 

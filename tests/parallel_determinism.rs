@@ -90,9 +90,9 @@ fn deep_narrow_chain_is_deterministic_across_thread_counts() {
 /// to *which* counterexample is reported: with retention on, the rendered
 /// violation — witness tree included, since `Violation::witness` is part of
 /// the compared `Debug` output — must stay byte-identical at every thread
-/// count. The same holds for the shared Karp–Miller arena's reuse and
-/// subsumption counters: a pair's queries extend one arena in initial-state
-/// order on whichever worker runs the pair. Exercised on the travel workload
+/// count. The same holds for the Karp–Miller subsumption counters: each
+/// query's pruned build depends only on its initial state, whichever worker
+/// runs the pair. Exercised on the travel workload
 /// (realistic hierarchy; violated buggy variant, holding fixed variant) and
 /// the deep-narrow chain (the scheduler's worst case).
 #[test]
