@@ -87,28 +87,36 @@ impl DimensionCone {
     /// that is never incremented and that only they decrement; the sink
     /// exists only when some action is disabled.
     pub fn project(&self, vass: &Vass) -> Vass {
-        let mut new_dim_of = vec![usize::MAX; self.keep.len()];
-        let mut k = 0;
-        for (d, &keep) in self.keep.iter().enumerate() {
-            if keep {
-                new_dim_of[d] = k;
-                k += 1;
-            }
-        }
-        let sink = self.any_disabled as usize;
-        let mut out = Vass::new(vass.states, k + sink);
-        for (i, action) in vass.actions.iter().enumerate() {
-            let mut delta = vec![0i64; k + sink];
-            if self.disabled[i] {
-                delta[k] = -1;
+        let index = |d: usize| u32::try_from(d).expect("VASS dimensions are u32-indexed");
+        // (old dimension, new dimension) of each kept dimension, so an
+        // action's projection reads only the kept coordinates.
+        let kept: Vec<(usize, u32)> = self
+            .keep
+            .iter()
+            .enumerate()
+            .filter(|&(_, &keep)| keep)
+            .enumerate()
+            .map(|(new, (old, _))| (old, index(new)))
+            .collect();
+        let k = kept.len();
+        let sink = [(index(k), -1i64)];
+        let mut out = Vass::new(vass.states, k + usize::from(self.any_disabled));
+        out.reserve(vass.action_count());
+        // One sparse buffer reused across actions.
+        let mut delta: Vec<(u32, i64)> = Vec::with_capacity(k);
+        for (a, action) in vass.actions().iter().enumerate() {
+            if self.disabled[a] {
+                out.add_action_sparse(action.from, &sink, action.to);
             } else {
-                for (d, &v) in action.delta.iter().enumerate() {
-                    if v != 0 && self.keep[d] {
-                        delta[new_dim_of[d]] = v;
-                    }
-                }
+                let full = vass.delta(a);
+                delta.clear();
+                delta.extend(
+                    kept.iter()
+                        .filter(|&&(old, _)| full[old] != 0)
+                        .map(|&(old, new)| (new, full[old])),
+                );
+                out.add_action_sparse(action.from, &delta, action.to);
             }
-            out.add_action(action.from, delta, action.to);
         }
         out
     }
@@ -130,8 +138,9 @@ impl DimensionCone {
 /// dimensions) than each per-init cone.
 pub fn dimension_cone_multi(vass: &Vass, inits: &[usize]) -> DimensionCone {
     let dim = vass.dim;
-    let n_actions = vass.actions.len();
-    let adjacency = vass.adjacency();
+    let actions = vass.actions();
+    let n_actions = actions.len();
+    let adjacency = vass.action_csr();
     let mut alive = vec![true; n_actions];
     let mut disabled = vec![false; n_actions];
     let max_init = inits.iter().copied().max().map_or(0, |m| m + 1);
@@ -148,18 +157,19 @@ pub fn dimension_cone_multi(vass: &Vass, inits: &[usize]) -> DimensionCone {
             }
         }
         while let Some(s) = queue.pop_front() {
-            for &a in &adjacency[s] {
-                if alive[a] && !reach[vass.actions[a].to] {
-                    reach[vass.actions[a].to] = true;
-                    queue.push_back(vass.actions[a].to);
+            for &a in adjacency.actions_from(s) {
+                let to = actions[a as usize].to;
+                if alive[a as usize] && !reach[to] {
+                    reach[to] = true;
+                    queue.push_back(to);
                 }
             }
         }
         // Which dimensions some reachable live action increments.
         let mut incremented = vec![false; dim];
-        for (a, action) in vass.actions.iter().enumerate() {
+        for (a, action) in actions.iter().enumerate() {
             if alive[a] && reach[action.from] {
-                for (d, &v) in action.delta.iter().enumerate() {
+                for (d, &v) in vass.delta(a).iter().enumerate() {
                     if v > 0 {
                         incremented[d] = true;
                     }
@@ -169,11 +179,11 @@ pub fn dimension_cone_multi(vass: &Vass, inits: &[usize]) -> DimensionCone {
         // Rule 1: a reachable live action decrementing a never-incremented
         // dimension can never fire.
         let mut changed = false;
-        for (a, action) in vass.actions.iter().enumerate() {
+        for (a, action) in actions.iter().enumerate() {
             if alive[a]
                 && reach[action.from]
-                && action
-                    .delta
+                && vass
+                    .delta(a)
                     .iter()
                     .enumerate()
                     .any(|(d, &v)| v < 0 && !incremented[d])
@@ -189,9 +199,9 @@ pub fn dimension_cone_multi(vass: &Vass, inits: &[usize]) -> DimensionCone {
         // Fixpoint. Rule 2: keep exactly the dimensions some reachable live
         // action decrements.
         let mut keep = vec![false; dim];
-        for (a, action) in vass.actions.iter().enumerate() {
+        for (a, action) in actions.iter().enumerate() {
             if alive[a] && reach[action.from] {
-                for (d, &v) in action.delta.iter().enumerate() {
+                for (d, &v) in vass.delta(a).iter().enumerate() {
                     if v < 0 {
                         keep[d] = true;
                     }
@@ -225,7 +235,7 @@ mod tests {
         assert!(!cone.is_trivial());
         let p = cone.project(&v);
         assert_eq!(p.dim, 0);
-        assert_eq!(p.actions.len(), v.actions.len());
+        assert_eq!(p.actions(), v.actions());
     }
 
     /// A retrieve with no reachable insert: the action is disabled and the

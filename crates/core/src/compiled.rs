@@ -137,34 +137,47 @@ impl CompiledBuchi {
         self.words
     }
 
-    /// States reachable by reading the *first* letter of a word, in
-    /// ascending state order (the order of [`Buchi::initial_successors`]).
-    pub fn initial_successors(&self, letter: &[u64]) -> Vec<BuchiState> {
+    /// Writes into `out` (cleared first) the states reachable by reading
+    /// the *first* letter of a word, in ascending state order (the order of
+    /// [`Buchi::initial_successors`]). The caller owns and reuses `out`, so
+    /// stepping allocates nothing once it has grown.
+    pub fn initial_successors(&self, letter: &[u64], out: &mut Vec<BuchiState>) {
         let w = self.words;
-        self.init_states
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| {
-                matches(
-                    letter,
-                    &self.init_pos[i * w..(i + 1) * w],
-                    &self.init_neg[i * w..(i + 1) * w],
-                )
-            })
-            .map(|(_, &s)| BuchiState(s as usize))
-            .collect()
+        out.clear();
+        out.extend(
+            self.init_states
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| {
+                    matches(
+                        letter,
+                        &self.init_pos[i * w..(i + 1) * w],
+                        &self.init_neg[i * w..(i + 1) * w],
+                    )
+                })
+                .map(|(_, &s)| BuchiState(s as usize)),
+        );
     }
 
-    /// Successor states of `state` when reading a letter, in the source
-    /// automaton's transition order (the order of [`Buchi::step`]).
-    pub fn step(&self, state: BuchiState, letter: &[u64]) -> Vec<BuchiState> {
+    /// Writes into `out` (cleared first) the successor states of `state`
+    /// when reading a letter, in the source automaton's transition order
+    /// (the order of [`Buchi::step`]).
+    pub fn step(&self, state: BuchiState, letter: &[u64], out: &mut Vec<BuchiState>) {
         let w = self.words;
         let lo = self.offsets[state.0] as usize;
         let hi = self.offsets[state.0 + 1] as usize;
-        (lo..hi)
-            .filter(|&e| matches(letter, &self.pos[e * w..(e + 1) * w], &self.neg[e * w..(e + 1) * w]))
-            .map(|e| BuchiState(self.targets[e] as usize))
-            .collect()
+        out.clear();
+        out.extend(
+            (lo..hi)
+                .filter(|&e| {
+                    matches(
+                        letter,
+                        &self.pos[e * w..(e + 1) * w],
+                        &self.neg[e * w..(e + 1) * w],
+                    )
+                })
+                .map(|e| BuchiState(self.targets[e] as usize)),
+        );
     }
 
     /// Whether `state` is Büchi (infinite-word) accepting.
@@ -210,20 +223,25 @@ mod tests {
         let props = vec![a.clone(), b.clone()];
         let compiled = CompiledBuchi::new(&buchi, &props);
 
+        // One buffer across every call: each call must clear what the
+        // previous one left behind.
+        let mut out = vec![BuchiState(usize::MAX)];
         for mask in 0..4usize {
             let truth = [mask & 1 != 0, mask & 2 != 0];
             let l = letter(&props, &truth);
             let assignment = |p: &TaskProp| {
                 props.iter().position(|q| q == p).map(|i| truth[i]).unwrap_or(false)
             };
+            compiled.initial_successors(&l, &mut out);
             assert_eq!(
-                compiled.initial_successors(&l),
+                out,
                 buchi.initial_successors(assignment),
                 "initial successors under {truth:?}"
             );
             for s in 0..buchi.state_count() {
+                compiled.step(BuchiState(s), &l, &mut out);
                 assert_eq!(
-                    compiled.step(BuchiState(s), &l),
+                    out,
                     buchi.step(BuchiState(s), assignment),
                     "successors of state {s} under {truth:?}"
                 );

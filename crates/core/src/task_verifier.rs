@@ -12,8 +12,11 @@ use has_model::{
     ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort,
 };
 use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
-use has_vass::{BitSet, CoverabilityGraph, CycleSearch, FxHashMap, Interner, KmScratch, Vass};
-use std::collections::{BTreeMap, VecDeque};
+use has_vass::{
+    BitSet, CoverabilityGraph, CycleSearch, FxBuildHasher, FxHashMap, Interner, KmScratch, Vass,
+};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The cost measures of one `(T, β, τ_in)` Lemma 21 query, accumulated into
@@ -133,14 +136,40 @@ pub struct RtEntry {
     pub details: Option<Arc<EntryDetails>>,
 }
 
-impl RtEntry {
-    /// Whether two candidates describe the same `R_T` tuple — the
-    /// deduplication key of [`TaskVerifier::reduce_queries`], which merges
-    /// the witnesses of equal tuples instead of keeping duplicates.
-    fn same_tuple(&self, other: &RtEntry) -> bool {
-        self.input_key == other.input_key
-            && self.output == other.output
-            && self.beta == other.beta
+/// The identity of an `R_T` tuple `(τ_in, τ_out, β)`: the deduplication key
+/// of [`TaskVerifier::reduce_queries`], which merges the witnesses of equal
+/// tuples instead of keeping duplicates.
+type TupleKey = (ProjectionKey, Option<SymState>, Vec<bool>);
+
+/// Candidate entries reduced to one entry per tuple, in first-seen order,
+/// with a hash index from each tuple to its entry.
+#[derive(Default)]
+struct EntryReduction {
+    entries: Vec<RtEntry>,
+    index: FxHashMap<TupleKey, usize>,
+}
+
+impl EntryReduction {
+    /// Adds a candidate: a new tuple is appended; an equal tuple's witness
+    /// kinds merge into the kept entry, which takes the candidate's details
+    /// when the candidate is the first lasso for it or the kept entry has
+    /// none.
+    fn add(&mut self, e: RtEntry) {
+        let key = (e.input_key.clone(), e.output.clone(), e.beta.clone());
+        match self.index.entry(key) {
+            Entry::Occupied(slot) => {
+                let kept = &mut self.entries[*slot.get()];
+                let had_lasso = kept.witness.lasso;
+                kept.witness.merge(e.witness);
+                if (!had_lasso && e.witness.lasso) || kept.details.is_none() {
+                    kept.details = e.details;
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.entries.len());
+                self.entries.push(e);
+            }
+        }
     }
 }
 
@@ -176,9 +205,41 @@ enum ChildStatus {
 }
 
 /// One flat transition of the product under construction: source control
-/// state, sparse counter deltas as `(dim, amount)` pairs, target control
-/// state.
-type FlatTransition = (u32, Vec<(u32, i64)>, u32);
+/// state, counter delta, target control state.
+type FlatTransition = (u32, SparseDelta, u32);
+
+/// The counter delta of one transition of `V(T, β)`, sparse and inline. A
+/// service moves at most two counters, one insert (`+1`) and one retrieve
+/// (`−1`) (Definition 17), so the delta is two optional dimensions and the
+/// value is `Copy`. When both name one dimension they cancel at assembly:
+/// [`Vass::add_action_sparse`] adds the amounts at one index.
+#[derive(Clone, Copy, Default)]
+struct SparseDelta {
+    insert: Option<u32>,
+    retrieve: Option<u32>,
+}
+
+impl SparseDelta {
+    fn new(insert: Option<usize>, retrieve: Option<usize>) -> Self {
+        let index = |d: usize| u32::try_from(d).expect("counter dimensions are u32-indexed");
+        SparseDelta {
+            insert: insert.map(index),
+            retrieve: retrieve.map(index),
+        }
+    }
+
+    /// The `(dim, amount)` pairs, written into the caller's `buf`.
+    fn entries(self, buf: &mut [(u32, i64); 2]) -> &[(u32, i64)] {
+        let mut n = 0;
+        for (dim, amount) in [(self.insert, 1), (self.retrieve, -1)] {
+            if let Some(dim) = dim {
+                buf[n] = (dim, amount);
+                n += 1;
+            }
+        }
+        &buf[..n]
+    }
+}
 
 /// The part of a letter fixed by the symbolic state alone: the
 /// word-packed truth values of the condition propositions, and the bits the
@@ -724,10 +785,12 @@ impl<'a> TaskVerifier<'a> {
         letters
     }
 
-    fn step_buchi(&self, q: Option<BuchiState>, letter: &[u64]) -> Vec<BuchiState> {
+    /// Writes the Büchi successors on `letter` into the caller-owned `out`:
+    /// the initial successors for `q = None`, else the successors of `q`.
+    fn step_buchi(&self, q: Option<BuchiState>, letter: &[u64], out: &mut Vec<BuchiState>) {
         match q {
-            None => self.cbuchi.initial_successors(letter),
-            Some(q) => self.cbuchi.step(q, letter),
+            None => self.cbuchi.initial_successors(letter, out),
+            Some(q) => self.cbuchi.step(q, letter, out),
         }
     }
 
@@ -1013,9 +1076,6 @@ impl<'a> TaskVerifier<'a> {
             index: FxHashMap::default(),
             of_sym: Vec::new(),
         };
-        // Transitions: (from, delta as sparse (dim, amount) pairs, to). A
-        // service contributes at most one insert and one retrieve, so a flat
-        // two-entry vector replaces the former per-transition `BTreeMap`.
         let mut transitions: Vec<FlatTransition> = Vec::new();
         let mut initial_states: Vec<usize> = Vec::new();
         let mut input_keys: Vec<ProjectionKey> = Vec::new();
@@ -1025,14 +1085,8 @@ impl<'a> TaskVerifier<'a> {
         let retain = self.config.witnesses;
         let mut labels: Vec<WitnessStep> = Vec::new();
 
-        // Accumulates a counter bump into the sparse delta.
-        let bump = |delta: &mut Vec<(u32, i64)>, dim: usize, amount: i64| {
-            let dim = dim as u32;
-            match delta.iter_mut().find(|(d, _)| *d == dim) {
-                Some((_, a)) => *a += amount,
-                None => delta.push((dim, amount)),
-            }
-        };
+        // Büchi successors of the current step, one buffer for the build.
+        let mut succ: Vec<BuchiState> = Vec::new();
 
         // The step memos (DESIGN.md §5.13), dropped when the build returns.
         let mut memo = BuildMemo::default();
@@ -1043,7 +1097,8 @@ impl<'a> TaskVerifier<'a> {
             let sym_id = syms.intern(input.clone()).0;
             let letters = self.letters_of(&mut memo, &syms, sym_id, ServiceRef::Opening(self.task));
             for letter in letters {
-                for q in self.step_buchi(None, letter) {
+                self.step_buchi(None, letter, &mut succ);
+                for &q in &succ {
                     let c = CState {
                         sym: sym_id,
                         q,
@@ -1098,16 +1153,12 @@ impl<'a> TaskVerifier<'a> {
                         .then(|| counter_dims.dim(self.ctx, &syms, current.sym));
                     let sref = ServiceRef::Internal(self.task, service_idx);
                     for post_id in posts {
-                        let mut delta: Vec<(u32, i64)> = Vec::new();
-                        if let Some(dim) = insert_dim {
-                            bump(&mut delta, dim, 1);
-                        }
-                        if counted && service.delta.retrieves() {
-                            let dim = counter_dims.dim(self.ctx, &syms, post_id);
-                            bump(&mut delta, dim, -1);
-                        }
+                        let retrieve_dim = (counted && service.delta.retrieves())
+                            .then(|| counter_dims.dim(self.ctx, &syms, post_id));
+                        let delta = SparseDelta::new(insert_dim, retrieve_dim);
                         for letter in self.letters_of(&mut memo, &syms, post_id, sref) {
-                            for q in self.step_buchi(Some(current.q), letter) {
+                            self.step_buchi(Some(current.q), letter, &mut succ);
+                            for &q in &succ {
                                 let next = CState {
                                     sym: post_id,
                                     q,
@@ -1116,7 +1167,7 @@ impl<'a> TaskVerifier<'a> {
                                     input_index: current.input_index,
                                 };
                                 let (nid, newly) = cstates.intern(next);
-                                transitions.push((id, delta.clone(), nid));
+                                transitions.push((id, delta, nid));
                                 if retain {
                                     labels.push(WitnessStep::Internal {
                                         service: service.name.clone(),
@@ -1148,7 +1199,8 @@ impl<'a> TaskVerifier<'a> {
                 for choice in &open.choices {
                     let entry = &summary.entries[choice.entry];
                     for letter in &choice.letters {
-                        for q in self.step_buchi(Some(current.q), letter) {
+                        self.step_buchi(Some(current.q), letter, &mut succ);
+                        for &q in &succ {
                             let next = CState {
                                 sym: current.sym,
                                 q,
@@ -1160,7 +1212,7 @@ impl<'a> TaskVerifier<'a> {
                                 input_index: current.input_index,
                             };
                             let (nid, newly) = cstates.intern(next);
-                            transitions.push((id, Vec::new(), nid));
+                            transitions.push((id, SparseDelta::default(), nid));
                             if retain {
                                 labels.push(WitnessStep::OpenChild {
                                     child,
@@ -1186,7 +1238,8 @@ impl<'a> TaskVerifier<'a> {
                 let new_sym_id = self.returned(&mut memo, &mut syms, current.sym, child, out);
                 let sref = ServiceRef::Closing(child);
                 for letter in self.letters_of(&mut memo, &syms, new_sym_id, sref) {
-                    for q in self.step_buchi(Some(current.q), letter) {
+                    self.step_buchi(Some(current.q), letter, &mut succ);
+                    for &q in &succ {
                         let next = CState {
                             sym: new_sym_id,
                             q,
@@ -1195,7 +1248,7 @@ impl<'a> TaskVerifier<'a> {
                             input_index: current.input_index,
                         };
                         let (nid, newly) = cstates.intern(next);
-                        transitions.push((id, Vec::new(), nid));
+                        transitions.push((id, SparseDelta::default(), nid));
                         if retain {
                             labels.push(WitnessStep::CloseChild {
                                 child,
@@ -1217,7 +1270,8 @@ impl<'a> TaskVerifier<'a> {
             {
                 let sref = ServiceRef::Closing(self.task);
                 for letter in self.letters_of(&mut memo, &syms, current.sym, sref) {
-                    for q in self.step_buchi(Some(current.q), letter) {
+                    self.step_buchi(Some(current.q), letter, &mut succ);
+                    for &q in &succ {
                         let next = CState {
                             sym: current.sym,
                             q,
@@ -1226,7 +1280,7 @@ impl<'a> TaskVerifier<'a> {
                             input_index: current.input_index,
                         };
                         let (nid, _) = cstates.intern(next);
-                        transitions.push((id, Vec::new(), nid));
+                        transitions.push((id, SparseDelta::default(), nid));
                         if retain {
                             labels.push(WitnessStep::CloseTask);
                         }
@@ -1249,12 +1303,10 @@ impl<'a> TaskVerifier<'a> {
         // ----------------------------------------------------------------
         let dim = counter_dims.index.len();
         let mut vass = Vass::new(states.len(), dim);
-        for (from, delta, to) in &transitions {
-            let mut d = vec![0i64; dim];
-            for &(k, v) in delta {
-                d[k as usize] = v;
-            }
-            vass.add_action(*from as usize, d, *to as usize);
+        vass.reserve(transitions.len());
+        let mut buf = [(0, 0); 2];
+        for &(from, delta, to) in &transitions {
+            vass.add_action_sparse(from as usize, delta.entries(&mut buf), to as usize);
         }
 
         let mut accepting = BitSet::new(states.len());
@@ -1374,18 +1426,27 @@ impl<'a> TaskVerifier<'a> {
             })
         };
 
-        // Returning paths, over the node order.
+        // Returning paths, over the node order. They share the query's
+        // input key, β and the default witness, so of the nodes with one
+        // output only the first can survive `reduce_queries` (a duplicate
+        // merges nothing and keeps the first details): each symbolic state
+        // is projected once, and only the first node per distinct output
+        // becomes a candidate and renders its details.
+        let mut seen_syms: HashSet<u32, FxBuildHasher> = HashSet::default();
+        let mut seen_outputs: HashSet<SymState, FxBuildHasher> = HashSet::default();
         for (node, cs) in run.nodes().map(|n| &states[n.state]).enumerate() {
-            if cs.closed && finite_ok(cs) {
-                let projected =
-                    self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: Some(projected),
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness::default(),
-                    details: point_details(node),
-                });
+            if cs.closed && finite_ok(cs) && seen_syms.insert(cs.sym) {
+                let projected = self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
+                if !seen_outputs.contains(&projected) {
+                    seen_outputs.insert(projected.clone());
+                    candidates.push(RtEntry {
+                        input_key: input_key.clone(),
+                        output: Some(projected),
+                        beta: self.beta.clone(),
+                        witness: NonReturningWitness::default(),
+                        details: point_details(node),
+                    });
+                }
             }
         }
         // Blocking paths.
@@ -1482,7 +1543,7 @@ impl<'a> TaskVerifier<'a> {
         per_init: impl IntoIterator<Item = (Vec<RtEntry>, QueryCost)>,
     ) -> (Vec<RtEntry>, Stats) {
         let mut stats = graph.stats.clone();
-        let mut entries: Vec<RtEntry> = Vec::new();
+        let mut reduction = EntryReduction::default();
         for (candidates, cost) in per_init {
             stats.coverability_nodes += cost.km_nodes;
             stats.counter_dims_before += cost.dims_before;
@@ -1491,20 +1552,11 @@ impl<'a> TaskVerifier<'a> {
             stats.km_capped += cost.km_capped;
             stats.lasso_fallbacks += cost.lasso_fallbacks;
             for e in candidates {
-                match entries.iter_mut().find(|kept| kept.same_tuple(&e)) {
-                    Some(kept) => {
-                        let had_lasso = kept.witness.lasso;
-                        kept.witness.merge(e.witness);
-                        if (!had_lasso && e.witness.lasso) || kept.details.is_none() {
-                            kept.details = e.details;
-                        }
-                    }
-                    None => entries.push(e),
-                }
+                reduction.add(e);
             }
         }
-        stats.rt_entries = entries.len();
-        (entries, stats)
+        stats.rt_entries = reduction.entries.len();
+        (reduction.entries, stats)
     }
 }
 
@@ -1587,4 +1639,54 @@ pub struct PairShared {
     /// Per-control-state Karp–Miller scratch (ancestor index, antichains),
     /// allocated once per pair and stamped per query.
     scratch: KmScratch,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A non-returning candidate for input `input`, with details tagged by
+    /// the length of their cycle (`None` for tag 0).
+    fn candidate(input: u32, blocking: bool, lasso: bool, tag: usize) -> RtEntry {
+        RtEntry {
+            input_key: vec![input],
+            output: None,
+            beta: vec![true],
+            witness: NonReturningWitness { blocking, lasso },
+            details: (tag > 0).then(|| {
+                Arc::new(EntryDetails {
+                    prefix: Vec::new(),
+                    cycle: vec![WitnessStep::CloseTask; tag],
+                    cycle_truncated: false,
+                })
+            }),
+        }
+    }
+
+    fn tag(e: &RtEntry) -> usize {
+        e.details.as_ref().map_or(0, |d| d.cycle.len())
+    }
+
+    #[test]
+    fn hashed_reduction_keeps_first_seen_order_and_lasso_details() {
+        let mut reduction = EntryReduction::default();
+        reduction.add(candidate(7, true, false, 1)); // blocking first
+        reduction.add(candidate(3, false, true, 2));
+        reduction.add(candidate(9, false, false, 0)); // no details yet
+        reduction.add(candidate(7, false, true, 3)); // first lasso for 7 wins
+        reduction.add(candidate(7, false, true, 4)); // a later lasso does not
+        reduction.add(candidate(3, true, false, 5)); // blocking never beats lasso
+        reduction.add(candidate(9, true, false, 6)); // fills missing details
+
+        let inputs: Vec<u32> = reduction.entries.iter().map(|e| e.input_key[0]).collect();
+        assert_eq!(inputs, [7, 3, 9], "first-seen order");
+        let witnesses: Vec<(bool, bool)> = reduction
+            .entries
+            .iter()
+            .map(|e| (e.witness.blocking, e.witness.lasso))
+            .collect();
+        assert_eq!(witnesses, [(true, true), (true, true), (true, false)]);
+        let tags: Vec<usize> = reduction.entries.iter().map(tag).collect();
+        assert_eq!(tags, [3, 2, 6]);
+    }
 }

@@ -35,14 +35,19 @@ pub struct VerifierConfig {
     /// when refining a successor state.
     pub max_merge_pairs: usize,
     /// Cap on the number of property propositions left undetermined by the
-    /// abstraction that are branched over per letter.
+    /// abstraction that are branched over per letter. Unknown propositions
+    /// past the cap read as `false` in every letter, so the letters then
+    /// under-approximate the possible truth assignments and a `holds`
+    /// verdict covers only the explored letters.
     pub max_unknown_props: usize,
     /// Cap on the number of Karp–Miller coverability-graph nodes built per
     /// reachability query (truncation under-approximates the search).
     pub km_node_cap: usize,
     /// Whether to build the Hierarchical Cell Decomposition for arithmetic
-    /// constraints (Section 5). The decomposition is reported in the
-    /// statistics and used to refine arithmetic atoms where possible.
+    /// constraints (Section 5). Its cell count is only recorded in
+    /// [`crate::outcome::Stats::hcd_cells`]; no verification step reads the
+    /// decomposition, and arithmetic atoms stay three-valued and resolved
+    /// optimistically (DESIGN.md §5.5).
     pub use_cells: bool,
     /// Number of worker threads for the `(T, β)` fan-out. Every value runs
     /// the same readiness-driven scheduler: a `(T, β)` pair becomes ready

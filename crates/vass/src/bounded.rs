@@ -46,7 +46,7 @@ impl BoundedExplorer {
         vass: &Vass,
         init: usize,
     ) -> BTreeSet<(usize, Vec<u64>)> {
-        let adjacency = vass.adjacency();
+        let adjacency = vass.action_csr();
         let mut seen = BTreeSet::new();
         let start = (init, vec![0u64; vass.dim]);
         let mut queue = VecDeque::from([start.clone()]);
@@ -55,10 +55,10 @@ impl BoundedExplorer {
             if seen.len() >= self.max_configurations {
                 break;
             }
-            for action in adjacency[state].iter().map(|&i| &vass.actions[i]) {
+            for &a in adjacency.actions_from(state) {
                 let mut next = counters.clone();
                 let mut ok = true;
-                for (c, d) in next.iter_mut().zip(&action.delta) {
+                for (c, d) in next.iter_mut().zip(vass.delta(a as usize)) {
                     let v = *c as i128 + *d as i128;
                     if v < 0 || v > self.cap as i128 {
                         ok = false;
@@ -69,7 +69,7 @@ impl BoundedExplorer {
                 if !ok {
                     continue;
                 }
-                let config = (action.to, next);
+                let config = (vass.actions()[a as usize].to, next);
                 if seen.insert(config.clone()) {
                     queue.push_back(config);
                 }
@@ -99,7 +99,7 @@ impl BoundedExplorer {
         let Some(candidates) = by_state.get(&target) else {
             return false;
         };
-        let adjacency = vass.adjacency();
+        let adjacency = vass.action_csr();
         for base in candidates {
             // Forward search from (target, base), at least one step.
             let mut seen = BTreeSet::new();
@@ -111,10 +111,10 @@ impl BoundedExplorer {
                 if seen.len() >= self.max_configurations {
                     break;
                 }
-                for action in adjacency[state].iter().map(|&i| &vass.actions[i]) {
+                for &a in adjacency.actions_from(state) {
                     let mut next = counters.clone();
                     let mut ok = true;
-                    for (c, d) in next.iter_mut().zip(&action.delta) {
+                    for (c, d) in next.iter_mut().zip(vass.delta(a as usize)) {
                         let v = *c as i128 + *d as i128;
                         if v < 0 || v > self.cap as i128 {
                             ok = false;
@@ -125,8 +125,9 @@ impl BoundedExplorer {
                     if !ok {
                         continue;
                     }
-                    if seen.insert((action.to, next.clone())) {
-                        queue.push_back((action.to, next, steps + 1));
+                    let to = vass.actions()[a as usize].to;
+                    if seen.insert((to, next.clone())) {
+                        queue.push_back((to, next, steps + 1));
                     }
                 }
             }

@@ -419,8 +419,8 @@ impl CoverabilityGraph {
                 ancestors.build(&graph, node_id);
             }
             for &action_idx in adjacency.actions_from(state) {
-                let action = &vass.actions[action_idx as usize];
-                if !add_into(&current, &action.delta, &mut next) {
+                let action = vass.actions()[action_idx as usize];
+                if !add_into(&current, vass.delta(action_idx as usize), &mut next) {
                     continue;
                 }
                 if accelerable {
@@ -703,7 +703,7 @@ impl CoverabilityGraph {
         edges.extend(self.jumps.iter().map(|&(from, action, to)| DeltaEdge {
             from: from as usize,
             to: to as usize,
-            delta: &vass.actions[action as usize].delta,
+            delta: vass.delta(action as usize),
         }));
         edges.extend(self.eps_jumps.iter().map(|&(from, to)| DeltaEdge {
             from: from as usize,
@@ -724,7 +724,7 @@ impl CoverabilityGraph {
             .map(|&(from, action, to)| DeltaEdge {
                 from: from as usize,
                 to: to as usize,
-                delta: &vass.actions[action as usize].delta,
+                delta: vass.delta(action as usize),
             })
             .collect()
     }
@@ -822,9 +822,9 @@ mod tests {
         // The prefix to the cycle's start replays to its control state.
         let prefix = g.path_to_node(start);
         assert_eq!(prefix.len(), 1);
-        assert_eq!(v.actions[prefix[0]].to, 1);
+        assert_eq!(v.actions()[prefix[0]].to, 1);
         // Summed effect of the cycle is non-negative.
-        let sum: i64 = walk.iter().map(|&(_, a, _)| v.actions[a].delta[0]).sum();
+        let sum: i64 = walk.iter().map(|&(_, a, _)| v.delta(a)[0]).sum();
         assert!(sum >= 0);
     }
 
@@ -1008,8 +1008,8 @@ mod tests {
         for node in 0..g.node_count() {
             let mut state = 0usize;
             for a in g.path_to_node(node) {
-                assert_eq!(v.actions[a].from, state);
-                state = v.actions[a].to;
+                assert_eq!(v.actions()[a].from, state);
+                state = v.actions()[a].to;
             }
             assert_eq!(state, g.node(node).state);
         }

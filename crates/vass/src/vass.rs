@@ -4,13 +4,12 @@ use crate::coverability::CoverabilityGraph;
 use std::fmt;
 
 /// An action `(from, δ, to)`: move from control state `from` to `to`, adding
-/// `δ` to the counter vector (which must stay non-negative).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// `δ` to the counter vector (which must stay non-negative). The delta `δ`
+/// lives in the owning [`Vass`]'s flat arena: read it with [`Vass::delta`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Action {
     /// Source control state.
     pub from: usize,
-    /// Counter delta.
-    pub delta: Vec<i64>,
     /// Target control state.
     pub to: usize,
 }
@@ -22,8 +21,12 @@ pub struct Vass {
     pub states: usize,
     /// Vector dimension.
     pub dim: usize,
-    /// Actions.
-    pub actions: Vec<Action>,
+    /// Actions, in insertion order.
+    actions: Vec<Action>,
+    /// The action deltas, `dim` entries per action in action order: action
+    /// `a`'s delta is `deltas[a * dim..(a + 1) * dim]`. One flat arena
+    /// instead of one heap vector per action.
+    deltas: Vec<i64>,
 }
 
 impl Vass {
@@ -33,7 +36,16 @@ impl Vass {
             states,
             dim,
             actions: Vec::new(),
+            deltas: Vec::new(),
         }
+    }
+
+    /// Reserves room for at least `additional` more actions (and their
+    /// deltas), so a caller that knows its action count assembles the VASS
+    /// without regrowing the arena.
+    pub fn reserve(&mut self, additional: usize) {
+        self.actions.reserve(additional);
+        self.deltas.reserve(additional * self.dim);
     }
 
     /// Adds an action.
@@ -44,38 +56,47 @@ impl Vass {
     pub fn add_action(&mut self, from: usize, delta: Vec<i64>, to: usize) {
         assert!(from < self.states && to < self.states, "state out of range");
         assert_eq!(delta.len(), self.dim, "delta dimension mismatch");
-        self.actions.push(Action { from, delta, to });
+        self.actions.push(Action { from, to });
+        self.deltas.extend_from_slice(&delta);
     }
 
-    /// Actions leaving a control state.
+    /// Adds an action whose delta is given sparsely as `(index, amount)`
+    /// pairs; every other coordinate is zero, and amounts at the same index
+    /// add up. Equivalent to [`Vass::add_action`] with the densified vector,
+    /// without allocating it.
     ///
-    /// This scans the whole action list; callers that repeatedly expand
-    /// states (graph construction, explicit exploration) should precompute
-    /// [`Vass::adjacency`] once instead.
-    pub fn actions_from(&self, state: usize) -> impl Iterator<Item = (usize, &Action)> {
-        self.actions
-            .iter()
-            .enumerate()
-            .filter(move |(_, a)| a.from == state)
-    }
-
-    /// Per-state adjacency: `adjacency()[s]` lists the indices of the actions
-    /// leaving state `s`, in insertion order. One O(|actions|) pass replaces
-    /// the per-expansion scans of [`Vass::actions_from`].
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.states];
-        for (i, a) in self.actions.iter().enumerate() {
-            adj[a.from].push(i);
+    /// # Panics
+    /// Panics if the states are out of range or an index is not below
+    /// [`Vass::dim`].
+    pub fn add_action_sparse(&mut self, from: usize, delta: &[(u32, i64)], to: usize) {
+        assert!(from < self.states && to < self.states, "state out of range");
+        for &(index, _) in delta {
+            assert!(
+                (index as usize) < self.dim,
+                "delta index {index} out of range"
+            );
         }
-        adj
+        let base = self.deltas.len();
+        self.deltas.resize(base + self.dim, 0);
+        for &(index, amount) in delta {
+            self.deltas[base + index as usize] += amount;
+        }
+        self.actions.push(Action { from, to });
     }
 
-    /// Per-state adjacency in CSR form: two flat arrays instead of one
-    /// allocation per state. [`ActionCsr::actions_from`] returns the action
-    /// indices leaving a state, in insertion order (the same order as
-    /// [`Vass::adjacency`]). This is what the hot graph constructions use;
-    /// [`Vass::adjacency`] remains for callers that want owned per-state
-    /// lists.
+    /// The actions, in insertion order; action `a` is `actions()[a]`.
+    pub fn actions(&self) -> &[Action] {
+        &self.actions
+    }
+
+    /// The delta of action `a` (length [`Vass::dim`]).
+    pub fn delta(&self, a: usize) -> &[i64] {
+        &self.deltas[a * self.dim..(a + 1) * self.dim]
+    }
+
+    /// Per-state adjacency in compressed-sparse-row form: two flat arrays
+    /// instead of one allocation per state. [`ActionCsr::actions_from`]
+    /// returns the action indices leaving a state, in insertion order.
     pub fn action_csr(&self) -> ActionCsr {
         let mut offsets = vec![0u32; self.states + 1];
         for a in &self.actions {
@@ -235,6 +256,37 @@ mod tests {
         let v = Vass::new(1, 0);
         assert!(!v.state_repeated_reachable(0, 0));
         assert!(v.state_reachable(0, 0));
+    }
+
+    #[test]
+    fn sparse_action_equals_densified_action() {
+        let mut sparse = Vass::new(2, 4);
+        let mut dense = Vass::new(2, 4);
+        let mut add = |from: usize, delta: &[(u32, i64)], to: usize| {
+            sparse.add_action_sparse(from, delta, to);
+            let mut d = vec![0i64; 4];
+            for &(k, v) in delta {
+                d[k as usize] += v;
+            }
+            dense.add_action(from, d, to);
+        };
+        add(0, &[], 1);
+        add(1, &[(3, 1), (0, -1)], 0);
+        add(0, &[(2, 1), (2, -1)], 0); // insert and retrieve on one dim cancel
+        add(1, &[(1, -1)], 1);
+        assert_eq!(sparse.actions(), dense.actions());
+        for a in 0..dense.action_count() {
+            assert_eq!(sparse.delta(a), dense.delta(a));
+        }
+        assert_eq!(sparse.delta(1), &[-1, 0, 0, 1]);
+        assert_eq!(sparse.delta(2), &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sparse_index_out_of_range_panics() {
+        let mut v = Vass::new(1, 2);
+        v.add_action_sparse(0, &[(2, 1)], 0);
     }
 
     #[test]

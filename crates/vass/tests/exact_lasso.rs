@@ -174,7 +174,7 @@ fn walk_witness_exists(
             }
             seen[node].push((acc.clone(), depth));
             for &(action_idx, next) in &adj[node] {
-                let delta = &vass.actions[action_idx].delta;
+                let delta = vass.delta(action_idx);
                 let next_acc: Vec<i64> = acc.iter().zip(delta).map(|(a, d)| a + d).collect();
                 stack.push((next, next_acc, depth + 1));
             }

@@ -73,7 +73,7 @@ impl RefGraph {
         if max_nodes == 0 {
             return graph;
         }
-        let actions_by_state = vass.adjacency();
+        let actions_by_state = vass.action_csr();
         let root_marking = vec![0u64; vass.dim];
         let root = graph
             .intern(init, root_marking, None, None, max_nodes)
@@ -93,9 +93,10 @@ impl RefGraph {
                 let n = &graph.nodes[node_id];
                 (n.state, n.marking.clone())
             };
-            for &action_idx in &actions_by_state[state] {
-                let action = &vass.actions[action_idx];
-                let Some(mut next) = add(&marking, &action.delta) else {
+            for &action_idx in actions_by_state.actions_from(state) {
+                let action_idx = action_idx as usize;
+                let action = vass.actions()[action_idx];
+                let Some(mut next) = add(&marking, vass.delta(action_idx)) else {
                     continue;
                 };
                 // ω-acceleration over the parent chain, nearest ancestor

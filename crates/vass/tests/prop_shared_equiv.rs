@@ -122,9 +122,9 @@ proptest! {
                     let mut at = start;
                     for &(from, action, to) in &walk {
                         prop_assert_eq!(from, at, "consecutive edges chain");
-                        prop_assert_eq!(vass.actions[action].from, run.node(from).state);
-                        prop_assert_eq!(vass.actions[action].to, run.node(to).state);
-                        for (t, d) in total.iter_mut().zip(&vass.actions[action].delta) {
+                        prop_assert_eq!(vass.actions()[action].from, run.node(from).state);
+                        prop_assert_eq!(vass.actions()[action].to, run.node(to).state);
+                        for (t, d) in total.iter_mut().zip(vass.delta(action)) {
                             *t += d;
                         }
                         at = to;
@@ -144,8 +144,8 @@ proptest! {
             for node in 0..run.node_count() {
                 let mut state = init;
                 for a in run.path_to_node(node) {
-                    prop_assert_eq!(vass.actions[a].from, state);
-                    state = vass.actions[a].to;
+                    prop_assert_eq!(vass.actions()[a].from, state);
+                    state = vass.actions()[a].to;
                 }
                 prop_assert_eq!(state, run.node(node).state, "path ends at the node");
             }
