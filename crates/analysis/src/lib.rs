@@ -70,8 +70,10 @@ impl DeadServices {
 }
 
 /// Dead-guard verdicts for every task with at least one dead guard. The
-/// verifier consults this map (when projection is enabled) to skip the
-/// corresponding transitions during symbolic graph construction.
+/// verifier always consults this map and skips the corresponding
+/// transitions during symbolic graph construction. Pruning adds precision:
+/// the search resolves arithmetic atoms optimistically (DESIGN.md §5.5), so
+/// an unpruned Fourier–Motzkin-dead guard could fire there.
 pub type DeadServiceMap = BTreeMap<TaskId, DeadServices>;
 
 /// Counters of the former query pre-solver. Nothing fills them any more, so

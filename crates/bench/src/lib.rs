@@ -44,9 +44,12 @@ pub struct Measurement {
     /// cone-of-influence projection.
     pub counter_dims_before: usize,
     /// Counter dimensions summed over all coverability queries after
-    /// projection (equals `counter_dims_before` when projection is off).
+    /// projection. The verifier always projects, and projection is
+    /// verdict-neutral (`crates/analysis/tests/prop_cone_project.rs`).
     pub counter_dims_after: usize,
-    /// Service guards proven dead and pruned from graph construction.
+    /// Service guards proven dead and pruned from graph construction. The
+    /// verifier always prunes; this adds precision over its optimistic
+    /// arithmetic (DESIGN.md §5.5).
     pub dead_services: usize,
     /// Karp–Miller successors pruned by the per-query subsumption check.
     pub km_subsumed: usize,
@@ -115,7 +118,8 @@ pub struct BenchRecord {
     pub hcd_cells: Option<usize>,
     /// Query counter dimensions before projection (verifier rows only).
     pub counter_dims_before: Option<usize>,
-    /// Query counter dimensions after projection (verifier rows only).
+    /// Query counter dimensions after the always-on, verdict-neutral
+    /// projection (verifier rows only).
     pub counter_dims_after: Option<usize>,
     /// Dead service guards pruned (verifier rows only).
     pub dead_services: Option<usize>,

@@ -316,10 +316,12 @@ pub struct Stats {
     /// cone-of-influence projection.
     pub counter_dims_before: usize,
     /// Counter dimensions summed over all coverability queries *after*
-    /// projection (equals `counter_dims_before` when projection is off).
+    /// projection. Every query is projected; the projection is
+    /// verdict-neutral (DESIGN.md §5.9).
     pub counter_dims_after: usize,
     /// Service guards proven unsatisfiable and excluded from graph
-    /// construction (0 when projection is off).
+    /// construction. Pruning always runs and adds precision over the
+    /// optimistic arithmetic of DESIGN.md §5.5.
     pub dead_services_pruned: usize,
     /// Karp–Miller successors pruned by the per-query antichain (DESIGN.md
     /// §5.12) — covered on arrival or retro-pruned by a larger marking.

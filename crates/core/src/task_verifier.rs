@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// The cost measures of one `(T, β, τ_in)` Lemma 21 query, accumulated into
 /// [`Stats`] by [`TaskVerifier::reduce_queries`]: Karp–Miller nodes explored
 /// and the query's counter dimension before/after cone-of-influence
-/// projection (equal when projection is off or the cone is full).
+/// projection (equal when the cone is full).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Karp–Miller coverability-graph nodes this query explored.
@@ -397,8 +397,8 @@ pub struct TaskVerifier<'a> {
     /// Child contexts (needed to transfer input patterns).
     child_contexts: &'a BTreeMap<TaskId, TaskContext>,
     /// Guards proven unsatisfiable by the static analyzer; the corresponding
-    /// transitions are skipped during graph construction (empty when
-    /// projection is disabled — see [`crate::VerifierConfig::projection`]).
+    /// transitions are skipped during graph construction (empty when the
+    /// system fails validation).
     dead: &'a DeadServiceMap,
 }
 
@@ -1340,22 +1340,17 @@ impl<'a> TaskVerifier<'a> {
     }
 
     /// Builds the shared query state of one `(T, β)` pair (DESIGN.md
-    /// §5.12): the pair-level VASS every `τ_in` query runs on — with
-    /// [`crate::VerifierConfig::projection`] on, projected onto the *union*
-    /// dimension cone over all of the pair's initial states
-    /// ([`has_analysis::dimension_cone_multi`]), so one projection serves
-    /// every query — and the per-control-state [`KmScratch`] those
-    /// queries' Karp–Miller builds reuse.
+    /// §5.12): the pair-level VASS every `τ_in` query runs on — projected
+    /// onto the *union* dimension cone over all of the pair's initial
+    /// states ([`has_analysis::dimension_cone_multi`]), so one projection
+    /// serves every query — and the per-control-state [`KmScratch`] those
+    /// queries' Karp–Miller builds reuse. The projection is
+    /// verdict-neutral (`crates/analysis/tests/prop_cone_project.rs`);
+    /// a trivial cone skips the copy.
     pub fn prepare_shared(&self, graph: &ExploredGraph) -> PairShared {
-        let (vass, dims_after) = if self.config.projection {
-            let cone = dimension_cone_multi(&graph.vass, &graph.initial_states);
-            (
-                (!cone.is_trivial()).then(|| cone.project(&graph.vass)),
-                cone.dims_after(),
-            )
-        } else {
-            (None, graph.vass.dim)
-        };
+        let cone = dimension_cone_multi(&graph.vass, &graph.initial_states);
+        let vass = (!cone.is_trivial()).then(|| cone.project(&graph.vass));
+        let dims_after = cone.dims_after();
         let scratch = KmScratch::new(vass.as_ref().unwrap_or(&graph.vass).states);
         PairShared {
             vass,
@@ -1629,9 +1624,9 @@ impl ExploredGraph {
 /// [`TaskVerifier::prepare_shared`] and threaded mutably through the
 /// pair's [`TaskVerifier::init_queries_shared`] calls.
 pub struct PairShared {
-    /// The union-cone-projected pair VASS (`None` when projection is off
-    /// or the cone is trivial: queries run on the unprojected
-    /// [`ExploredGraph::vass`] directly).
+    /// The union-cone-projected pair VASS (`None` when the cone is
+    /// trivial: queries run on the unprojected [`ExploredGraph::vass`]
+    /// directly).
     vass: Option<Vass>,
     /// The union cone's dimension count (the `dims_after` every query of
     /// the pair reports).

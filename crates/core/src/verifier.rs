@@ -70,16 +70,6 @@ pub struct VerifierConfig {
     /// and the kind becomes [`crate::ViolationKind::Returning`] when a
     /// returned sub-call carries the violation.
     pub witnesses: bool,
-    /// Whether to apply the static-analysis reductions before and during the
-    /// search: services with guards proven unsatisfiable (by the exact
-    /// Fourier–Motzkin decision of `has_analysis`) are excluded from graph
-    /// construction, and each Lemma 21 coverability query is projected onto
-    /// its dimension cone of influence. Both reductions are exact — every
-    /// verdict, entry list and witness is identical with and without them
-    /// (DESIGN.md §5.9) — only `coverability_nodes` and the
-    /// `counter_dims_*`/`dead_services_pruned` statistics change. On by
-    /// default; defaults to [`VerifierConfig::default_projection`].
-    pub projection: bool,
 }
 
 impl Default for VerifierConfig {
@@ -94,7 +84,6 @@ impl Default for VerifierConfig {
             use_cells: false,
             threads: Self::default_threads(),
             witnesses: false,
-            projection: Self::default_projection(),
         }
     }
 }
@@ -116,19 +105,6 @@ impl VerifierConfig {
             .unwrap_or(1)
     }
 
-    /// The default projection switch: *on*, unless the `HAS_PROJECTION`
-    /// environment variable is set to `0`, `off` or `false` (the opt-out
-    /// exists for A/B benchmarking — see EXPERIMENTS.md).
-    pub fn default_projection() -> bool {
-        match std::env::var("HAS_PROJECTION") {
-            Ok(value) => !matches!(
-                value.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false"
-            ),
-            Err(_) => true,
-        }
-    }
-
     /// Returns this configuration with the given worker count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -141,14 +117,6 @@ impl VerifierConfig {
     #[must_use]
     pub fn with_witnesses(mut self, witnesses: bool) -> Self {
         self.witnesses = witnesses;
-        self
-    }
-
-    /// Returns this configuration with the static-analysis reductions
-    /// switched on or off (see [`VerifierConfig::projection`]).
-    #[must_use]
-    pub fn with_projection(mut self, projection: bool) -> Self {
-        self.projection = projection;
         self
     }
 }
@@ -215,14 +183,11 @@ impl<'a> Verifier<'a> {
         pc.precompute_automata();
 
         // Dead-service pruning: guards proven unsatisfiable by the exact
-        // analyzer are excluded from every graph construction. An invalid
-        // system yields an error report with an empty dead map — no pruning,
-        // and the exploration behaves exactly as before the analyzer existed.
-        let dead: DeadServiceMap = if self.config.projection {
-            has_analysis::analyze(self.system, Some(self.property)).dead
-        } else {
-            DeadServiceMap::new()
-        };
+        // analyzer are excluded from every graph construction. This adds
+        // precision: the search resolves arithmetic atoms optimistically
+        // (DESIGN.md §5.5), so an unpruned FM-dead guard could fire. An
+        // invalid system yields an error report with an empty dead map.
+        let dead: DeadServiceMap = has_analysis::analyze(self.system, Some(self.property)).dead;
         stats.dead_services_pruned = dead.values().map(DeadServices::count).sum();
 
         let order = self.bottom_up_order();

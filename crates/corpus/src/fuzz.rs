@@ -1,8 +1,8 @@
 //! The differential fuzzing driver.
 //!
 //! [`fuzz`] samples a seeded corpus, runs every instance through the full
-//! configuration matrix (threads ∈ {1, 4} × projection on/off × witnesses
-//! on/off), and cross-checks each outcome against the instance's
+//! configuration matrix (threads ∈ {1, 4} × witnesses on/off), and
+//! cross-checks each outcome against the instance's
 //! [`Certificate`]:
 //!
 //! * **verdict** — clean instances must verify; planted instances must be
@@ -33,8 +33,6 @@ use std::fmt;
 pub struct ConfigPoint {
     /// Worker threads.
     pub threads: usize,
-    /// Cone-of-influence query projection.
-    pub projection: bool,
     /// Witness reconstruction.
     pub witnesses: bool,
 }
@@ -43,26 +41,19 @@ impl fmt::Display for ConfigPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads={} projection={} witnesses={}",
+            "threads={} witnesses={}",
             self.threads,
-            if self.projection { "on" } else { "off" },
             if self.witnesses { "on" } else { "off" }
         )
     }
 }
 
-/// The full matrix: threads ∈ {1, 4} × projection × witnesses.
+/// The full matrix: threads ∈ {1, 4} × witnesses.
 pub fn config_matrix() -> Vec<ConfigPoint> {
     let mut out = Vec::new();
     for threads in [1usize, 4] {
-        for projection in [true, false] {
-            for witnesses in [false, true] {
-                out.push(ConfigPoint {
-                    threads,
-                    projection,
-                    witnesses,
-                });
-            }
+        for witnesses in [false, true] {
+            out.push(ConfigPoint { threads, witnesses });
         }
     }
     out
@@ -75,8 +66,8 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Number of instances.
     pub count: usize,
-    /// Base verifier configuration; the matrix overrides threads,
-    /// projection and witnesses per run.
+    /// Base verifier configuration; the matrix overrides threads and
+    /// witnesses per run.
     pub config: VerifierConfig,
     /// Sampling seeds tried per witness replay (each retry re-runs the
     /// script with fresh draws for unconstrained variables).
@@ -327,7 +318,6 @@ fn check_at(
         .config
         .clone()
         .with_threads(at.threads)
-        .with_projection(at.projection)
         .with_witnesses(at.witnesses);
     let outcome = Verifier::with_config(&inst.system, &inst.property, config.clone()).verify();
     check_outcome(inst, &outcome, at, &config, opts, replays)
@@ -399,7 +389,7 @@ mod tests {
         };
         let report = fuzz(&opts);
         assert_eq!(report.instances, 6);
-        assert_eq!(report.runs, 6 * 8);
+        assert_eq!(report.runs, 6 * 4);
         assert!(
             report.sound(),
             "mismatches: {:#?}",
@@ -432,7 +422,6 @@ mod tests {
         let mut replays = 0;
         let at = ConfigPoint {
             threads: 1,
-            projection: true,
             witnesses: false,
         };
         let verdict = check_at(&inst, at, &opts, &mut replays);

@@ -1,11 +1,11 @@
 //! End-to-end contract of the static analyzer (`has-analysis`): every
 //! system the workload generator can produce validates and analyzes without
 //! `Error`-severity diagnostics, and a hand-built model with a provably
-//! unsatisfiable guard is reported dead (`HAS105`), pruned by the verifier,
-//! and pruned *exactly* — the verdict matches the unpruned run.
+//! unsatisfiable guard is reported dead (`HAS105`) and pruned by the
+//! verifier, which makes it more precise than its optimistic arithmetic.
 
 use has::analysis::{analyze, Severity};
-use has::arith::Rational;
+use has::arith::{LinExpr, LinearConstraint, Rational};
 use has::ltl::hltl::HltlBuilder;
 use has::model::{Condition, SetUpdate, SystemBuilder};
 use has::verifier::{Verifier, VerifierConfig};
@@ -114,29 +114,47 @@ fn unsatisfiable_guard_is_reported_dead() {
     assert_eq!(report.dead_guard_count(), 1, "{report}");
 }
 
-/// The verifier prunes the dead service from graph construction (visible in
-/// `Stats::dead_services_pruned`) and the pruned verdict matches the
-/// unpruned one.
-#[test]
-fn dead_guard_pruning_preserves_the_verdict() {
-    let (system, property) = dead_guard_fixture();
-    let on = Verifier::with_config(
-        &system,
-        &property,
-        VerifierConfig::default().with_threads(1).with_projection(true),
-    )
-    .verify();
-    let off = Verifier::with_config(
-        &system,
-        &property,
-        VerifierConfig::default().with_threads(1).with_projection(false),
-    )
-    .verify();
-    assert!(on.stats.dead_services_pruned > 0, "{}", on.stats);
-    assert_eq!(off.stats.dead_services_pruned, 0, "{}", off.stats);
-    assert_eq!(on.holds, off.holds);
-    assert_eq!(
-        on.violation.as_ref().map(|v| v.kind),
-        off.violation.as_ref().map(|v| v.kind)
+/// A root task whose only service that sets `flag = 1` is guarded by the
+/// arithmetic contradiction `x < 0 ∧ 0 < x`. The symbolic layer resolves
+/// arithmetic atoms optimistically (DESIGN.md §5.5), so on its own it would
+/// let the guard fire; only the analyzer's exact Fourier–Motzkin decision
+/// proves it dead.
+fn dead_arithmetic_guard_fixture() -> (has::model::ArtifactSystem, has::ltl::HltlFormula) {
+    let mut b = SystemBuilder::new("dead-arithmetic-guard");
+    let root = b.root_task("Main");
+    let x = b.num_var(root, "x");
+    let flag = b.num_var(root, "flag");
+    let zero = || LinExpr::zero();
+    b.internal_service(
+        root,
+        "tick",
+        Condition::True,
+        Condition::eq_const(flag, Rational::ZERO),
+        SetUpdate::None,
     );
+    b.internal_service(
+        root,
+        "raise",
+        Condition::arith(LinearConstraint::lt(LinExpr::var(x), zero()))
+            .and(Condition::arith(LinearConstraint::lt(zero(), LinExpr::var(x)))),
+        Condition::eq_const(flag, Rational::ONE),
+        SetUpdate::None,
+    );
+    let system = b.build().unwrap();
+    let mut hb = HltlBuilder::new(system.root());
+    let raised = hb.condition(Condition::eq_const(flag, Rational::ONE));
+    let property = hb.finish(raised.not().globally());
+    (system, property)
+}
+
+/// The verifier always prunes the dead service from graph construction
+/// (visible in `Stats::dead_services_pruned`), and the pruning adds
+/// precision: without it the optimistic arithmetic fires `raise` and
+/// reports a spurious lasso.
+#[test]
+fn dead_arithmetic_guard_is_pruned_and_holds() {
+    let (system, property) = dead_arithmetic_guard_fixture();
+    let outcome = Verifier::with_config(&system, &property, VerifierConfig::default()).verify();
+    assert_eq!(outcome.stats.dead_services_pruned, 1, "{}", outcome.stats);
+    assert!(outcome.holds, "{:?}", outcome.violation);
 }

@@ -12,9 +12,9 @@
 //! the search must re-record them and say why.
 //!
 //! The expected renderings live in `tests/goldens/`, one file per instance
-//! (one file for the whole grid). Every configuration pins projection and
-//! one thread, so a suite run under `HAS_PROJECTION=0` or `HAS_THREADS=n`
-//! still checks the engine the goldens came from.
+//! (one file for the whole grid). Every configuration pins one thread, so a
+//! suite run under `HAS_THREADS=n` still checks the engine the goldens came
+//! from.
 
 use has::model::SchemaClass;
 use has::verifier::{Outcome, Stats, Verifier, VerifierConfig};
@@ -88,7 +88,6 @@ fn a2_config() -> VerifierConfig {
     }
     .with_witnesses(true)
     .with_threads(1)
-    .with_projection(true)
 }
 
 /// `has_bench::fast_config`'s caps, with witnesses on.
@@ -101,7 +100,6 @@ fn gadget_config() -> VerifierConfig {
     }
     .with_witnesses(true)
     .with_threads(1)
-    .with_projection(true)
 }
 
 /// perfbench's `grid` configuration: `has_bench::bench_config`'s caps, with
@@ -115,7 +113,6 @@ fn grid_config(arithmetic: bool) -> VerifierConfig {
         ..VerifierConfig::default()
     }
     .with_threads(1)
-    .with_projection(true)
 }
 
 fn travel_a2(variant: TravelVariant) -> Outcome {
