@@ -333,11 +333,16 @@ pub struct Stats {
     /// Tier-3 exact Karp–Miller builds: lasso queries the pruned build's
     /// real and jump-augmented edges could not decide.
     pub lasso_fallbacks: usize,
-    /// Internal-service post-state lists enumerated: misses of the graph
-    /// build's post-state memo, keyed on the pre-state's input projection
-    /// and the service (DESIGN.md §5.13).
+    /// Internal-service post-state lists enumerated. A list is keyed on the
+    /// task, the service and the pre-state's input projection, and is
+    /// enumerated once per `verify` call: the task context's cache shares
+    /// it between all of the task's `(T, β)` pairs (DESIGN.md §5.13). The
+    /// aggregate is the number of distinct keys; which pair's statistics
+    /// record a given enumeration can vary at `threads > 1`.
     pub post_enumerations: usize,
-    /// Post-state lists served from that memo instead of re-enumerated.
+    /// Post-state lookups served without enumerating: from the pair's own
+    /// memo, or from the task's cache after another pair (or an earlier
+    /// lookup of this one) enumerated the list.
     pub post_memo_hits: usize,
 }
 

@@ -11,6 +11,7 @@ use has_ltl::Ltl;
 use has_model::{
     ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort,
 };
+use has_symbolic::successor::{self, SuccessorCaps};
 use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
 use has_vass::{
     BitSet, CoverabilityGraph, CycleSearch, FxBuildHasher, FxHashMap, Interner, KmScratch, Vass,
@@ -252,18 +253,20 @@ struct Valuation {
 /// The memos of one [`TaskVerifier::build_graph`] call, each keyed on
 /// exactly what its step reads (DESIGN.md §5.13). They live for one `(T, β)`
 /// pair and are dropped when the build returns; the per-sym tables are
-/// indexed by dense sym id and grow with the arena.
+/// indexed by dense sym id and grow with the arena. The post-state lists
+/// themselves live one level down, in the task context's cache shared by
+/// the task's pairs.
 #[derive(Default)]
 struct BuildMemo {
-    /// The [`TaskVerifier::post_base`] of each sym id, as an id into
-    /// `bases`.
+    /// The [`successor::post_base`] of each sym id, as an id into `bases`.
     base_of: Vec<Option<u32>>,
     /// Distinct post-state bases (input-variable projections).
     bases: Interner<SymState>,
     /// Post-state id lists keyed on `(base id, internal service index)`.
     posts: FxHashMap<(u32, usize), Vec<u32>>,
-    /// Misses and hits of `posts` ([`Stats::post_enumerations`],
-    /// [`Stats::post_memo_hits`]).
+    /// Lists this pair enumerated ([`Stats::post_enumerations`]), and
+    /// lookups served from `posts` or the task context's cache
+    /// ([`Stats::post_memo_hits`]).
     post_enumerations: usize,
     post_hits: usize,
     /// The condition valuation of each sym id.
@@ -548,169 +551,11 @@ impl<'a> TaskVerifier<'a> {
                     }
                 }
             }
-            states = Self::dedup(next);
-            if states.len() > self.config.max_successors {
-                states.truncate(self.config.max_successors);
-            }
+            states = successor::dedup(next);
+            states.truncate(self.config.max_successors);
         }
         states.retain(|s| self.sat_optimistic(s, &constraint));
-        Self::dedup(states)
-    }
-
-    fn dedup(mut states: Vec<SymState>) -> Vec<SymState> {
-        for s in &mut states {
-            s.normalize();
-        }
-        states.sort();
-        states.dedup();
-        states
-    }
-
-    // ------------------------------------------------------------------
-    // Successor enumeration for internal services
-    // ------------------------------------------------------------------
-
-    /// What an internal service keeps of its pre-state `state`: the blank
-    /// state with the input variables' pattern adopted (restriction 1 of
-    /// Section 6 — every other variable is rewritten). It is everything
-    /// [`TaskVerifier::enumerate_post_states`] reads of the pre-state.
-    fn post_base(&self, state: &SymState) -> SymState {
-        let schema = self.schema();
-        let mut base = SymState::blank(self.ctx, schema);
-        base.adopt_vars(self.ctx, state, &schema.task(self.task).input_vars);
-        base
-    }
-
-    /// Enumerates the possible post-states of an internal service from the
-    /// [`TaskVerifier::post_base`] of its pre-state: input variables keep
-    /// their pattern, every other variable is rewritten, constrained by the
-    /// post-condition.
-    fn enumerate_post_states(&self, base: SymState, post: &Condition) -> Vec<SymState> {
-        let t = self.schema().task(self.task);
-        let free_vars: Vec<VarId> = t
-            .variables
-            .iter()
-            .copied()
-            .filter(|v| !t.input_vars.contains(v))
-            .collect();
-
-        let mut states = vec![base];
-        let mut remaining: std::collections::BTreeSet<VarId> = free_vars.iter().copied().collect();
-        for &v in &free_vars {
-            let mut next = Vec::new();
-            for s in &states {
-                next.extend(self.choices_for_var(s, v));
-            }
-            remaining.remove(&v);
-            // Early pruning: drop states that already contradict the
-            // post-condition on the atoms whose variables are all decided
-            // (atoms touching variables not yet rewritten are left open).
-            next.retain(|s| {
-                s.satisfies_with_unknowns(self.ctx, post, &remaining, &Self::no_arith)
-                    .unwrap_or(true)
-            });
-            states = Self::dedup(next);
-            if states.len() > self.config.max_successors {
-                states.truncate(self.config.max_successors);
-            }
-        }
-        // Final filter plus the optional merge refinement over related pairs.
-        let mut out = Vec::new();
-        for s in states {
-            for refined in self.merge_refinements(&s) {
-                if self.sat_optimistic(&refined, post) {
-                    out.push(refined);
-                }
-            }
-        }
-        let mut out = Self::dedup(out);
-        if out.len() > self.config.max_successors {
-            out.truncate(self.config.max_successors);
-        }
-        out
-    }
-
-    /// The candidate values of a single rewritten variable.
-    fn choices_for_var(&self, state: &SymState, v: VarId) -> Vec<SymState> {
-        let schema = self.schema();
-        let mut out = Vec::new();
-        match schema.variable(v).sort {
-            VarSort::Id => {
-                // null
-                let mut n = state.clone();
-                n.bind(self.ctx, v, None);
-                out.push(n);
-                for &rel in self.ctx.bindings_for(v) {
-                    // fresh tuple of rel
-                    let mut f = state.clone();
-                    f.bind(self.ctx, v, Some(rel));
-                    out.push(f.clone());
-                    // or equal to an existing expression of sort Id(rel)
-                    // related to v through the atom basis
-                    for &cand in self.ctx.related_to(self.ctx.var_idx(v)) {
-                        let mut e = f.clone();
-                        if e.union(self.ctx, self.ctx.var_idx(v), cand).is_ok() {
-                            out.push(e);
-                        }
-                    }
-                }
-            }
-            VarSort::Numeric => {
-                // zero
-                let mut z = state.clone();
-                z.fresh_numeric(self.ctx, v);
-                let _ = z.union(self.ctx, self.ctx.var_idx(v), self.ctx.zero_idx);
-                out.push(z);
-                // fresh
-                let mut f = state.clone();
-                f.fresh_numeric(self.ctx, v);
-                out.push(f.clone());
-                // equal to a related expression (constants, navigations,
-                // other numeric variables mentioned together in atoms)
-                for &cand in self.ctx.related_to(self.ctx.var_idx(v)) {
-                    let mut e = state.clone();
-                    e.fresh_numeric(self.ctx, v);
-                    if e.union(self.ctx, self.ctx.var_idx(v), cand).is_ok() {
-                        out.push(e);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Optionally merges related expression pairs that are still distinct:
-    /// this lets the enumeration produce "coincidental" equalities that the
-    /// specification's atoms can observe (2^k branching over undecided
-    /// related pairs, capped).
-    fn merge_refinements(&self, state: &SymState) -> Vec<SymState> {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in 0..self.ctx.len() {
-            for &j in self.ctx.related_to(i) {
-                if i < j && state.is_live(i) && state.is_live(j) && !state.eq(i, j) {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs.truncate(self.config.max_merge_pairs);
-        let mut out = vec![state.clone()];
-        for (i, j) in pairs {
-            // Append the merged variants in place: `dedup` sorts, so the
-            // interleaving of originals and merged states is immaterial.
-            let unmerged = out.len();
-            for k in 0..unmerged {
-                let mut m = out[k].clone();
-                if m.union(self.ctx, i, j).is_ok() {
-                    out.push(m);
-                }
-            }
-            out = Self::dedup(out);
-            if out.len() > self.config.max_successors {
-                out.truncate(self.config.max_successors);
-                break;
-            }
-        }
-        out
+        successor::dedup(states)
     }
 
     // ------------------------------------------------------------------
@@ -941,10 +786,12 @@ impl<'a> TaskVerifier<'a> {
     // ------------------------------------------------------------------
 
     /// The post-state ids of internal service `service_idx` from symbolic
-    /// state `sym`, memoized on `(post_base(sym), service_idx)` — exactly
-    /// what [`TaskVerifier::enumerate_post_states`] reads. A miss enumerates
-    /// and interns the list, as an unmemoized build would at this point; a
-    /// hit returns the ids re-interning the same list would return.
+    /// state `sym`, memoized per pair on `(post_base(sym), service_idx)`. A
+    /// miss takes the list from the task context's cache
+    /// ([`TaskContext::post_states`], shared by every β of the task and
+    /// enumerated there at most once) and interns it in list order, as an
+    /// unmemoized build would at this point; a hit returns the ids
+    /// re-interning the same list would return.
     fn post_states(
         &self,
         memo: &mut BuildMemo,
@@ -952,16 +799,31 @@ impl<'a> TaskVerifier<'a> {
         sym: u32,
         service_idx: usize,
     ) -> Vec<u32> {
-        let base = *sym_slot(&mut memo.base_of, sym)
-            .get_or_insert_with(|| memo.bases.intern(self.post_base(syms.get(sym))).0);
+        let schema = self.schema();
+        let base = *sym_slot(&mut memo.base_of, sym).get_or_insert_with(|| {
+            memo.bases
+                .intern(successor::post_base(self.ctx, schema, syms.get(sym)))
+                .0
+        });
         if let Some(ids) = memo.posts.get(&(base, service_idx)) {
             memo.post_hits += 1;
             return ids.clone();
         }
-        memo.post_enumerations += 1;
-        let service = &self.schema().task(self.task).internal_services[service_idx];
-        let list = self.enumerate_post_states(memo.bases.get(base).clone(), &service.post);
-        let ids: Vec<u32> = list.into_iter().map(|s| syms.intern(s).0).collect();
+        let caps = SuccessorCaps {
+            max_successors: self.config.max_successors,
+            max_merge_pairs: self.config.max_merge_pairs,
+        };
+        let base_state = memo.bases.get(base);
+        let (list, enumerated) = self.ctx.post_states(schema, service_idx, base_state, caps);
+        if enumerated {
+            memo.post_enumerations += 1;
+        } else {
+            memo.post_hits += 1;
+        }
+        let ids: Vec<u32> = list
+            .iter()
+            .map(|s| syms.lookup(s).unwrap_or_else(|| syms.intern(s.clone()).0))
+            .collect();
         memo.posts.insert((base, service_idx), ids.clone());
         ids
     }
@@ -1683,5 +1545,115 @@ mod tests {
         assert_eq!(witnesses, [(true, true), (true, true), (true, false)]);
         let tags: Vec<usize> = reduction.entries.iter().map(tag).collect();
         assert_eq!(tags, [3, 2, 6]);
+    }
+
+    /// A one-task booking loop: `choose` picks a flight and sets `status`
+    /// to 1, `reset` sets it back to 0. The property `G(chosen → F reset)`
+    /// gives the task two truth assignments β over `Φ_T`.
+    fn booking() -> (ArtifactSystem, has_ltl::HltlFormula) {
+        use has_arith::Rational;
+        use has_model::{SetUpdate, SystemBuilder, Term};
+        let mut b = SystemBuilder::new("booking");
+        b.relation("FLIGHTS", &["price"], &[]);
+        let root = b.root_task("Main");
+        let flight = b.id_var(root, "flight");
+        let price = b.num_var(root, "price");
+        let status = b.num_var(root, "status");
+        let flights = b.relation_id("FLIGHTS").unwrap();
+        let chosen = Condition::eq_const(status, Rational::from_int(1));
+        let reset = Condition::eq_const(status, Rational::ZERO);
+        let booked = Condition::relation(flights, vec![Term::Var(flight), Term::Var(price)]);
+        b.internal_service(
+            root,
+            "choose",
+            Condition::True,
+            booked.and(chosen.clone()),
+            SetUpdate::None,
+        );
+        b.internal_service(
+            root,
+            "reset",
+            Condition::True,
+            reset.clone(),
+            SetUpdate::None,
+        );
+        let system = b.build().unwrap();
+        let mut hb = has_ltl::hltl::HltlBuilder::new(system.root());
+        let chosen = hb.condition(chosen);
+        let reset = hb.condition(reset);
+        let property = hb.finish(chosen.implies(reset.eventually()).globally());
+        (system, property)
+    }
+
+    /// Builds, queries and reduces one `(T, β)` pair on `pc` the way the
+    /// scheduler does.
+    fn run_pair(
+        system: &ArtifactSystem,
+        config: &VerifierConfig,
+        pc: &crate::property::PropertyContext,
+        dead: &DeadServiceMap,
+        beta: &[bool],
+    ) -> (Vec<RtEntry>, Stats) {
+        let task = system.root();
+        let buchi = pc.buchi_shared(task, beta);
+        let tv = TaskVerifier::new(
+            system,
+            config,
+            pc.context(task),
+            task,
+            beta.to_vec(),
+            pc.phi(task),
+            &buchi,
+            Arc::new(SummaryMap::new()),
+            &pc.contexts,
+            dead,
+        );
+        let graph = tv.build_graph();
+        let mut shared = tv.prepare_shared(&graph);
+        let per_init =
+            (0..graph.initial_count()).map(|pos| tv.init_queries_shared(&graph, pos, &mut shared));
+        TaskVerifier::reduce_queries(&graph, per_init)
+    }
+
+    /// A pair built after its sibling β warmed the task's post-state cache
+    /// builds the same graph and `R_T` as on a cold cache: only the split of
+    /// its lookups between enumerations and hits moves.
+    #[test]
+    fn warm_post_state_cache_builds_the_same_pair() {
+        let (system, property) = booking();
+        let config = VerifierConfig::default().with_threads(1);
+        let dead = has_analysis::analyze(&system, Some(&property)).dead;
+        let prepare = || {
+            let mut pc =
+                crate::property::PropertyContext::new(&system, &property, config.nav_depth);
+            pc.precompute_automata();
+            pc
+        };
+        let cold_pc = prepare();
+        let betas = cold_pc.assignments(system.root());
+        assert_eq!(betas.len(), 2);
+        let (cold_entries, cold) = run_pair(&system, &config, &cold_pc, &dead, &betas[1]);
+
+        let warm_pc = prepare();
+        run_pair(&system, &config, &warm_pc, &dead, &betas[0]);
+        let (warm_entries, warm) = run_pair(&system, &config, &warm_pc, &dead, &betas[1]);
+
+        assert!(cold.post_enumerations > 0);
+        assert!(
+            warm.post_enumerations < cold.post_enumerations,
+            "the sibling warmed the cache"
+        );
+        assert_eq!(
+            warm.post_enumerations + warm.post_memo_hits,
+            cold.post_enumerations + cold.post_memo_hits
+        );
+        let memo_aside = |s: Stats| Stats {
+            post_enumerations: 0,
+            post_memo_hits: 0,
+            ..s
+        };
+        assert_eq!(memo_aside(warm), memo_aside(cold));
+        assert!(!cold_entries.is_empty());
+        assert_eq!(warm_entries, cold_entries);
     }
 }

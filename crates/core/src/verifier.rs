@@ -383,7 +383,11 @@ impl<'a> Verifier<'a> {
     ///
     /// Workers only *read* shared state: the committed summaries live behind
     /// an `Arc` that is shallow-cloned and swapped on each task commit, so a
-    /// pair job snapshots the map without copying any summary. Reduced
+    /// pair job snapshots the map without copying any summary. The one
+    /// shared cache, a task context's post-state lists
+    /// ([`has_symbolic::TaskContext::post_states`]), fills each list exactly
+    /// once whichever pair asks first, and is cleared when the task
+    /// commits. Reduced
     /// pairs are buffered by canonical position and committed to the
     /// summary map in β-enumeration order — which keeps the outcome
     /// independent of scheduling (DESIGN.md §5.6).
@@ -494,6 +498,9 @@ impl<'a> Verifier<'a> {
                 map.insert(task, Arc::new(summary));
                 *shared = Arc::new(map);
             }
+            // No pair of this task runs again: drop its post-state lists so
+            // peak memory does not grow with the hierarchy.
+            contexts[&task].clear_post_states();
             if let Some(parent) = schema.task(task).parent {
                 if pending_children[&parent].fetch_sub(1, Ordering::SeqCst) == 1 {
                     for &q in &task_pairs[&parent] {

@@ -10,6 +10,7 @@
 //! task and provides the index structures the symbolic state operates on.
 
 use crate::expr::{Expr, Sort};
+use crate::successor::SuccessorCache;
 use has_arith::Rational;
 use has_model::{
     ArtifactSchema, ArtifactSystem, Atom, AttrKind, Condition, RelationId, TaskId, Term, VarId,
@@ -56,6 +57,12 @@ pub struct TaskContext {
     /// per candidate binding, sorted by relation. Empty for other
     /// expressions.
     var_child: Vec<Vec<(RelationId, Vec<Option<usize>>)>>,
+    /// The expression of each variable of the task, indexed by [`VarId`]
+    /// (`None` for variables of other tasks).
+    var_expr: Vec<Option<usize>>,
+    /// The internal services' post-state lists, shared by every `(T, β)`
+    /// exploration of the task ([`TaskContext::post_states`]).
+    pub(crate) successors: SuccessorCache,
 }
 
 impl TaskContext {
@@ -341,6 +348,16 @@ impl TaskContext {
             }
         }
 
+        let mut var_expr: Vec<Option<usize>> = Vec::new();
+        for (i, e) in exprs.iter().enumerate() {
+            if let Expr::Var(v) = e {
+                if var_expr.len() <= v.0 {
+                    var_expr.resize(v.0 + 1, None);
+                }
+                var_expr[v.0] = Some(i);
+            }
+        }
+
         TaskContext {
             task,
             exprs,
@@ -355,6 +372,8 @@ impl TaskContext {
             const_idxs,
             nav_child,
             var_child,
+            var_expr,
+            successors: SuccessorCache::default(),
         }
     }
 
@@ -379,17 +398,30 @@ impl TaskContext {
     /// # Panics
     /// Panics if the variable is not part of this task's universe.
     pub fn var_idx(&self, v: VarId) -> usize {
-        self.index_of(&Expr::Var(v))
+        self.var_expr_idx(v)
             .expect("variable not in this task's universe")
+    }
+
+    /// The index of a variable's expression, if the variable belongs to the
+    /// task.
+    fn var_expr_idx(&self, v: VarId) -> Option<usize> {
+        self.var_expr.get(v.0).copied().flatten()
     }
 
     /// The index of a term of a condition, if representable.
     pub fn term_idx(&self, term: &Term) -> Option<usize> {
         match term {
-            Term::Var(v) => self.index_of(&Expr::Var(*v)),
+            Term::Var(v) => self.var_expr_idx(*v),
             Term::Null => Some(self.null_idx),
             Term::Const(c) if c.is_zero() => Some(self.zero_idx),
-            Term::Const(c) => self.index_of(&Expr::Const(*c)),
+            // The universe is sorted, so its constants are in value order.
+            Term::Const(c) => {
+                let key = Expr::Const(*c);
+                self.const_idxs
+                    .binary_search_by(|&i| self.exprs[i].cmp(&key))
+                    .ok()
+                    .map(|pos| self.const_idxs[pos])
+            }
         }
     }
 

@@ -21,8 +21,11 @@
 //! * [`SymState`] — the equality type itself, with congruence closure (key
 //!   dependencies), condition evaluation, canonical projection keys
 //!   (used for the TS-isomorphism-type counters and for the input/output
-//!   types exchanged between tasks), and the extension enumeration used by
-//!   the verifier to compute successors.
+//!   types exchanged between tasks);
+//! * [`successor`] — the internal services' post-state enumeration the
+//!   verifier computes successors with, and the per-task cache
+//!   ([`TaskContext::post_states`]) that shares each list between the
+//!   task's truth assignments.
 //!
 //! # Worked example
 //!
@@ -62,6 +65,7 @@
 pub mod context;
 pub mod expr;
 pub mod state;
+pub mod successor;
 
 pub use context::TaskContext;
 pub use expr::{Expr, Sort};

@@ -363,22 +363,27 @@ impl SymState {
                 if self.binding_of(ctx, *x) != Some(*relation) {
                     return Some(false);
                 }
+                let x_idx = ctx.var_idx(*x);
                 for (attr_idx, term) in args.iter().enumerate().skip(1) {
-                    let nav = ctx.index_of(&Expr::Nav {
-                        var: *x,
-                        rel: *relation,
-                        path: vec![attr_idx],
-                    })?;
+                    // The navigation `x_R.attr`, from the child table: it
+                    // holds every one-step navigation of the universe, so
+                    // it agrees with a probe of the expression index.
+                    let nav = ctx.child_of_var(x_idx, *relation, attr_idx);
+                    debug_assert_eq!(
+                        nav,
+                        ctx.index_of(&Expr::Nav {
+                            var: *x,
+                            rel: *relation,
+                            path: vec![attr_idx],
+                        })
+                    );
+                    let nav = nav?;
                     let t = ctx.term_idx(term)?;
                     if matches!(term, Term::Null) {
                         return Some(false);
                     }
-                    if let Term::Var(v) = term {
-                        if ctx.exprs[ctx.var_idx(*v)] == Expr::Var(*v)
-                            && self.class[ctx.var_idx(*v)] == self.class[ctx.null_idx]
-                        {
-                            return Some(false);
-                        }
+                    if matches!(term, Term::Var(_)) && self.class[t] == self.class[ctx.null_idx] {
+                        return Some(false);
                     }
                     if !self.eq(nav, t) {
                         return Some(false);

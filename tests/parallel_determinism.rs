@@ -26,9 +26,11 @@ fn capped() -> VerifierConfig {
 /// Runs one system/property at the given thread counts and asserts that the
 /// rendered `Outcome` (including the violation and every statistic) is
 /// byte-identical across all of them. Every statistic includes the graph
-/// build's memo counters (`post_enumerations`, `post_memo_hits`): the memos
-/// are private to one `(T, β)` pair, so their counts cannot depend on which
-/// worker built the pair.
+/// build's memo counters (`post_enumerations`, `post_memo_hits`): each
+/// post-state list is enumerated exactly once per task, whichever of the
+/// task's pairs asks first, and every other lookup is a hit, so the
+/// aggregates cannot depend on which worker built which pair (only their
+/// per-pair split can).
 fn assert_identical_across_threads(
     label: &str,
     system: &has::model::ArtifactSystem,
