@@ -181,19 +181,6 @@ pub struct TaskSummary {
     pub entries: Vec<RtEntry>,
 }
 
-impl TaskSummary {
-    /// Returns `true` if some entry has a non-returning run with the given
-    /// predicate on `β`.
-    pub fn has_non_returning<F>(&self, mut pred: F) -> bool
-    where
-        F: FnMut(&RtEntry) -> bool,
-    {
-        self.entries
-            .iter()
-            .any(|e| e.output.is_none() && pred(e))
-    }
-}
-
 /// Status of a child task within a segment of the parent's run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum ChildStatus {
@@ -454,20 +441,6 @@ impl<'a> TaskVerifier<'a> {
         &self.system.schema
     }
 
-    fn no_arith(_: &has_arith::LinearConstraint<VarId>) -> Option<bool> {
-        None
-    }
-
-    /// Three-valued satisfaction treating arithmetic atoms as undetermined;
-    /// undetermined results are resolved optimistically (the verifier
-    /// searches for violations, so "possibly satisfiable" transitions must be
-    /// kept — see DESIGN.md §5 on the direction of this approximation).
-    fn sat_optimistic(&self, state: &SymState, cond: &Condition) -> bool {
-        state
-            .satisfies(self.ctx, cond, &Self::no_arith)
-            .unwrap_or(true)
-    }
-
     // ------------------------------------------------------------------
     // Input-state enumeration
     // ------------------------------------------------------------------
@@ -475,7 +448,7 @@ impl<'a> TaskVerifier<'a> {
     /// Enumerates the possible initial symbolic states of the task: every
     /// equality/binding pattern over the input variables (constrained by `Π`
     /// for the root task), with all other variables at their initial values.
-    pub fn enumerate_inputs(&self) -> Vec<SymState> {
+    fn enumerate_inputs(&self) -> Vec<SymState> {
         let schema = self.schema();
         let t = schema.task(self.task);
         let constraint = if self.task == schema.root {
@@ -554,7 +527,7 @@ impl<'a> TaskVerifier<'a> {
             states = successor::dedup(next);
             states.truncate(self.config.max_successors);
         }
-        states.retain(|s| self.sat_optimistic(s, &constraint));
+        states.retain(|s| s.may_satisfy(self.ctx, &constraint));
         successor::dedup(states)
     }
 
@@ -572,7 +545,7 @@ impl<'a> TaskVerifier<'a> {
         let mut unknown: Vec<usize> = Vec::new();
         for (bit, p) in self.props.iter().enumerate() {
             let TaskProp::Condition(c) = p else { continue };
-            match sym.satisfies(self.ctx, c, &Self::no_arith) {
+            match sym.satisfies(self.ctx, c) {
                 Some(true) => bits[bit / 64] |= 1u64 << (bit % 64),
                 Some(false) => {}
                 None => unknown.push(bit),
@@ -1001,7 +974,7 @@ impl<'a> TaskVerifier<'a> {
             if !has_active_children {
                 for (service_idx, service) in t.internal_services.iter().enumerate() {
                     if self.dead_internal(service_idx)
-                        || !self.sat_optimistic(syms.get(current.sym), &service.pre)
+                        || !syms.get(current.sym).may_satisfy(self.ctx, &service.pre)
                     {
                         continue;
                     }
@@ -1053,7 +1026,7 @@ impl<'a> TaskVerifier<'a> {
                     continue;
                 }
                 let opening_pre = &schema.task(child).opening.pre;
-                if !self.sat_optimistic(syms.get(current.sym), opening_pre) {
+                if !syms.get(current.sym).may_satisfy(self.ctx, opening_pre) {
                     continue;
                 }
                 let summary = &self.children[&child];
@@ -1128,7 +1101,7 @@ impl<'a> TaskVerifier<'a> {
             if self.task != schema.root
                 && !has_active_children
                 && !self.dead.get(&self.task).is_some_and(|d| d.closing)
-                && self.sat_optimistic(syms.get(current.sym), &t.closing.pre)
+                && syms.get(current.sym).may_satisfy(self.ctx, &t.closing.pre)
             {
                 let sref = ServiceRef::Closing(self.task);
                 for letter in self.letters_of(&mut memo, &syms, current.sym, sref) {
@@ -1267,16 +1240,10 @@ impl<'a> TaskVerifier<'a> {
         );
 
         let retain = self.config.witnesses;
-        let steps_to = |node: usize| -> Vec<WitnessStep> {
-            run.path_to_node(node)
-                .into_iter()
-                .map(|action| graph.labels[action].clone())
-                .collect()
-        };
         let point_details = |node: usize| -> Option<Arc<EntryDetails>> {
             retain.then(|| {
                 Arc::new(EntryDetails {
-                    prefix: steps_to(node),
+                    prefix: graph.steps_to(&run, node),
                     cycle: Vec::new(),
                     cycle_truncated: false,
                 })
@@ -1326,18 +1293,19 @@ impl<'a> TaskVerifier<'a> {
                 break;
             }
         }
-        // Lasso paths — the tiered decision described above.
+        // Lasso paths — the tiered decision described above. One search
+        // per tier; without witnesses, cap 0 asks for the decision alone.
         if graph.accepting.any() {
             let accepting = |s: usize| graph.accepting.contains(s);
-            let (mut lasso, mut details) = if retain {
-                graph.lasso_details(
-                    run.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP),
-                    steps_to,
-                )
-            } else {
-                (run.nonneg_cycle_through_pred(vass, &accepting), None)
+            let cap = if retain { WITNESS_CYCLE_CAP } else { 0 };
+            let lasso_in = |cover: &CoverabilityGraph| {
+                let search = cover.nonneg_cycle_through(vass, &accepting, cap);
+                let lasso = search.exists();
+                let details = retain.then(|| graph.lasso_details(search, cover));
+                (lasso, details.flatten())
             };
-            if !lasso && run.augmented_nonneg_cycle_through_pred(vass, &accepting) {
+            let (mut lasso, mut details) = lasso_in(&run);
+            if !lasso && run.augmented_nonneg_cycle_through(vass, &accepting) {
                 // Ambiguous: a cycle exists only through jump edges, whose
                 // targets over-approximate. One exact build decides; it is
                 // charged to this query's cost.
@@ -1345,23 +1313,7 @@ impl<'a> TaskVerifier<'a> {
                 cost.km_nodes += cover.node_count();
                 cost.lasso_fallbacks += 1;
                 cost.km_capped += usize::from(cover.capped());
-                let fallback_steps = |node: usize| -> Vec<WitnessStep> {
-                    cover
-                        .path_to_node(node)
-                        .into_iter()
-                        .map(|action| graph.labels[action].clone())
-                        .collect()
-                };
-                let (l, d) = if retain {
-                    graph.lasso_details(
-                        cover.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP),
-                        fallback_steps,
-                    )
-                } else {
-                    (cover.nonneg_cycle_through_pred(vass, &accepting), None)
-                };
-                lasso = l;
-                details = d;
+                (lasso, details) = lasso_in(&cover);
             }
             if lasso {
                 candidates.push(RtEntry {
@@ -1448,37 +1400,41 @@ impl ExploredGraph {
         self.initial_states.len()
     }
 
-    /// The lasso decision and retained details of a pump-cycle search:
-    /// `steps_to` renders the Karp–Miller path to the walk's start node as
-    /// the prefix, the walk's actions label the cycle, and a walk past the
+    /// The rendered actions of `run`'s Karp–Miller path from its root to
+    /// `node` — the prefix of a counterexample report.
+    fn steps_to(&self, run: &CoverabilityGraph, node: usize) -> Vec<WitnessStep> {
+        run.path_to_node(node)
+            .into_iter()
+            .map(|action| self.labels[action].clone())
+            .collect()
+    }
+
+    /// The retained details of a pump-cycle search over `run` (`None` when
+    /// no lasso exists): the path to the walk's start node is the prefix,
+    /// the walk's actions label the cycle, and a walk past the
     /// materialization cap truncates the rendering only, never the decision.
     fn lasso_details(
         &self,
         search: CycleSearch<(usize, usize, usize)>,
-        steps_to: impl Fn(usize) -> Vec<WitnessStep>,
-    ) -> (bool, Option<Arc<EntryDetails>>) {
-        match search {
-            CycleSearch::None => (false, None),
-            CycleSearch::Witness(walk) => (
-                true,
-                Some(Arc::new(EntryDetails {
-                    prefix: steps_to(walk[0].0),
-                    cycle: walk
-                        .iter()
-                        .map(|&(_, action, _)| self.labels[action].clone())
-                        .collect(),
-                    cycle_truncated: false,
-                })),
-            ),
-            CycleSearch::ExceedsCap => (
-                true,
-                Some(Arc::new(EntryDetails {
-                    prefix: Vec::new(),
-                    cycle: Vec::new(),
-                    cycle_truncated: true,
-                })),
-            ),
-        }
+        run: &CoverabilityGraph,
+    ) -> Option<Arc<EntryDetails>> {
+        let details = match search {
+            CycleSearch::None => return None,
+            CycleSearch::Witness(walk) => EntryDetails {
+                prefix: self.steps_to(run, walk[0].0),
+                cycle: walk
+                    .iter()
+                    .map(|&(_, action, _)| self.labels[action].clone())
+                    .collect(),
+                cycle_truncated: false,
+            },
+            CycleSearch::ExceedsCap => EntryDetails {
+                prefix: Vec::new(),
+                cycle: Vec::new(),
+                cycle_truncated: true,
+            },
+        };
+        Some(Arc::new(details))
     }
 }
 

@@ -13,8 +13,7 @@ use crate::expr::{Expr, Sort};
 use crate::successor::SuccessorCache;
 use has_arith::Rational;
 use has_model::{
-    ArtifactSchema, ArtifactSystem, Atom, AttrKind, Condition, RelationId, TaskId, Term, VarId,
-    VarSort,
+    ArtifactSystem, Atom, AttrKind, Condition, RelationId, TaskId, Term, VarId, VarSort,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,7 +23,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct TaskContext {
     /// The task this context describes.
     pub task: TaskId,
-    /// The expression universe `E⁺_T` (index = expression id).
+    /// The expression universe `E⁺_T` (index = expression id), sorted and
+    /// duplicate-free: the only expression index ([`TaskContext::index_of`]
+    /// binary-searches it).
     pub exprs: Vec<Expr>,
     /// Static sort per expression (for ID variables this is refined
     /// dynamically by the state's binding).
@@ -41,7 +42,6 @@ pub struct TaskContext {
     /// the basis (used to bound the classes considered when enumerating a
     /// freshly written variable's value).
     pub related: Vec<BTreeSet<usize>>,
-    expr_index: BTreeMap<Expr, usize>,
     /// The ID variables in ascending order — the fixed key sequence of every
     /// state's flat binding vector.
     id_vars: Vec<VarId>,
@@ -220,11 +220,10 @@ impl TaskContext {
         exprs.sort();
         exprs.dedup();
 
-        let expr_index: BTreeMap<Expr, usize> =
-            exprs.iter().cloned().enumerate().map(|(i, e)| (e, i)).collect();
+        let index_of = |e: &Expr| exprs.binary_search(e).ok();
         let sorts: Vec<Sort> = exprs.iter().map(|e| e.sort(schema)).collect();
-        let null_idx = expr_index[&Expr::Null];
-        let zero_idx = expr_index[&Expr::Zero];
+        let null_idx = index_of(&Expr::Null).expect("null is in every universe");
+        let zero_idx = index_of(&Expr::Zero).expect("0 is in every universe");
 
         // Atom basis → relatedness between expressions.
         let mut related: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); exprs.len()];
@@ -232,19 +231,19 @@ impl TaskContext {
             related[a].insert(b);
             related[b].insert(a);
         };
-        let term_idx = |term: &Term, expr_index: &BTreeMap<Expr, usize>| -> Option<usize> {
+        let term_idx = |term: &Term| -> Option<usize> {
             match term {
-                Term::Var(v) => expr_index.get(&Expr::Var(*v)).copied(),
-                Term::Null => expr_index.get(&Expr::Null).copied(),
-                Term::Const(c) if c.is_zero() => expr_index.get(&Expr::Zero).copied(),
-                Term::Const(c) => expr_index.get(&Expr::Const(*c)).copied(),
+                Term::Var(v) => index_of(&Expr::Var(*v)),
+                Term::Null => Some(null_idx),
+                Term::Const(c) if c.is_zero() => Some(zero_idx),
+                Term::Const(c) => index_of(&Expr::Const(*c)),
             }
         };
         for cond in &conditions {
             for atom in cond.atoms() {
                 match atom {
                     Atom::Eq(a, b) => {
-                        if let (Some(i), Some(j)) = (term_idx(&a, &expr_index), term_idx(&b, &expr_index)) {
+                        if let (Some(i), Some(j)) = (term_idx(&a), term_idx(&b)) {
                             relate(i, j, &mut related);
                         }
                     }
@@ -256,9 +255,7 @@ impl TaskContext {
                                 rel: relation,
                                 path: vec![attr_idx],
                             };
-                            if let (Some(i), Some(j)) =
-                                (expr_index.get(&nav).copied(), term_idx(term, &expr_index))
-                            {
+                            if let (Some(i), Some(j)) = (index_of(&nav), term_idx(term)) {
                                 relate(i, j, &mut related);
                             }
                         }
@@ -268,7 +265,7 @@ impl TaskContext {
                         // related to each other and to the constants.
                         let vars: Vec<usize> = c
                             .variables()
-                            .filter_map(|v| expr_index.get(&Expr::Var(*v)).copied())
+                            .filter_map(|v| index_of(&Expr::Var(*v)))
                             .collect();
                         for i in 0..vars.len() {
                             for j in i + 1..vars.len() {
@@ -311,13 +308,11 @@ impl TaskContext {
                         .map(|attr| {
                             let mut p = path.clone();
                             p.push(attr);
-                            expr_index
-                                .get(&Expr::Nav {
-                                    var: *var,
-                                    rel: *rel,
-                                    path: p,
-                                })
-                                .copied()
+                            index_of(&Expr::Nav {
+                                var: *var,
+                                rel: *rel,
+                                path: p,
+                            })
                         })
                         .collect();
                 }
@@ -328,13 +323,11 @@ impl TaskContext {
                             .map(|&rel| {
                                 let children = (0..max_attr)
                                     .map(|attr| {
-                                        expr_index
-                                            .get(&Expr::Nav {
-                                                var: *v,
-                                                rel,
-                                                path: vec![attr],
-                                            })
-                                            .copied()
+                                        index_of(&Expr::Nav {
+                                            var: *v,
+                                            rel,
+                                            path: vec![attr],
+                                        })
                                     })
                                     .collect();
                                 (rel, children)
@@ -366,7 +359,6 @@ impl TaskContext {
             zero_idx,
             id_var_bindings,
             related,
-            expr_index,
             id_vars,
             max_attr,
             const_idxs,
@@ -390,7 +382,7 @@ impl TaskContext {
 
     /// The index of an expression, if it belongs to the universe.
     pub fn index_of(&self, e: &Expr) -> Option<usize> {
-        self.expr_index.get(e).copied()
+        self.exprs.binary_search(e).ok()
     }
 
     /// The index of a variable's expression.
@@ -432,38 +424,6 @@ impl TaskContext {
             Expr::Nav { var, rel, .. } if *var == v => Some((i, *rel)),
             _ => None,
         })
-    }
-
-    /// The expression extending `idx` by one attribute step, if present in
-    /// the universe (used for congruence closure).
-    pub fn child_of(&self, idx: usize, attr: usize) -> Option<usize> {
-        match &self.exprs[idx] {
-            Expr::Var(v) => {
-                // A variable's children exist for each candidate binding; the
-                // caller supplies the binding-specific relation via `navs_of`,
-                // so here we only handle the unique-binding case.
-                let rels = self.id_var_bindings.get(v)?;
-                if rels.len() == 1 {
-                    self.index_of(&Expr::Nav {
-                        var: *v,
-                        rel: rels[0],
-                        path: vec![attr],
-                    })
-                } else {
-                    None
-                }
-            }
-            Expr::Nav { var, rel, path } => {
-                let mut p = path.clone();
-                p.push(attr);
-                self.index_of(&Expr::Nav {
-                    var: *var,
-                    rel: *rel,
-                    path: p,
-                })
-            }
-            _ => None,
-        }
     }
 
     /// The task's ID variables in ascending order: the fixed key sequence
@@ -516,11 +476,6 @@ impl TaskContext {
     /// Expressions related to the given one through the atom basis.
     pub fn related_to(&self, idx: usize) -> &BTreeSet<usize> {
         &self.related[idx]
-    }
-
-    /// Renders an expression for diagnostics.
-    pub fn display_expr(&self, schema: &ArtifactSchema, idx: usize) -> String {
-        self.exprs[idx].display(schema)
     }
 }
 

@@ -34,8 +34,8 @@
 //! decide that condition before and after the variable is rewritten:
 //!
 //! ```
-//! use has_arith::{LinearConstraint, Rational};
-//! use has_model::{Condition, SystemBuilder, VarId};
+//! use has_arith::Rational;
+//! use has_model::{Condition, SystemBuilder};
 //! use has_symbolic::{SymState, TaskContext};
 //!
 //! let mut b = SystemBuilder::new("demo");
@@ -47,16 +47,15 @@
 //! // can observe — here the variable `y` and the constant `0`.
 //! let zero = Condition::eq_const(y, Rational::ZERO);
 //! let ctx = TaskContext::build(&system, root, &[zero.clone()], 1);
-//! let no_arith = |_: &LinearConstraint<VarId>| None;
 //!
 //! // Initially every numeric variable sits in the `0` equivalence class …
 //! let mut state = SymState::blank(&ctx, &system.schema);
-//! assert_eq!(state.satisfies(&ctx, &zero, &no_arith), Some(true));
+//! assert_eq!(state.satisfies(&ctx, &zero), Some(true));
 //!
 //! // … and rewriting `y` to a fresh value separates it from `0`: the
 //! // equality type now *determines* the condition to be false.
 //! state.fresh_numeric(&ctx, y);
-//! assert_eq!(state.satisfies(&ctx, &zero, &no_arith), Some(false));
+//! assert_eq!(state.satisfies(&ctx, &zero), Some(false));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -14,7 +14,6 @@
 use crate::context::TaskContext;
 use crate::expr::{Expr, Sort};
 use has_model::{ArtifactSchema, Atom, Condition, RelationId, Term, VarId, VarSort};
-use has_arith::LinearConstraint;
 use std::collections::BTreeSet;
 
 /// Class id marking a dead expression (navigation whose anchor variable is
@@ -74,11 +73,6 @@ impl SymState {
         let mut s = SymState { class, binding };
         s.normalize();
         s
-    }
-
-    /// The class of an expression (`DEAD` for dead navigations).
-    pub fn class_of(&self, idx: usize) -> u32 {
-        self.class[idx]
     }
 
     /// Returns `true` if the expression is live.
@@ -294,68 +288,76 @@ impl SymState {
         }
     }
 
-    /// Evaluates a condition on this state.
+    /// Evaluates a condition on this state, three-valued: `Some(bool)` when
+    /// the abstraction determines it, `None` otherwise.
     ///
     /// Equality and relation atoms are decided by the equality type;
-    /// arithmetic atoms are delegated to `arith_oracle` (returning `None`
-    /// means "not determined by the abstraction"). The overall result is
-    /// three-valued: `Some(bool)` when determined, `None` otherwise.
-    pub fn satisfies(
+    /// arithmetic atoms are always undetermined (DESIGN.md §5.5).
+    pub fn satisfies(&self, ctx: &TaskContext, condition: &Condition) -> Option<bool> {
+        self.satisfies_with_unknowns(ctx, condition, &BTreeSet::new())
+    }
+
+    /// The optimistic reading of [`SymState::satisfies`]: an undetermined
+    /// condition counts as satisfiable. The verifier searches for
+    /// violations, so "possibly satisfiable" transitions must be kept
+    /// (DESIGN.md §5 on the direction of this approximation).
+    pub fn may_satisfy(&self, ctx: &TaskContext, condition: &Condition) -> bool {
+        self.satisfies(ctx, condition).unwrap_or(true)
+    }
+
+    /// Like [`SymState::satisfies`], but atoms mentioning any variable in
+    /// `pending` are treated as undetermined (`None`). Used by the
+    /// successor enumeration to prune partial assignments without
+    /// mis-judging atoms over variables that have not been rewritten yet.
+    pub fn satisfies_with_unknowns(
         &self,
         ctx: &TaskContext,
         condition: &Condition,
-        arith_oracle: &dyn Fn(&LinearConstraint<VarId>) -> Option<bool>,
+        pending: &BTreeSet<VarId>,
     ) -> Option<bool> {
         match condition {
             Condition::True => Some(true),
             Condition::False => Some(false),
-            Condition::Not(c) => self.satisfies(ctx, c, arith_oracle).map(|b| !b),
-            Condition::And(cs) => {
+            Condition::Not(c) => self.satisfies_with_unknowns(ctx, c, pending).map(|b| !b),
+            Condition::And(cs) | Condition::Or(cs) => {
+                // A decided operand equal to the connective's absorbing
+                // value (false for `And`, true for `Or`) decides it.
+                let absorbing = matches!(condition, Condition::Or(_));
                 let mut unknown = false;
                 for c in cs {
-                    match self.satisfies(ctx, c, arith_oracle) {
-                        Some(false) => return Some(false),
-                        Some(true) => {}
+                    match self.satisfies_with_unknowns(ctx, c, pending) {
+                        Some(b) if b == absorbing => return Some(absorbing),
+                        Some(_) => {}
                         None => unknown = true,
                     }
                 }
-                if unknown {
-                    None
-                } else {
-                    Some(true)
-                }
+                (!unknown).then_some(!absorbing)
             }
-            Condition::Or(cs) => {
-                let mut unknown = false;
-                for c in cs {
-                    match self.satisfies(ctx, c, arith_oracle) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            Condition::Atom(atom) => self.satisfies_atom(ctx, atom, arith_oracle),
+            Condition::Atom(atom) => self.satisfies_atom(ctx, atom, pending),
         }
     }
 
+    /// Decides one atom: `None` if it mentions a `pending` variable, is
+    /// arithmetic, or names a term outside the universe.
     fn satisfies_atom(
         &self,
         ctx: &TaskContext,
         atom: &Atom,
-        arith_oracle: &dyn Fn(&LinearConstraint<VarId>) -> Option<bool>,
+        pending: &BTreeSet<VarId>,
     ) -> Option<bool> {
+        let is_pending = |t: &Term| matches!(t, Term::Var(v) if pending.contains(v));
         match atom {
             Atom::Eq(a, b) => {
+                if is_pending(a) || is_pending(b) {
+                    return None;
+                }
                 let (i, j) = (ctx.term_idx(a)?, ctx.term_idx(b)?);
                 Some(self.eq(i, j))
             }
             Atom::Relation { relation, args } => {
+                if args.iter().any(is_pending) {
+                    return None;
+                }
                 let Some(Term::Var(x)) = args.first() else {
                     return Some(false);
                 };
@@ -391,75 +393,8 @@ impl SymState {
                 }
                 Some(true)
             }
-            Atom::Arith(c) => arith_oracle(c),
-        }
-    }
-
-    /// Like [`SymState::satisfies`], but atoms mentioning any variable in
-    /// `unknown_vars` are treated as undetermined (`None`). Used by the
-    /// verifier's successor enumeration to prune partial assignments without
-    /// mis-judging atoms over variables that have not been rewritten yet.
-    pub fn satisfies_with_unknowns(
-        &self,
-        ctx: &TaskContext,
-        condition: &Condition,
-        unknown_vars: &std::collections::BTreeSet<VarId>,
-        arith_oracle: &dyn Fn(&LinearConstraint<VarId>) -> Option<bool>,
-    ) -> Option<bool> {
-        match condition {
-            Condition::True => Some(true),
-            Condition::False => Some(false),
-            Condition::Not(c) => self
-                .satisfies_with_unknowns(ctx, c, unknown_vars, arith_oracle)
-                .map(|b| !b),
-            Condition::And(cs) => {
-                let mut unknown = false;
-                for c in cs {
-                    match self.satisfies_with_unknowns(ctx, c, unknown_vars, arith_oracle) {
-                        Some(false) => return Some(false),
-                        Some(true) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(true)
-                }
-            }
-            Condition::Or(cs) => {
-                let mut unknown = false;
-                for c in cs {
-                    match self.satisfies_with_unknowns(ctx, c, unknown_vars, arith_oracle) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            Condition::Atom(atom) => {
-                let touches_unknown = match atom {
-                    Atom::Eq(a, b) => [a, b].iter().any(|t| match t {
-                        Term::Var(v) => unknown_vars.contains(v),
-                        _ => false,
-                    }),
-                    Atom::Relation { args, .. } => args.iter().any(|t| match t {
-                        Term::Var(v) => unknown_vars.contains(v),
-                        _ => false,
-                    }),
-                    Atom::Arith(c) => c.variables().any(|v| unknown_vars.contains(v)),
-                };
-                if touches_unknown {
-                    None
-                } else {
-                    self.satisfies_atom(ctx, atom, arith_oracle)
-                }
-            }
+            // No oracle decides arithmetic (DESIGN.md §5.5).
+            Atom::Arith(_) => None,
         }
     }
 
@@ -697,10 +632,6 @@ mod tests {
         }
     }
 
-    fn no_arith(_: &LinearConstraint<VarId>) -> Option<bool> {
-        None
-    }
-
     #[test]
     fn blank_state_has_null_ids_and_zero_numerics() {
         let f = fixture();
@@ -710,13 +641,53 @@ mod tests {
         assert!(s.eq(f.ctx.var_idx(f.price), f.ctx.zero_idx));
         assert_eq!(s.binding_of(&f.ctx, f.flight), None);
         assert_eq!(
-            s.satisfies(&f.ctx, &Condition::is_null(f.flight), &no_arith),
+            s.satisfies(&f.ctx, &Condition::is_null(f.flight)),
             Some(true)
         );
         assert_eq!(
-            s.satisfies(&f.ctx, &Condition::eq_const(f.price, Rational::ZERO), &no_arith),
+            s.satisfies(&f.ctx, &Condition::eq_const(f.price, Rational::ZERO)),
             Some(true)
         );
+    }
+
+    #[test]
+    fn pending_variables_leave_their_atoms_undetermined() {
+        let f = fixture();
+        let s = SymState::blank(&f.ctx, &f.system.schema);
+        let pending = BTreeSet::from([f.price]);
+        let price_zero = Condition::eq_const(f.price, Rational::ZERO);
+        assert_eq!(s.satisfies(&f.ctx, &price_zero), Some(true));
+        assert_eq!(
+            s.satisfies_with_unknowns(&f.ctx, &price_zero, &pending),
+            None
+        );
+        // A decided false conjunct decides the `And`; a decided true
+        // disjunct decides the `Or`.
+        let status_one = Condition::eq_const(f.status, Rational::from_int(1));
+        assert_eq!(
+            s.satisfies_with_unknowns(
+                &f.ctx,
+                &price_zero.clone().and(status_one.clone()),
+                &pending
+            ),
+            Some(false)
+        );
+        let status_zero = Condition::eq_const(f.status, Rational::ZERO);
+        assert_eq!(
+            s.satisfies_with_unknowns(&f.ctx, &price_zero.clone().or(status_zero), &pending),
+            Some(true)
+        );
+        assert_eq!(
+            s.satisfies_with_unknowns(&f.ctx, &price_zero.or(status_one), &pending),
+            None
+        );
+        // Arithmetic atoms read undetermined, pending or not.
+        let nonneg = Condition::arith(has_arith::LinearConstraint::ge(
+            has_arith::LinExpr::var(f.status),
+            has_arith::LinExpr::zero(),
+        ));
+        assert_eq!(s.satisfies(&f.ctx, &nonneg), None);
+        assert!(s.may_satisfy(&f.ctx, &nonneg));
     }
 
     #[test]
@@ -749,7 +720,7 @@ mod tests {
             f.flights,
             vec![Term::Var(f.flight), Term::Var(f.price), Term::Var(f.hotel)],
         );
-        assert_eq!(s.satisfies(&f.ctx, &atom, &no_arith), Some(false));
+        assert_eq!(s.satisfies(&f.ctx, &atom), Some(false));
         // Bind flight and hotel, then align the attribute navigations.
         s.bind(&f.ctx, f.flight, Some(f.flights));
         let hotels = f.system.schema.database.relation_by_name("HOTELS").unwrap();
@@ -772,7 +743,7 @@ mod tests {
             .unwrap();
         s.union(&f.ctx, nav_price, f.ctx.var_idx(f.price)).unwrap();
         s.union(&f.ctx, nav_hotel, f.ctx.var_idx(f.hotel)).unwrap();
-        assert_eq!(s.satisfies(&f.ctx, &atom, &no_arith), Some(true));
+        assert_eq!(s.satisfies(&f.ctx, &atom), Some(true));
     }
 
     #[test]
@@ -791,8 +762,7 @@ mod tests {
         assert_eq!(
             s.satisfies(
                 &f.ctx,
-                &Condition::eq_const(f.status, Rational::from_int(1)),
-                &no_arith
+                &Condition::eq_const(f.status, Rational::from_int(1))
             ),
             Some(true)
         );

@@ -13,8 +13,7 @@
 
 use crate::context::TaskContext;
 use crate::state::SymState;
-use has_arith::LinearConstraint;
-use has_model::{ArtifactSchema, Condition, VarId, VarSort};
+use has_model::{ArtifactSchema, VarId, VarSort};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -28,10 +27,6 @@ pub struct SuccessorCaps {
     /// Cap on the number of undecided related-expression pairs branched
     /// over by the merge refinement.
     pub max_merge_pairs: usize,
-}
-
-fn no_arith(_: &LinearConstraint<VarId>) -> Option<bool> {
-    None
 }
 
 /// Normalizes every state, then sorts and deduplicates the list: the
@@ -88,7 +83,7 @@ pub(crate) fn enumerate_post_states(
         // post-condition on the atoms whose variables are all decided
         // (atoms touching variables not yet rewritten are left open).
         next.retain(|s| {
-            s.satisfies_with_unknowns(ctx, post, &remaining, &no_arith)
+            s.satisfies_with_unknowns(ctx, post, &remaining)
                 .unwrap_or(true)
         });
         states = dedup(next);
@@ -98,7 +93,7 @@ pub(crate) fn enumerate_post_states(
     let mut out = Vec::new();
     for s in &states {
         for refined in merge_refinements(ctx, s, caps) {
-            if sat_optimistic(ctx, &refined, post) {
+            if refined.may_satisfy(ctx, post) {
                 out.push(refined);
             }
         }
@@ -106,10 +101,6 @@ pub(crate) fn enumerate_post_states(
     let mut out = dedup(out);
     out.truncate(caps.max_successors);
     out
-}
-
-fn sat_optimistic(ctx: &TaskContext, state: &SymState, cond: &Condition) -> bool {
-    state.satisfies(ctx, cond, &no_arith).unwrap_or(true)
 }
 
 /// Appends the candidate values of a single rewritten variable to `out`.
@@ -287,7 +278,7 @@ impl TaskContext {
 mod tests {
     use super::*;
     use has_arith::Rational;
-    use has_model::{ArtifactSystem, SetUpdate, SystemBuilder, Term};
+    use has_model::{ArtifactSystem, Condition, SetUpdate, SystemBuilder, Term};
     use std::sync::Barrier;
 
     /// One task with two ID and two numeric variables, whose single service

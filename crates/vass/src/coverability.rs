@@ -30,7 +30,7 @@
 //! lets the covering node reach everything the pruned one could). For
 //! lassos, a non-negative cycle over *real* edges is sound evidence, and
 //! the absence of one over real plus jump edges refutes the lasso
-//! ([`CoverabilityGraph::augmented_nonneg_cycle_through_pred`]).
+//! ([`CoverabilityGraph::augmented_nonneg_cycle_through`]).
 
 use crate::cycle::{self, DeltaEdge};
 use crate::dense::FxHasher;
@@ -623,47 +623,29 @@ impl CoverabilityGraph {
         path
     }
 
-    /// Decides whether a cycle (closed walk) through some node with control
-    /// state `target` has a componentwise non-negative summed action effect —
-    /// the witness for state repeated reachability (Lemma 21's lasso).
+    /// Decides whether a cycle (closed walk) through some node whose control
+    /// state satisfies `target` has a componentwise non-negative summed
+    /// action effect — the witness for state repeated reachability (Lemma
+    /// 21's lasso) — and materializes it in the same run
+    /// ([`cycle::nonneg_cycle_search`]).
     ///
     /// The decision is exact and unbounded: it reduces to circulation
     /// feasibility per strongly connected component, solved by exact rational
     /// linear programming with Kosaraju–Sullivan support refinement for
-    /// connectivity (see [`crate::cycle`]). The cycle-length cap of the old
-    /// depth-first search — which silently missed lassos longer than the cap —
-    /// is gone.
-    pub fn nonneg_cycle_through(&self, vass: &Vass, target: usize) -> bool {
-        self.nonneg_cycle_through_pred(vass, &|s| s == target)
-    }
-
-    /// Like [`CoverabilityGraph::nonneg_cycle_through`], but accepts any
-    /// control state satisfying the predicate (used by the verifier, where
-    /// "accepting" is a property of the encoded Büchi component).
-    ///
-    /// Only real edges count, so on a pruned build a `true` is **sound**
-    /// lasso evidence (real edges carry exact successor markings, so the
-    /// cycle pumps into an actual infinite run — the classic Karp–Miller
-    /// argument), while a `false` proves nothing.
-    pub fn nonneg_cycle_through_pred(&self, vass: &Vass, target: &dyn Fn(usize) -> bool) -> bool {
-        cycle::nonneg_cycle_exists(
-            self.node_count(),
-            vass.dim,
-            &self.delta_edges(vass),
-            &|node| target(self.states[node] as usize),
-        )
-    }
-
-    /// Decides [`CoverabilityGraph::nonneg_cycle_through_pred`] and
-    /// materializes the pump-cycle witness in one pipeline run
-    /// ([`cycle::nonneg_cycle_search`]): on
+    /// connectivity (see [`crate::cycle`]). `max_len` caps only the
+    /// materialization; 0 asks for the decision alone
+    /// ([`cycle::CycleSearch::exists`]). On
     /// [`cycle::CycleSearch::Witness`], the walk comes back as
     /// coverability-graph edges `(from_node, action_index, to_node)` in
-    /// traversal order, starting (and ending) at a predicate node, with
-    /// componentwise non-negative summed action effect — the cycle part of a
-    /// lasso counterexample, repeatable forever. The decision itself is
-    /// exact regardless of the `max_len` materialization cap.
-    pub fn nonneg_cycle_search_through_pred(
+    /// traversal order, starting (and ending) at a predicate node — the
+    /// cycle part of a lasso counterexample, repeatable forever.
+    ///
+    /// Only real edges count, so on a pruned build a found cycle is
+    /// **sound** lasso evidence (real edges carry exact successor markings,
+    /// so the cycle pumps into an actual infinite run — the classic
+    /// Karp–Miller argument), while `None` proves nothing; see
+    /// [`Self::augmented_nonneg_cycle_through`].
+    pub fn nonneg_cycle_through(
         &self,
         vass: &Vass,
         target: &dyn Fn(usize) -> bool,
@@ -683,7 +665,7 @@ impl CoverabilityGraph {
     }
 
     /// **Complete** lasso evidence for a pruned build: the decision of
-    /// [`Self::nonneg_cycle_through_pred`] over real edges *plus* jump
+    /// [`Self::nonneg_cycle_through`] over real edges *plus* jump
     /// edges (at their action's effect) and retro-pruning ε-jumps (at zero
     /// effect). Any real lasso shadow-maps into this augmented graph —
     /// iterate the real pump cycle, follow the saturated edge relation, and
@@ -693,7 +675,7 @@ impl CoverabilityGraph {
     /// alone proves nothing (a jump target may be unjustifiably large) —
     /// decide `true` via the real edges or an exact build. On an exact
     /// build the two decisions coincide.
-    pub fn augmented_nonneg_cycle_through_pred(
+    pub fn augmented_nonneg_cycle_through(
         &self,
         vass: &Vass,
         target: &dyn Fn(usize) -> bool,
@@ -710,9 +692,14 @@ impl CoverabilityGraph {
             to: to as usize,
             delta: &zero,
         }));
-        cycle::nonneg_cycle_exists(self.node_count(), vass.dim, &edges, &|node| {
-            target(self.states[node] as usize)
-        })
+        cycle::nonneg_cycle_search(
+            self.node_count(),
+            vass.dim,
+            &edges,
+            &|node| target(self.states[node] as usize),
+            0,
+        )
+        .exists()
     }
 
     /// The graph's real edges as [`DeltaEdge`]s over coverability nodes,
@@ -734,6 +721,11 @@ impl CoverabilityGraph {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    /// The lasso decision alone through control state `target`.
+    fn lasso(g: &CoverabilityGraph, v: &Vass, target: usize) -> bool {
+        g.nonneg_cycle_through(v, &|s| s == target, 0).exists()
+    }
 
     #[test]
     fn acceleration_produces_omega() {
@@ -785,7 +777,7 @@ mod tests {
         v.add_action(0, vec![1], 0);
         v.add_action(0, vec![-1], 0);
         let g = CoverabilityGraph::build(&v, 0);
-        assert!(g.nonneg_cycle_through(&v, 0));
+        assert!(lasso(&g, &v, 0));
 
         // Only a decrementing loop: no non-negative cycle, even though the
         // coverability graph has a cycle at ω.
@@ -794,8 +786,8 @@ mod tests {
         v2.add_action(0, vec![0], 1);
         v2.add_action(1, vec![-1], 1);
         let g2 = CoverabilityGraph::build(&v2, 0);
-        assert!(g2.nonneg_cycle_through(&v2, 0));
-        assert!(!g2.nonneg_cycle_through(&v2, 1));
+        assert!(lasso(&g2, &v2, 0));
+        assert!(!lasso(&g2, &v2, 1));
     }
 
     #[test]
@@ -807,9 +799,8 @@ mod tests {
         v.add_action(1, vec![-1], 2);
         v.add_action(2, vec![1], 1);
         let g = CoverabilityGraph::build(&v, 0);
-        assert!(g.nonneg_cycle_through(&v, 1));
-        let cycle::CycleSearch::Witness(walk) =
-            g.nonneg_cycle_search_through_pred(&v, &|s| s == 1, 10_000)
+        assert!(lasso(&g, &v, 1));
+        let cycle::CycleSearch::Witness(walk) = g.nonneg_cycle_through(&v, &|s| s == 1, 10_000)
         else {
             panic!("lasso exists");
         };
@@ -991,10 +982,10 @@ mod tests {
     fn real_cycle_decision_matches_reference_on_pump_drain() {
         let v = pump_drain(2);
         let reference = CoverabilityGraph::build(&v, 0);
-        let expect = reference.nonneg_cycle_through_pred(&v, &|s| s == 0);
+        let expect = lasso(&reference, &v, 0);
         let g = pruned(&v, 0, usize::MAX);
-        let sound = g.nonneg_cycle_through_pred(&v, &|s| s == 0);
-        let complete = g.augmented_nonneg_cycle_through_pred(&v, &|s| s == 0);
+        let sound = lasso(&g, &v, 0);
+        let complete = g.augmented_nonneg_cycle_through(&v, &|s| s == 0);
         // The tiers bracket the truth.
         assert!(!sound || expect);
         assert!(complete || !expect);

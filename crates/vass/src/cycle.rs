@@ -133,32 +133,10 @@ pub fn strongly_connected_components(
     (comp, comp_count)
 }
 
-/// Decides whether the graph contains a closed walk through a node satisfying
-/// `is_target` whose summed `delta` is componentwise non-negative.
-pub fn nonneg_cycle_exists(
-    num_nodes: usize,
-    dim: usize,
-    edges: &[DeltaEdge<'_>],
-    is_target: &dyn Fn(usize) -> bool,
-) -> bool {
-    if edges.is_empty() {
-        return false;
-    }
-    if monotone_cycle(num_nodes, edges, is_target).is_some() {
-        return true;
-    }
-    for es in target_components(num_nodes, edges, is_target) {
-        if component_witness(dim, edges, es, is_target).is_some() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Sufficient fast path shared by the exists/search entry points: a closed
-/// walk through a target that uses only *monotone* edges (componentwise
-/// non-negative `delta`) is already a witness — each edge contributes `≥ 0`,
-/// so the sum does too. Decided by SCC reachability over the monotone
+/// Sufficient fast path of [`nonneg_cycle_search`]: a closed walk through a
+/// target that uses only *monotone* edges (componentwise non-negative
+/// `delta`) is already a witness — each edge contributes `≥ 0`, so the sum
+/// does too. Decided by SCC reachability over the monotone
 /// subgraph, `O(V + E·dim)`, no LP. This is the common shape on
 /// ω-saturated coverability graphs (pump loops repeat increments), where
 /// the circulation machinery otherwise grinds through huge strongly
@@ -244,8 +222,7 @@ fn monotone_cycle(
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CycleSearch<E = usize> {
     /// No closed walk through a target with componentwise non-negative
-    /// summed effect exists. Exact and unbounded, like
-    /// [`nonneg_cycle_exists`].
+    /// summed effect exists. Exact and unbounded.
     None,
     /// A witness exists, materialized as a walk of edges: consecutive edges
     /// share a node, the walk is closed, it starts (and ends) at a node
@@ -255,13 +232,14 @@ pub enum CycleSearch<E = usize> {
     Witness(Vec<E>),
     /// A witness exists (the decision is still exact), but materializing it
     /// would exceed the caller's traversal cap or overflow the integer
-    /// scaling of the circulation.
+    /// scaling of the circulation. A cap of 0 always lands here when a
+    /// witness exists: it asks for the decision only.
     ExceedsCap,
 }
 
 impl<E> CycleSearch<E> {
-    /// Whether a witnessing walk exists (materialized or not) — always
-    /// equal to what [`nonneg_cycle_exists`] answers on the same input.
+    /// Whether a witnessing walk exists (materialized or not) — the exact
+    /// decision, whatever the cap.
     pub fn exists(&self) -> bool {
         !matches!(self, CycleSearch::None)
     }
@@ -279,16 +257,18 @@ impl<E> CycleSearch<E> {
     }
 }
 
-/// Decides the query of [`nonneg_cycle_exists`] and materializes the
-/// witnessing closed walk in the same pipeline run.
+/// Decides whether the graph contains a closed walk through a node
+/// satisfying `is_target` whose summed `delta` is componentwise
+/// non-negative, and materializes that walk in the same pipeline run.
 ///
 /// The walk is built from the witnessing circulation by scaling the rational
 /// edge multiplicities to integers and threading an Eulerian circuit through
 /// the resulting balanced multigraph; its length is the scaled total flow,
 /// so materialization is bounded by `max_len` edge traversals
 /// ([`CycleSearch::ExceedsCap`] past the bound — the *decision* is exact
-/// either way). Callers that only need the boolean should use
-/// [`nonneg_cycle_exists`], which skips the materialization entirely.
+/// either way). `max_len = 0` asks for the decision only: no walk fits, so
+/// the search stops at the first component that admits a circulation and
+/// never scales or threads one.
 pub fn nonneg_cycle_search(
     num_nodes: usize,
     dim: usize,
@@ -311,6 +291,9 @@ pub fn nonneg_cycle_search(
     let mut admitted = false;
     for es in target_components(num_nodes, edges, is_target) {
         if let Some((sub, point)) = component_witness(dim, edges, es, is_target) {
+            if max_len == 0 {
+                return CycleSearch::ExceedsCap;
+            }
             if let Some(walk) = eulerian_walk(edges, &sub, &point, is_target, max_len) {
                 return CycleSearch::Witness(walk);
             }
@@ -676,6 +659,16 @@ mod tests {
         DeltaEdge { from, to, delta }
     }
 
+    /// The decision alone: [`nonneg_cycle_search`] with cap 0.
+    fn exists(
+        num_nodes: usize,
+        dim: usize,
+        edges: &[DeltaEdge<'_>],
+        is_target: &dyn Fn(usize) -> bool,
+    ) -> bool {
+        nonneg_cycle_search(num_nodes, dim, edges, is_target, 0).exists()
+    }
+
     /// The materialized walk of [`nonneg_cycle_search`], if any.
     fn witness(
         num_nodes: usize,
@@ -713,34 +706,34 @@ mod tests {
     #[test]
     fn positive_self_loop_is_a_lasso() {
         let edges = [edge(0, 0, &[1])];
-        assert!(nonneg_cycle_exists(1, 1, &edges, &|n| n == 0));
+        assert!(exists(1, 1, &edges, &|n| n == 0));
     }
 
     #[test]
     fn negative_self_loop_is_not() {
         let edges = [edge(0, 0, &[-1])];
-        assert!(!nonneg_cycle_exists(1, 1, &edges, &|n| n == 0));
+        assert!(!exists(1, 1, &edges, &|n| n == 0));
     }
 
     #[test]
     fn mixed_self_loops_balance_out() {
         let edges = [edge(0, 0, &[-1]), edge(0, 0, &[1])];
-        assert!(nonneg_cycle_exists(1, 1, &edges, &|n| n == 0));
+        assert!(exists(1, 1, &edges, &|n| n == 0));
     }
 
     #[test]
     fn balanced_two_cycle() {
         let edges = [edge(0, 1, &[1]), edge(1, 0, &[-1])];
-        assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 0));
-        assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 1));
+        assert!(exists(2, 1, &edges, &|n| n == 0));
+        assert!(exists(2, 1, &edges, &|n| n == 1));
     }
 
     #[test]
     fn target_outside_every_cycle() {
         // 0 → 1 with a positive loop at 1: no cycle through 0.
         let edges = [edge(0, 1, &[0]), edge(1, 1, &[1])];
-        assert!(!nonneg_cycle_exists(2, 1, &edges, &|n| n == 0));
-        assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 1));
+        assert!(!exists(2, 1, &edges, &|n| n == 0));
+        assert!(exists(2, 1, &edges, &|n| n == 1));
     }
 
     #[test]
@@ -753,7 +746,7 @@ mod tests {
             edge(0, 1, &[0]),
             edge(1, 0, &[0]),
         ];
-        assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 0));
+        assert!(exists(2, 1, &edges, &|n| n == 0));
     }
 
     #[test]
@@ -769,9 +762,9 @@ mod tests {
             edge(0, 1, &[0, -1]),
             edge(1, 0, &[0, 0]),
         ];
-        assert!(!nonneg_cycle_exists(2, 2, &edges, &|n| n == 0));
+        assert!(!exists(2, 2, &edges, &|n| n == 0));
         // Node 1's own loop is still a perfectly good lasso through 1.
-        assert!(nonneg_cycle_exists(2, 2, &edges, &|n| n == 1));
+        assert!(exists(2, 2, &edges, &|n| n == 1));
     }
 
     #[test]
@@ -780,7 +773,7 @@ mod tests {
         // far beyond the old default caps.
         let n = 100;
         let edges: Vec<DeltaEdge<'_>> = (0..n).map(|i| edge(i, (i + 1) % n, &[0])).collect();
-        assert!(nonneg_cycle_exists(n, 1, &edges, &|s| s == 0));
+        assert!(exists(n, 1, &edges, &|s| s == 0));
     }
 
     #[test]
@@ -793,15 +786,15 @@ mod tests {
             edge(1, 0, &[1]),
             edge(1, 1, &[1]),
         ];
-        assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 0));
+        assert!(exists(2, 1, &edges, &|n| n == 0));
     }
 
     #[test]
     fn zero_dimension_reduces_to_cycle_existence() {
         let edges = [edge(0, 1, &[]), edge(1, 0, &[])];
-        assert!(nonneg_cycle_exists(2, 0, &edges, &|n| n == 0));
+        assert!(exists(2, 0, &edges, &|n| n == 0));
         let dag = [edge(0, 1, &[])];
-        assert!(!nonneg_cycle_exists(2, 0, &dag, &|n| n == 0));
+        assert!(!exists(2, 0, &dag, &|n| n == 0));
     }
 
     /// Asserts that `walk` is a valid witness for (`edges`, `is_target`):
@@ -855,9 +848,9 @@ mod tests {
         for (nodes, dim, edges) in cases {
             for t in 0..nodes {
                 let is_target = |n: usize| n == t;
-                let exists = nonneg_cycle_exists(nodes, dim, &edges, &is_target);
+                let decided = exists(nodes, dim, &edges, &is_target);
                 let witness = witness(nodes, dim, &edges, &is_target, 10_000);
-                assert_eq!(exists, witness.is_some(), "target {t}, edges {edges:?}");
+                assert_eq!(decided, witness.is_some(), "target {t}, edges {edges:?}");
                 if let Some(walk) = witness {
                     assert_valid_walk(&edges, &walk, dim, &is_target);
                     assert!(is_target(edges[walk[0]].from), "walk starts off-target");
@@ -884,7 +877,7 @@ mod tests {
         // The valid witness needs 4 traversals (0→1, loop ×2, 1→0); a cap of
         // 3 must refuse rather than truncate, while the decision stays true.
         let edges = [edge(0, 1, &[-3]), edge(1, 0, &[1]), edge(1, 1, &[1])];
-        assert!(nonneg_cycle_exists(2, 1, &edges, &|n| n == 0));
+        assert!(exists(2, 1, &edges, &|n| n == 0));
         assert!(matches!(
             nonneg_cycle_search(2, 1, &edges, &|n| n == 0, 3),
             CycleSearch::ExceedsCap
@@ -903,7 +896,7 @@ mod tests {
     #[test]
     fn predicate_targets_accept_any_matching_node() {
         let edges = [edge(0, 1, &[1]), edge(1, 0, &[-1]), edge(2, 2, &[-1])];
-        assert!(nonneg_cycle_exists(3, 1, &edges, &|n| n >= 1));
-        assert!(!nonneg_cycle_exists(3, 1, &edges, &|n| n == 2));
+        assert!(exists(3, 1, &edges, &|n| n >= 1));
+        assert!(!exists(3, 1, &edges, &|n| n == 2));
     }
 }

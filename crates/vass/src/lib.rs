@@ -12,7 +12,7 @@
 //!   ([`CoverabilityGraph::build_pruned`], the build behind every Lemma 21
 //!   query of the verifier);
 //! * [`Vass::state_reachable`] — control-state reachability (used for the
-//!   *returning* and *blocking* paths of Lemma 21), with witness extraction;
+//!   *returning* and *blocking* paths of Lemma 21);
 //! * [`Vass::state_repeated_reachable`] — repeated reachability (the *lasso*
 //!   paths of Lemma 21): a reachable configuration with control state `q_f`
 //!   from which the same control state is reached again with componentwise
@@ -28,12 +28,13 @@
 //! non-negative; the [`cycle`] module decides this exactly — no cycle-length
 //! bound — by circulation feasibility per strongly connected component,
 //! solved with the exact rational simplex of `has-arith` and
-//! Kosaraju–Sullivan support refinement for connectivity. When a lasso
-//! exists, [`cycle::nonneg_cycle_search`] additionally materializes the
-//! witnessing closed walk itself (scale the circulation to integers, thread
-//! an Eulerian circuit), which the verifier renders as the pump cycle of a
-//! counterexample report
-//! ([`CoverabilityGraph::nonneg_cycle_search_through_pred`]).
+//! Kosaraju–Sullivan support refinement for connectivity. One routine,
+//! [`cycle::nonneg_cycle_search`], both decides and, when a lasso exists
+//! and fits the caller's cap, materializes the witnessing closed walk (scale
+//! the circulation to integers, thread an Eulerian circuit), which the
+//! verifier renders as the pump cycle of a counterexample report
+//! ([`CoverabilityGraph::nonneg_cycle_through`]); a cap of 0 asks for the
+//! decision alone.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -46,9 +47,6 @@ pub mod vass;
 
 pub use bounded::BoundedExplorer;
 pub use coverability::{CoverabilityGraph, KmScratch, Marking, NodeRef, OMEGA};
-pub use cycle::{
-    nonneg_cycle_exists, nonneg_cycle_search, strongly_connected_components, CycleSearch,
-    DeltaEdge,
-};
+pub use cycle::{nonneg_cycle_search, strongly_connected_components, CycleSearch, DeltaEdge};
 pub use dense::{fx_hash, BitSet, FxBuildHasher, FxHashMap, FxHasher, Interner};
 pub use vass::{Action, ActionCsr, Vass};

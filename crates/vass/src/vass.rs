@@ -129,15 +129,6 @@ impl Vass {
         reachable
     }
 
-    /// Like [`Vass::state_reachable`], but also returns the witnessing action
-    /// sequence through the coverability graph (a *pseudo-run*: on
-    /// ω-accelerated coordinates, a concrete run may need to repeat pumping
-    /// loops; the control-state projection is nevertheless realizable).
-    pub fn state_reachable_witness(&self, init: usize, target: usize) -> Option<Vec<usize>> {
-        let graph = CoverabilityGraph::build_to_state(self, init, target);
-        graph.path_to_state(target)
-    }
-
     /// Decides state repeated reachability from `(init, 0̄)`: is there a run
     /// `(init, 0̄) →* (target, v̄) →⁺ (target, v̄')` with `v̄ ≤ v̄'`
     /// componentwise? (Lemma 21's lasso condition.)
@@ -150,7 +141,9 @@ impl Vass {
     /// bounded search silently missed lassos longer than its cap.
     pub fn state_repeated_reachable(&self, init: usize, target: usize) -> bool {
         let graph = CoverabilityGraph::build(self, init);
-        graph.nonneg_cycle_through(self, target)
+        graph
+            .nonneg_cycle_through(self, &|s| s == target, 0)
+            .exists()
     }
 
     /// Number of actions.
@@ -207,8 +200,6 @@ mod tests {
         assert!(v.state_reachable(0, 1));
         assert!(v.state_reachable(0, 2));
         assert!(!v.state_reachable(1, 0));
-        let w = v.state_reachable_witness(0, 2).unwrap();
-        assert!(!w.is_empty());
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn lassos_longer_than_the_old_cap_are_found() {
     }
     assert!(v.state_repeated_reachable(0, 0));
     let graph = CoverabilityGraph::build(&v, 0);
-    assert!(graph.nonneg_cycle_through(&v, n - 1));
+    assert!(graph.nonneg_cycle_through(&v, &|s| s == n - 1, 0).exists());
 }
 
 /// A lasso that must traverse a pumping loop many times before paying a
@@ -122,7 +122,7 @@ proptest! {
     fn claimed_lassos_have_walk_witnesses(vass in arb_vass(3, 2)) {
         let graph = CoverabilityGraph::build(&vass, 0);
         for target in 0..3 {
-            if graph.nonneg_cycle_through(&vass, target) {
+            if graph.nonneg_cycle_through(&vass, &|s| s == target, 0).exists() {
                 prop_assert!(
                     walk_witness_exists(&vass, &graph, target, 28, 60_000) != Some(false),
                     "exact procedure claims a lasso at {target} with no short witness"

@@ -56,13 +56,20 @@ fn reference_states(vass: &Vass, init: usize) -> BTreeSet<usize> {
 /// the gap.
 fn tiered_lasso(vass: &Vass, init: usize, run: &CoverabilityGraph, target: usize) -> bool {
     let pred = |s: usize| s == target;
-    if run.nonneg_cycle_through_pred(vass, &pred) {
+    if lasso(vass, run, target) {
         return true;
     }
-    if !run.augmented_nonneg_cycle_through_pred(vass, &pred) {
+    if !run.augmented_nonneg_cycle_through(vass, &pred) {
         return false;
     }
-    CoverabilityGraph::build(vass, init).nonneg_cycle_through_pred(vass, &pred)
+    lasso(vass, &CoverabilityGraph::build(vass, init), target)
+}
+
+/// The real-edge lasso decision alone (cap 0) through control state `target`.
+fn lasso(vass: &Vass, graph: &CoverabilityGraph, target: usize) -> bool {
+    graph
+        .nonneg_cycle_through(vass, &|s| s == target, 0)
+        .exists()
 }
 
 proptest! {
@@ -91,10 +98,9 @@ proptest! {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             let reference = CoverabilityGraph::build(&vass, init);
             for target in 0..4usize {
-                let expect = reference.nonneg_cycle_through_pred(&vass, &|s| s == target);
-                let sound = run.nonneg_cycle_through_pred(&vass, &|s| s == target);
-                let complete =
-                    run.augmented_nonneg_cycle_through_pred(&vass, &|s| s == target);
+                let expect = lasso(&vass, &reference, target);
+                let sound = lasso(&vass, &run, target);
+                let complete = run.augmented_nonneg_cycle_through(&vass, &|s| s == target);
                 prop_assert!(!sound || expect, "real-edge cycle must be sound");
                 prop_assert!(complete || !expect, "augmented graph must be complete");
                 prop_assert_eq!(
@@ -112,8 +118,19 @@ proptest! {
         for init in [0usize, 1, 2, 3] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             for target in 0..4usize {
-                let search =
-                    run.nonneg_cycle_search_through_pred(&vass, &|s| s == target, 4_096);
+                let search = run.nonneg_cycle_through(&vass, &|s| s == target, 4_096);
+                // Cap 0 is the decision alone: it never materializes a walk,
+                // and it agrees with the capped search.
+                let decision = run.nonneg_cycle_through(&vass, &|s| s == target, 0);
+                prop_assert!(
+                    !matches!(decision, has_vass::CycleSearch::Witness(_)),
+                    "cap 0 returned a walk from init {} target {}", init, target
+                );
+                prop_assert_eq!(
+                    decision.exists(),
+                    search.exists(),
+                    "cap-0 decision from init {} target {}", init, target
+                );
                 if let has_vass::CycleSearch::Witness(walk) = search {
                     prop_assert!(!walk.is_empty());
                     let (start, _, _) = walk[0];
