@@ -323,6 +323,21 @@ struct OpenChoice {
     letters: Vec<Box<[u64]>>,
 }
 
+/// The expression correspondence of one child's return, computed for each
+/// child by [`TaskVerifier::new`], so once per `(T, β)` pair rather than
+/// once per return (DESIGN.md §5.13): per variable pair of
+/// the child's `closing.output_map` and `opening.input_map`, the
+/// `(child expr, parent expr)` index pairs anchored at the pair — the
+/// variables themselves and their navigations present in both universes.
+/// [`TaskVerifier::apply_return`] reads the rows instead of rebuilding
+/// them per call.
+struct ReturnCorrespondence {
+    /// One row per `closing.output_map` pair, in map order.
+    outputs: Vec<Vec<(usize, usize)>>,
+    /// One row per `opening.input_map` pair, in map order.
+    inputs: Vec<Vec<(usize, usize)>>,
+}
+
 /// A control state of `V(T, β)`.
 ///
 /// Symbolic states are held as dense ids into the exploration's
@@ -390,6 +405,8 @@ pub struct TaskVerifier<'a> {
     /// transitions are skipped during graph construction (empty when the
     /// system fails validation).
     dead: &'a DeadServiceMap,
+    /// The return correspondence of each child task.
+    returns: BTreeMap<TaskId, ReturnCorrespondence>,
 }
 
 impl<'a> TaskVerifier<'a> {
@@ -414,6 +431,24 @@ impl<'a> TaskVerifier<'a> {
         props.sort();
         props.dedup();
         let cbuchi = CompiledBuchi::new(buchi, &props);
+        let returns = system
+            .schema
+            .task(task)
+            .children
+            .iter()
+            .map(|&child| {
+                let child_ctx = &child_contexts[&child];
+                let child_task = system.schema.task(child);
+                let row = |cv, pv| Self::corresponding(ctx, child_ctx, cv, pv);
+                let outputs = child_task.closing.output_map.iter();
+                let inputs = child_task.opening.input_map.iter();
+                let correspondence = ReturnCorrespondence {
+                    outputs: outputs.map(|&(pv, cv)| row(cv, pv)).collect(),
+                    inputs: inputs.map(|&(cv, pv)| row(cv, pv)).collect(),
+                };
+                (child, correspondence)
+            })
+            .collect();
         TaskVerifier {
             system,
             config,
@@ -426,6 +461,7 @@ impl<'a> TaskVerifier<'a> {
             children,
             child_contexts,
             dead,
+            returns,
         }
     }
 
@@ -643,6 +679,36 @@ impl<'a> TaskVerifier<'a> {
         (state, key)
     }
 
+    /// The `(child expr, parent expr)` index pairs anchored at the child
+    /// variable `cv` and the parent variable `pv`: each parent expression
+    /// that is `pv` or a navigation from it, with the child expression that
+    /// reads the same from `cv`, where the child's universe has one.
+    fn corresponding(
+        ctx: &TaskContext,
+        child_ctx: &TaskContext,
+        cv: VarId,
+        pv: VarId,
+    ) -> Vec<(usize, usize)> {
+        ctx.exprs
+            .iter()
+            .enumerate()
+            .filter_map(|(pi, pe)| {
+                let ce = match pe {
+                    has_symbolic::Expr::Var(v) if *v == pv => has_symbolic::Expr::Var(cv),
+                    has_symbolic::Expr::Nav { var, rel, path } if *var == pv => {
+                        has_symbolic::Expr::Nav {
+                            var: cv,
+                            rel: *rel,
+                            path: path.clone(),
+                        }
+                    }
+                    _ => return None,
+                };
+                child_ctx.index_of(&ce).map(|ci| (ci, pi))
+            })
+            .collect()
+    }
+
     /// Applies a child's return to the parent state (Definition 8's closing
     /// transition): numeric returned variables are overwritten, ID returned
     /// variables only if currently `null`; their new pattern follows the
@@ -652,28 +718,26 @@ impl<'a> TaskVerifier<'a> {
         let schema = self.schema();
         let child_ctx = &self.child_contexts[&child];
         let child_task = schema.task(child);
+        let correspondence = &self.returns[&child];
         let mut next = sym.clone();
-        // Child variables visible to the parent after the return: the
-        // overwritten returned variables plus the original inputs (whose
-        // parent-side values are unchanged but whose pattern anchors the
-        // returned values).
-        let mut map: Vec<(VarId, VarId)> = Vec::new(); // (child_var, parent_var)
-        for (pv, cv) in &child_task.closing.output_map {
+        // The overwritten returned variables `(child_var, parent_var)`, with
+        // their correspondence rows.
+        let mut written_map: Vec<(VarId, VarId)> = Vec::new();
+        let mut written_rows: Vec<&[(usize, usize)]> = Vec::new();
+        let outputs = child_task.closing.output_map.iter();
+        for ((pv, cv), row) in outputs.zip(&correspondence.outputs) {
             let overwrite = match schema.variable(*pv).sort {
                 VarSort::Numeric => true,
                 VarSort::Id => sym.is_null(self.ctx, *pv),
             };
             if overwrite {
-                map.push((*cv, *pv));
+                written_map.push((*cv, *pv));
+                written_rows.push(row);
             }
-        }
-        let written: Vec<VarId> = map.iter().map(|(_, pv)| *pv).collect();
-        for (cv, pv) in &child_task.opening.input_map {
-            map.push((*cv, *pv));
         }
         // Re-initialize the written numeric parent variables so the transfer
         // determines their pattern from scratch.
-        for pv in &written {
+        for (_, pv) in &written_map {
             if schema.variable(*pv).sort == VarSort::Numeric {
                 next.fresh_numeric(self.ctx, *pv);
             }
@@ -683,44 +747,25 @@ impl<'a> TaskVerifier<'a> {
         // equalities among live expressions... except that `transfer_pattern`
         // rebinds every mapped destination variable, which would disturb the
         // parent's own pattern for the passed (input) variables. To avoid
-        // that, the transfer is restricted to the written variables, and the
-        // input variables participate only as sources of equalities checked
-        // directly below.
-        let written_map: Vec<(VarId, VarId)> = map
-            .iter()
-            .filter(|(_, pv)| written.contains(pv))
-            .map(|(cv, pv)| (*cv, *pv))
-            .collect();
+        // that, the transfer is restricted to the written variables (an
+        // input pair joins only when its parent variable is written), and
+        // the input variables participate only as sources of equalities
+        // checked directly below.
+        let inputs = child_task.opening.input_map.iter();
+        for ((cv, pv), row) in inputs.zip(&correspondence.inputs) {
+            if written_map.iter().any(|(_, w)| w == pv) {
+                written_map.push((*cv, *pv));
+                written_rows.push(row);
+            }
+        }
         transfer_pattern(child_ctx, output, self.ctx, &mut next, &written_map);
         // Equalities between written parent variables (and their navigations)
         // and the *passed* parent variables (and theirs), as dictated by the
         // child's output pattern.
-        let corresponding = |cv: VarId, pv: VarId| -> Vec<(usize, usize)> {
-            // (child expr, parent expr) pairs anchored at (cv, pv).
-            self.ctx
-                .exprs
-                .iter()
-                .enumerate()
-                .filter_map(|(pi, pe)| {
-                    let ce = match pe {
-                        has_symbolic::Expr::Var(v) if *v == pv => has_symbolic::Expr::Var(cv),
-                        has_symbolic::Expr::Nav { var, rel, path } if *var == pv => {
-                            has_symbolic::Expr::Nav {
-                                var: cv,
-                                rel: *rel,
-                                path: path.clone(),
-                            }
-                        }
-                        _ => return None,
-                    };
-                    child_ctx.index_of(&ce).map(|ci| (ci, pi))
-                })
-                .collect()
-        };
-        for (cv_w, pv_w) in &written_map {
-            for (cv_in, pv_in) in &child_task.opening.input_map {
-                for (cw, pw) in corresponding(*cv_w, *pv_w) {
-                    for (ci, pi) in corresponding(*cv_in, *pv_in) {
+        for written_row in &written_rows {
+            for input_row in &correspondence.inputs {
+                for &(cw, pw) in *written_row {
+                    for &(ci, pi) in input_row {
                         if output.is_live(cw)
                             && output.is_live(ci)
                             && output.eq(cw, ci)
@@ -1178,19 +1223,22 @@ impl<'a> TaskVerifier<'a> {
     /// §5.12): the pair-level VASS every `τ_in` query runs on — projected
     /// onto the *union* dimension cone over all of the pair's initial
     /// states ([`has_analysis::dimension_cone_multi`]), so one projection
-    /// serves every query — and the per-control-state [`KmScratch`] those
-    /// queries' Karp–Miller builds reuse. The projection is
-    /// verdict-neutral (`crates/analysis/tests/prop_cone_project.rs`);
-    /// a trivial cone skips the copy.
+    /// serves every query — the [`KmScratch`] those queries' Karp–Miller
+    /// builds reuse (the VASS's adjacency, computed once per pair), and an
+    /// empty `τ_out` memo. The projection is verdict-neutral
+    /// (`crates/analysis/tests/prop_cone_project.rs`); a trivial cone skips
+    /// the copy.
     pub fn prepare_shared(&self, graph: &ExploredGraph) -> PairShared {
         let cone = dimension_cone_multi(&graph.vass, &graph.initial_states);
         let vass = (!cone.is_trivial()).then(|| cone.project(&graph.vass));
         let dims_after = cone.dims_after();
-        let scratch = KmScratch::new(vass.as_ref().unwrap_or(&graph.vass).states);
+        let scratch = KmScratch::new(vass.as_ref().unwrap_or(&graph.vass));
         PairShared {
             vass,
             dims_after,
             scratch,
+            output_of: Vec::new(),
+            outputs: Interner::new(),
         }
     }
 
@@ -1200,9 +1248,10 @@ impl<'a> TaskVerifier<'a> {
     /// ([`CoverabilityGraph::build_pruned`]). Returns the candidate `R_T`
     /// entries **in deterministic push order** (returning entries in node
     /// order, then the blocking entry, then the lasso entry) with the
-    /// query's cost. The answer depends only on `pos` — the [`PairShared`]
-    /// scratch carries no state between queries — and callers deduplicate
-    /// through [`TaskVerifier::reduce_queries`] in initial-state order.
+    /// query's cost. The answer depends only on `pos`: the only state the
+    /// [`PairShared`] carries between queries is its `τ_out` memo, a
+    /// function of the symbolic state alone. Callers deduplicate through
+    /// [`TaskVerifier::reduce_queries`] in initial-state order.
     ///
     /// The returning and blocking scans run over the build's node order
     /// (every node's control state is genuinely coverable — arrival
@@ -1224,20 +1273,22 @@ impl<'a> TaskVerifier<'a> {
         let init = graph.initial_states[pos];
         let states = &graph.states;
         let input_key = graph.input_keys[states[init].input_index].clone();
+        let PairShared {
+            vass,
+            dims_after,
+            scratch,
+            output_of,
+            outputs,
+        } = shared;
         let mut cost = QueryCost {
             dims_before: graph.vass.dim,
-            dims_after: shared.dims_after,
+            dims_after: *dims_after,
             ..QueryCost::default()
         };
-        let vass = shared.vass.as_ref().unwrap_or(&graph.vass);
+        let vass = vass.as_ref().unwrap_or(&graph.vass);
         let mut candidates: Vec<RtEntry> = Vec::new();
         let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-        let run = CoverabilityGraph::build_pruned(
-            vass,
-            init,
-            self.config.km_node_cap,
-            &mut shared.scratch,
-        );
+        let run = CoverabilityGraph::build_pruned(vass, init, self.config.km_node_cap, scratch);
 
         let retain = self.config.witnesses;
         let point_details = |node: usize| -> Option<Arc<EntryDetails>> {
@@ -1253,19 +1304,22 @@ impl<'a> TaskVerifier<'a> {
         // Returning paths, over the node order. They share the query's
         // input key, β and the default witness, so of the nodes with one
         // output only the first can survive `reduce_queries` (a duplicate
-        // merges nothing and keeps the first details): each symbolic state
-        // is projected once, and only the first node per distinct output
-        // becomes a candidate and renders its details.
+        // merges nothing and keeps the first details): only the first node
+        // per distinct output becomes a candidate and renders its details.
+        // Each symbolic state is projected at most once per pair, through
+        // the pair's memo.
         let mut seen_syms: HashSet<u32, FxBuildHasher> = HashSet::default();
-        let mut seen_outputs: HashSet<SymState, FxBuildHasher> = HashSet::default();
+        let mut seen_outputs: HashSet<u32, FxBuildHasher> = HashSet::default();
         for (node, cs) in run.nodes().map(|n| &states[n.state]).enumerate() {
             if cs.closed && finite_ok(cs) && seen_syms.insert(cs.sym) {
-                let projected = self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
-                if !seen_outputs.contains(&projected) {
-                    seen_outputs.insert(projected.clone());
+                let output = *sym_slot(output_of, cs.sym).get_or_insert_with(|| {
+                    let sym = &graph.syms[cs.sym as usize];
+                    outputs.intern(self.project_output(sym, &graph.out_vars)).0
+                });
+                if seen_outputs.insert(output) {
                     candidates.push(RtEntry {
                         input_key: input_key.clone(),
-                        output: Some(projected),
+                        output: Some(outputs.get(output).clone()),
                         beta: self.beta.clone(),
                         witness: NonReturningWitness::default(),
                         details: point_details(node),
@@ -1449,9 +1503,16 @@ pub struct PairShared {
     /// The union cone's dimension count (the `dims_after` every query of
     /// the pair reports).
     dims_after: usize,
-    /// Per-control-state Karp–Miller scratch (ancestor index, antichains),
-    /// allocated once per pair and stamped per query.
+    /// Karp–Miller scratch for the pair VASS: its adjacency, computed once
+    /// per pair, and the per-control-state ancestor index and antichains,
+    /// stamped per query.
     scratch: KmScratch,
+    /// The `τ_out` memo: the projected output ([`TaskVerifier::project_output`])
+    /// of each sym id, as an id into `outputs`, filled by the returning
+    /// scans of the pair's queries.
+    output_of: Vec<Option<u32>>,
+    /// Distinct projected outputs.
+    outputs: Interner<SymState>,
 }
 
 #[cfg(test)]
@@ -1539,6 +1600,103 @@ mod tests {
         let reset = hb.condition(reset);
         let property = hb.finish(chosen.implies(reset.eventually()).globally());
         (system, property)
+    }
+
+    /// A flight booking with a `Pay` child: the child receives the chosen
+    /// flight, sets `amount` to the flight's price or waives it to 0, and
+    /// returns `amount` into the parent's `price` — so the child's pairs
+    /// have returning runs with several outputs.
+    fn booking_with_payment() -> (ArtifactSystem, has_ltl::HltlFormula) {
+        use has_arith::Rational;
+        use has_model::{SetUpdate, SystemBuilder, Term};
+        let mut b = SystemBuilder::new("booking-payment");
+        b.relation("FLIGHTS", &["price"], &[]);
+        let root = b.root_task("Main");
+        let flight = b.id_var(root, "flight");
+        let price = b.num_var(root, "price");
+        let flights = b.relation_id("FLIGHTS").unwrap();
+        let booked = Condition::relation(flights, vec![Term::Var(flight), Term::Var(price)]);
+        b.internal_service(root, "choose", Condition::True, booked, SetUpdate::None);
+        let pay = b.child_task(root, "Pay");
+        let paid_flight = b.id_var(pay, "paid_flight");
+        let amount = b.num_var(pay, "amount");
+        b.map_input(pay, paid_flight, flight);
+        b.map_output(pay, price, amount);
+        let quoted = Condition::relation(flights, vec![Term::Var(paid_flight), Term::Var(amount)]);
+        b.internal_service(pay, "quote", Condition::True, quoted, SetUpdate::None);
+        let waived = Condition::eq_const(amount, Rational::ZERO);
+        b.internal_service(pay, "waive", Condition::True, waived, SetUpdate::None);
+        let system = b.build().unwrap();
+        let mut hb = has_ltl::hltl::HltlBuilder::new(system.root());
+        let free = hb.condition(Condition::eq_const(price, Rational::ZERO));
+        let property = hb.finish(free.eventually());
+        (system, property)
+    }
+
+    /// Every pair of `task` answers each query the same — candidates and
+    /// [`QueryCost`] — whether the pair's queries run forward on one
+    /// [`PairShared`], in reverse on another, or each alone on a fresh one:
+    /// the pair's memo never changes an answer. Returns the number of
+    /// returning candidates seen, so callers can check that the returning
+    /// scan, which fills the `τ_out` memo, ran.
+    fn assert_queries_are_order_free(
+        system: &ArtifactSystem,
+        property: &has_ltl::HltlFormula,
+        task: TaskId,
+    ) -> usize {
+        let config = VerifierConfig::default()
+            .with_threads(1)
+            .with_witnesses(true);
+        let dead = has_analysis::analyze(system, Some(property)).dead;
+        let mut pc = crate::property::PropertyContext::new(system, property, config.nav_depth);
+        pc.precompute_automata();
+        let mut returning = 0;
+        for beta in pc.assignments(task) {
+            let buchi = pc.buchi_shared(task, &beta);
+            let tv = TaskVerifier::new(
+                system,
+                &config,
+                pc.context(task),
+                task,
+                beta,
+                pc.phi(task),
+                &buchi,
+                Arc::new(SummaryMap::new()),
+                &pc.contexts,
+                &dead,
+            );
+            let graph = tv.build_graph();
+            let n = graph.initial_count();
+            let mut shared = tv.prepare_shared(&graph);
+            let forward: Vec<_> = (0..n)
+                .map(|pos| tv.init_queries_shared(&graph, pos, &mut shared))
+                .collect();
+            let mut shared = tv.prepare_shared(&graph);
+            let mut reverse: Vec<_> = (0..n)
+                .rev()
+                .map(|pos| tv.init_queries_shared(&graph, pos, &mut shared))
+                .collect();
+            reverse.reverse();
+            let alone: Vec<_> = (0..n)
+                .map(|pos| tv.init_queries_shared(&graph, pos, &mut tv.prepare_shared(&graph)))
+                .collect();
+            assert_eq!(forward, reverse, "reverse order");
+            assert_eq!(forward, alone, "each query alone");
+            returning += (forward.iter().flat_map(|(c, _)| c))
+                .filter(|e| e.output.is_some())
+                .count();
+        }
+        returning
+    }
+
+    #[test]
+    fn pair_queries_are_order_free() {
+        let (system, property) = booking();
+        assert_queries_are_order_free(&system, &property, system.root());
+        let (system, property) = booking_with_payment();
+        let pay = system.schema.task(system.root()).children[0];
+        let returning = assert_queries_are_order_free(&system, &property, pay);
+        assert!(returning > 1, "the child's queries scan returning runs");
     }
 
     /// Builds, queries and reduces one `(T, β)` pair on `pc` the way the

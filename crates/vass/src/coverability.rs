@@ -34,7 +34,7 @@
 
 use crate::cycle::{self, DeltaEdge};
 use crate::dense::FxHasher;
-use crate::vass::Vass;
+use crate::vass::{ActionCsr, Vass};
 use std::hash::Hasher;
 
 /// The ω value of a marking coordinate ("arbitrarily large").
@@ -257,25 +257,33 @@ impl Antichains {
     }
 }
 
-/// Per-control-state scratch for [`CoverabilityGraph::build_pruned`]: the
-/// ω-acceleration ancestor index and the subsumption antichains. Both are
-/// sized by the VASS's state count and stamped per use, so a caller that
-/// runs many builds over one VASS allocates them once and passes the same
-/// scratch to every build.
+/// The per-VASS scratch of the Karp–Miller builds: the VASS's per-state
+/// action adjacency ([`Vass::action_csr`]), computed once, and the
+/// ω-acceleration ancestor index and the pruned build's subsumption
+/// antichains, sized by its state count and stamped per use. A caller that
+/// runs many builds over one VASS creates one scratch for it and passes it
+/// to every build; a scratch serves exactly the VASS it was created for.
 #[derive(Clone, Debug)]
 pub struct KmScratch {
+    /// State and action count of the VASS the scratch was created for.
+    states: usize,
+    actions: usize,
+    adjacency: ActionCsr,
     ancestors: AncestorIndex,
     antichains: Antichains,
 }
 
 impl KmScratch {
-    /// Scratch for builds over a VASS with `num_states` control states.
-    pub fn new(num_states: usize) -> Self {
+    /// Scratch for builds over `vass`.
+    pub fn new(vass: &Vass) -> Self {
         KmScratch {
-            ancestors: AncestorIndex::new(num_states),
+            states: vass.states,
+            actions: vass.action_count(),
+            adjacency: vass.action_csr(),
+            ancestors: AncestorIndex::new(vass.states),
             antichains: Antichains {
-                stamp: vec![0; num_states],
-                members: vec![Vec::new(); num_states],
+                stamp: vec![0; vass.states],
+                members: vec![Vec::new(); vass.states],
                 current: 0,
             },
         }
@@ -329,54 +337,53 @@ impl CoverabilityGraph {
     /// The subsumption-pruned build from `(init, 0̄)` with at most
     /// `max_nodes` nodes (see the module docs): same control-state set as
     /// the exact build, usually far fewer nodes. `scratch` must have been
-    /// created for `vass`'s state count; reusing it across builds saves its
-    /// per-state allocations.
+    /// created for `vass` ([`KmScratch::new`]); reusing it across builds
+    /// saves its adjacency and per-state allocations.
+    ///
+    /// # Panics
+    /// Panics if `scratch` was created for a VASS with another state or
+    /// action count.
     pub fn build_pruned(
         vass: &Vass,
         init: usize,
         max_nodes: usize,
         scratch: &mut KmScratch,
     ) -> Self {
-        debug_assert_eq!(
-            scratch.antichains.stamp.len(),
-            vass.states,
-            "scratch sized for another VASS"
+        assert!(
+            scratch.states == vass.states && scratch.actions == vass.action_count(),
+            "scratch created for another VASS"
         );
         scratch.antichains.current += 1;
-        Self::build_inner(
-            vass,
-            init,
-            max_nodes,
-            None,
-            &mut scratch.ancestors,
-            Some(&mut scratch.antichains),
-        )
+        Self::build_inner(vass, init, max_nodes, None, scratch, true)
     }
 
     fn build_exact(vass: &Vass, init: usize, max_nodes: usize, stop_at: Option<usize>) -> Self {
-        let mut ancestors = AncestorIndex::new(vass.states);
-        Self::build_inner(vass, init, max_nodes, stop_at, &mut ancestors, None)
+        let mut scratch = KmScratch::new(vass);
+        Self::build_inner(vass, init, max_nodes, stop_at, &mut scratch, false)
     }
 
-    /// The one Karp–Miller loop behind both builds; `antichains` selects
-    /// the pruned build.
+    /// The one Karp–Miller loop behind both builds; `prune` selects the
+    /// pruned build.
     fn build_inner(
         vass: &Vass,
         init: usize,
         max_nodes: usize,
         stop_at: Option<usize>,
-        ancestors: &mut AncestorIndex,
-        mut antichains: Option<&mut Antichains>,
+        scratch: &mut KmScratch,
+        prune: bool,
     ) -> Self {
+        let KmScratch {
+            adjacency,
+            ancestors,
+            antichains,
+            ..
+        } = scratch;
+        let mut antichains = prune.then_some(antichains);
         let mut graph = Self::empty(vass.dim);
         if max_nodes == 0 {
             graph.capped = true;
             return graph;
         }
-        // Per-state CSR adjacency, computed once: expansion below touches
-        // only the actions leaving the popped state instead of scanning the
-        // whole action list per node.
-        let adjacency = vass.action_csr();
         let root_row = vec![0u64; vass.dim];
         let root = match graph.find(init as u32, &root_row) {
             Ok(_) => unreachable!("an empty graph has no nodes"),
@@ -915,13 +922,13 @@ mod tests {
     }
 
     fn pruned(vass: &Vass, init: usize, max_nodes: usize) -> CoverabilityGraph {
-        CoverabilityGraph::build_pruned(vass, init, max_nodes, &mut KmScratch::new(vass.states))
+        CoverabilityGraph::build_pruned(vass, init, max_nodes, &mut KmScratch::new(vass))
     }
 
     #[test]
     fn pruned_matches_exact_state_sets() {
         let v = pump_drain(3);
-        let mut scratch = KmScratch::new(v.states);
+        let mut scratch = KmScratch::new(&v);
         for init in [0usize, 1, 0, 1] {
             let g = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut scratch);
             assert!(!g.capped());
@@ -950,8 +957,8 @@ mod tests {
     #[test]
     fn repeat_queries_are_deterministic() {
         let v = pump_drain(3);
-        let mut a = KmScratch::new(v.states);
-        let mut b = KmScratch::new(v.states);
+        let mut a = KmScratch::new(&v);
+        let mut b = KmScratch::new(&v);
         for init in [0usize, 1, 0] {
             let ga = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut a);
             let gb = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut b);
@@ -990,6 +997,16 @@ mod tests {
         assert!(!sound || expect);
         assert!(complete || !expect);
         assert_eq!(sound, expect, "pump-drain decides on real edges alone");
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch created for another VASS")]
+    fn scratch_for_another_vass_is_refused() {
+        let v = pump_drain(2);
+        let mut scratch = KmScratch::new(&v);
+        let mut other = pump_drain(2);
+        other.add_action(1, vec![0, 0], 0);
+        CoverabilityGraph::build_pruned(&other, 0, usize::MAX, &mut scratch);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * capped builds under-approximate (and one that reports no truncation
 //!   is complete), and repeated builds are byte-identical (`Debug`
 //!   render) whether the scratch is fresh or warm — the determinism
-//!   contract.
+//!   contract. A warm scratch reuses the adjacency it cached.
 
 use has_vass::{CoverabilityGraph, KmScratch, Vass};
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ proptest! {
 
     #[test]
     fn coverable_state_sets_match_from_scratch(vass in arb_vass(4, 2)) {
-        let mut scratch = KmScratch::new(vass.states);
+        let mut scratch = KmScratch::new(&vass);
         // Every state as init, twice over: the second round runs on a
         // warm scratch.
         for init in [0usize, 1, 2, 3, 0, 1, 2, 3] {
@@ -93,7 +93,7 @@ proptest! {
 
     #[test]
     fn lasso_tiers_bracket_and_decide(vass in arb_vass(4, 2)) {
-        let mut scratch = KmScratch::new(vass.states);
+        let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             let reference = CoverabilityGraph::build(&vass, init);
@@ -114,7 +114,7 @@ proptest! {
 
     #[test]
     fn materialized_cycles_are_wellformed(vass in arb_vass(4, 2)) {
-        let mut scratch = KmScratch::new(vass.states);
+        let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             for target in 0..4usize {
@@ -155,7 +155,7 @@ proptest! {
 
     #[test]
     fn witness_paths_chain_control_states(vass in arb_vass(4, 2)) {
-        let mut scratch = KmScratch::new(vass.states);
+        let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3, 2, 1] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
             for node in 0..run.node_count() {
@@ -171,7 +171,7 @@ proptest! {
 
     #[test]
     fn capped_runs_underapproximate(vass in arb_vass(4, 2), cap in 0usize..12) {
-        let mut scratch = KmScratch::new(vass.states);
+        let mut scratch = KmScratch::new(&vass);
         // Warm the scratch first so the capped build runs on stale stamps.
         let _ = CoverabilityGraph::build_pruned(&vass, 0, usize::MAX, &mut scratch);
         let run = CoverabilityGraph::build_pruned(&vass, 1, cap, &mut scratch);
@@ -185,14 +185,14 @@ proptest! {
 
     #[test]
     fn repeated_builds_are_byte_identical(vass in arb_vass(4, 2)) {
-        let mut warm = KmScratch::new(vass.states);
+        let mut warm = KmScratch::new(&vass);
         for init in [0usize, 3, 1, 2, 0, 3] {
             let ra = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut warm);
             let rb = CoverabilityGraph::build_pruned(
                 &vass,
                 init,
                 usize::MAX,
-                &mut KmScratch::new(vass.states),
+                &mut KmScratch::new(&vass),
             );
             prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }
