@@ -14,7 +14,8 @@ use has_model::{
 use has_symbolic::successor::{self, SuccessorCaps};
 use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
 use has_vass::{
-    BitSet, CoverabilityGraph, CycleSearch, FxBuildHasher, FxHashMap, Interner, KmScratch, Vass,
+    BitSet, CoverabilityGraph, CycleSearch, FxBuildHasher, FxHashMap, Interner, KmScratch,
+    SparseActions, Vass,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -190,43 +191,6 @@ enum ChildStatus {
     Active { output: Option<u32> },
     /// Returned within the current segment.
     Closed,
-}
-
-/// One flat transition of the product under construction: source control
-/// state, counter delta, target control state.
-type FlatTransition = (u32, SparseDelta, u32);
-
-/// The counter delta of one transition of `V(T, β)`, sparse and inline. A
-/// service moves at most two counters, one insert (`+1`) and one retrieve
-/// (`−1`) (Definition 17), so the delta is two optional dimensions and the
-/// value is `Copy`. When both name one dimension they cancel at assembly:
-/// [`Vass::add_action_sparse`] adds the amounts at one index.
-#[derive(Clone, Copy, Default)]
-struct SparseDelta {
-    insert: Option<u32>,
-    retrieve: Option<u32>,
-}
-
-impl SparseDelta {
-    fn new(insert: Option<usize>, retrieve: Option<usize>) -> Self {
-        let index = |d: usize| u32::try_from(d).expect("counter dimensions are u32-indexed");
-        SparseDelta {
-            insert: insert.map(index),
-            retrieve: retrieve.map(index),
-        }
-    }
-
-    /// The `(dim, amount)` pairs, written into the caller's `buf`.
-    fn entries(self, buf: &mut [(u32, i64); 2]) -> &[(u32, i64)] {
-        let mut n = 0;
-        for (dim, amount) in [(self.insert, 1), (self.retrieve, -1)] {
-            if let Some(dim) = dim {
-                buf[n] = (dim, amount);
-                n += 1;
-            }
-        }
-        &buf[..n]
-    }
 }
 
 /// The part of a letter fixed by the symbolic state alone: the
@@ -956,7 +920,9 @@ impl<'a> TaskVerifier<'a> {
             index: FxHashMap::default(),
             of_sym: Vec::new(),
         };
-        let mut transitions: Vec<FlatTransition> = Vec::new();
+        // The transitions of `V(T, β)` in creation order, deltas sparse
+        // (see `ExploredGraph`).
+        let mut transitions = SparseActions::new();
         let mut initial_states: Vec<usize> = Vec::new();
         let mut input_keys: Vec<ProjectionKey> = Vec::new();
         // Witness retention: one rendered step label per transition (and per
@@ -1024,18 +990,21 @@ impl<'a> TaskVerifier<'a> {
                         continue;
                     }
                     let posts = self.post_states(&mut memo, &mut syms, current.sym, service_idx);
-                    // Counter update (Definition 17's a̅ vector). The insert
+                    // Counter update (Definition 17's a̅ vector): at most
+                    // one insert (+1) and one retrieve (−1); on one
+                    // dimension they net to zero in the list. The insert
                     // dimension depends on the pre-state only; it is looked
                     // up before the first post-state's retrieve, which keeps the
                     // first-encounter numbering of the dimensions.
                     let counted = t.artifact_relation.is_some();
-                    let insert_dim = (counted && service.delta.inserts() && !posts.is_empty())
-                        .then(|| counter_dims.dim(self.ctx, &syms, current.sym));
+                    let index =
+                        |d: usize| u32::try_from(d).expect("counter dimensions are u32-indexed");
+                    let insert = (counted && service.delta.inserts() && !posts.is_empty())
+                        .then(|| (index(counter_dims.dim(self.ctx, &syms, current.sym)), 1));
                     let sref = ServiceRef::Internal(self.task, service_idx);
                     for post_id in posts {
-                        let retrieve_dim = (counted && service.delta.retrieves())
-                            .then(|| counter_dims.dim(self.ctx, &syms, post_id));
-                        let delta = SparseDelta::new(insert_dim, retrieve_dim);
+                        let retrieve = (counted && service.delta.retrieves())
+                            .then(|| (index(counter_dims.dim(self.ctx, &syms, post_id)), -1));
                         for letter in self.letters_of(&mut memo, &syms, post_id, sref) {
                             self.step_buchi(Some(current.q), letter, &mut succ);
                             for &q in &succ {
@@ -1047,7 +1016,11 @@ impl<'a> TaskVerifier<'a> {
                                     input_index: current.input_index,
                                 };
                                 let (nid, newly) = cstates.intern(next);
-                                transitions.push((id, delta, nid));
+                                transitions.push(
+                                    id as usize,
+                                    insert.into_iter().chain(retrieve),
+                                    nid as usize,
+                                );
                                 if retain {
                                     labels.push(WitnessStep::Internal {
                                         service: service.name.clone(),
@@ -1092,7 +1065,7 @@ impl<'a> TaskVerifier<'a> {
                                 input_index: current.input_index,
                             };
                             let (nid, newly) = cstates.intern(next);
-                            transitions.push((id, SparseDelta::default(), nid));
+                            transitions.push(id as usize, [], nid as usize);
                             if retain {
                                 labels.push(WitnessStep::OpenChild {
                                     child,
@@ -1128,7 +1101,7 @@ impl<'a> TaskVerifier<'a> {
                             input_index: current.input_index,
                         };
                         let (nid, newly) = cstates.intern(next);
-                        transitions.push((id, SparseDelta::default(), nid));
+                        transitions.push(id as usize, [], nid as usize);
                         if retain {
                             labels.push(WitnessStep::CloseChild {
                                 child,
@@ -1160,7 +1133,7 @@ impl<'a> TaskVerifier<'a> {
                             input_index: current.input_index,
                         };
                         let (nid, _) = cstates.intern(next);
-                        transitions.push((id, SparseDelta::default(), nid));
+                        transitions.push(id as usize, [], nid as usize);
                         if retain {
                             labels.push(WitnessStep::CloseTask);
                         }
@@ -1177,17 +1150,6 @@ impl<'a> TaskVerifier<'a> {
         stats.counter_dimensions = counter_dims.index.len();
         stats.post_enumerations = memo.post_enumerations;
         stats.post_memo_hits = memo.post_hits;
-
-        // ----------------------------------------------------------------
-        // Build the VASS and answer the Lemma 21 queries per initial state.
-        // ----------------------------------------------------------------
-        let dim = counter_dims.index.len();
-        let mut vass = Vass::new(states.len(), dim);
-        vass.reserve(transitions.len());
-        let mut buf = [(0, 0); 2];
-        for &(from, delta, to) in &transitions {
-            vass.add_action_sparse(from as usize, delta.entries(&mut buf), to as usize);
-        }
 
         let mut accepting = BitSet::new(states.len());
         for (i, s) in states.iter().enumerate() {
@@ -1209,7 +1171,8 @@ impl<'a> TaskVerifier<'a> {
         ExploredGraph {
             states,
             syms,
-            vass,
+            transitions,
+            dim: counter_dims.index.len(),
             initial_states,
             input_keys,
             accepting,
@@ -1220,22 +1183,26 @@ impl<'a> TaskVerifier<'a> {
     }
 
     /// Builds the shared query state of one `(T, β)` pair (DESIGN.md
-    /// §5.12): the pair-level VASS every `τ_in` query runs on — projected
-    /// onto the *union* dimension cone over all of the pair's initial
-    /// states ([`has_analysis::dimension_cone_multi`]), so one projection
-    /// serves every query — the [`KmScratch`] those queries' Karp–Miller
-    /// builds reuse (the VASS's adjacency, computed once per pair), and an
-    /// empty `τ_out` memo. The projection is verdict-neutral
-    /// (`crates/analysis/tests/prop_cone_project.rs`); a trivial cone skips
-    /// the copy.
+    /// §5.12). It computes the *union* dimension cone over all of the
+    /// pair's initial states ([`has_analysis::dimension_cone_multi`]) on the
+    /// build's sparse transition list, then assembles the pair's one VASS
+    /// from that list over the kept dimensions only
+    /// ([`has_analysis::DimensionCone::assemble`]; the full-dimension VASS
+    /// when the cone is trivial), so one assembly serves every query. The
+    /// action CSR the cone walks becomes the [`KmScratch`] adjacency of
+    /// those queries' Karp–Miller builds: one pass over the transitions per
+    /// pair. The `τ_out` memo starts empty. The projection is
+    /// verdict-neutral (`crates/analysis/tests/prop_cone_project.rs`).
     pub fn prepare_shared(&self, graph: &ExploredGraph) -> PairShared {
-        let cone = dimension_cone_multi(&graph.vass, &graph.initial_states);
-        let vass = (!cone.is_trivial()).then(|| cone.project(&graph.vass));
-        let dims_after = cone.dims_after();
-        let scratch = KmScratch::new(vass.as_ref().unwrap_or(&graph.vass));
+        let states = graph.states.len();
+        let adjacency = graph.transitions.action_csr(states);
+        let cone =
+            dimension_cone_multi(&graph.transitions, graph.dim, &adjacency, &graph.initial_states);
+        let vass = cone.assemble(&graph.transitions, states);
+        let scratch = KmScratch::with_csr(&vass, adjacency);
         PairShared {
             vass,
-            dims_after,
+            dims_after: cone.dims_after(),
             scratch,
             output_of: Vec::new(),
             outputs: Interner::new(),
@@ -1281,11 +1248,11 @@ impl<'a> TaskVerifier<'a> {
             outputs,
         } = shared;
         let mut cost = QueryCost {
-            dims_before: graph.vass.dim,
+            dims_before: graph.dim,
             dims_after: *dims_after,
             ..QueryCost::default()
         };
-        let vass = vass.as_ref().unwrap_or(&graph.vass);
+        let vass = &*vass;
         let mut candidates: Vec<RtEntry> = Vec::new();
         let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
         let run = CoverabilityGraph::build_pruned(vass, init, self.config.km_node_cap, scratch);
@@ -1424,19 +1391,30 @@ impl<'a> TaskVerifier<'a> {
 }
 
 /// The immutable artifacts of one `(T, β)` forward exploration: the control
-/// states and VASS of `V(T, β)`, its initial states with their input
-/// projection keys, the accepting set, and the statistics accumulated while
-/// building them (`coverability_nodes` and `rt_entries` are contributed later
-/// by the query phase).
+/// states of `V(T, β)` and its transitions as a flat sparse list, its
+/// initial states with their input projection keys, the accepting set, and
+/// the statistics accumulated while building them (`coverability_nodes`
+/// and `rt_entries` are contributed later by the query phase).
+///
+/// No full-dimension VASS is assembled here: the list keeps each
+/// transition's non-zero net counter delta (one insert and one retrieve at
+/// most, Definition 17), and [`TaskVerifier::prepare_shared`] assembles the
+/// pair's one VASS from it over the dimensions its cone keeps.
 ///
 /// Produced by [`TaskVerifier::build_graph`] and read by the pair's
+/// [`TaskVerifier::prepare_shared`] and
 /// [`TaskVerifier::init_queries_shared`] calls.
 pub struct ExploredGraph {
     states: Vec<CState>,
     /// Arena of distinct symbolic states, indexed by the dense ids held in
     /// [`CState::sym`] and [`ChildStatus::Active`].
     syms: Vec<SymState>,
-    vass: Vass,
+    /// The transitions over control-state ids, in creation order: action
+    /// `a` of the pair's VASS is transition `a`, labelled `labels[a]`.
+    transitions: SparseActions,
+    /// The counter dimension of `V(T, β)` (distinct counter projections
+    /// met by the build), before any projection.
+    dim: usize,
     initial_states: Vec<usize>,
     input_keys: Vec<ProjectionKey>,
     accepting: BitSet,
@@ -1496,16 +1474,15 @@ impl ExploredGraph {
 /// [`TaskVerifier::prepare_shared`] and threaded mutably through the
 /// pair's [`TaskVerifier::init_queries_shared`] calls.
 pub struct PairShared {
-    /// The union-cone-projected pair VASS (`None` when the cone is
-    /// trivial: queries run on the unprojected [`ExploredGraph::vass`]
-    /// directly).
-    vass: Option<Vass>,
+    /// The pair VASS, assembled once from the build's transition list over
+    /// the union cone's dimensions (all of them when the cone is trivial).
+    vass: Vass,
     /// The union cone's dimension count (the `dims_after` every query of
     /// the pair reports).
     dims_after: usize,
-    /// Karp–Miller scratch for the pair VASS: its adjacency, computed once
-    /// per pair, and the per-control-state ancestor index and antichains,
-    /// stamped per query.
+    /// Karp–Miller scratch for the pair VASS: its adjacency — the CSR the
+    /// cone walked, computed once per pair — and the per-control-state
+    /// ancestor index and antichains, stamped per query.
     scratch: KmScratch,
     /// The `τ_out` memo: the projected output ([`TaskVerifier::project_output`])
     /// of each sym id, as an id into `outputs`, filled by the returning

@@ -265,9 +265,8 @@ impl Antichains {
 /// to every build; a scratch serves exactly the VASS it was created for.
 #[derive(Clone, Debug)]
 pub struct KmScratch {
-    /// State and action count of the VASS the scratch was created for.
-    states: usize,
-    actions: usize,
+    /// The adjacency of the VASS the scratch was created for; its state
+    /// and action count identify that VASS.
     adjacency: ActionCsr,
     ancestors: AncestorIndex,
     antichains: Antichains,
@@ -276,10 +275,28 @@ pub struct KmScratch {
 impl KmScratch {
     /// Scratch for builds over `vass`.
     pub fn new(vass: &Vass) -> Self {
+        Self::with_csr(vass, vass.action_csr())
+    }
+
+    /// Scratch for builds over `vass` that adopts an adjacency the caller
+    /// already computed, e.g. the CSR of the sparse action list `vass` was
+    /// assembled from ([`SparseActions::action_csr`](crate::SparseActions::action_csr)),
+    /// instead of a second pass over the actions.
+    ///
+    /// # Panics
+    /// Panics if `adjacency` has another state or action count than
+    /// `vass`; debug builds also check every action's source.
+    pub fn with_csr(vass: &Vass, adjacency: ActionCsr) -> Self {
+        assert!(
+            adjacency.states() == vass.states && adjacency.action_count() == vass.action_count(),
+            "adjacency of another VASS"
+        );
+        debug_assert!((0..vass.states).all(|s| adjacency
+            .actions_from(s)
+            .iter()
+            .all(|&a| vass.actions()[a as usize].from == s)));
         KmScratch {
-            states: vass.states,
-            actions: vass.action_count(),
-            adjacency: vass.action_csr(),
+            adjacency,
             ancestors: AncestorIndex::new(vass.states),
             antichains: Antichains {
                 stamp: vec![0; vass.states],
@@ -350,7 +367,8 @@ impl CoverabilityGraph {
         scratch: &mut KmScratch,
     ) -> Self {
         assert!(
-            scratch.states == vass.states && scratch.actions == vass.action_count(),
+            scratch.adjacency.states() == vass.states
+                && scratch.adjacency.action_count() == vass.action_count(),
             "scratch created for another VASS"
         );
         scratch.antichains.current += 1;
@@ -1007,6 +1025,34 @@ mod tests {
         let mut other = pump_drain(2);
         other.add_action(1, vec![0, 0], 0);
         CoverabilityGraph::build_pruned(&other, 0, usize::MAX, &mut scratch);
+    }
+
+    /// A scratch adopting the CSR of the sparse list a VASS was assembled
+    /// from builds exactly what a scratch over the VASS's own CSR builds.
+    #[test]
+    fn adopted_csr_builds_the_same_graph() {
+        let v = pump_drain(2);
+        let mut list = crate::SparseActions::new();
+        for (a, action) in v.actions().iter().enumerate() {
+            let delta = v.delta(a).iter().enumerate();
+            list.push(action.from, delta.map(|(d, &x)| (d as u32, x)), action.to);
+        }
+        let mut adopted = KmScratch::with_csr(&v, list.action_csr(v.states));
+        let mut own = KmScratch::new(&v);
+        for init in [0usize, 1] {
+            let ga = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut adopted);
+            let gb = CoverabilityGraph::build_pruned(&v, init, usize::MAX, &mut own);
+            assert_eq!(format!("{ga:?}"), format!("{gb:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacency of another VASS")]
+    fn adjacency_of_another_vass_is_refused() {
+        let v = pump_drain(2);
+        let mut other = pump_drain(2);
+        other.add_action(1, vec![0, 0], 0);
+        KmScratch::with_csr(&v, other.action_csr());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the TS-isomorphism-type counters of the artifact relation. This crate is
 //! the decision-procedure substrate for those questions:
 //!
-//! * [`Vass`] — explicit VASS with integer-delta actions;
+//! * [`Vass`] — explicit VASS with integer-delta actions, and
+//!   [`SparseActions`], the sparse action list a VASS is built from;
 //! * [`CoverabilityGraph`] — the Karp–Miller coverability graph with
 //!   ω-acceleration, built exactly or with antichain subsumption pruning
 //!   ([`CoverabilityGraph::build_pruned`], the build behind every Lemma 21
@@ -49,4 +50,4 @@ pub use bounded::BoundedExplorer;
 pub use coverability::{CoverabilityGraph, KmScratch, Marking, NodeRef, OMEGA};
 pub use cycle::{nonneg_cycle_search, strongly_connected_components, CycleSearch, DeltaEdge};
 pub use dense::{fx_hash, BitSet, FxBuildHasher, FxHashMap, FxHasher, Interner};
-pub use vass::{Action, ActionCsr, Vass};
+pub use vass::{Action, ActionCsr, SparseActions, Vass};

@@ -40,12 +40,36 @@ impl Vass {
         }
     }
 
-    /// Reserves room for at least `additional` more actions (and their
-    /// deltas), so a caller that knows its action count assembles the VASS
-    /// without regrowing the arena.
-    pub fn reserve(&mut self, additional: usize) {
-        self.actions.reserve(additional);
-        self.deltas.reserve(additional * self.dim);
+    /// Assembles a VASS over `states` control states and dimension `dim`
+    /// with exactly `actions`, in order, in one pass: action `a`'s delta
+    /// row starts zeroed and `fill(a, row)` writes its non-zero
+    /// coordinates. With `dim == 0` the arena is never allocated and `fill`
+    /// is never called.
+    ///
+    /// # Panics
+    /// Panics if an action's state is out of range.
+    pub fn from_actions(
+        states: usize,
+        dim: usize,
+        actions: &[Action],
+        mut fill: impl FnMut(usize, &mut [i64]),
+    ) -> Self {
+        assert!(
+            actions.iter().all(|a| a.from < states && a.to < states),
+            "state out of range"
+        );
+        let mut deltas = vec![0i64; actions.len() * dim];
+        if dim > 0 {
+            for (a, row) in deltas.chunks_exact_mut(dim).enumerate() {
+                fill(a, row);
+            }
+        }
+        Vass {
+            states,
+            dim,
+            actions: actions.to_vec(),
+            deltas,
+        }
     }
 
     /// Adds an action.
@@ -58,30 +82,6 @@ impl Vass {
         assert_eq!(delta.len(), self.dim, "delta dimension mismatch");
         self.actions.push(Action { from, to });
         self.deltas.extend_from_slice(&delta);
-    }
-
-    /// Adds an action whose delta is given sparsely as `(index, amount)`
-    /// pairs; every other coordinate is zero, and amounts at the same index
-    /// add up. Equivalent to [`Vass::add_action`] with the densified vector,
-    /// without allocating it.
-    ///
-    /// # Panics
-    /// Panics if the states are out of range or an index is not below
-    /// [`Vass::dim`].
-    pub fn add_action_sparse(&mut self, from: usize, delta: &[(u32, i64)], to: usize) {
-        assert!(from < self.states && to < self.states, "state out of range");
-        for &(index, _) in delta {
-            assert!(
-                (index as usize) < self.dim,
-                "delta index {index} out of range"
-            );
-        }
-        let base = self.deltas.len();
-        self.deltas.resize(base + self.dim, 0);
-        for &(index, amount) in delta {
-            self.deltas[base + index as usize] += amount;
-        }
-        self.actions.push(Action { from, to });
     }
 
     /// The actions, in insertion order; action `a` is `actions()[a]`.
@@ -98,20 +98,7 @@ impl Vass {
     /// instead of one allocation per state. [`ActionCsr::actions_from`]
     /// returns the action indices leaving a state, in insertion order.
     pub fn action_csr(&self) -> ActionCsr {
-        let mut offsets = vec![0u32; self.states + 1];
-        for a in &self.actions {
-            offsets[a.from + 1] += 1;
-        }
-        for s in 0..self.states {
-            offsets[s + 1] += offsets[s];
-        }
-        let mut actions = vec![0u32; self.actions.len()];
-        let mut cursor = offsets.clone();
-        for (i, a) in self.actions.iter().enumerate() {
-            actions[cursor[a.from] as usize] = i as u32;
-            cursor[a.from] += 1;
-        }
-        ActionCsr { offsets, actions }
+        ActionCsr::over(self.states, &self.actions)
     }
 
     /// Decides control-state reachability from `(init, 0̄)`: is there a run
@@ -162,9 +149,129 @@ pub struct ActionCsr {
 }
 
 impl ActionCsr {
+    /// The CSR of `actions` over `states` control states.
+    fn over(states: usize, actions: &[Action]) -> Self {
+        let mut offsets = vec![0u32; states + 1];
+        for a in actions {
+            offsets[a.from + 1] += 1;
+        }
+        for s in 0..states {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut indices = vec![0u32; actions.len()];
+        let mut cursor = offsets.clone();
+        for (i, a) in actions.iter().enumerate() {
+            indices[cursor[a.from] as usize] = i as u32;
+            cursor[a.from] += 1;
+        }
+        ActionCsr {
+            offsets,
+            actions: indices,
+        }
+    }
+
+    /// Number of control states.
+    pub fn states(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of actions.
+    pub fn action_count(&self) -> usize {
+        self.actions.len()
+    }
+
     /// The indices of the actions leaving `state`, in insertion order.
     pub fn actions_from(&self, state: usize) -> &[u32] {
         &self.actions[self.offsets[state] as usize..self.offsets[state + 1] as usize]
+    }
+}
+
+/// A flat action list whose deltas are stored sparsely: per action only
+/// its non-zero `(dimension, amount)` entries, in one shared entry arena.
+/// This is the form a VASS is *built* in when most actions move few of its
+/// counters (the verifier's `V(T, β)`: one insert and one retrieve at
+/// most): a pass over it costs `O(actions + non-zeros)`, independent of
+/// the dimension. The list carries neither a state count nor a dimension;
+/// the consumer supplies both (see [`SparseActions::action_csr`]).
+#[derive(Clone, Debug)]
+pub struct SparseActions {
+    actions: Vec<Action>,
+    /// Action `a`'s entries are `entries[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<u32>,
+    entries: Vec<(u32, i64)>,
+}
+
+impl Default for SparseActions {
+    fn default() -> Self {
+        SparseActions {
+            actions: Vec::new(),
+            offsets: vec![0],
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl SparseActions {
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends the action `from → to` with the delta given as
+    /// `(dimension, amount)` pairs; every other coordinate is zero. Amounts
+    /// at one dimension add up, and a dimension whose amounts sum to zero
+    /// is not stored, so [`SparseActions::delta`] holds exactly the
+    /// action's non-zero net entries.
+    pub fn push(&mut self, from: usize, delta: impl IntoIterator<Item = (u32, i64)>, to: usize) {
+        let start = self.entries.len();
+        for (dim, amount) in delta {
+            match self.entries[start..].iter_mut().find(|(d, _)| *d == dim) {
+                Some((_, sum)) => *sum += amount,
+                None => self.entries.push((dim, amount)),
+            }
+        }
+        let mut end = start;
+        for i in start..self.entries.len() {
+            if self.entries[i].1 != 0 {
+                self.entries[end] = self.entries[i];
+                end += 1;
+            }
+        }
+        self.entries.truncate(end);
+        self.actions.push(Action { from, to });
+        self.offsets
+            .push(u32::try_from(end).expect("sparse entries are u32-indexed"));
+    }
+
+    /// Number of actions.
+    pub fn len(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// Whether the list has no actions.
+    pub fn is_empty(&self) -> bool {
+        self.actions.is_empty()
+    }
+
+    /// The actions, in insertion order.
+    pub fn actions(&self) -> &[Action] {
+        &self.actions
+    }
+
+    /// The non-zero net entries of action `a`'s delta, in first-mention
+    /// order.
+    pub fn delta(&self, a: usize) -> &[(u32, i64)] {
+        &self.entries[self.offsets[a] as usize..self.offsets[a + 1] as usize]
+    }
+
+    /// The action adjacency over `states` control states — the same CSR
+    /// [`Vass::action_csr`] returns for any VASS with these actions, in this
+    /// order, so one CSR serves both the list and a VASS assembled from it.
+    ///
+    /// # Panics
+    /// Panics if an action's source is not below `states`.
+    pub fn action_csr(&self, states: usize) -> ActionCsr {
+        ActionCsr::over(states, &self.actions)
     }
 }
 
@@ -250,34 +357,57 @@ mod tests {
     }
 
     #[test]
-    fn sparse_action_equals_densified_action() {
-        let mut sparse = Vass::new(2, 4);
-        let mut dense = Vass::new(2, 4);
-        let mut add = |from: usize, delta: &[(u32, i64)], to: usize| {
-            sparse.add_action_sparse(from, delta, to);
-            let mut d = vec![0i64; 4];
-            for &(k, v) in delta {
-                d[k as usize] += v;
-            }
-            dense.add_action(from, d, to);
-        };
-        add(0, &[], 1);
-        add(1, &[(3, 1), (0, -1)], 0);
-        add(0, &[(2, 1), (2, -1)], 0); // insert and retrieve on one dim cancel
-        add(1, &[(1, -1)], 1);
-        assert_eq!(sparse.actions(), dense.actions());
-        for a in 0..dense.action_count() {
-            assert_eq!(sparse.delta(a), dense.delta(a));
+    fn sparse_actions_store_net_nonzero_entries() {
+        let mut list = SparseActions::new();
+        list.push(0, [], 1);
+        list.push(1, [(3, 1), (0, -1)], 0);
+        list.push(0, [(2, 1), (2, -1)], 0); // insert and retrieve on one dim cancel
+        list.push(1, [(1, -1), (4, 2), (1, -1)], 1);
+        assert_eq!(list.len(), 4);
+        assert!(list.delta(0).is_empty());
+        assert_eq!(list.delta(1), &[(3, 1), (0, -1)]);
+        assert!(list.delta(2).is_empty());
+        assert_eq!(list.delta(3), &[(1, -2), (4, 2)]);
+        let csr = list.action_csr(2);
+        assert_eq!((csr.states(), csr.action_count()), (2, 4));
+        assert_eq!((csr.actions_from(0), csr.actions_from(1)), (&[0, 2][..], &[1, 3][..]));
+    }
+
+    /// Without dimensions the arena stays unallocated, however many
+    /// actions the VASS has and however it is built.
+    #[test]
+    fn zero_dimension_vass_allocates_no_delta_arena() {
+        let mut v = Vass::new(3, 0);
+        for s in 0..3 {
+            v.add_action(s, vec![], (s + 1) % 3);
+            v.add_action(s, vec![], s);
         }
-        assert_eq!(sparse.delta(1), &[-1, 0, 0, 1]);
-        assert_eq!(sparse.delta(2), &[0, 0, 0, 0]);
+        assert_eq!(v.action_count(), 6);
+        assert_eq!(v.deltas.capacity(), 0);
+        assert!(v.delta(5).is_empty());
+        let assembled = Vass::from_actions(3, 0, v.actions(), |_, _| unreachable!());
+        assert_eq!(assembled.actions(), v.actions());
+        assert_eq!(assembled.deltas.capacity(), 0);
+        assert!(assembled.delta(5).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn sparse_index_out_of_range_panics() {
-        let mut v = Vass::new(1, 2);
-        v.add_action_sparse(0, &[(2, 1)], 0);
+    fn assembled_vass_equals_the_incremental_one() {
+        let v = producer_consumer();
+        let assembled = Vass::from_actions(v.states, v.dim, v.actions(), |a, row| {
+            row.copy_from_slice(v.delta(a));
+        });
+        assert_eq!((assembled.states, assembled.dim), (v.states, v.dim));
+        assert_eq!(assembled.actions(), v.actions());
+        for a in 0..v.action_count() {
+            assert_eq!(assembled.delta(a), v.delta(a));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "state out of range")]
+    fn assembled_state_out_of_range_panics() {
+        Vass::from_actions(1, 0, &[Action { from: 0, to: 1 }], |_, _| {});
     }
 
     #[test]
