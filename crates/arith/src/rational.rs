@@ -123,12 +123,6 @@ impl Rational {
     pub fn midpoint(&self, other: &Rational) -> Rational {
         (*self + *other) / Rational::from_int(2)
     }
-
-    /// Approximate conversion to `f64` (for reporting only, never for
-    /// decision procedures).
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 impl Default for Rational {

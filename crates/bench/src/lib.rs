@@ -1,14 +1,13 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The benches in `benches/` (one per paper table/figure — see DESIGN.md §3)
-//! and the `tables` binary both go through [`measure`], which runs the
-//! verifier on a workload and extracts the cost measures the paper's
-//! complexity analysis talks about: wall time, symbolic control states,
-//! Karp–Miller coverability nodes, counter dimensions, HCD cells, and the
-//! static-reduction counters (projection dimensions, dead guards).
-//! [`BenchRecord`]/[`records_to_json`] turn the same
-//! rows into the tracked `BENCH_<tag>.json` documents CI commits for
-//! regression comparison.
+//! The `tables` binary (one experiment per paper table/figure — see
+//! DESIGN.md §3) goes through [`measure`], which runs the verifier on a
+//! workload and extracts the cost measures the paper's complexity analysis
+//! talks about: wall time, symbolic control states, Karp–Miller coverability
+//! nodes, counter dimensions, HCD cells, and the static-reduction counters
+//! (projection dimensions, dead guards). [`BenchRecord`]/[`records_to_json`]
+//! turn the same rows into the tracked `BENCH_<tag>.json` documents CI
+//! commits for regression comparison.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -281,7 +280,7 @@ pub fn measure(
     }
 }
 
-/// The engine modes every verification bench reports: one worker and the
+/// The engine modes the `tables` sweeps report: one worker and the
 /// default worker count, floored at two workers — even on a single-core
 /// machine (or under `HAS_THREADS=1`) the `par` mode must spawn real
 /// threads, since a one-worker pool runs inline on the calling thread.
@@ -305,11 +304,11 @@ pub fn bench_config() -> VerifierConfig {
     }
 }
 
-/// A tighter configuration for the criterion benches and the large
-/// hand-written workloads (travel booking): the per-iteration cost stays in
-/// the hundreds of milliseconds so timing sweeps remain practical. With
-/// these caps the verifier explicitly reports a *bounded* search; see
-/// EXPERIMENTS.md on how to re-run with larger budgets.
+/// A tighter configuration for the large hand-written workloads (travel
+/// booking): the per-iteration cost stays in the hundreds of milliseconds so
+/// timing sweeps remain practical. A `holds` under these caps covers only
+/// the explored portion of the state space; see EXPERIMENTS.md on how to
+/// re-run with larger budgets.
 pub fn fast_config() -> VerifierConfig {
     VerifierConfig {
         max_successors: 24,
@@ -317,15 +316,5 @@ pub fn fast_config() -> VerifierConfig {
         km_node_cap: 4_000,
         threads: 1,
         ..VerifierConfig::default()
-    }
-}
-
-/// The configuration used for `bench_config` callers that also want a bound
-/// on coverability-graph size (kept separate so the two knobs can be swept
-/// independently in EXPERIMENTS.md).
-pub fn capped_km(config: VerifierConfig, cap: usize) -> VerifierConfig {
-    VerifierConfig {
-        km_node_cap: cap,
-        ..config
     }
 }

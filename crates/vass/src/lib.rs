@@ -17,10 +17,7 @@
 //! * [`Vass::state_repeated_reachable`] — repeated reachability (the *lasso*
 //!   paths of Lemma 21): a reachable configuration with control state `q_f`
 //!   from which the same control state is reached again with componentwise
-//!   no-smaller counters;
-//! * [`BoundedExplorer`] — an explicit-state explorer with counter caps, used
-//!   for witness replay and as a test oracle against the Karp–Miller
-//!   procedures;
+//!   no-smaller counters.
 //!
 //! The paper cites the Rackoff/Habermehl EXPSPACE bounds for these problems;
 //! Karp–Miller is the standard practical algorithm deciding the same queries
@@ -40,13 +37,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bounded;
 pub mod coverability;
 pub mod cycle;
 pub mod dense;
 pub mod vass;
 
-pub use bounded::BoundedExplorer;
 pub use coverability::{CoverabilityGraph, KmScratch, Marking, NodeRef, OMEGA};
 pub use cycle::{nonneg_cycle_search, strongly_connected_components, CycleSearch, DeltaEdge};
 pub use dense::{fx_hash, BitSet, FxBuildHasher, FxHashMap, FxHasher, Interner};

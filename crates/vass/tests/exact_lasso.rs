@@ -2,12 +2,19 @@
 //! motivated it, cap-bug regressions, and property-based cross-checks against
 //! the explicit [`BoundedExplorer`] ground truth.
 
-use has_vass::{BoundedExplorer, CoverabilityGraph, Vass};
+// This target calls only `BoundedExplorer::has_lasso`; the oracle's other
+// methods serve `prop_coverability.rs`.
+#[allow(dead_code)]
+#[path = "support/bounded.rs"]
+mod bounded;
+
+use bounded::BoundedExplorer;
+use has_vass::{CoverabilityGraph, Vass};
 use proptest::prelude::*;
 use std::time::Instant;
 
 /// The EXP-F3 gadget: state 0 pumps each of `d` counters, state 1 drains
-/// them (see `crates/bench/benches/vass_dimension.rs`).
+/// them (EXP-F3, `cargo run --release -p has-bench --bin tables -- vass`).
 fn pump_drain(d: usize) -> Vass {
     let mut v = Vass::new(2, d);
     for i in 0..d {

@@ -8,8 +8,15 @@
 //!   reachability procedure (completeness of lasso detection);
 //! * conversely, if Karp–Miller declares a state unreachable the explorer
 //!   must not reach it (soundness).
+//!
+//! The oracle's own unit tests live at the end of this file, the one target
+//! that runs them.
 
-use has_vass::{BoundedExplorer, Vass};
+#[path = "support/bounded.rs"]
+mod bounded;
+
+use bounded::BoundedExplorer;
+use has_vass::Vass;
 use proptest::prelude::*;
 
 fn arb_vass(states: usize, dim: usize) -> impl Strategy<Value = Vass> {
@@ -65,4 +72,37 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn capped_exploration_is_exact_for_small_systems() {
+    let mut v = Vass::new(2, 1);
+    v.add_action(0, vec![1], 0);
+    v.add_action(0, vec![-1], 1);
+    let explorer = BoundedExplorer::new(3, 1000);
+    let configs = explorer.reachable_configurations(&v, 0);
+    // counters 0..=3 in state 0, 0..=2 in state 1.
+    assert_eq!(configs.len(), 4 + 3);
+    assert_eq!(explorer.reachable_states(&v, 0).len(), 2);
+}
+
+#[test]
+fn lasso_detection_matches_intuition() {
+    let mut v = Vass::new(2, 1);
+    v.add_action(0, vec![1], 0);
+    v.add_action(0, vec![0], 1);
+    v.add_action(1, vec![-1], 1);
+    let explorer = BoundedExplorer::default();
+    assert!(explorer.has_lasso(&v, 0, 0));
+    assert!(!explorer.has_lasso(&v, 0, 1));
+}
+
+#[test]
+fn budget_limits_exploration() {
+    let mut v = Vass::new(1, 2);
+    v.add_action(0, vec![1, 0], 0);
+    v.add_action(0, vec![0, 1], 0);
+    let explorer = BoundedExplorer::new(1_000, 50);
+    let configs = explorer.reachable_configurations(&v, 0);
+    assert!(configs.len() <= 51);
 }

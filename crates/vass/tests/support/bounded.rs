@@ -1,16 +1,12 @@
-//! Explicit-state exploration with counter caps.
+//! Explicit-state exploration with counter caps: the ground-truth oracle of
+//! the Karp–Miller and lasso property tests.
 //!
 //! [`BoundedExplorer`] enumerates the exact configuration space of a VASS up
 //! to a per-counter cap. It is *not* a decision procedure (counters may need
-//! to exceed any fixed cap), but it serves two purposes:
-//!
-//! * a ground-truth oracle for property tests of the Karp–Miller procedures
-//!   (any configuration it reaches is genuinely reachable, and for capped
-//!   systems it is exhaustive);
-//! * witness replay: reconstructing a concrete run for a counterexample
-//!   reported by the symbolic verifier.
+//! to exceed any fixed cap), but any configuration it reaches is genuinely
+//! reachable, and for capped systems it is exhaustive.
 
-use crate::vass::Vass;
+use has_vass::Vass;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Explicit-state explorer with a per-counter cap.
@@ -133,43 +129,5 @@ impl BoundedExplorer {
             }
         }
         false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn capped_exploration_is_exact_for_small_systems() {
-        let mut v = Vass::new(2, 1);
-        v.add_action(0, vec![1], 0);
-        v.add_action(0, vec![-1], 1);
-        let explorer = BoundedExplorer::new(3, 1000);
-        let configs = explorer.reachable_configurations(&v, 0);
-        // counters 0..=3 in state 0, 0..=2 in state 1.
-        assert_eq!(configs.len(), 4 + 3);
-        assert_eq!(explorer.reachable_states(&v, 0).len(), 2);
-    }
-
-    #[test]
-    fn lasso_detection_matches_intuition() {
-        let mut v = Vass::new(2, 1);
-        v.add_action(0, vec![1], 0);
-        v.add_action(0, vec![0], 1);
-        v.add_action(1, vec![-1], 1);
-        let explorer = BoundedExplorer::default();
-        assert!(explorer.has_lasso(&v, 0, 0));
-        assert!(!explorer.has_lasso(&v, 0, 1));
-    }
-
-    #[test]
-    fn budget_limits_exploration() {
-        let mut v = Vass::new(1, 2);
-        v.add_action(0, vec![1, 0], 0);
-        v.add_action(0, vec![0, 1], 0);
-        let explorer = BoundedExplorer::new(1_000, 50);
-        let configs = explorer.reachable_configurations(&v, 0);
-        assert!(configs.len() <= 51);
     }
 }

@@ -510,12 +510,6 @@ pub enum Plant {
 }
 
 impl Plant {
-    /// Whether this plant seeds a violation (`false` = clean by
-    /// construction).
-    pub fn is_violation(&self) -> bool {
-        matches!(self, Plant::Lasso | Plant::Blocking | Plant::Returning)
-    }
-
     /// Short label suffix (`clean-taut`, `lasso`, …).
     pub fn slug(&self) -> &'static str {
         match self {

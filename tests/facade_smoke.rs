@@ -9,7 +9,7 @@ use has::ltl::{HltlFormula, Ltl};
 use has::model::{ArtifactSystem, Condition, SetUpdate, SystemBuilder};
 use has::sim::{ExecutionConfig, Executor};
 use has::symbolic::{Expr, TaskContext};
-use has::vass::{BoundedExplorer, Vass};
+use has::vass::{CoverabilityGraph, Vass};
 use has::verifier::{Outcome, Verifier, VerifierConfig};
 use has::workloads::{travel_booking, TravelVariant};
 
@@ -27,8 +27,7 @@ fn facade_reexports_are_reachable() {
     let mut v = Vass::new(2, 1);
     v.add_action(0, vec![1], 1);
     assert!(v.state_reachable(0, 1));
-    let explorer = BoundedExplorer::new(4, 100);
-    assert!(explorer.reachable_states(&v, 0).contains(&1));
+    assert!(CoverabilityGraph::build(&v, 0).path_to_state(1).is_some());
     // has::workloads
     let travel = travel_booking(TravelVariant::Fixed);
     assert!(!travel.system.schema.database.relations.is_empty());

@@ -36,7 +36,7 @@ fn returned_subcall_instance() -> (ArtifactSystem, has::ltl::HltlFormula, TaskId
     (system, property, child_id)
 }
 
-/// The acceptance-criterion regression: `ViolationKind::Returning` must be
+/// The returning-violation regression: `ViolationKind::Returning` must be
 /// constructed by a real verification run — the violating root run is an
 /// idle lasso, but what it violates is the guarantee about the *returned*
 /// child call, so the reported kind is `Returning` and the origin names the
