@@ -1,34 +1,86 @@
 //! Bitset compilation of a task's Büchi automaton over the canonical
 //! proposition order.
 //!
-//! A `(T, β)` exploration steps its Büchi automaton once per enumerated
-//! letter per transition of `V(T, β)` — the innermost loop of
+//! A `(T, β)` exploration steps its Büchi automaton once per transition of
+//! `V(T, β)` — the innermost loop of
 //! [`crate::task_verifier::TaskVerifier::build_graph`]. The generic
 //! [`Buchi`] matches each transition label by probing `BTreeSet`s of
-//! propositions; compiled, a letter is a word-packed truth assignment over
-//! the verifier's sorted proposition list and a label is a `(pos, neg)`
-//! mask pair, so a match is two AND-compare sweeps over a handful of
-//! `u64`s.
+//! propositions; compiled, a [`Letter`] is a three-valued assignment packed
+//! into two word masks over the verifier's sorted proposition list and a
+//! label is a `(pos, neg)` mask pair, so a match is two AND-compare sweeps
+//! over a handful of `u64`s.
+//!
+//! Three-valued matching is exact: a label matches a letter iff it matches
+//! at least one completion of the letter's undetermined propositions, so one
+//! step yields the union of the successors of every completion (DESIGN.md
+//! §5.5). For a label with `pos ∩ neg = ∅`, setting every undetermined `pos`
+//! bit true and every other undetermined bit false is such a completion
+//! whenever `pos ⊆ bits ∪ unknown` and `neg ∩ bits = ∅`; a label with
+//! `pos ∩ neg ≠ ∅` matches no completion and is dropped at compile time.
 //!
 //! Determinism: successor order is the construction order of the source
 //! automaton — transitions keep their per-state `Vec` order and initial
 //! states their ascending order ([`Buchi::transitions_from`],
 //! [`Buchi::initial`]), exactly the orders the generic `step` /
 //! `initial_successors` filter. Labels whose positive propositions fall
-//! outside the proposition list are dropped at compile time: the letter
-//! enumeration never sets such a bit, so the generic automaton could never
-//! take them either.
+//! outside the proposition list are dropped at compile time: a letter never
+//! sets such a bit, so the generic automaton could never take them either.
 
 use has_ltl::buchi::{Buchi, BuchiState, Label};
 use has_ltl::hltl::TaskProp;
 use has_vass::BitSet;
 
-/// One compiled transition label: `words` `u64`s of required-true bits in
-/// `pos`, required-false bits in `neg`, stored flat in the parent arrays.
-/// A letter `l` matches iff `l & pos == pos` and `l & neg == 0`.
-fn matches(letter: &[u64], pos: &[u64], neg: &[u64]) -> bool {
-    pos.iter().zip(letter).all(|(p, l)| p & l == *p)
-        && neg.iter().zip(letter).all(|(n, l)| n & l == 0)
+/// One step's truth assignment over the proposition list, three-valued: bit
+/// `i` of `bits` set ⇔ `props[i]` holds, bit `i` of `unknown` set ⇔ the
+/// abstraction leaves `props[i]` undetermined; every other proposition is
+/// false. The two masks are disjoint and [`CompiledBuchi::words`] long.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Letter {
+    pub bits: Box<[u64]>,
+    pub unknown: Box<[u64]>,
+}
+
+impl Letter {
+    /// The letter over `words` words with every proposition false.
+    pub fn new(words: usize) -> Self {
+        Letter {
+            bits: vec![0; words].into_boxed_slice(),
+            unknown: vec![0; words].into_boxed_slice(),
+        }
+    }
+
+    /// Whether some completion of the letter matches the compiled label
+    /// `(pos, neg)`: `pos ⊆ bits ∪ unknown` and `neg ∩ bits = ∅`.
+    fn matches(&self, pos: &[u64], neg: &[u64]) -> bool {
+        pos.iter()
+            .zip(self.bits.iter().zip(self.unknown.iter()))
+            .all(|(p, (b, u))| p & !(b | u) == 0)
+            && neg.iter().zip(self.bits.iter()).all(|(n, b)| n & b == 0)
+    }
+}
+
+/// Compiles one label to its `(pos, neg)` masks over `props`, or `None` when
+/// no letter can match it: a positive literal over a proposition outside
+/// `props` (letters read those as false), or a proposition required both
+/// true and false. A negative literal outside `props` always holds and is
+/// left out of the masks.
+fn compile_label(
+    label: &Label<TaskProp>,
+    props: &[TaskProp],
+    words: usize,
+) -> Option<(Vec<u64>, Vec<u64>)> {
+    let mut pos = vec![0u64; words];
+    let mut neg = vec![0u64; words];
+    for p in &label.pos {
+        let bit = props.binary_search(p).ok()?;
+        pos[bit / 64] |= 1u64 << (bit % 64);
+    }
+    for p in &label.neg {
+        if let Ok(bit) = props.binary_search(p) {
+            neg[bit / 64] |= 1u64 << (bit % 64);
+        }
+    }
+    pos.iter().zip(&neg).all(|(p, n)| p & n == 0).then_some((pos, neg))
 }
 
 /// A [`Buchi`] automaton over [`TaskProp`] compiled to bitset masks over a
@@ -58,27 +110,9 @@ pub struct CompiledBuchi {
 
 impl CompiledBuchi {
     /// Compiles `buchi` over the sorted, deduplicated proposition list
-    /// `props` (bit `i` of a letter is the truth value of `props[i]`).
+    /// `props` (bit `i` of a letter's masks is about `props[i]`).
     pub fn new(buchi: &Buchi<TaskProp>, props: &[TaskProp]) -> Self {
         let words = props.len().div_ceil(64);
-        let compile = |label: &Label<TaskProp>| -> Option<(Vec<u64>, Vec<u64>)> {
-            let mut pos = vec![0u64; words];
-            let mut neg = vec![0u64; words];
-            for p in &label.pos {
-                // A positive literal over a proposition the letters never
-                // set can never be satisfied: drop the transition.
-                let bit = props.binary_search(p).ok()?;
-                pos[bit / 64] |= 1u64 << (bit % 64);
-            }
-            for p in &label.neg {
-                // A negative literal over an absent proposition is always
-                // satisfied (letters default absent propositions to false).
-                if let Ok(bit) = props.binary_search(p) {
-                    neg[bit / 64] |= 1u64 << (bit % 64);
-                }
-            }
-            Some((pos, neg))
-        };
 
         let state_count = buchi.state_count();
         let mut offsets = vec![0u32; state_count + 1];
@@ -87,7 +121,7 @@ impl CompiledBuchi {
         let mut targets = Vec::new();
         for s in 0..state_count {
             for (label, to) in buchi.transitions_from(BuchiState(s)) {
-                if let Some((p, n)) = compile(label) {
+                if let Some((p, n)) = compile_label(label, props, words) {
                     pos.extend_from_slice(&p);
                     neg.extend_from_slice(&n);
                     targets.push(to.0 as u32);
@@ -100,7 +134,7 @@ impl CompiledBuchi {
         let mut init_pos = Vec::new();
         let mut init_neg = Vec::new();
         for s in buchi.initial() {
-            if let Some((p, n)) = compile(buchi.entry_label(s)) {
+            if let Some((p, n)) = compile_label(buchi.entry_label(s), props, words) {
                 init_states.push(s.0 as u32);
                 init_pos.extend_from_slice(&p);
                 init_neg.extend_from_slice(&n);
@@ -130,7 +164,7 @@ impl CompiledBuchi {
         }
     }
 
-    /// Number of `u64` words per letter; letters passed to
+    /// Number of `u64` words per letter mask; letters passed to
     /// [`CompiledBuchi::step`] / [`CompiledBuchi::initial_successors`] must
     /// have exactly this length.
     pub fn words(&self) -> usize {
@@ -138,10 +172,11 @@ impl CompiledBuchi {
     }
 
     /// Writes into `out` (cleared first) the states reachable by reading
-    /// the *first* letter of a word, in ascending state order (the order of
-    /// [`Buchi::initial_successors`]). The caller owns and reuses `out`, so
-    /// stepping allocates nothing once it has grown.
-    pub fn initial_successors(&self, letter: &[u64], out: &mut Vec<BuchiState>) {
+    /// the *first* letter of a word under some completion of it, in
+    /// ascending state order (the order of [`Buchi::initial_successors`]).
+    /// The caller owns and reuses `out`, so stepping allocates nothing once
+    /// it has grown.
+    pub fn initial_successors(&self, letter: &Letter, out: &mut Vec<BuchiState>) {
         let w = self.words;
         out.clear();
         out.extend(
@@ -149,8 +184,7 @@ impl CompiledBuchi {
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| {
-                    matches(
-                        letter,
+                    letter.matches(
                         &self.init_pos[i * w..(i + 1) * w],
                         &self.init_neg[i * w..(i + 1) * w],
                     )
@@ -160,9 +194,9 @@ impl CompiledBuchi {
     }
 
     /// Writes into `out` (cleared first) the successor states of `state`
-    /// when reading a letter, in the source automaton's transition order
-    /// (the order of [`Buchi::step`]).
-    pub fn step(&self, state: BuchiState, letter: &[u64], out: &mut Vec<BuchiState>) {
+    /// when reading a letter under some completion of it, in the source
+    /// automaton's transition order (the order of [`Buchi::step`]).
+    pub fn step(&self, state: BuchiState, letter: &Letter, out: &mut Vec<BuchiState>) {
         let w = self.words;
         let lo = self.offsets[state.0] as usize;
         let hi = self.offsets[state.0 + 1] as usize;
@@ -170,11 +204,7 @@ impl CompiledBuchi {
         out.extend(
             (lo..hi)
                 .filter(|&e| {
-                    matches(
-                        letter,
-                        &self.pos[e * w..(e + 1) * w],
-                        &self.neg[e * w..(e + 1) * w],
-                    )
+                    letter.matches(&self.pos[e * w..(e + 1) * w], &self.neg[e * w..(e + 1) * w])
                 })
                 .map(|e| BuchiState(self.targets[e] as usize)),
         );
@@ -203,12 +233,16 @@ mod tests {
         TaskProp::Service(ServiceRef::Internal(TaskId(0), name))
     }
 
-    /// Packs a truth assignment over `props` into letter words.
-    fn letter(props: &[TaskProp], truth: &[bool]) -> Vec<u64> {
-        let mut l = vec![0u64; props.len().div_ceil(64)];
-        for (i, &b) in truth.iter().enumerate() {
-            if b {
-                l[i / 64] |= 1 << (i % 64);
+    /// Packs a three-valued assignment into a letter: proposition `i` holds
+    /// if `truth[i]`, is undetermined if `unknown[i]`, and is false else.
+    fn letter(truth: &[bool], unknown: &[bool]) -> Letter {
+        let mut l = Letter::new(truth.len().div_ceil(64));
+        for (i, (&t, &u)) in truth.iter().zip(unknown).enumerate() {
+            if t {
+                l.bits[i / 64] |= 1 << (i % 64);
+            }
+            if u {
+                l.unknown[i / 64] |= 1 << (i % 64);
             }
         }
         l
@@ -228,7 +262,7 @@ mod tests {
         let mut out = vec![BuchiState(usize::MAX)];
         for mask in 0..4usize {
             let truth = [mask & 1 != 0, mask & 2 != 0];
-            let l = letter(&props, &truth);
+            let l = letter(&truth, &[false; 2]);
             let assignment = |p: &TaskProp| {
                 props.iter().position(|q| q == p).map(|i| truth[i]).unwrap_or(false)
             };
@@ -255,5 +289,68 @@ mod tests {
                 buchi.finite_accepting().contains(&q)
             );
         }
+    }
+
+    /// Every split of three propositions into (true, unknown, false): one
+    /// three-valued step yields exactly the union of the generic steps over
+    /// every completion of the unknown propositions.
+    #[test]
+    fn three_valued_stepping_is_the_union_over_completions() {
+        use std::collections::BTreeSet;
+        let props = vec![prop(0), prop(1), prop(2)];
+        let [a, b, c] = [0, 1, 2].map(|i| Ltl::prop(props[i].clone()));
+        let f = (a.clone().until(b.clone().and(c.clone().not())))
+            .or(a.implies(c.next()).globally().and(b.eventually()));
+        let buchi = Buchi::from_ltl(&f);
+        let compiled = CompiledBuchi::new(&buchi, &props);
+        let index = |p: &TaskProp| props.iter().position(|q| q == p).unwrap();
+
+        let mut out = Vec::new();
+        for split in 0..27usize {
+            // Digit `i` of `split` in base 3: 0 false, 1 true, 2 unknown.
+            let digit = |i: u32| split / 3usize.pow(i) % 3;
+            let truth = [0, 1, 2].map(|i| digit(i) == 1);
+            let unknown = [0, 1, 2].map(|i| digit(i) == 2);
+            let l = letter(&truth, &unknown);
+            let completions: Vec<[bool; 3]> = (0..8usize)
+                .map(|m| [0, 1, 2].map(|i| truth[i] || (unknown[i] && m & (1 << i) != 0)))
+                .collect();
+            compiled.initial_successors(&l, &mut out);
+            assert_eq!(
+                out.iter().copied().collect::<BTreeSet<_>>(),
+                completions
+                    .iter()
+                    .flat_map(|c| buchi.initial_successors(|p| c[index(p)]))
+                    .collect::<BTreeSet<_>>(),
+                "initial successors under true {truth:?}, unknown {unknown:?}"
+            );
+            for s in 0..buchi.state_count() {
+                compiled.step(BuchiState(s), &l, &mut out);
+                assert_eq!(
+                    out.iter().copied().collect::<BTreeSet<_>>(),
+                    completions
+                        .iter()
+                        .flat_map(|c| buchi.step(BuchiState(s), |p| c[index(p)]))
+                        .collect::<BTreeSet<_>>(),
+                    "successors of state {s} under true {truth:?}, unknown {unknown:?}"
+                );
+            }
+        }
+    }
+
+    /// A label holding `p ∧ ¬p` is dropped at compile time, so it matches no
+    /// letter, not even one that leaves `p` undetermined.
+    #[test]
+    fn contradictory_label_matches_nothing() {
+        let props = vec![prop(0), prop(1)];
+        let label = |pos: &[usize], neg: &[usize]| Label {
+            pos: pos.iter().map(|&i| props[i].clone()).collect(),
+            neg: neg.iter().map(|&i| props[i].clone()).collect(),
+        };
+        assert_eq!(compile_label(&label(&[0], &[0]), &props, 1), None);
+        assert_eq!(compile_label(&label(&[0, 1], &[1]), &props, 1), None);
+        let (pos, neg) = compile_label(&label(&[0], &[1]), &props, 1).expect("satisfiable");
+        assert_eq!((pos, neg), (vec![0b01], vec![0b10]));
+        assert!(letter(&[false, false], &[true, true]).matches(&[0b01], &[0b10]));
     }
 }

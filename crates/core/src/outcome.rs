@@ -347,20 +347,13 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Merges two statistics records into one, by value.
+    /// Merges another statistics record into this one.
     ///
     /// The merge is associative and commutative (every field is a plain
     /// count, combined by addition), which is what lets the scheduler
     /// combine per-`(T, β)` statistics in *any* completion order and still
     /// produce aggregates identical at every thread count — see DESIGN.md
     /// §5.6 for the determinism contract this supports.
-    #[must_use]
-    pub fn merge(mut self, other: &Stats) -> Stats {
-        self.absorb(other);
-        self
-    }
-
-    /// Merges another statistics record into this one.
     pub fn absorb(&mut self, other: &Stats) {
         self.control_states += other.control_states;
         self.transitions += other.transitions;
@@ -484,10 +477,15 @@ mod tests {
             transitions: 9,
             ..Stats::default()
         };
-        let left = a.clone().merge(&b).merge(&c);
-        let right = a.clone().merge(&b.clone().merge(&c));
+        let merged = |x: &Stats, y: &Stats| {
+            let mut m = x.clone();
+            m.absorb(y);
+            m
+        };
+        let left = merged(&merged(&a, &b), &c);
+        let right = merged(&a, &merged(&b, &c));
         assert_eq!(left, right);
-        let swapped = c.merge(&b).merge(&a);
+        let swapped = merged(&merged(&c, &b), &a);
         assert_eq!(left, swapped);
     }
 

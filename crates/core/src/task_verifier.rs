@@ -1,7 +1,7 @@
 //! Per-task symbolic exploration: construction of the VASS `V(T, β)` and
 //! computation of the relation `R_T` (Section 4.2, Lemma 21).
 
-use crate::compiled::CompiledBuchi;
+use crate::compiled::{CompiledBuchi, Letter};
 use crate::outcome::{Stats, WitnessStep};
 use crate::verifier::VerifierConfig;
 use has_analysis::{dimension_cone_multi, DeadServiceMap, PresolveStats};
@@ -193,14 +193,6 @@ enum ChildStatus {
     Closed,
 }
 
-/// The part of a letter fixed by the symbolic state alone: the
-/// word-packed truth values of the condition propositions, and the bits the
-/// abstraction leaves undetermined (see [`TaskVerifier::valuation`]).
-struct Valuation {
-    bits: Box<[u64]>,
-    unknown: Vec<usize>,
-}
-
 /// The memos of one [`TaskVerifier::build_graph`] call, each keyed on
 /// exactly what its step reads (DESIGN.md §5.13). They live for one `(T, β)`
 /// pair and are dropped when the build returns; the per-sym tables are
@@ -221,10 +213,10 @@ struct BuildMemo {
     post_enumerations: usize,
     post_hits: usize,
     /// The condition valuation of each sym id.
-    valuation_of: Vec<Option<Valuation>>,
-    /// Letter lists of the steps without a child choice, keyed on
+    valuation_of: Vec<Option<Letter>>,
+    /// The letter of each step without a child choice, keyed on
     /// `(sym id, service)`.
-    letters: FxHashMap<(u32, ServiceRef), Vec<Box<[u64]>>>,
+    letters: FxHashMap<(u32, ServiceRef), Letter>,
     /// The ways of opening a child, keyed on `(sym id, child)`.
     opens: FxHashMap<(u32, TaskId), OpenChild>,
     /// Returned-state ids keyed on `(sym, child, output)` ids.
@@ -283,8 +275,8 @@ struct OpenChoice {
     entry: usize,
     /// The entry's output as a sym id (`None`: the child never returns).
     output: Option<u32>,
-    /// The letters of the opening step under this entry's `β`.
-    letters: Vec<Box<[u64]>>,
+    /// The letter of the opening step under this entry's `β`.
+    letter: Letter,
 }
 
 /// The expression correspondence of one child's return, computed for each
@@ -535,43 +527,35 @@ impl<'a> TaskVerifier<'a> {
     // Letters and Büchi stepping
     // ------------------------------------------------------------------
 
-    /// The truth values of the condition propositions in `sym`, with the
-    /// bits the abstraction leaves undetermined (arithmetic atoms when cell
-    /// tracking is disabled) listed separately, truncated to
-    /// [`VerifierConfig::max_unknown_props`]. The part of a letter that
-    /// depends on the symbolic state alone.
-    fn valuation(&self, sym: &SymState) -> Valuation {
-        let mut bits = vec![0u64; self.cbuchi.words()].into_boxed_slice();
-        let mut unknown: Vec<usize> = Vec::new();
+    /// The three-valued truth values of the condition propositions in
+    /// `sym`: the part of a letter that depends on the symbolic state alone.
+    /// The abstraction leaves every arithmetic atom undetermined (DESIGN.md
+    /// §5.5); such propositions go to `unknown`, and the Büchi step reads
+    /// them under every completion at once.
+    fn valuation(&self, sym: &SymState) -> Letter {
+        let mut valuation = Letter::new(self.cbuchi.words());
         for (bit, p) in self.props.iter().enumerate() {
             let TaskProp::Condition(c) = p else { continue };
-            match sym.satisfies(self.ctx, c) {
-                Some(true) => bits[bit / 64] |= 1u64 << (bit % 64),
-                Some(false) => {}
-                None => unknown.push(bit),
-            }
+            let mask = match sym.satisfies(self.ctx, c) {
+                Some(true) => &mut valuation.bits,
+                Some(false) => continue,
+                None => &mut valuation.unknown,
+            };
+            mask[bit / 64] |= 1u64 << (bit % 64);
         }
-        unknown.truncate(self.config.max_unknown_props);
-        Valuation { bits, unknown }
+        valuation
     }
 
-    /// The truth assignments ("letters") compatible with observing `service`
-    /// in a state with the given [`TaskVerifier::valuation`], branching over
-    /// the propositions it leaves undetermined.
-    ///
-    /// A letter is a word-packed truth assignment over the canonical sorted
-    /// proposition list `self.props` (bit `i` ⇔ `props[i]` holds; absent —
-    /// i.e. truncated-unknown — propositions read as `false`, exactly as the
-    /// former map representation defaulted missing entries). Letters are
-    /// produced in enumeration-mask order with `unknown` bits assigned in
-    /// proposition order, matching the former enumeration exactly.
-    fn letters(
+    /// The letter of observing `service` in a state with the given
+    /// [`TaskVerifier::valuation`]: the valuation plus the service and child
+    /// propositions, which are always determined.
+    fn letter(
         &self,
-        valuation: &Valuation,
+        valuation: &Letter,
         service: ServiceRef,
         child_choice: Option<(TaskId, &[bool])>,
-    ) -> Vec<Box<[u64]>> {
-        let mut base = valuation.bits.clone();
+    ) -> Letter {
+        let mut letter = valuation.clone();
         for (bit, p) in self.props.iter().enumerate() {
             let value = match p {
                 TaskProp::Condition(_) => false,
@@ -586,26 +570,15 @@ impl<'a> TaskVerifier<'a> {
                 },
             };
             if value {
-                base[bit / 64] |= 1u64 << (bit % 64);
+                letter.bits[bit / 64] |= 1u64 << (bit % 64);
             }
         }
-        let unknown = &valuation.unknown;
-        let mut letters = Vec::with_capacity(1 << unknown.len());
-        for mask in 0..(1usize << unknown.len()) {
-            let mut letter = base.clone();
-            for (i, &bit) in unknown.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    letter[bit / 64] |= 1u64 << (bit % 64);
-                }
-            }
-            letters.push(letter);
-        }
-        letters
+        letter
     }
 
     /// Writes the Büchi successors on `letter` into the caller-owned `out`:
     /// the initial successors for `q = None`, else the successors of `q`.
-    fn step_buchi(&self, q: Option<BuchiState>, letter: &[u64], out: &mut Vec<BuchiState>) {
+    fn step_buchi(&self, q: Option<BuchiState>, letter: &Letter, out: &mut Vec<BuchiState>) {
         match q {
             None => self.cbuchi.initial_successors(letter, out),
             Some(q) => self.cbuchi.step(q, letter, out),
@@ -813,32 +786,32 @@ impl<'a> TaskVerifier<'a> {
     /// The [`TaskVerifier::valuation`] of `sym`, memoized per sym id.
     fn valuation_of<'m>(
         &self,
-        table: &'m mut Vec<Option<Valuation>>,
+        table: &'m mut Vec<Option<Letter>>,
         syms: &Interner<SymState>,
         sym: u32,
-    ) -> &'m Valuation {
+    ) -> &'m Letter {
         sym_slot(table, sym).get_or_insert_with(|| self.valuation(syms.get(sym)))
     }
 
-    /// The letters of observing `service` in `sym` (a step without a child
+    /// The letter of observing `service` in `sym` (a step without a child
     /// choice), memoized on `(sym, service)`.
-    fn letters_of<'m>(
+    fn letter_of<'m>(
         &self,
         memo: &'m mut BuildMemo,
         syms: &Interner<SymState>,
         sym: u32,
         service: ServiceRef,
-    ) -> &'m [Box<[u64]>] {
+    ) -> &'m Letter {
         let BuildMemo { letters, valuation_of, .. } = memo;
         letters.entry((sym, service)).or_insert_with(|| {
-            self.letters(self.valuation_of(valuation_of, syms, sym), service, None)
+            self.letter(self.valuation_of(valuation_of, syms, sym), service, None)
         })
     }
 
     /// The ways of opening `child` from `sym`, memoized on `(sym, child)`:
     /// the child's input key ([`TaskVerifier::child_input`]), the summary
     /// entries matching it with their outputs interned in entry order, and
-    /// each entry's opening letters.
+    /// each entry's opening letter.
     fn open_child<'m>(
         &self,
         memo: &'m mut BuildMemo,
@@ -857,8 +830,8 @@ impl<'a> TaskVerifier<'a> {
                 }
                 let output = e.output.as_ref().map(|s| syms.intern(s.clone()).0);
                 let valuation = self.valuation_of(valuation_of, syms, sym);
-                let letters = self.letters(valuation, sref, Some((child, &e.beta)));
-                choices.push(OpenChoice { entry, output, letters });
+                let letter = self.letter(valuation, sref, Some((child, &e.beta)));
+                choices.push(OpenChoice { entry, output, letter });
             }
             OpenChild { key, choices }
         })
@@ -941,21 +914,19 @@ impl<'a> TaskVerifier<'a> {
         for (input_index, input) in inputs.iter().enumerate() {
             input_keys.push(input.project_vars(self.ctx, &t.input_vars));
             let sym_id = syms.intern(input.clone()).0;
-            let letters = self.letters_of(&mut memo, &syms, sym_id, ServiceRef::Opening(self.task));
-            for letter in letters {
-                self.step_buchi(None, letter, &mut succ);
-                for &q in &succ {
-                    let c = CState {
-                        sym: sym_id,
-                        q,
-                        children: Vec::new(),
-                        closed: false,
-                        input_index,
-                    };
-                    let (id, newly) = cstates.intern(c);
-                    if newly {
-                        initial_states.push(id as usize);
-                    }
+            let letter = self.letter_of(&mut memo, &syms, sym_id, ServiceRef::Opening(self.task));
+            self.step_buchi(None, letter, &mut succ);
+            for &q in &succ {
+                let c = CState {
+                    sym: sym_id,
+                    q,
+                    children: Vec::new(),
+                    closed: false,
+                    input_index,
+                };
+                let (id, newly) = cstates.intern(c);
+                if newly {
+                    initial_states.push(id as usize);
                 }
             }
         }
@@ -1005,30 +976,29 @@ impl<'a> TaskVerifier<'a> {
                     for post_id in posts {
                         let retrieve = (counted && service.delta.retrieves())
                             .then(|| (index(counter_dims.dim(self.ctx, &syms, post_id)), -1));
-                        for letter in self.letters_of(&mut memo, &syms, post_id, sref) {
-                            self.step_buchi(Some(current.q), letter, &mut succ);
-                            for &q in &succ {
-                                let next = CState {
-                                    sym: post_id,
-                                    q,
-                                    children: Vec::new(),
-                                    closed: false,
-                                    input_index: current.input_index,
-                                };
-                                let (nid, newly) = cstates.intern(next);
-                                transitions.push(
-                                    id as usize,
-                                    insert.into_iter().chain(retrieve),
-                                    nid as usize,
-                                );
-                                if retain {
-                                    labels.push(WitnessStep::Internal {
-                                        service: service.name.clone(),
-                                    });
-                                }
-                                if newly {
-                                    worklist.push_back(nid);
-                                }
+                        let letter = self.letter_of(&mut memo, &syms, post_id, sref);
+                        self.step_buchi(Some(current.q), letter, &mut succ);
+                        for &q in &succ {
+                            let next = CState {
+                                sym: post_id,
+                                q,
+                                children: Vec::new(),
+                                closed: false,
+                                input_index: current.input_index,
+                            };
+                            let (nid, newly) = cstates.intern(next);
+                            transitions.push(
+                                id as usize,
+                                insert.into_iter().chain(retrieve),
+                                nid as usize,
+                            );
+                            if retain {
+                                labels.push(WitnessStep::Internal {
+                                    service: service.name.clone(),
+                                });
+                            }
+                            if newly {
+                                worklist.push_back(nid);
                             }
                         }
                     }
@@ -1051,33 +1021,31 @@ impl<'a> TaskVerifier<'a> {
                 let open = self.open_child(&mut memo, &mut syms, current.sym, child);
                 for choice in &open.choices {
                     let entry = &summary.entries[choice.entry];
-                    for letter in &choice.letters {
-                        self.step_buchi(Some(current.q), letter, &mut succ);
-                        for &q in &succ {
-                            let next = CState {
-                                sym: current.sym,
-                                q,
-                                children: current.with_child(
-                                    child,
-                                    ChildStatus::Active { output: choice.output },
-                                ),
-                                closed: false,
-                                input_index: current.input_index,
-                            };
-                            let (nid, newly) = cstates.intern(next);
-                            transitions.push(id as usize, [], nid as usize);
-                            if retain {
-                                labels.push(WitnessStep::OpenChild {
-                                    child,
-                                    child_name: schema.task(child).name.clone(),
-                                    beta: entry.beta.clone(),
-                                    input_key: open.key.clone(),
-                                    output: entry.output.clone(),
-                                });
-                            }
-                            if newly {
-                                worklist.push_back(nid);
-                            }
+                    self.step_buchi(Some(current.q), &choice.letter, &mut succ);
+                    for &q in &succ {
+                        let next = CState {
+                            sym: current.sym,
+                            q,
+                            children: current.with_child(
+                                child,
+                                ChildStatus::Active { output: choice.output },
+                            ),
+                            closed: false,
+                            input_index: current.input_index,
+                        };
+                        let (nid, newly) = cstates.intern(next);
+                        transitions.push(id as usize, [], nid as usize);
+                        if retain {
+                            labels.push(WitnessStep::OpenChild {
+                                child,
+                                child_name: schema.task(child).name.clone(),
+                                beta: entry.beta.clone(),
+                                input_key: open.key.clone(),
+                                output: entry.output.clone(),
+                            });
+                        }
+                        if newly {
+                            worklist.push_back(nid);
                         }
                     }
                 }
@@ -1090,27 +1058,26 @@ impl<'a> TaskVerifier<'a> {
                 };
                 let new_sym_id = self.returned(&mut memo, &mut syms, current.sym, child, out);
                 let sref = ServiceRef::Closing(child);
-                for letter in self.letters_of(&mut memo, &syms, new_sym_id, sref) {
-                    self.step_buchi(Some(current.q), letter, &mut succ);
-                    for &q in &succ {
-                        let next = CState {
-                            sym: new_sym_id,
-                            q,
-                            children: current.with_child(child, ChildStatus::Closed),
-                            closed: false,
-                            input_index: current.input_index,
-                        };
-                        let (nid, newly) = cstates.intern(next);
-                        transitions.push(id as usize, [], nid as usize);
-                        if retain {
-                            labels.push(WitnessStep::CloseChild {
-                                child,
-                                child_name: schema.task(child).name.clone(),
-                            });
-                        }
-                        if newly {
-                            worklist.push_back(nid);
-                        }
+                let letter = self.letter_of(&mut memo, &syms, new_sym_id, sref);
+                self.step_buchi(Some(current.q), letter, &mut succ);
+                for &q in &succ {
+                    let next = CState {
+                        sym: new_sym_id,
+                        q,
+                        children: current.with_child(child, ChildStatus::Closed),
+                        closed: false,
+                        input_index: current.input_index,
+                    };
+                    let (nid, newly) = cstates.intern(next);
+                    transitions.push(id as usize, [], nid as usize);
+                    if retain {
+                        labels.push(WitnessStep::CloseChild {
+                            child,
+                            child_name: schema.task(child).name.clone(),
+                        });
+                    }
+                    if newly {
+                        worklist.push_back(nid);
                     }
                 }
             }
@@ -1122,23 +1089,22 @@ impl<'a> TaskVerifier<'a> {
                 && syms.get(current.sym).may_satisfy(self.ctx, &t.closing.pre)
             {
                 let sref = ServiceRef::Closing(self.task);
-                for letter in self.letters_of(&mut memo, &syms, current.sym, sref) {
-                    self.step_buchi(Some(current.q), letter, &mut succ);
-                    for &q in &succ {
-                        let next = CState {
-                            sym: current.sym,
-                            q,
-                            children: current.children.clone(),
-                            closed: true,
-                            input_index: current.input_index,
-                        };
-                        let (nid, _) = cstates.intern(next);
-                        transitions.push(id as usize, [], nid as usize);
-                        if retain {
-                            labels.push(WitnessStep::CloseTask);
-                        }
-                        // Closed states have no successors; no need to enqueue.
+                let letter = self.letter_of(&mut memo, &syms, current.sym, sref);
+                self.step_buchi(Some(current.q), letter, &mut succ);
+                for &q in &succ {
+                    let next = CState {
+                        sym: current.sym,
+                        q,
+                        children: current.children.clone(),
+                        closed: true,
+                        input_index: current.input_index,
+                    };
+                    let (nid, _) = cstates.intern(next);
+                    transitions.push(id as usize, [], nid as usize);
+                    if retain {
+                        labels.push(WitnessStep::CloseTask);
                     }
+                    // Closed states have no successors; no need to enqueue.
                 }
             }
         }

@@ -34,12 +34,6 @@ pub struct VerifierConfig {
     /// Cap on the number of undecided related-expression pairs branched over
     /// when refining a successor state.
     pub max_merge_pairs: usize,
-    /// Cap on the number of property propositions left undetermined by the
-    /// abstraction that are branched over per letter. Unknown propositions
-    /// past the cap read as `false` in every letter, so the letters then
-    /// under-approximate the possible truth assignments and a `holds`
-    /// verdict covers only the explored letters.
-    pub max_unknown_props: usize,
     /// Cap on the number of Karp–Miller coverability-graph nodes built per
     /// reachability query (truncation under-approximates the search).
     pub km_node_cap: usize,
@@ -79,7 +73,6 @@ impl Default for VerifierConfig {
             max_successors: 512,
             max_control_states: 20_000,
             max_merge_pairs: 6,
-            max_unknown_props: 4,
             km_node_cap: 50_000,
             use_cells: false,
             threads: Self::default_threads(),
@@ -192,7 +185,7 @@ impl<'a> Verifier<'a> {
 
         let order = self.bottom_up_order();
         let (summaries, explored) = self.schedule(&pc, &order, &dead);
-        stats = stats.merge(&explored);
+        stats.absorb(&explored);
 
         // Γ ⊨ φ iff there is no non-returning root run with β(ξ) = 0.
         let (root_task, root_index) = pc.root();

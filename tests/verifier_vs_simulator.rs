@@ -9,8 +9,11 @@
 //! exercised; the hand-written orders cases below it are kept as named
 //! regressions of the original harness.
 
+use has::arith::{LinExpr, LinearConstraint, Rational};
 use has::corpus::{sample, Certificate, CorpusParams};
 use has::data::{DatabaseGenerator, GeneratorConfig};
+use has::ltl::hltl::{HltlBuilder, HltlFormula};
+use has::model::{ArtifactSystem, Condition, SetUpdate, SystemBuilder};
 use has::sim::{monitor_property, ExecutionConfig, Executor};
 use has::verifier::{Verifier, VerifierConfig};
 use has::workloads::orders::{never_enqueue_property, order_fulfilment, ship_after_quote_property};
@@ -97,37 +100,68 @@ fn orders_false_property_is_reported_violated() {
     assert!(outcome.stats.control_states > 0);
 }
 
+/// A one-task system with a numeric `x` that `raise` sets above `k - 1`
+/// (and `idle` leaves alone), paired with `G ¬(x>0 ∧ … ∧ x>k−1)`. Every
+/// conjunct is an arithmetic atom the symbolic state leaves undetermined,
+/// so the property has `k` undetermined propositions in every state; the
+/// simulator violates it by raising once. `k` stays ≤ 5: on an empty
+/// database the simulator samples numeric values from `0..5` only.
+fn threshold_ladder(k: i64) -> (ArtifactSystem, HltlFormula) {
+    let mut b = SystemBuilder::new("threshold-ladder");
+    let root = b.root_task("Main");
+    let x = b.num_var(root, "x");
+    let above = |c: i64| {
+        Condition::arith(LinearConstraint::gt(
+            LinExpr::var(x),
+            LinExpr::constant(Rational::from_int(c)),
+        ))
+    };
+    b.internal_service(root, "raise", Condition::True, above(k - 1), SetUpdate::None);
+    b.internal_service(root, "idle", Condition::True, Condition::True, SetUpdate::None);
+    let system = b.build().expect("well-formed system");
+    let mut hb = HltlBuilder::new(root);
+    let mut all = hb.condition(above(0));
+    for c in 1..k {
+        all = all.and(hb.condition(above(c)));
+    }
+    let property = hb.finish(all.not().globally());
+    (system, property)
+}
+
 #[test]
 fn simulated_violations_are_never_missed_by_the_verifier() {
     // For every packaged false property, find a concrete violation by
-    // simulation (when one exists within the budget) and check the verifier
-    // also reports the property as violated.
+    // simulation and check the verifier also reports the property as
+    // violated.
     let o = order_fulfilment();
-    let property = never_enqueue_property(&o);
-    let mut generator = DatabaseGenerator::new(GeneratorConfig::default());
-    let db = generator.generate(&o.system.schema.database);
-    let mut found_concrete_violation = false;
-    for seed in 0..10 {
-        let mut exec = Executor::new(
-            &o.system,
-            &db,
-            ExecutionConfig {
-                seed,
-                max_steps: 250,
-                ..ExecutionConfig::default()
-            },
-        );
-        let tree = exec.run();
-        if !monitor_property(&o.system, &db, &tree, &property) {
-            found_concrete_violation = true;
-            break;
-        }
-    }
-    if found_concrete_violation {
-        let outcome = Verifier::with_config(&o.system, &property, quick_config()).verify();
+    let (ladder, ladder_property) = threshold_ladder(5);
+    let pairs = [
+        ("orders", o.system.clone(), never_enqueue_property(&o)),
+        ("threshold ladder, k = 5", ladder, ladder_property),
+    ];
+    for (label, system, property) in pairs {
+        let mut generator = DatabaseGenerator::new(GeneratorConfig::default());
+        let db = generator.generate(&system.schema.database);
+        let violating_seed = (0..10).find(|&seed| {
+            let mut exec = Executor::new(
+                &system,
+                &db,
+                ExecutionConfig {
+                    seed,
+                    max_steps: 250,
+                    ..ExecutionConfig::default()
+                },
+            );
+            let tree = exec.run();
+            !monitor_property(&system, &db, &tree, &property)
+        });
+        let seed = violating_seed
+            .unwrap_or_else(|| panic!("{label}: no simulated run violates the property"));
+        let outcome = Verifier::with_config(&system, &property, quick_config()).verify();
         assert!(
             !outcome.holds,
-            "a concrete counterexample exists but the verifier reported `holds`"
+            "{label}: simulation (seed {seed}) violated the property but the verifier \
+             reported `holds`"
         );
     }
 }
