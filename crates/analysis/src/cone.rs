@@ -101,7 +101,11 @@ impl DimensionCone {
     /// Panics if `list` is not the action list the cone was computed on
     /// (another action count), or an action leaves `0..states`.
     pub fn assemble(&self, list: &SparseActions, states: usize) -> Vass {
-        assert_eq!(list.len(), self.disabled.len(), "cone of another action list");
+        assert_eq!(
+            list.len(),
+            self.disabled.len(),
+            "cone of another action list"
+        );
         // Original dimension → assembled coordinate, for kept dimensions.
         let mut coord: Vec<Option<usize>> = vec![None; self.keep.len()];
         let mut k = 0;
@@ -155,7 +159,11 @@ pub fn dimension_cone_multi(
     inits: &[usize],
 ) -> DimensionCone {
     let n_actions = list.len();
-    assert_eq!(adjacency.action_count(), n_actions, "adjacency of another action list");
+    assert_eq!(
+        adjacency.action_count(),
+        n_actions,
+        "adjacency of another action list"
+    );
     let mut disabled = vec![false; n_actions];
     if dim == 0 {
         return DimensionCone {
@@ -217,7 +225,10 @@ pub fn dimension_cone_multi(
         let mut changed = false;
         for &a in &live {
             let delta = list.delta(a as usize);
-            if delta.iter().any(|&(d, v)| v < 0 && !incremented[d as usize]) {
+            if delta
+                .iter()
+                .any(|&(d, v)| v < 0 && !incremented[d as usize])
+            {
                 disabled[a as usize] = true;
                 changed = true;
             } else {

@@ -205,7 +205,9 @@ mod tests {
         let system = b.build().unwrap();
         let diags = dataflow_diagnostics(&system, None);
         assert!(
-            diags.iter().any(|d| d.code == 101 && d.message.contains("`unused`")),
+            diags
+                .iter()
+                .any(|d| d.code == 101 && d.message.contains("`unused`")),
             "{diags:?}"
         );
         assert!(!diags.iter().any(|d| d.message.contains("`used`")));

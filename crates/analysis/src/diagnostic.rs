@@ -108,7 +108,13 @@ impl fmt::Display for Diagnostic {
     ///   ↳ task `ManageTrips`, service `StoreTrip`
     /// ```
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity, self.code_str(), self.message)?;
+        write!(
+            f,
+            "{}[{}]: {}",
+            self.severity,
+            self.code_str(),
+            self.message
+        )?;
         match (&self.task, &self.service) {
             (Some(t), Some(s)) => write!(f, "\n  ↳ task `{t}`, service `{s}`"),
             (Some(t), None) => write!(f, "\n  ↳ task `{t}`"),
@@ -171,7 +177,10 @@ mod tests {
             .with_task("Main")
             .with_service("go");
         let s = d.to_string();
-        assert!(s.starts_with("warning[HAS105]: service can never fire"), "{s}");
+        assert!(
+            s.starts_with("warning[HAS105]: service can never fire"),
+            "{s}"
+        );
         assert!(s.contains("↳ task `Main`, service `go`"), "{s}");
     }
 

@@ -88,7 +88,10 @@ pub fn guard_status(schema: &ArtifactSchema, cond: &Condition) -> GuardStatus {
     for bits in 0u32..(1u32 << atoms.len()) {
         let truth = |atom: &Atom| -> bool {
             // Distinct-atom list, so the position lookup always succeeds.
-            let i = atoms.iter().position(|a| a == atom).expect("atom collected");
+            let i = atoms
+                .iter()
+                .position(|a| a == atom)
+                .expect("atom collected");
             bits >> i & 1 == 1
         };
         if !cond.eval_with(&mut |a| truth(a)) {
@@ -98,8 +101,13 @@ pub fn guard_status(schema: &ArtifactSchema, cond: &Condition) -> GuardStatus {
             .iter()
             .enumerate()
             .filter_map(|(i, l)| {
-                l.as_ref()
-                    .map(|c| if bits >> i & 1 == 1 { c.clone() } else { c.negate() })
+                l.as_ref().map(|c| {
+                    if bits >> i & 1 == 1 {
+                        c.clone()
+                    } else {
+                        c.negate()
+                    }
+                })
             })
             .collect();
         if is_satisfiable(&system) {
@@ -126,22 +134,22 @@ mod tests {
     #[test]
     fn trivial_guards() {
         let (schema, _, _) = schema_with_num_vars();
-        assert_eq!(guard_status(&schema, &Condition::True), GuardStatus::Satisfiable);
-        assert_eq!(guard_status(&schema, &Condition::False), GuardStatus::Unsatisfiable);
+        assert_eq!(
+            guard_status(&schema, &Condition::True),
+            GuardStatus::Satisfiable
+        );
+        assert_eq!(
+            guard_status(&schema, &Condition::False),
+            GuardStatus::Unsatisfiable
+        );
     }
 
     #[test]
     fn contradictory_arithmetic_is_dead() {
         let (schema, x, _) = schema_with_num_vars();
         // x < 0 ∧ x > 0
-        let lt = Condition::arith(LinearConstraint::lt(
-            LinExpr::var(x),
-            LinExpr::zero(),
-        ));
-        let gt = Condition::arith(LinearConstraint::gt(
-            LinExpr::var(x),
-            LinExpr::zero(),
-        ));
+        let lt = Condition::arith(LinearConstraint::lt(LinExpr::var(x), LinExpr::zero()));
+        let gt = Condition::arith(LinearConstraint::gt(LinExpr::var(x), LinExpr::zero()));
         assert_eq!(
             guard_status(&schema, &lt.clone().and(gt)),
             GuardStatus::Unsatisfiable
@@ -187,8 +195,9 @@ mod tests {
     #[test]
     fn disjunction_with_one_live_branch_is_satisfiable() {
         let (schema, x, _) = schema_with_num_vars();
-        let dead = Condition::arith(LinearConstraint::lt(LinExpr::var(x), LinExpr::zero()))
-            .and(Condition::arith(LinearConstraint::gt(LinExpr::var(x), LinExpr::zero())));
+        let dead = Condition::arith(LinearConstraint::lt(LinExpr::var(x), LinExpr::zero())).and(
+            Condition::arith(LinearConstraint::gt(LinExpr::var(x), LinExpr::zero())),
+        );
         let live = Condition::eq_const(x, Rational::from_int(3));
         assert_eq!(
             guard_status(&schema, &dead.or(live)),

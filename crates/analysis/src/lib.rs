@@ -177,7 +177,9 @@ pub fn analyze(system: &ArtifactSystem, property: Option<&HltlFormula>) -> Analy
         report.diagnostics.push(err.into());
         return report;
     }
-    report.diagnostics.extend(dataflow_diagnostics(system, property));
+    report
+        .diagnostics
+        .extend(dataflow_diagnostics(system, property));
     dead_service_pass(system, &mut report);
     counter_influence_pass(system, &mut report);
     report
@@ -231,8 +233,8 @@ fn dead_service_pass(system: &ArtifactSystem, report: &mut AnalysisReport) {
                 guard_status(schema, &service.pre),
                 guard_status(schema, &service.post),
             );
-            dead.internal[idx] = pre == GuardStatus::Unsatisfiable
-                || post == GuardStatus::Unsatisfiable;
+            dead.internal[idx] =
+                pre == GuardStatus::Unsatisfiable || post == GuardStatus::Unsatisfiable;
             if !live[tid.0] {
                 continue;
             }
@@ -268,9 +270,8 @@ fn dead_service_pass(system: &ArtifactSystem, report: &mut AnalysisReport) {
         // The root's closing guard is `False` by construction (the root
         // never returns); only flag children that can never return.
         if tid != root {
-            dead.closing =
-                guard_status(schema, &task.closing.pre) == GuardStatus::Unsatisfiable
-                    && task.closing.pre != Condition::False;
+            dead.closing = guard_status(schema, &task.closing.pre) == GuardStatus::Unsatisfiable
+                && task.closing.pre != Condition::False;
             if dead.closing && live[tid.0] {
                 report.diagnostics.push(
                     Diagnostic::warning(
@@ -307,7 +308,10 @@ fn counter_influence_pass(system: &ArtifactSystem, report: &mut AnalysisReport) 
             .count();
         if retrieves == 0 {
             let message = if inserts == 0 {
-                format!("artifact relation `{}` is never used by any service", relation.name)
+                format!(
+                    "artifact relation `{}` is never used by any service",
+                    relation.name
+                )
             } else {
                 format!(
                     "artifact relation `{}` is write-only: tuples are inserted \
@@ -353,11 +357,9 @@ mod tests {
 
     /// x < 0 ∧ x > 0 — the canonical dead guard.
     fn dead_guard(x: has_model::VarId) -> Condition {
-        Condition::arith(LinearConstraint::lt(LinExpr::var(x), LinExpr::zero()))
-            .and(Condition::arith(LinearConstraint::gt(
-                LinExpr::var(x),
-                LinExpr::zero(),
-            )))
+        Condition::arith(LinearConstraint::lt(LinExpr::var(x), LinExpr::zero())).and(
+            Condition::arith(LinearConstraint::gt(LinExpr::var(x), LinExpr::zero())),
+        )
     }
 
     #[test]
@@ -408,7 +410,10 @@ mod tests {
         let report = analyze(&system, None);
         assert!(report.diagnostics.iter().any(|d| d.code == 107), "{report}");
         // The inner dead guard is recorded for pruning but not reported.
-        assert!(!report.diagnostics.iter().any(|d| d.code == 105), "{report}");
+        assert!(
+            !report.diagnostics.iter().any(|d| d.code == 105),
+            "{report}"
+        );
         let child_id = system.schema.task_by_name("Child").unwrap();
         assert!(report.dead[&child_id].opening);
         assert_eq!(report.dead[&child_id].internal, vec![true]);
@@ -468,14 +473,14 @@ mod tests {
         let mut system = b.build().unwrap();
         // Break validation after the fact: the root guard mentions a
         // variable owned by the child task.
-        system.schema.tasks[root.0].internal_services.push(
-            has_model::InternalService {
+        system.schema.tasks[root.0]
+            .internal_services
+            .push(has_model::InternalService {
                 name: "ghost".into(),
                 pre: Condition::is_null(y),
                 post: Condition::True,
                 delta: SetUpdate::None,
-            },
-        );
+            });
         let report = analyze(&system, None);
         assert!(report.has_errors());
         assert_eq!(report.diagnostics.len(), 1);
@@ -487,7 +492,13 @@ mod tests {
         let mut b = SystemBuilder::new("render");
         let root = b.root_task("Main");
         let x = b.num_var(root, "x");
-        b.internal_service(root, "stuck", dead_guard(x), Condition::True, SetUpdate::None);
+        b.internal_service(
+            root,
+            "stuck",
+            dead_guard(x),
+            Condition::True,
+            SetUpdate::None,
+        );
         let system = b.build().unwrap();
         let text = analyze(&system, None).to_string();
         assert!(text.contains("warning[HAS105]"), "{text}");

@@ -235,7 +235,12 @@ impl<V: Ord + fmt::Display> fmt::Display for Cell<V> {
 
 impl<V: Ord> fmt::Debug for Cell<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Cell({} polynomials, signs {:?})", self.polys.len(), self.signs)
+        write!(
+            f,
+            "Cell({} polynomials, signs {:?})",
+            self.polys.len(),
+            self.signs
+        )
     }
 }
 
@@ -331,10 +336,7 @@ impl<V: Ord + Clone + Hash> CellSet<V> {
         for p in self.polys.iter() {
             signs.push(Sign::of(p.eval(&mut valuation)?));
         }
-        self.cells
-            .iter()
-            .position(|s| *s == signs)
-            .map(CellId)
+        self.cells.iter().position(|s| *s == signs).map(CellId)
     }
 }
 
@@ -405,10 +407,7 @@ mod tests {
     fn cells_decide_atoms_over_their_polynomials() {
         let cs = CellSet::enumerate(&[x() - LinExpr::constant(r(3))]);
         // Cell with x - 3 > 0 must decide x > 3 as true and x <= 3 as false.
-        let (_, cell) = cs
-            .iter()
-            .find(|(_, c)| c.signs()[0] == Sign::Pos)
-            .unwrap();
+        let (_, cell) = cs.iter().find(|(_, c)| c.signs()[0] == Sign::Pos).unwrap();
         let gt = LinearConstraint::gt(x(), LinExpr::constant(r(3)));
         let le = LinearConstraint::le(x(), LinExpr::constant(r(3)));
         assert_eq!(cell.decides(&gt), Some(true));

@@ -202,10 +202,7 @@ pub fn sample_point<V: Ord + Clone + Hash>(
         // All remaining constraints are constant and true: build a witness.
         let mut assignment: Vec<(V, Rational)> = Vec::new();
         let lookup = |assignment: &[(V, Rational)], v: &V| -> Option<Rational> {
-            assignment
-                .iter()
-                .find(|(w, _)| w == v)
-                .map(|(_, r)| *r)
+            assignment.iter().find(|(w, _)| w == v).map(|(_, r)| *r)
         };
         for (var, constraints) in order.iter().rev() {
             // Compute tightest bounds on `var` under the current partial
@@ -350,7 +347,9 @@ pub fn eliminate_variable<V: Ord + Clone + Hash>(
             fm.extend(without_x);
             fm
         };
-        if let Some(s) = simplify(projected) { out.push(s) }
+        if let Some(s) = simplify(projected) {
+            out.push(s)
+        }
     }
     if out.is_empty() {
         // All cases contradictory: represent "false" as a single impossible
@@ -534,10 +533,9 @@ mod tests {
         }
         // x must be < 4 in the projection.
         let holds = |val: i64| {
-            disjuncts.iter().any(|d| {
-                d.iter()
-                    .all(|c| c.eval(|_| Some(r(val))) == Some(true))
-            })
+            disjuncts
+                .iter()
+                .any(|d| d.iter().all(|c| c.eval(|_| Some(r(val))) == Some(true)))
         };
         assert!(holds(3));
         assert!(!holds(4));

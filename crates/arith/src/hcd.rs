@@ -269,7 +269,12 @@ mod tests {
         // the projection is trivial and the parent keeps a single cell.
         let hcd = HcdBuilder::new()
             .task(0, None, vec![], vec![])
-            .task(1, Some(0), vec![var("private")], vec![("shared", "p_shared")])
+            .task(
+                1,
+                Some(0),
+                vec![var("private")],
+                vec![("shared", "p_shared")],
+            )
             .build();
         assert_eq!(hcd.task(0).cell_set.len(), 1);
     }

@@ -160,11 +160,7 @@ impl Tableau {
         let m = problem.rows.len();
         // One slack per inequality row, one artificial per row that cannot
         // start basic (every Ge/Eq row, since rhs is normalized to be ≥ 0).
-        let slacks = problem
-            .rows
-            .iter()
-            .filter(|r| r.cmp != LpCmp::Eq)
-            .count();
+        let slacks = problem.rows.iter().filter(|r| r.cmp != LpCmp::Eq).count();
         let cols = n + slacks + m; // artificial slots are allocated lazily
         let artificial_start = n + slacks;
         let mut rows = Vec::with_capacity(m);
@@ -282,7 +278,9 @@ impl Tableau {
             let Some(j) = entering else { break };
             // d > 0 implies some artificial-basic row has a positive entry in
             // column j, so the ratio test cannot fail.
-            let r = self.ratio_test(j).expect("phase-I ratio test has a candidate");
+            let r = self
+                .ratio_test(j)
+                .expect("phase-I ratio test has a candidate");
             self.pivot(r, j);
         }
         let infeasibility: Rational = self

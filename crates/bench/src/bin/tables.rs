@@ -39,7 +39,8 @@ struct Recorder {
 
 impl Recorder {
     fn measurement(&mut self, experiment: &str, m: &Measurement) {
-        self.records.push(BenchRecord::from_measurement(experiment, m));
+        self.records
+            .push(BenchRecord::from_measurement(experiment, m));
     }
 
     fn raw(&mut self, record: BenchRecord) {
@@ -258,12 +259,8 @@ fn exp_witness(rec: &mut Recorder) {
     // (run prefix + pump cycle + nested child runs).
     let liveness = travel_liveness_property(&t);
     let start = Instant::now();
-    let outcome = Verifier::with_config(
-        &t.system,
-        &liveness,
-        fast_config().with_witnesses(true),
-    )
-    .verify();
+    let outcome =
+        Verifier::with_config(&t.system, &liveness, fast_config().with_witnesses(true)).verify();
     let label = "travel-booking/Buggy vs F(status=PAID)";
     record(rec, label, &outcome, start.elapsed().as_secs_f64() * 1000.0);
     print_witness(label, &outcome);
@@ -275,12 +272,8 @@ fn exp_witness(rec: &mut Recorder) {
     // raised to the branching depth the configuration needs.
     let property = travel_property(&t);
     let start = Instant::now();
-    let outcome = Verifier::with_config(
-        &t.system,
-        &property,
-        fast_config().with_witnesses(true),
-    )
-    .verify();
+    let outcome =
+        Verifier::with_config(&t.system, &property, fast_config().with_witnesses(true)).verify();
     let label = "travel-booking/Buggy vs Appendix A.2 (bounded)";
     record(rec, label, &outcome, start.elapsed().as_secs_f64() * 1000.0);
     print_witness(label, &outcome);
@@ -288,12 +281,8 @@ fn exp_witness(rec: &mut Recorder) {
     let o = order_fulfilment();
     let property = never_enqueue_property(&o);
     let start = Instant::now();
-    let outcome = Verifier::with_config(
-        &o.system,
-        &property,
-        bench_config().with_witnesses(true),
-    )
-    .verify();
+    let outcome =
+        Verifier::with_config(&o.system, &property, bench_config().with_witnesses(true)).verify();
     let label = "orders/never-enqueue(false)";
     record(rec, label, &outcome, start.elapsed().as_secs_f64() * 1000.0);
     print_witness(label, &outcome);
@@ -403,7 +392,12 @@ fn exp_analyze(rec: &mut Recorder) {
     for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
         let t = travel_booking(variant);
         let property = travel_property(&t);
-        lint(rec, &format!("travel-booking/{variant:?}"), &t.system, Some(&property));
+        lint(
+            rec,
+            &format!("travel-booking/{variant:?}"),
+            &t.system,
+            Some(&property),
+        );
     }
     let o = order_fulfilment();
     let property = ship_after_quote_property(&o);
@@ -414,7 +408,12 @@ fn exp_analyze(rec: &mut Recorder) {
     for arithmetic in [false, true] {
         for params in grid_params(arithmetic) {
             let generated = params.generate();
-            lint(rec, &generated.label, &generated.system, Some(&generated.property));
+            lint(
+                rec,
+                &generated.label,
+                &generated.system,
+                Some(&generated.property),
+            );
         }
     }
     if errors > 0 {
@@ -459,7 +458,9 @@ fn exp_projection(rec: &mut Recorder) {
 /// from the smoke batch (EXP-C1) to the deep sweep (EXP-C2, ≥1,000
 /// instances).
 fn exp_fuzz(rec: &mut Recorder) {
-    let deep = std::env::var("HAS_FUZZ_DEEP").map(|v| v == "1").unwrap_or(false);
+    let deep = std::env::var("HAS_FUZZ_DEEP")
+        .map(|v| v == "1")
+        .unwrap_or(false);
     // The smoke batch runs 24 instances (four full plant rotations, so
     // every certificate kind is scored evenly) over the 4-point matrix,
     // well within CI's `timeout 120`; the deep sweep covers the acceptance

@@ -80,7 +80,10 @@ fn compile_label(
             neg[bit / 64] |= 1u64 << (bit % 64);
         }
     }
-    pos.iter().zip(&neg).all(|(p, n)| p & n == 0).then_some((pos, neg))
+    pos.iter()
+        .zip(&neg)
+        .all(|(p, n)| p & n == 0)
+        .then_some((pos, neg))
 }
 
 /// A [`Buchi`] automaton over [`TaskProp`] compiled to bitset masks over a
@@ -264,7 +267,11 @@ mod tests {
             let truth = [mask & 1 != 0, mask & 2 != 0];
             let l = letter(&truth, &[false; 2]);
             let assignment = |p: &TaskProp| {
-                props.iter().position(|q| q == p).map(|i| truth[i]).unwrap_or(false)
+                props
+                    .iter()
+                    .position(|q| q == p)
+                    .map(|i| truth[i])
+                    .unwrap_or(false)
             };
             compiled.initial_successors(&l, &mut out);
             assert_eq!(

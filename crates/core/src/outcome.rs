@@ -585,12 +585,21 @@ mod tests {
         // child header at one unit, the grandchild at two.
         assert!(rendered.contains("task `Main`"), "{rendered}");
         assert!(rendered.contains("\n    └ task `Child`"), "{rendered}");
-        assert!(rendered.contains("\n        └ task `GrandChild`"), "{rendered}");
+        assert!(
+            rendered.contains("\n        └ task `GrandChild`"),
+            "{rendered}"
+        );
         // Step lists are indented below their node and numbered across
         // prefix + cycle.
-        assert!(rendered.contains("1. internal service `spin`"), "{rendered}");
+        assert!(
+            rendered.contains("1. internal service `spin`"),
+            "{rendered}"
+        );
         assert!(rendered.contains("cycle (repeatable pump):"), "{rendered}");
-        assert!(rendered.contains("2. internal service `idle`"), "{rendered}");
+        assert!(
+            rendered.contains("2. internal service `idle`"),
+            "{rendered}"
+        );
         assert!(rendered.contains("[violates φ0]"), "{rendered}");
     }
 
@@ -672,7 +681,9 @@ mod tests {
         // over returned calls.
         let blocker = leaf("Spinner", ViolationKind::Lasso, vec![]);
         let mut blocked = leaf("Main", ViolationKind::Blocking, vec![false]);
-        blocked.children.push(leaf("Done", ViolationKind::Returning, vec![false]));
+        blocked
+            .children
+            .push(leaf("Done", ViolationKind::Returning, vec![false]));
         blocked.children.push(blocker);
         assert_eq!(blocked.origin().task_name, "Spinner");
     }
@@ -711,7 +722,10 @@ mod tests {
         };
         assert_eq!(
             plain.to_string(),
-            format!("property VIOLATED (infinite (lasso) run; {})", Stats::default())
+            format!(
+                "property VIOLATED (infinite (lasso) run; {})",
+                Stats::default()
+            )
         );
     }
 }

@@ -2,7 +2,9 @@
 
 use has_ltl::hltl::{FlattenedProperty, TaskProp};
 use has_ltl::{Buchi, HltlFormula, Ltl};
-use has_model::{ArtifactSystem, Atom, AttrKind, Condition, RelationId, Term, TaskId, VarId, VarSort};
+use has_model::{
+    ArtifactSystem, Atom, AttrKind, Condition, RelationId, TaskId, Term, VarId, VarSort,
+};
 use has_symbolic::TaskContext;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,8 +137,7 @@ impl PropertyContext {
                         continue;
                     }
                     for (x, y) in [(a, b), (b, a)] {
-                        let from: Vec<RelationId> =
-                            bindings.get(&x).cloned().unwrap_or_default();
+                        let from: Vec<RelationId> = bindings.get(&x).cloned().unwrap_or_default();
                         for r in from {
                             let entry = bindings.entry(y).or_default();
                             if !entry.contains(&r) {

@@ -8,9 +8,7 @@ use has_analysis::{dimension_cone_multi, DeadServiceMap, PresolveStats};
 use has_ltl::buchi::{Buchi, BuchiState};
 use has_ltl::hltl::TaskProp;
 use has_ltl::Ltl;
-use has_model::{
-    ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort,
-};
+use has_model::{ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort};
 use has_symbolic::successor::{self, SuccessorCaps};
 use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
 use has_vass::{
@@ -252,7 +250,11 @@ impl CounterDims {
     /// a state's projection is first looked up exactly when an unmemoized
     /// lookup would first have seen it.
     fn dim(&mut self, ctx: &TaskContext, syms: &Interner<SymState>, sym: u32) -> usize {
-        let CounterDims { vars, index, of_sym } = self;
+        let CounterDims {
+            vars,
+            index,
+            of_sym,
+        } = self;
         *sym_slot(of_sym, sym).get_or_insert_with(|| {
             let key = syms.get(sym).project_vars(ctx, vars);
             let next = index.len();
@@ -470,8 +472,7 @@ impl<'a> TaskVerifier<'a> {
                                 if s.binding_of(self.ctx, w) == Some(rel) {
                                     let mut e = s.clone();
                                     e.bind(self.ctx, v, Some(rel));
-                                    if e
-                                        .union(self.ctx, self.ctx.var_idx(v), self.ctx.var_idx(w))
+                                    if e.union(self.ctx, self.ctx.var_idx(v), self.ctx.var_idx(w))
                                         .is_ok()
                                     {
                                         next.push(e);
@@ -505,8 +506,7 @@ impl<'a> TaskVerifier<'a> {
                             if schema.variable(w).sort == VarSort::Numeric {
                                 let mut e = s.clone();
                                 e.fresh_numeric(self.ctx, v);
-                                if e
-                                    .union(self.ctx, self.ctx.var_idx(v), self.ctx.var_idx(w))
+                                if e.union(self.ctx, self.ctx.var_idx(v), self.ctx.var_idx(w))
                                     .is_ok()
                                 {
                                     next.push(e);
@@ -802,7 +802,11 @@ impl<'a> TaskVerifier<'a> {
         sym: u32,
         service: ServiceRef,
     ) -> &'m Letter {
-        let BuildMemo { letters, valuation_of, .. } = memo;
+        let BuildMemo {
+            letters,
+            valuation_of,
+            ..
+        } = memo;
         letters.entry((sym, service)).or_insert_with(|| {
             self.letter(self.valuation_of(valuation_of, syms, sym), service, None)
         })
@@ -819,7 +823,11 @@ impl<'a> TaskVerifier<'a> {
         sym: u32,
         child: TaskId,
     ) -> &'m OpenChild {
-        let BuildMemo { opens, valuation_of, .. } = memo;
+        let BuildMemo {
+            opens,
+            valuation_of,
+            ..
+        } = memo;
         opens.entry((sym, child)).or_insert_with(|| {
             let (_, key) = self.child_input(syms.get(sym), child);
             let sref = ServiceRef::Opening(child);
@@ -831,7 +839,11 @@ impl<'a> TaskVerifier<'a> {
                 let output = e.output.as_ref().map(|s| syms.intern(s.clone()).0);
                 let valuation = self.valuation_of(valuation_of, syms, sym);
                 let letter = self.letter(valuation, sref, Some((child, &e.beta)));
-                choices.push(OpenChoice { entry, output, letter });
+                choices.push(OpenChoice {
+                    entry,
+                    output,
+                    letter,
+                });
             }
             OpenChild { key, choices }
         })
@@ -1028,7 +1040,9 @@ impl<'a> TaskVerifier<'a> {
                             q,
                             children: current.with_child(
                                 child,
-                                ChildStatus::Active { output: choice.output },
+                                ChildStatus::Active {
+                                    output: choice.output,
+                                },
                             ),
                             closed: false,
                             input_index: current.input_index,
@@ -1162,8 +1176,12 @@ impl<'a> TaskVerifier<'a> {
     pub fn prepare_shared(&self, graph: &ExploredGraph) -> PairShared {
         let states = graph.states.len();
         let adjacency = graph.transitions.action_csr(states);
-        let cone =
-            dimension_cone_multi(&graph.transitions, graph.dim, &adjacency, &graph.initial_states);
+        let cone = dimension_cone_multi(
+            &graph.transitions,
+            graph.dim,
+            &adjacency,
+            &graph.initial_states,
+        );
         let vass = cone.assemble(&graph.transitions, states);
         let scratch = KmScratch::with_csr(&vass, adjacency);
         PairShared {

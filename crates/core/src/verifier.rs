@@ -256,12 +256,7 @@ impl<'a> Verifier<'a> {
     /// Everything read here — the entry list layout, each entry's details —
     /// is produced by the canonical-order reduction of DESIGN.md §5.6, so
     /// the reconstructed tree is byte-identical at every thread count.
-    fn reconstruct(
-        &self,
-        summaries: &SummaryMap,
-        task: TaskId,
-        entry: &RtEntry,
-    ) -> WitnessNode {
+    fn reconstruct(&self, summaries: &SummaryMap, task: TaskId, entry: &RtEntry) -> WitnessNode {
         let schema = &self.system.schema;
         let kind = if entry.output.is_some() {
             ViolationKind::Returning
@@ -292,9 +287,10 @@ impl<'a> Verifier<'a> {
             }
             seen.push(step);
             let child_entry = summaries.get(child).and_then(|summary| {
-                summary.entries.iter().find(|e| {
-                    e.input_key == *input_key && e.output == *output && e.beta == *beta
-                })
+                summary
+                    .entries
+                    .iter()
+                    .find(|e| e.input_key == *input_key && e.output == *output && e.beta == *beta)
             });
             let node = match child_entry {
                 Some(e) => self.reconstruct(summaries, *child, e),
@@ -397,10 +393,8 @@ impl<'a> Verifier<'a> {
         // in β-enumeration order. Every buffer below is indexed by position
         // in this list, and the final aggregation walks it front to back.
         let pairs: Vec<(TaskId, Vec<bool>)> = pc.pairs(order);
-        let buchis: Vec<Arc<Buchi<TaskProp>>> = pairs
-            .iter()
-            .map(|(t, b)| pc.buchi_shared(*t, b))
-            .collect();
+        let buchis: Vec<Arc<Buchi<TaskProp>>> =
+            pairs.iter().map(|(t, b)| pc.buchi_shared(*t, b)).collect();
         let mut task_pairs: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
         for (p, (t, _)) in pairs.iter().enumerate() {
             task_pairs.entry(*t).or_default().push(p);
@@ -576,9 +570,7 @@ impl<'a> Verifier<'a> {
                 .iter()
                 .map(|(c, p)| (*c, *p))
                 .chain(task.closing.output_map.iter().map(|(p, c)| (*c, *p)))
-                .filter(|(c, _)| {
-                    schema.variable(*c).sort == has_model::VarSort::Numeric
-                })
+                .filter(|(c, _)| schema.variable(*c).sort == has_model::VarSort::Numeric)
                 .collect();
             builder = builder.task(task_id.0, task.parent.map(|p| p.0), polys, shared);
         }
@@ -650,7 +642,10 @@ mod tests {
         let outcome = Verifier::new(&system, &property).verify();
         assert!(!outcome.holds, "{outcome}");
         // The idle self-loop is an infinite local run of the root.
-        assert_eq!(outcome.violation.expect("witness").kind, ViolationKind::Lasso);
+        assert_eq!(
+            outcome.violation.expect("witness").kind,
+            ViolationKind::Lasso
+        );
     }
 
     /// Regression for the root-violation misclassification: the root below
@@ -674,7 +669,10 @@ mod tests {
             Condition::eq_const(cflag, has_arith::Rational::ZERO),
             SetUpdate::None,
         );
-        b.close_when(child, Condition::eq_const(cflag, has_arith::Rational::from_int(1)));
+        b.close_when(
+            child,
+            Condition::eq_const(cflag, has_arith::Rational::from_int(1)),
+        );
         b.map_output(child, ret, cflag);
         let system = b.build().unwrap();
 
@@ -702,7 +700,10 @@ mod tests {
         let config = VerifierConfig::default().with_witnesses(true);
         let outcome = Verifier::with_config(&system, &property, config).verify();
         assert!(!outcome.holds);
-        assert_eq!(outcome.stats, plain.stats, "retention must not change stats");
+        assert_eq!(
+            outcome.stats, plain.stats,
+            "retention must not change stats"
+        );
         let violation = outcome.violation.expect("witness");
         assert_eq!(violation.kind, ViolationKind::Lasso);
         assert_eq!(violation.origin(), root, "no sub-call to descend into");
@@ -734,7 +735,10 @@ mod tests {
             Condition::eq_const(cflag, has_arith::Rational::ZERO),
             SetUpdate::None,
         );
-        b.close_when(child, Condition::eq_const(cflag, has_arith::Rational::from_int(1)));
+        b.close_when(
+            child,
+            Condition::eq_const(cflag, has_arith::Rational::from_int(1)),
+        );
         b.map_output(child, ret, cflag);
         let system = b.build().unwrap();
         let child_id = system.schema.task_by_name("Child").unwrap();

@@ -229,9 +229,7 @@ fn check_outcome(
                 // Clean plants are tautology-shaped: satisfied on every
                 // explored path, so not even a truncated search may report
                 // a violation.
-                RunVerdict::Mismatch(format!(
-                    "clean instance reported violated: {outcome}"
-                ))
+                RunVerdict::Mismatch(format!("clean instance reported violated: {outcome}"))
             }
         }
         Certificate::Planted {
@@ -292,9 +290,7 @@ fn check_outcome(
                     opts.replay_attempts,
                 ) {
                     Ok(tree) => tree,
-                    Err(e) => {
-                        return RunVerdict::Mismatch(format!("witness does not replay: {e}"))
-                    }
+                    Err(e) => return RunVerdict::Mismatch(format!("witness does not replay: {e}")),
                 };
                 if monitor_property(&inst.system, &db, &tree, &inst.property) {
                     return RunVerdict::Mismatch(
@@ -390,11 +386,7 @@ mod tests {
         let report = fuzz(&opts);
         assert_eq!(report.instances, 6);
         assert_eq!(report.runs, 6 * 4);
-        assert!(
-            report.sound(),
-            "mismatches: {:#?}",
-            report.mismatches
-        );
+        assert!(report.sound(), "mismatches: {:#?}", report.mismatches);
         for (name, score) in [
             ("clean", report.clean),
             ("lasso", report.lasso),

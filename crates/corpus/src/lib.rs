@@ -202,24 +202,27 @@ mod tests {
         };
         let a = sample(&params);
         let b = sample(&params);
-        let labels = |v: &[CorpusInstance]| -> Vec<String> {
-            v.iter().map(|i| i.label.clone()).collect()
-        };
+        let labels =
+            |v: &[CorpusInstance]| -> Vec<String> { v.iter().map(|i| i.label.clone()).collect() };
         assert_eq!(labels(&a), labels(&b));
         let c = sample(&CorpusParams {
             seed: 43,
             count: 12,
         });
-        assert_ne!(labels(&a), labels(&c), "different seeds explore different points");
+        assert_ne!(
+            labels(&a),
+            labels(&c),
+            "different seeds explore different points"
+        );
     }
 
     #[test]
     fn rotation_covers_every_plant_and_half_the_batch_is_clean() {
-        let batch = sample(&CorpusParams {
-            seed: 7,
-            count: 12,
-        });
-        let clean = batch.iter().filter(|i| i.certificate == Certificate::Clean).count();
+        let batch = sample(&CorpusParams { seed: 7, count: 12 });
+        let clean = batch
+            .iter()
+            .filter(|i| i.certificate == Certificate::Clean)
+            .count();
         assert_eq!(clean, 6);
         for plant in PLANT_ROTATION {
             assert!(batch.iter().any(|i| i.plant == plant), "{plant} missing");

@@ -24,7 +24,11 @@ pub struct ScriptError {
 
 impl fmt::Display for ScriptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot script witness of task {:?}: {}", self.task, self.reason)
+        write!(
+            f,
+            "cannot script witness of task {:?}: {}",
+            self.task, self.reason
+        )
     }
 }
 
@@ -39,10 +43,12 @@ pub fn witness_script(
     cycle_repeats: usize,
 ) -> Result<RunScript, ScriptError> {
     let mut moves = Vec::new();
-    let steps = node
-        .prefix
-        .iter()
-        .chain(node.cycle.iter().cycle().take(node.cycle.len() * cycle_repeats));
+    let steps = node.prefix.iter().chain(
+        node.cycle
+            .iter()
+            .cycle()
+            .take(node.cycle.len() * cycle_repeats),
+    );
     for step in steps {
         match step {
             WitnessStep::Internal { service } => {

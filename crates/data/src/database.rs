@@ -50,7 +50,10 @@ impl fmt::Display for DbError {
                 relation,
                 expected,
                 found,
-            } => write!(f, "row for `{relation}` has {found} columns, expected {expected}"),
+            } => write!(
+                f,
+                "row for `{relation}` has {found} columns, expected {expected}"
+            ),
             DbError::Sort {
                 relation,
                 attribute,
@@ -185,12 +188,7 @@ impl DatabaseInstance {
     /// `path` is a sequence of attribute indices; each step must name a
     /// foreign-key or numeric attribute of the relation the current id
     /// belongs to, and only the last step may be numeric.
-    pub fn navigate(
-        &self,
-        schema: &DatabaseSchema,
-        start: Value,
-        path: &[usize],
-    ) -> Option<Value> {
+    pub fn navigate(&self, schema: &DatabaseSchema, start: Value, path: &[usize]) -> Option<Value> {
         let mut current = start;
         for &attr_idx in path {
             let (rel, _) = current.as_id()?;
@@ -237,7 +235,8 @@ mod tests {
         db.insert(&s, hotels(), vec![h, Value::num(100), Value::num(80)])
             .unwrap();
         let f = Value::id(flights(), 0);
-        db.insert(&s, flights(), vec![f, Value::num(250), h]).unwrap();
+        db.insert(&s, flights(), vec![f, Value::num(250), h])
+            .unwrap();
         assert_eq!(db.cardinality(hotels()), 1);
         assert_eq!(db.lookup(flights(), &f).unwrap()[2], h);
         assert_eq!(db.total_rows(), 2);
@@ -263,7 +262,11 @@ mod tests {
         let s = schema();
         let mut db = DatabaseInstance::new(&s);
         let err = db
-            .insert(&s, hotels(), vec![Value::num(1), Value::num(1), Value::num(2)])
+            .insert(
+                &s,
+                hotels(),
+                vec![Value::num(1), Value::num(1), Value::num(2)],
+            )
             .unwrap_err();
         assert!(matches!(err, DbError::Sort { .. }));
         let err = db
@@ -303,7 +306,8 @@ mod tests {
         db.insert(&s, hotels(), vec![h, Value::num(100), Value::num(80)])
             .unwrap();
         let f = Value::id(flights(), 1);
-        db.insert(&s, flights(), vec![f, Value::num(250), h]).unwrap();
+        db.insert(&s, flights(), vec![f, Value::num(250), h])
+            .unwrap();
         // FLIGHTS.comp_hotel_id is attribute 2; HOTELS.discount_price is 2.
         assert_eq!(db.navigate(&s, f, &[2]), Some(h));
         assert_eq!(db.navigate(&s, f, &[2, 2]), Some(Value::num(80)));

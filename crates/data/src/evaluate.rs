@@ -40,12 +40,13 @@ impl Valuation {
     /// Gets the value of a variable, defaulting per the variable's sort:
     /// `null` for ID variables, `0` for numeric ones.
     pub fn get(&self, schema: &ArtifactSchema, var: VarId) -> Value {
-        self.values.get(&var).copied().unwrap_or_else(|| {
-            match schema.variable(var).sort {
+        self.values
+            .get(&var)
+            .copied()
+            .unwrap_or_else(|| match schema.variable(var).sort {
                 has_model::VarSort::Id => Value::Null,
                 has_model::VarSort::Numeric => Value::num(0),
-            }
-        })
+            })
     }
 
     /// Restricts the valuation to the given variables.
@@ -132,8 +133,12 @@ mod tests {
         db.insert(&schema.database, RelationId(0), vec![h0, Value::num(90)])
             .unwrap();
         let f0 = Value::id(RelationId(1), 0);
-        db.insert(&schema.database, RelationId(1), vec![f0, Value::num(250), h0])
-            .unwrap();
+        db.insert(
+            &schema.database,
+            RelationId(1),
+            vec![f0, Value::num(250), h0],
+        )
+        .unwrap();
         Fixture {
             schema,
             db,

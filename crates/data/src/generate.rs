@@ -97,7 +97,10 @@ impl DatabaseGenerator {
 
     /// Draws a random id value from the generated pool of a relation.
     pub fn existing_id(&mut self, rel: RelationId) -> Value {
-        Value::id(rel, self.rng.random_range(0..self.config.rows_per_relation) as u64)
+        Value::id(
+            rel,
+            self.rng.random_range(0..self.config.rows_per_relation) as u64,
+        )
     }
 
     /// Draws a random numeric value in the configured range.

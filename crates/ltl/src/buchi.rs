@@ -204,7 +204,10 @@ impl<P: Clone + Eq + Hash + Ord> Buchi<P> {
                         transitions
                             .entry(BuchiState(state_index(source, counter)))
                             .or_default()
-                            .push((label.clone(), BuchiState(state_index(target_idx, next_counter))));
+                            .push((
+                                label.clone(),
+                                BuchiState(state_index(target_idx, next_counter)),
+                            ));
                     }
                 }
             }
@@ -610,8 +613,8 @@ mod tests {
     fn automaton_agrees_with_lasso_semantics_on_examples() {
         let formulas = vec![
             p('a').globally(),
-            p('a').eventually().globally(),  // G F a
-            p('a').globally().eventually(),  // F G a
+            p('a').eventually().globally(), // G F a
+            p('a').globally().eventually(), // F G a
             p('a').until(p('b')),
             p('a').implies(p('b').eventually()).globally(),
             p('a').globally().not(),

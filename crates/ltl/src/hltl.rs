@@ -326,7 +326,13 @@ mod tests {
         let root = b.root_task("Root");
         let x = b.id_var(root, "x");
         b.input_vars(root, &[x]);
-        b.internal_service(root, "go", Condition::True, Condition::True, SetUpdate::None);
+        b.internal_service(
+            root,
+            "go",
+            Condition::True,
+            Condition::True,
+            SetUpdate::None,
+        );
         let child = b.child_task(root, "Child");
         let cx = b.id_var(child, "cx");
         b.map_input(child, cx, x);

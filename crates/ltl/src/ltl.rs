@@ -201,9 +201,7 @@ impl<P: Clone + Eq + Hash + Ord> Ltl<P> {
             Ltl::And(a, b) => Ltl::And(Box::new(a.map_props(f)), Box::new(b.map_props(f))),
             Ltl::Or(a, b) => Ltl::Or(Box::new(a.map_props(f)), Box::new(b.map_props(f))),
             Ltl::Until(a, b) => Ltl::Until(Box::new(a.map_props(f)), Box::new(b.map_props(f))),
-            Ltl::Release(a, b) => {
-                Ltl::Release(Box::new(a.map_props(f)), Box::new(b.map_props(f)))
-            }
+            Ltl::Release(a, b) => Ltl::Release(Box::new(a.map_props(f)), Box::new(b.map_props(f))),
         }
     }
 
@@ -235,12 +233,10 @@ impl<P: Clone + Eq + Hash + Ord> Ltl<P> {
             Ltl::Next(a) => j + 1 < len && a.eval_finite_at(j + 1, len, holds),
             Ltl::WeakNext(a) => j + 1 >= len || a.eval_finite_at(j + 1, len, holds),
             Ltl::Until(a, b) => (j..len).any(|k| {
-                b.eval_finite_at(k, len, holds)
-                    && (j..k).all(|l| a.eval_finite_at(l, len, holds))
+                b.eval_finite_at(k, len, holds) && (j..k).all(|l| a.eval_finite_at(l, len, holds))
             }),
             Ltl::Release(a, b) => (j..len).all(|k| {
-                b.eval_finite_at(k, len, holds)
-                    || (j..k).any(|l| a.eval_finite_at(l, len, holds))
+                b.eval_finite_at(k, len, holds) || (j..k).any(|l| a.eval_finite_at(l, len, holds))
             }),
         }
     }

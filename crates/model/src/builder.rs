@@ -204,7 +204,10 @@ impl SystemBuilder {
 
     /// Adds an input mapping entry: on opening, `child_var := parent_var`.
     pub fn map_input(&mut self, task: TaskId, child_var: VarId, parent_var: VarId) {
-        self.tasks[task.0].opening.input_map.push((child_var, parent_var));
+        self.tasks[task.0]
+            .opening
+            .input_map
+            .push((child_var, parent_var));
         if !self.tasks[task.0].input_vars.contains(&child_var) {
             self.tasks[task.0].input_vars.push(child_var);
         }
@@ -219,7 +222,10 @@ impl SystemBuilder {
     /// Adds an output mapping entry: on closing, `parent_var := child_var`
     /// (subject to the null-overwrite rule for ID variables).
     pub fn map_output(&mut self, task: TaskId, parent_var: VarId, child_var: VarId) {
-        self.tasks[task.0].closing.output_map.push((parent_var, child_var));
+        self.tasks[task.0]
+            .closing
+            .output_map
+            .push((parent_var, child_var));
     }
 
     /// Sets the global pre-condition `Π` over the root task's input

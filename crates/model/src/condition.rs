@@ -155,16 +155,12 @@ impl Condition {
 
     /// Conjunction of an iterator of conditions.
     pub fn all<I: IntoIterator<Item = Condition>>(conds: I) -> Condition {
-        conds
-            .into_iter()
-            .fold(Condition::True, |acc, c| acc.and(c))
+        conds.into_iter().fold(Condition::True, |acc, c| acc.and(c))
     }
 
     /// Disjunction of an iterator of conditions.
     pub fn any<I: IntoIterator<Item = Condition>>(conds: I) -> Condition {
-        conds
-            .into_iter()
-            .fold(Condition::False, |acc, c| acc.or(c))
+        conds.into_iter().fold(Condition::False, |acc, c| acc.or(c))
     }
 
     /// The set of variables mentioned by the condition.

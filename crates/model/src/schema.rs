@@ -142,7 +142,11 @@ impl DatabaseSchema {
 
     /// Maximum arity over all relations.
     pub fn max_arity(&self) -> usize {
-        self.relations.iter().map(Relation::arity).max().unwrap_or(0)
+        self.relations
+            .iter()
+            .map(Relation::arity)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The edges of the foreign-key graph `FK`: one edge `(from, to)` per

@@ -192,10 +192,9 @@ impl ArtifactSchema {
     /// Returns `true` if any condition in the system uses arithmetic atoms.
     pub fn uses_arithmetic(&self) -> bool {
         self.tasks.iter().any(|t| {
-            t.internal_services
-                .iter()
-                .any(|s| !s.pre.arithmetic_atoms().is_empty() || !s.post.arithmetic_atoms().is_empty())
-                || !t.opening.pre.arithmetic_atoms().is_empty()
+            t.internal_services.iter().any(|s| {
+                !s.pre.arithmetic_atoms().is_empty() || !s.post.arithmetic_atoms().is_empty()
+            }) || !t.opening.pre.arithmetic_atoms().is_empty()
                 || !t.closing.pre.arithmetic_atoms().is_empty()
         })
     }
@@ -267,7 +266,13 @@ mod tests {
         b.close_when(child, Condition::True);
         b.map_output(child, y, cy);
         let _ = (hotels, amount);
-        b.internal_service(root, "noop", Condition::True, Condition::True, crate::SetUpdate::None);
+        b.internal_service(
+            root,
+            "noop",
+            Condition::True,
+            Condition::True,
+            crate::SetUpdate::None,
+        );
         b.build().expect("valid sample system")
     }
 

@@ -197,8 +197,20 @@ pub fn validate(system: &ArtifactSystem) -> Result<(), ValidationError> {
     for (tid, task) in schema.tasks() {
         let own_scope: BTreeSet<VarId> = task.variables.iter().copied().collect();
         for service in &task.internal_services {
-            check_condition(system, &service.pre, &own_scope, tid, &format!("pre({})", service.name))?;
-            check_condition(system, &service.post, &own_scope, tid, &format!("post({})", service.name))?;
+            check_condition(
+                system,
+                &service.pre,
+                &own_scope,
+                tid,
+                &format!("pre({})", service.name),
+            )?;
+            check_condition(
+                system,
+                &service.post,
+                &own_scope,
+                tid,
+                &format!("post({})", service.name),
+            )?;
         }
         // Opening pre-condition is over the parent's variables (true and thus
         // vacuous for the root).
@@ -476,7 +488,13 @@ mod tests {
         let child = b.child_task(root, "Child");
         let cx = b.id_var(child, "cx");
         // Root internal service mentioning the child's variable.
-        b.internal_service(root, "s", Condition::is_null(cx), Condition::True, SetUpdate::None);
+        b.internal_service(
+            root,
+            "s",
+            Condition::is_null(cx),
+            Condition::True,
+            SetUpdate::None,
+        );
         assert!(matches!(
             b.build(),
             Err(ValidationError::ConditionScope { .. })
@@ -561,7 +579,13 @@ mod tests {
         let root = b.root_task("Root");
         let x = b.id_var(root, "x");
         let n = b.num_var(root, "n");
-        b.internal_service(root, "s", Condition::var_eq(x, n), Condition::True, SetUpdate::None);
+        b.internal_service(
+            root,
+            "s",
+            Condition::var_eq(x, n),
+            Condition::True,
+            SetUpdate::None,
+        );
         assert!(matches!(b.build(), Err(ValidationError::SortMismatch(_))));
     }
 

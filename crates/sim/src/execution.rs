@@ -70,7 +70,11 @@ pub struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     /// Creates an executor over a concrete database.
-    pub fn new(system: &'a ArtifactSystem, db: &'a DatabaseInstance, config: ExecutionConfig) -> Self {
+    pub fn new(
+        system: &'a ArtifactSystem,
+        db: &'a DatabaseInstance,
+        config: ExecutionConfig,
+    ) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         Executor {
             system,
@@ -100,9 +104,11 @@ impl<'a> Executor<'a> {
         };
         // The root's input variables receive arbitrary values subject to Π.
         let input_vars = schema.task(root).input_vars.clone();
-        if let Some(v) =
-            self.solve_condition(&Valuation::new(), &input_vars, &self.system.precondition.clone())
-        {
+        if let Some(v) = self.solve_condition(
+            &Valuation::new(),
+            &input_vars,
+            &self.system.precondition.clone(),
+        ) {
             root_instance.valuation = v;
         }
         tree.nodes[0].steps.push(Step {
@@ -131,8 +137,8 @@ impl<'a> Executor<'a> {
             if !self.step_instance(idx, &mut instances, &mut tree) {
                 // No move enabled for that instance; try another a few times,
                 // giving up if nothing is enabled anywhere.
-                let any = (0..instances.len())
-                    .any(|i| self.step_instance(i, &mut instances, &mut tree));
+                let any =
+                    (0..instances.len()).any(|i| self.step_instance(i, &mut instances, &mut tree));
                 if !any {
                     break;
                 }
@@ -187,8 +193,10 @@ impl<'a> Executor<'a> {
             if taken {
                 return true;
             }
-            moves.retain(|m| !matches!((m, &pick),
-                (Move::Internal(a), Move::Internal(b)) if a == b));
+            moves.retain(|m| {
+                !matches!((m, &pick),
+                (Move::Internal(a), Move::Internal(b)) if a == b)
+            });
             match pick {
                 Move::Internal(_) => {}
                 Move::Open(c) => moves.retain(|m| !matches!(m, Move::Open(x) if *x == c)),
@@ -324,10 +332,7 @@ impl<'a> Executor<'a> {
         let schema = &self.system.schema;
         let (child_id, child_node) = instances[idx].active_children[child_pos];
         // Find the live instance of the child.
-        let Some(child_idx) = instances
-            .iter()
-            .position(|i| i.node == child_node)
-        else {
+        let Some(child_idx) = instances.iter().position(|i| i.node == child_node) else {
             return false;
         };
         // The child itself must have no active children and satisfy its

@@ -60,9 +60,17 @@ mod tests {
     use has_data::{DatabaseGenerator, GeneratorConfig};
     use has_ltl::hltl::HltlBuilder;
     use has_model::Condition;
-    use has_workloads::orders::{never_enqueue_property, order_fulfilment, ship_after_quote_property};
+    use has_workloads::orders::{
+        never_enqueue_property, order_fulfilment, ship_after_quote_property,
+    };
 
-    fn run_orders(seed: u64) -> (has_workloads::orders::OrdersSystem, DatabaseInstance, TreeOfRuns) {
+    fn run_orders(
+        seed: u64,
+    ) -> (
+        has_workloads::orders::OrdersSystem,
+        DatabaseInstance,
+        TreeOfRuns,
+    ) {
         let o = order_fulfilment();
         let mut generator = DatabaseGenerator::new(GeneratorConfig::default());
         let db = generator.generate(&o.system.schema.database);

@@ -190,8 +190,12 @@ impl TaskContext {
                 for depth in 0..nav_depth.max(1) {
                     let mut next_frontier = Vec::new();
                     for (current, path) in &frontier {
-                        for (idx, attr) in
-                            schema.database.relation(*current).attributes.iter().enumerate()
+                        for (idx, attr) in schema
+                            .database
+                            .relation(*current)
+                            .attributes
+                            .iter()
+                            .enumerate()
                         {
                             if matches!(attr.kind, AttrKind::Key) {
                                 continue;
@@ -248,7 +252,9 @@ impl TaskContext {
                         }
                     }
                     Atom::Relation { relation, args } => {
-                        let Some(Term::Var(x)) = args.first() else { continue };
+                        let Some(Term::Var(x)) = args.first() else {
+                            continue;
+                        };
                         for (attr_idx, term) in args.iter().enumerate().skip(1) {
                             let nav = Expr::Nav {
                                 var: *x,
@@ -420,10 +426,13 @@ impl TaskContext {
     /// The navigation expressions anchored at a variable, together with the
     /// relation they assume the variable is bound to.
     pub fn navs_of(&self, v: VarId) -> impl Iterator<Item = (usize, RelationId)> + '_ {
-        self.exprs.iter().enumerate().filter_map(move |(i, e)| match e {
-            Expr::Nav { var, rel, .. } if *var == v => Some((i, *rel)),
-            _ => None,
-        })
+        self.exprs
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, e)| match e {
+                Expr::Nav { var, rel, .. } if *var == v => Some((i, *rel)),
+                _ => None,
+            })
     }
 
     /// The task's ID variables in ascending order: the fixed key sequence

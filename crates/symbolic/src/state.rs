@@ -251,14 +251,13 @@ impl SymState {
             // Congruence: children of expressions now equal must be equal.
             // Collect pairs (child_x, child_y) for representatives of the
             // merged class whose children exist in the universe.
-            let members: Vec<usize> = (0..ctx.len())
-                .filter(|i| self.class[*i] == cx)
-                .collect();
+            let members: Vec<usize> = (0..ctx.len()).filter(|i| self.class[*i] == cx).collect();
             for i in 0..members.len() {
                 for j in i + 1..members.len() {
                     let (mi, mj) = (members[i], members[j]);
                     for attr in 0..ctx.max_attr() {
-                        let (ci, cj) = (self.child_idx(ctx, mi, attr), self.child_idx(ctx, mj, attr));
+                        let (ci, cj) =
+                            (self.child_idx(ctx, mi, attr), self.child_idx(ctx, mj, attr));
                         if let (Some(ci), Some(cj)) = (ci, cj) {
                             if self.class[ci] != DEAD
                                 && self.class[cj] != DEAD
@@ -444,10 +443,9 @@ impl SymState {
         let mut out: Vec<usize> = vec![ctx.null_idx, ctx.zero_idx];
         for (i, e) in ctx.exprs.iter().enumerate() {
             match e {
-                Expr::Var(v) | Expr::Nav { var: v, .. }
-                    if vars.contains(v) => {
-                        out.push(i);
-                    }
+                Expr::Var(v) | Expr::Nav { var: v, .. } if vars.contains(v) => {
+                    out.push(i);
+                }
                 Expr::Const(_) => out.push(i),
                 _ => {}
             }
@@ -500,7 +498,10 @@ impl SymState {
     /// If class `c` in this state contains a constant expression (`0` or a
     /// named constant), returns that expression's index.
     fn constant_class_expr(&self, ctx: &TaskContext, c: u32) -> Option<usize> {
-        ctx.const_exprs().iter().copied().find(|&i| self.class[i] == c)
+        ctx.const_exprs()
+            .iter()
+            .copied()
+            .find(|&i| self.class[i] == c)
     }
 
     /// Number of live classes.
@@ -554,14 +555,16 @@ pub fn transfer_pattern(
                 .iter()
                 .find(|(_, dv)| dv == v)
                 .map(|(sv, _)| Expr::Var(*sv)),
-            Expr::Nav { var, rel, path } => var_map
-                .iter()
-                .find(|(_, dv)| dv == var)
-                .map(|(sv, _)| Expr::Nav {
-                    var: *sv,
-                    rel: *rel,
-                    path: path.clone(),
-                }),
+            Expr::Nav { var, rel, path } => {
+                var_map
+                    .iter()
+                    .find(|(_, dv)| dv == var)
+                    .map(|(sv, _)| Expr::Nav {
+                        var: *sv,
+                        rel: *rel,
+                        path: path.clone(),
+                    })
+            }
         }
     };
     let pairs: Vec<(usize, usize)> = dst_ctx
@@ -751,7 +754,9 @@ mod tests {
         let f = fixture();
         let mut s = SymState::blank(&f.ctx, &f.system.schema);
         // numeric with null: reject.
-        assert!(s.union(&f.ctx, f.ctx.var_idx(f.price), f.ctx.null_idx).is_err());
+        assert!(s
+            .union(&f.ctx, f.ctx.var_idx(f.price), f.ctx.null_idx)
+            .is_err());
         // distinct constants: reject (1 vs 0).
         let one = f.ctx.index_of(&Expr::Const(Rational::from_int(1))).unwrap();
         assert!(s.union(&f.ctx, one, f.ctx.zero_idx).is_err());
@@ -784,7 +789,8 @@ mod tests {
                 path: vec![2],
             })
             .unwrap();
-        s.union(&deep_ctx, nav_comp, deep_ctx.var_idx(f.hotel)).unwrap();
+        s.union(&deep_ctx, nav_comp, deep_ctx.var_idx(f.hotel))
+            .unwrap();
         // Congruence: flight@FLIGHTS.comp_hotel.unit_price ~ hotel@HOTELS.unit_price.
         let deep_nav = deep_ctx
             .index_of(&Expr::Nav {

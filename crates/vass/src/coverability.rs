@@ -903,7 +903,10 @@ mod tests {
         // of (1,[1]) → (3,[1]) — five total. A re-expansion of the
         // re-reached node would push a sixth.
         assert_eq!(g.edge_count(), 5);
-        let into_3: Vec<_> = g.edges().filter(|&(_, _, to)| g.node(to).state == 3).collect();
+        let into_3: Vec<_> = g
+            .edges()
+            .filter(|&(_, _, to)| g.node(to).state == 3)
+            .collect();
         assert_eq!(into_3.len(), 1);
     }
 

@@ -250,9 +250,7 @@ impl<E> CycleSearch<E> {
         match self {
             CycleSearch::None => CycleSearch::None,
             CycleSearch::ExceedsCap => CycleSearch::ExceedsCap,
-            CycleSearch::Witness(walk) => {
-                CycleSearch::Witness(walk.into_iter().map(f).collect())
-            }
+            CycleSearch::Witness(walk) => CycleSearch::Witness(walk.into_iter().map(f).collect()),
         }
     }
 }
@@ -408,21 +406,22 @@ fn maximal_support(
     // Adds a circulation to the accumulated sum and reports whether the
     // accumulated support (exactly the positive coordinates of `accum`,
     // since every point is componentwise non-negative) is weakly connected.
-    let absorb = |supported: &mut Vec<bool>, accum: &mut Vec<Rational>, point: &[Rational]| -> bool {
-        for (p, v) in point.iter().enumerate() {
-            if v.is_positive() {
-                supported[p] = true;
-                accum[p] += *v;
+    let absorb =
+        |supported: &mut Vec<bool>, accum: &mut Vec<Rational>, point: &[Rational]| -> bool {
+            for (p, v) in point.iter().enumerate() {
+                if v.is_positive() {
+                    supported[p] = true;
+                    accum[p] += *v;
+                }
             }
-        }
-        let support: Vec<usize> = supported
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s)
-            .map(|(p, _)| es[p])
-            .collect();
-        weak_components(edges, &support).len() == 1
-    };
+            let support: Vec<usize> = supported
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| **s)
+                .map(|(p, _)| es[p])
+                .collect();
+            weak_components(edges, &support).len() == 1
+        };
     if absorb(&mut supported, &mut accum, &first) {
         return Support::ConnectedWitness(accum);
     }
@@ -573,10 +572,7 @@ fn circulation_lp(
     let mut balance: BTreeMap<usize, Vec<(usize, Rational)>> = BTreeMap::new();
     for (pos, &i) in es.iter().enumerate() {
         let e = &edges[i];
-        balance
-            .entry(e.to)
-            .or_default()
-            .push((pos, Rational::ONE));
+        balance.entry(e.to).or_default().push((pos, Rational::ONE));
         balance
             .entry(e.from)
             .or_default()
@@ -781,11 +777,7 @@ mod tests {
         // Cycle 0 → 1 → 0 where one leg pays 3 and the other gains only 1,
         // but a +1 self-loop at node 1 can run as often as needed: the walk
         // 0 → 1, loop ×2, 1 → 0 is non-negative.
-        let edges = [
-            edge(0, 1, &[-3]),
-            edge(1, 0, &[1]),
-            edge(1, 1, &[1]),
-        ];
+        let edges = [edge(0, 1, &[-3]), edge(1, 0, &[1]), edge(1, 1, &[1])];
         assert!(exists(2, 1, &edges, &|n| n == 0));
     }
 
@@ -811,7 +803,8 @@ mod tests {
         for (k, &i) in walk.iter().enumerate() {
             let next = walk[(k + 1) % walk.len()];
             assert_eq!(
-                edges[i].to, edges[next].from,
+                edges[i].to,
+                edges[next].from,
                 "walk breaks between positions {k} and {}",
                 (k + 1) % walk.len()
             );
@@ -819,7 +812,10 @@ mod tests {
                 *s += d;
             }
         }
-        assert!(sum.iter().all(|&s| s >= 0), "negative summed effect {sum:?}");
+        assert!(
+            sum.iter().all(|&s| s >= 0),
+            "negative summed effect {sum:?}"
+        );
         assert!(
             walk.iter().any(|&i| is_target(edges[i].from)),
             "walk avoids every target"

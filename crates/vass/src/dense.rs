@@ -203,7 +203,8 @@ impl<T: Hash + Eq> Interner<T> {
             }
             slot = (slot + 1) & self.mask;
         }
-        let id = u32::try_from(self.items.len()).expect("interner overflow: more than u32::MAX values");
+        let id =
+            u32::try_from(self.items.len()).expect("interner overflow: more than u32::MAX values");
         self.items.push(value);
         self.hashes.push(hash);
         self.table[slot] = id + 1;

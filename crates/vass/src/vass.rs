@@ -370,7 +370,10 @@ mod tests {
         assert_eq!(list.delta(3), &[(1, -2), (4, 2)]);
         let csr = list.action_csr(2);
         assert_eq!((csr.states(), csr.action_count()), (2, 4));
-        assert_eq!((csr.actions_from(0), csr.actions_from(1)), (&[0, 2][..], &[1, 3][..]));
+        assert_eq!(
+            (csr.actions_from(0), csr.actions_from(1)),
+            (&[0, 2][..], &[1, 3][..])
+        );
     }
 
     /// Without dimensions the arena stays unallocated, however many

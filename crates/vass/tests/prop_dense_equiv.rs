@@ -104,8 +104,7 @@ impl RefGraph {
                 let mut ancestor = Some(node_id);
                 while let Some(a) = ancestor {
                     let anc = &graph.nodes[a];
-                    if anc.state == action.to && leq(&anc.marking, &next) && anc.marking != next
-                    {
+                    if anc.state == action.to && leq(&anc.marking, &next) && anc.marking != next {
                         for (av, nv) in anc.marking.iter().zip(next.iter_mut()) {
                             if *av < *nv {
                                 *nv = OMEGA;

@@ -122,20 +122,15 @@ impl GeneratorParams {
         let property = {
             let root_task = system.root();
             let mut rb = HltlBuilder::new(root_task);
-            let worked = rb.condition(Condition::eq_const(
-                root_vars.status,
-                Rational::from_int(1),
-            ));
+            let worked = rb.condition(Condition::eq_const(root_vars.status, Rational::from_int(1)));
             let work_service = rb.service(ServiceRef::Internal(root_task, 0));
             let mut formula = worked.implies(work_service.or(Ltl::True)).globally();
             // One nested obligation per direct child of the root.
             for (i, &task) in all_tasks.iter().enumerate() {
                 if system.task(task).parent == Some(root_task) {
                     let mut cb = HltlBuilder::new(task);
-                    let done = cb.condition(Condition::eq_const(
-                        vars[i].status,
-                        Rational::from_int(1),
-                    ));
+                    let done =
+                        cb.condition(Condition::eq_const(vars[i].status, Rational::from_int(1)));
                     let psi = cb.finish(done.eventually());
                     let sub = rb.child(task, psi);
                     let open = rb.service(ServiceRef::Opening(task));
@@ -362,20 +357,16 @@ impl GeneratorParams {
             Plant::CleanTautology => {
                 // `G (worked → worked)`: structurally non-trivial, true on
                 // every run of every system.
-                let worked = rb.condition(Condition::eq_const(
-                    vars[0].status,
-                    Rational::from_int(1),
-                ));
+                let worked =
+                    rb.condition(Condition::eq_const(vars[0].status, Rational::from_int(1)));
                 worked.clone().implies(worked).globally()
             }
             Plant::CleanDichotomy => {
                 // `F worked ∨ G ¬worked`: a liveness-shaped semantic
                 // tautology (either the flag is eventually set, or it never
                 // is) exercising `F`/`G`/negation in the Büchi product.
-                let worked = rb.condition(Condition::eq_const(
-                    vars[0].status,
-                    Rational::from_int(1),
-                ));
+                let worked =
+                    rb.condition(Condition::eq_const(vars[0].status, Rational::from_int(1)));
                 worked.clone().eventually().or(worked.not().globally())
             }
             Plant::CleanNested => {
@@ -386,10 +377,8 @@ impl GeneratorParams {
                 let mut formula: Option<Ltl<PropId>> = None;
                 for &(i, child) in &base_children {
                     let mut cb = HltlBuilder::new(child);
-                    let done = cb.condition(Condition::eq_const(
-                        vars[i].status,
-                        Rational::from_int(1),
-                    ));
+                    let done =
+                        cb.condition(Condition::eq_const(vars[i].status, Rational::from_int(1)));
                     let psi = cb.finish(done.clone().implies(done).globally());
                     let sub = rb.child(child, psi);
                     let open = rb.service(ServiceRef::Opening(child));
@@ -400,10 +389,8 @@ impl GeneratorParams {
                     });
                 }
                 formula.unwrap_or_else(|| {
-                    let worked = rb.condition(Condition::eq_const(
-                        vars[0].status,
-                        Rational::from_int(1),
-                    ));
+                    let worked =
+                        rb.condition(Condition::eq_const(vars[0].status, Rational::from_int(1)));
                     worked.clone().implies(worked).globally()
                 })
             }
@@ -412,11 +399,8 @@ impl GeneratorParams {
                 // set the status flag to 0 or 1), so violating runs must
                 // falsify every escape disjunct too: they loop at the root
                 // forever without opening any child — a lasso at the root.
-                rb.condition(Condition::eq_const(
-                    vars[0].status,
-                    Rational::from_int(7),
-                ))
-                .eventually()
+                rb.condition(Condition::eq_const(vars[0].status, Rational::from_int(7)))
+                    .eventually()
             }
             Plant::Blocking => {
                 // Violating runs must open `Stuck` (falsifying `G ¬open`)
@@ -435,7 +419,9 @@ impl GeneratorParams {
                 let set = cb.condition(Condition::eq_const(pflag, Rational::from_int(1)));
                 let psi = cb.finish(set.eventually());
                 let sub = rb.child(probe, psi);
-                rb.service(ServiceRef::Opening(probe)).implies(sub).globally()
+                rb.service(ServiceRef::Opening(probe))
+                    .implies(sub)
+                    .globally()
             }
         };
 

@@ -84,11 +84,9 @@ pub fn order_fulfilment() -> OrdersSystem {
         quote,
         "PriceItem",
         Condition::True,
-        Condition::relation(items, vec![Term::Var(q_item), Term::Var(q_price)])
-            .and(Condition::eq_const(
-                q_state,
-                Rational::from_int(state::QUOTED),
-            )),
+        Condition::relation(items, vec![Term::Var(q_item), Term::Var(q_price)]).and(
+            Condition::eq_const(q_state, Rational::from_int(state::QUOTED)),
+        ),
         SetUpdate::None,
     );
     b.close_when(quote, Condition::not_null(q_item));

@@ -26,9 +26,7 @@
 use has_arith::{LinExpr, LinearConstraint, Rational};
 use has_ltl::hltl::HltlBuilder;
 use has_ltl::HltlFormula;
-use has_model::{
-    ArtifactSystem, Condition, ServiceRef, SetUpdate, SystemBuilder, Term, VarId,
-};
+use has_model::{ArtifactSystem, Condition, ServiceRef, SetUpdate, SystemBuilder, Term, VarId};
 
 /// Status constants used by the specification (the paper's string statuses
 /// mapped to numeric codes, as Appendix A suggests).
@@ -103,11 +101,7 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
 
     // Database schema (Appendix A.1).
     b.relation("HOTELS", &["unit_price", "discount_price"], &[]);
-    b.relation(
-        "FLIGHTS",
-        &["price"],
-        &[("comp_hotel_id", "HOTELS")],
-    );
+    b.relation("FLIGHTS", &["price"], &[("comp_hotel_id", "HOTELS")]);
     let hotels = b.relation_id("HOTELS").unwrap();
     let flights = b.relation_id("FLIGHTS").unwrap();
 
@@ -153,10 +147,7 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
     let f_fid = b.id_var(add_flight, "fid");
     let f_price = b.num_var(add_flight, "fprice");
     let f_comp = b.id_var(add_flight, "fcomp");
-    b.open_when(
-        add_flight,
-        Condition::is_null(flight_id).and(unpaid()),
-    );
+    b.open_when(add_flight, Condition::is_null(flight_id).and(unpaid()));
     b.internal_service(
         add_flight,
         "ChooseFlight",
@@ -203,21 +194,20 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
         hotels,
         vec![Term::Var(a_hotel), Term::Var(a_unit), Term::Var(a_discount)],
     )
+    .and(Condition::is_null(a_flight).implies(Condition::var_eq(a_hotel_price, a_unit)))
     .and(
-        Condition::is_null(a_flight)
-            .implies(Condition::var_eq(a_hotel_price, a_unit)),
-    )
-    .and(Condition::not_null(a_flight).implies(
-        compatible.and(
-            Condition::var_eq(a_comp, a_hotel)
-                .implies(Condition::var_eq(a_hotel_price, a_discount))
-                .and(
-                    Condition::var_eq(a_comp, a_hotel)
-                        .negate()
-                        .implies(Condition::var_eq(a_hotel_price, a_unit)),
-                ),
+        Condition::not_null(a_flight).implies(
+            compatible.and(
+                Condition::var_eq(a_comp, a_hotel)
+                    .implies(Condition::var_eq(a_hotel_price, a_discount))
+                    .and(
+                        Condition::var_eq(a_comp, a_hotel)
+                            .negate()
+                            .implies(Condition::var_eq(a_hotel_price, a_unit)),
+                    ),
+            ),
         ),
-    ))
+    )
     .and(Condition::eq_const(a_new_amount, Rational::ZERO));
     b.internal_service(
         add_hotel,
@@ -236,8 +226,7 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
     let b_new = b.num_var(also_book, "b_new_amount_paid");
     b.open_when(
         also_book,
-        Condition::not_null(a_hotel)
-            .and(Condition::eq_const(a_status, status::r(status::PAID))),
+        Condition::not_null(a_hotel).and(Condition::eq_const(a_status, status::r(status::PAID))),
     );
     b.map_input(also_book, b_hotel_price, a_hotel_price);
     b.map_input(also_book, b_amount, a_amount);
@@ -257,18 +246,19 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
     b.close_when(
         add_hotel,
         Condition::not_null(a_hotel).and(
-            Condition::eq_const(a_status, status::r(status::UNPAID)).or(
-                Condition::eq_const(a_status, status::r(status::PAID))
-                    .and(Condition::var_eq(a_new_amount, a_hotel_price).or(
-                        // simplified accounting: the new total differs from the
-                        // old one by the hotel price (kept as an arithmetic
-                        // atom for the arithmetic benchmarks)
-                        Condition::arith(LinearConstraint::eq(
-                            LinExpr::var(a_new_amount),
-                            LinExpr::var(a_amount) + LinExpr::var(a_hotel_price),
-                        )),
-                    )),
-            ),
+            Condition::eq_const(a_status, status::r(status::UNPAID)).or(Condition::eq_const(
+                a_status,
+                status::r(status::PAID),
+            )
+            .and(Condition::var_eq(a_new_amount, a_hotel_price).or(
+                // simplified accounting: the new total differs from the
+                // old one by the hotel price (kept as an arithmetic
+                // atom for the arithmetic benchmarks)
+                Condition::arith(LinearConstraint::eq(
+                    LinExpr::var(a_new_amount),
+                    LinExpr::var(a_amount) + LinExpr::var(a_hotel_price),
+                )),
+            ))),
         ),
     );
     b.map_output(add_hotel, hotel_id, a_hotel);
@@ -299,25 +289,23 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
             flights,
             vec![Term::Var(k_flight), Term::Var(k_tprice), Term::Var(k_comp)],
         )))
+        .and(Condition::is_null(k_hotel).implies(Condition::eq_const(k_hprice, Rational::ZERO)))
         .and(
-            Condition::is_null(k_hotel)
-                .implies(Condition::eq_const(k_hprice, Rational::ZERO)),
-        )
-        .and(Condition::not_null(k_hotel).implies(
-            Condition::relation(
-                hotels,
-                vec![Term::Var(k_hotel), Term::Var(k_unit), Term::Var(k_disc)],
-            )
-            .and(
-                Condition::var_eq(k_hotel, k_comp)
-                    .implies(Condition::var_eq(k_hprice, k_disc)),
-            )
-            .and(
-                Condition::var_eq(k_hotel, k_comp)
-                    .negate()
-                    .implies(Condition::var_eq(k_hprice, k_unit)),
+            Condition::not_null(k_hotel).implies(
+                Condition::relation(
+                    hotels,
+                    vec![Term::Var(k_hotel), Term::Var(k_unit), Term::Var(k_disc)],
+                )
+                .and(
+                    Condition::var_eq(k_hotel, k_comp).implies(Condition::var_eq(k_hprice, k_disc)),
+                )
+                .and(
+                    Condition::var_eq(k_hotel, k_comp)
+                        .negate()
+                        .implies(Condition::var_eq(k_hprice, k_unit)),
+                ),
             ),
-        ))
+        )
         .and(
             Condition::arith(LinearConstraint::eq(
                 LinExpr::var(k_amount),
@@ -372,16 +360,14 @@ pub fn travel_booking(variant: TravelVariant) -> TravelSystem {
         hotels,
         vec![Term::Var(c_hotel), Term::Var(c_unit), Term::Var(c_disc)],
     )))
-    .and(
-        discounted_now
-            .clone()
-            .implies(Condition::eq_const(c_refund_mode, Rational::from_int(refund::PENALIZED))),
-    )
-    .and(
-        discounted_now
-            .negate()
-            .implies(Condition::eq_const(c_refund_mode, Rational::from_int(refund::FULL))),
-    )
+    .and(discounted_now.clone().implies(Condition::eq_const(
+        c_refund_mode,
+        Rational::from_int(refund::PENALIZED),
+    )))
+    .and(discounted_now.negate().implies(Condition::eq_const(
+        c_refund_mode,
+        Rational::from_int(refund::FULL),
+    )))
     .and(Condition::eq_const(
         c_status,
         status::r(status::FLIGHT_CANCELED),

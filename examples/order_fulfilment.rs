@@ -42,7 +42,10 @@ fn main() {
         }
     }
     println!("ship-after-quote (20 random executions): {violations} violations observed");
-    assert_eq!(violations, 0, "safety property must hold on every execution");
+    assert_eq!(
+        violations, 0,
+        "safety property must hold on every execution"
+    );
     assert!(outcome.holds);
     assert!(!outcome2.holds);
     println!("order fulfilment example finished as expected");

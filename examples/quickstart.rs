@@ -20,7 +20,13 @@ fn main() {
         Condition::eq_const(flag, Rational::from_int(1)),
         SetUpdate::None,
     );
-    b.internal_service(root, "idle", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        root,
+        "idle",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let system = b.build().expect("well-formed system");
 
     // Property 1: "approved is stable under the tautological frame" (holds).
@@ -33,7 +39,10 @@ fn main() {
     let approved2 = hb2.condition(Condition::eq_const(flag, Rational::from_int(1)));
     let liveness = hb2.finish(approved2.eventually());
 
-    for (name, property) in [("G(approved -> approved)", tautology), ("F approved", liveness)] {
+    for (name, property) in [
+        ("G(approved -> approved)", tautology),
+        ("F approved", liveness),
+    ] {
         let outcome = Verifier::with_config(&system, &property, VerifierConfig::default()).verify();
         println!("{name}: {outcome}");
     }

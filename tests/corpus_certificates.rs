@@ -34,7 +34,9 @@ fn planted_outcomes_match_certificates_at_both_witness_settings() {
                     assert!(outcome.holds, "{}: {outcome}", inst.label);
                 }
                 Certificate::Planted {
-                    origin, origin_name, ..
+                    origin,
+                    origin_name,
+                    ..
                 } => {
                     assert!(!outcome.holds, "{}: {outcome}", inst.label);
                     let violation = outcome.violation.as_ref().expect("violation record");
@@ -63,7 +65,11 @@ fn planted_outcomes_match_certificates_at_both_witness_settings() {
 #[test]
 fn clean_instances_survive_simulator_sweeps() {
     let params = GeneratorParams::default();
-    for plant in [Plant::CleanTautology, Plant::CleanDichotomy, Plant::CleanNested] {
+    for plant in [
+        Plant::CleanTautology,
+        Plant::CleanDichotomy,
+        Plant::CleanNested,
+    ] {
         let inst = instance(&params, plant);
         let mut generator = DatabaseGenerator::new(GeneratorConfig::default());
         let db = generator.generate(&inst.system.schema.database);

@@ -50,7 +50,13 @@ fn trivial_workload_verifies_end_to_end() {
         Condition::eq_const(flag, Rational::from_int(1)),
         SetUpdate::None,
     );
-    b.internal_service(root, "idle", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        root,
+        "idle",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let system: ArtifactSystem = b.build().expect("well-formed system");
 
     let mut hb = HltlBuilder::new(root);
@@ -61,7 +67,8 @@ fn trivial_workload_verifies_end_to_end() {
     let approved = hb.condition(Condition::eq_const(flag, Rational::from_int(1)));
     let liveness: HltlFormula = hb.finish(approved.eventually());
 
-    let holds: Outcome = Verifier::with_config(&system, &tautology, VerifierConfig::default()).verify();
+    let holds: Outcome =
+        Verifier::with_config(&system, &tautology, VerifierConfig::default()).verify();
     assert!(holds.holds, "tautology must hold: {holds}");
 
     let refuted = Verifier::with_config(&system, &liveness, VerifierConfig::default()).verify();
@@ -74,6 +81,9 @@ fn trivial_workload_verifies_end_to_end() {
     let mut exec = Executor::new(&system, &db, ExecutionConfig::default());
     let runs = exec.run();
     // The "idle" service is always enabled, so a run must record steps.
-    assert!(!runs.root().steps.is_empty(), "simulation recorded no steps");
+    assert!(
+        !runs.root().steps.is_empty(),
+        "simulation recorded no steps"
+    );
     assert!(runs.total_steps() > 0);
 }

@@ -135,8 +135,9 @@ fn dead_arithmetic_guard_fixture() -> (has::model::ArtifactSystem, has::ltl::Hlt
     b.internal_service(
         root,
         "raise",
-        Condition::arith(LinearConstraint::lt(LinExpr::var(x), zero()))
-            .and(Condition::arith(LinearConstraint::lt(zero(), LinExpr::var(x)))),
+        Condition::arith(LinearConstraint::lt(LinExpr::var(x), zero())).and(Condition::arith(
+            LinearConstraint::lt(zero(), LinExpr::var(x)),
+        )),
         Condition::eq_const(flag, Rational::ONE),
         SetUpdate::None,
     );

@@ -214,10 +214,9 @@ fn post_states_are_enumerated_once_per_task() {
     }
     .generate();
     assert_eq!(generated.label, "cyclic/+ar/+arith/d2w1v2");
-    let stats =
-        Verifier::with_config(&generated.system, &generated.property, grid_config(true))
-            .verify()
-            .stats;
+    let stats = Verifier::with_config(&generated.system, &generated.property, grid_config(true))
+        .verify()
+        .stats;
     assert_eq!(stats.post_enumerations, 23);
     assert_eq!(stats.post_memo_hits, 2_344);
     assert_eq!(stats.post_enumerations + stats.post_memo_hits, 2_367);

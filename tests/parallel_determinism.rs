@@ -38,7 +38,8 @@ fn assert_identical_across_threads(
     config: VerifierConfig,
     thread_counts: &[usize],
 ) {
-    let reference = Verifier::with_config(system, property, config.clone().with_threads(1)).verify();
+    let reference =
+        Verifier::with_config(system, property, config.clone().with_threads(1)).verify();
     for &threads in thread_counts {
         let outcome =
             Verifier::with_config(system, property, config.clone().with_threads(threads)).verify();

@@ -60,8 +60,20 @@ fn hltl_formulas_flatten_into_per_task_obligations() {
     let flag = b.num_var(root, "flag");
     let child = b.child_task(root, "Child");
     let c_flag = b.num_var(child, "c_flag");
-    b.internal_service(root, "noop", Condition::True, Condition::True, SetUpdate::None);
-    b.internal_service(child, "noop", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        root,
+        "noop",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
+    b.internal_service(
+        child,
+        "noop",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let sys = b.build().unwrap();
 
     let mut cb = HltlBuilder::new(child);

@@ -25,8 +25,7 @@ use has::workloads::orders::{never_enqueue_property, order_fulfilment, ship_afte
 fn corpus_sample_verifier_vs_simulator() {
     let corpus = sample(&CorpusParams { seed: 3, count: 12 });
     for inst in &corpus {
-        let outcome =
-            Verifier::with_config(&inst.system, &inst.property, quick_config()).verify();
+        let outcome = Verifier::with_config(&inst.system, &inst.property, quick_config()).verify();
         if inst.certificate == Certificate::Clean {
             assert!(outcome.holds, "{}: {outcome}", inst.label);
         }
@@ -116,8 +115,20 @@ fn threshold_ladder(k: i64) -> (ArtifactSystem, HltlFormula) {
             LinExpr::constant(Rational::from_int(c)),
         ))
     };
-    b.internal_service(root, "raise", Condition::True, above(k - 1), SetUpdate::None);
-    b.internal_service(root, "idle", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        root,
+        "raise",
+        Condition::True,
+        above(k - 1),
+        SetUpdate::None,
+    );
+    b.internal_service(
+        root,
+        "idle",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let system = b.build().expect("well-formed system");
     let mut hb = HltlBuilder::new(root);
     let mut all = hb.condition(above(0));

@@ -18,10 +18,22 @@ use has::verifier::{Verifier, VerifierConfig, ViolationKind};
 fn returned_subcall_instance() -> (ArtifactSystem, has::ltl::HltlFormula, TaskId) {
     let mut b = SystemBuilder::new("returning");
     let root = b.root_task("Main");
-    b.internal_service(root, "idle", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        root,
+        "idle",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let child = b.child_task(root, "Child");
     let cflag = b.num_var(child, "cflag");
-    b.internal_service(child, "noop", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        child,
+        "noop",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let system = b.build().unwrap();
     let child_id = system.schema.task_by_name("Child").unwrap();
 
@@ -52,7 +64,9 @@ fn violation_carried_by_a_returned_subcall_reports_returning() {
     assert_eq!(violation.origin(), child_id);
     assert_eq!(violation.origin_name(), Some("Child"));
     assert!(
-        outcome.to_string().contains("returning run originating in task `Child`"),
+        outcome
+            .to_string()
+            .contains("returning run originating in task `Child`"),
         "{outcome}"
     );
 
@@ -62,8 +76,14 @@ fn violation_carried_by_a_returned_subcall_reports_returning() {
     assert_eq!(witness.kind, ViolationKind::Lasso);
     let rendered = witness.to_string();
     assert!(rendered.contains("task `Main`"), "{rendered}");
-    assert!(rendered.contains("open child `Child` (β=0) → returns"), "{rendered}");
-    assert!(rendered.contains("└ task `Child` — returning run"), "{rendered}");
+    assert!(
+        rendered.contains("open child `Child` (β=0) → returns"),
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains("└ task `Child` — returning run"),
+        "{rendered}"
+    );
     assert!(rendered.contains("[violates φ0]"), "{rendered}");
     // The nested child node records its own run ending in the closing step.
     assert!(rendered.contains("close task"), "{rendered}");
@@ -80,7 +100,11 @@ fn no_witness_mode_is_unchanged() {
     let violation = plain.violation.as_ref().expect("violation");
     assert!(violation.witness.is_none());
     assert_eq!(violation.kind, ViolationKind::Lasso);
-    assert_eq!(violation.origin(), violation.task, "origin defaults to the root");
+    assert_eq!(
+        violation.origin(),
+        violation.task,
+        "origin defaults to the root"
+    );
 
     let with = Verifier::with_config(
         &system,
@@ -89,7 +113,10 @@ fn no_witness_mode_is_unchanged() {
     )
     .verify();
     assert_eq!(plain.holds, with.holds);
-    assert_eq!(plain.stats, with.stats, "retention must not change statistics");
+    assert_eq!(
+        plain.stats, with.stats,
+        "retention must not change statistics"
+    );
 }
 
 /// A three-level chain where the violation is carried through *two* levels
@@ -99,11 +126,23 @@ fn no_witness_mode_is_unchanged() {
 fn origin_descends_through_nested_returned_calls() {
     let mut b = SystemBuilder::new("chain");
     let root = b.root_task("Root");
-    b.internal_service(root, "idle", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        root,
+        "idle",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let mid = b.child_task(root, "Mid");
     let leaf = b.child_task(mid, "Leaf");
     let lflag = b.num_var(leaf, "lflag");
-    b.internal_service(leaf, "noop", Condition::True, Condition::True, SetUpdate::None);
+    b.internal_service(
+        leaf,
+        "noop",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
     let system = b.build().unwrap();
     let mid_id = system.schema.task_by_name("Mid").unwrap();
     let leaf_id = system.schema.task_by_name("Leaf").unwrap();
@@ -225,7 +264,10 @@ fn witness_choice_is_byte_identical_across_thread_counts() {
             format!("{outcome:?}"),
             "witness at threads={threads} differs from threads=1"
         );
-        let reference_tree = reference.violation.as_ref().and_then(|v| v.witness.as_ref());
+        let reference_tree = reference
+            .violation
+            .as_ref()
+            .and_then(|v| v.witness.as_ref());
         let tree = outcome.violation.as_ref().and_then(|v| v.witness.as_ref());
         assert_eq!(
             reference_tree.map(ToString::to_string),

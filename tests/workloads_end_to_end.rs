@@ -32,8 +32,7 @@ fn generated_families_verify_within_bounds() {
             };
             let g = params.generate();
             assert!(validate(&g.system).is_ok());
-            let outcome =
-                Verifier::with_config(&g.system, &g.property, quick_config()).verify();
+            let outcome = Verifier::with_config(&g.system, &g.property, quick_config()).verify();
             // Generated properties are liveness guarantees about children;
             // either answer is acceptable (the point is cost measurement),
             // but the verifier must terminate and report statistics.
