@@ -3,10 +3,11 @@
 //! Three passes over a validated [`ArtifactSystem`] (and optionally the
 //! property to be verified), surfaced through one [`analyze`] entry point:
 //!
-//! 1. **Dataflow** ([`dataflow`]) — read/write sets per variable; flags
-//!    variables that are never read (`HAS101`, including write-only
-//!    artifact-relation columns) and internal services whose effects are
-//!    never observed (`HAS104`).
+//! 1. **Dataflow** ([`dataflow`](mod@dataflow)) — observable/written sets per variable;
+//!    flags variables that are not observable (`HAS101`, including
+//!    write-only artifact-relation columns; the verifier forgets exactly
+//!    these from its symbolic states) and internal services whose effects
+//!    are never observed (`HAS104`).
 //! 2. **Dead services** ([`guards`]) — each guard's numeric/equality
 //!    fragment is decided *exactly* with the Fourier–Motzkin engine of
 //!    `has_arith`; unsatisfiable guards yield `HAS105`–`HAS108` and a
@@ -34,7 +35,10 @@ pub mod diagnostic;
 pub mod guards;
 
 pub use cone::{dimension_cone_multi, DimensionCone};
-pub use dataflow::{dataflow_diagnostics, property_footprint, Dataflow, PropertyFootprint};
+pub use dataflow::{
+    dataflow, dataflow_diagnostics, property_footprint, unobservable_vars, Dataflow,
+    PropertyFootprint,
+};
 pub use diagnostic::{Diagnostic, Severity};
 pub use guards::{guard_status, GuardStatus, ATOM_CAP};
 

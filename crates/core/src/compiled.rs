@@ -18,6 +18,15 @@
 //! whenever `pos ⊆ bits ∪ unknown` and `neg ∩ bits = ∅`; a label with
 //! `pos ∩ neg ≠ ∅` matches no completion and is dropped at compile time.
 //!
+//! A label can also be unmatchable although each of its literals alone is
+//! not: `x > 5 ∧ x < 3` over two arithmetic propositions that every state
+//! leaves undetermined. Labels with a condition proposition holding an
+//! arithmetic atom are decided once, when the automaton is compiled: the
+//! conjunction of their condition literals (negated where negative) goes to
+//! the exact Fourier–Motzkin decision [`has_analysis::guard_status`], and a
+//! label it proves `Unsatisfiable` is dropped — no valuation satisfies it,
+//! so no concrete step could take it (DESIGN.md §5.5).
+//!
 //! Determinism: successor order is the construction order of the source
 //! automaton — transitions keep their per-state `Vec` order and initial
 //! states their ascending order ([`Buchi::transitions_from`],
@@ -26,9 +35,12 @@
 //! outside the proposition list are dropped at compile time: a letter never
 //! sets such a bit, so the generic automaton could never take them either.
 
+use has_analysis::{guard_status, GuardStatus};
 use has_ltl::buchi::{Buchi, BuchiState, Label};
 use has_ltl::hltl::TaskProp;
+use has_model::{ArtifactSchema, Atom, Condition};
 use has_vass::BitSet;
+use std::collections::HashMap;
 
 /// One step's truth assignment over the proposition list, three-valued: bit
 /// `i` of `bits` set ⇔ `props[i]` holds, bit `i` of `unknown` set ⇔ the
@@ -86,6 +98,67 @@ fn compile_label(
         .then_some((pos, neg))
 }
 
+/// The labels of one automaton whose condition literals are jointly
+/// unsatisfiable over the rationals, decided once per distinct compiled
+/// label and only for labels over an arithmetic proposition (see the module
+/// docs).
+struct Feasibility<'a> {
+    schema: &'a ArtifactSchema,
+    props: &'a [TaskProp],
+    /// Bit `i` set ⇔ `props[i]` is a condition with an arithmetic atom.
+    arith: Vec<u64>,
+    decided: HashMap<(Vec<u64>, Vec<u64>), bool>,
+}
+
+impl<'a> Feasibility<'a> {
+    fn new(schema: &'a ArtifactSchema, props: &'a [TaskProp], words: usize) -> Self {
+        let mut arith = vec![0u64; words];
+        for (bit, p) in props.iter().enumerate() {
+            if let TaskProp::Condition(c) = p {
+                if c.atoms().iter().any(|a| matches!(a, Atom::Arith(_))) {
+                    arith[bit / 64] |= 1u64 << (bit % 64);
+                }
+            }
+        }
+        Feasibility {
+            schema,
+            props,
+            arith,
+            decided: HashMap::new(),
+        }
+    }
+
+    /// Whether some valuation satisfies the condition literals of the
+    /// compiled label `(pos, neg)`.
+    fn feasible(&mut self, pos: &[u64], neg: &[u64]) -> bool {
+        let mut masks = pos.iter().zip(neg).zip(&self.arith);
+        if masks.all(|((p, n), a)| (p | n) & a == 0) {
+            return true;
+        }
+        let Feasibility {
+            schema,
+            props,
+            decided,
+            ..
+        } = self;
+        *decided
+            .entry((pos.to_vec(), neg.to_vec()))
+            .or_insert_with(|| {
+                let literal = |mask: &[u64], bit: usize| mask[bit / 64] >> (bit % 64) & 1 == 1;
+                let mut literals = Condition::True;
+                for (bit, p) in props.iter().enumerate() {
+                    let TaskProp::Condition(c) = p else { continue };
+                    if literal(pos, bit) {
+                        literals = literals.and(c.clone());
+                    } else if literal(neg, bit) {
+                        literals = literals.and(c.clone().negate());
+                    }
+                }
+                guard_status(schema, &literals) != GuardStatus::Unsatisfiable
+            })
+    }
+}
+
 /// A [`Buchi`] automaton over [`TaskProp`] compiled to bitset masks over a
 /// fixed, sorted proposition list (the verifier's `props`).
 pub struct CompiledBuchi {
@@ -113,9 +186,15 @@ pub struct CompiledBuchi {
 
 impl CompiledBuchi {
     /// Compiles `buchi` over the sorted, deduplicated proposition list
-    /// `props` (bit `i` of a letter's masks is about `props[i]`).
-    pub fn new(buchi: &Buchi<TaskProp>, props: &[TaskProp]) -> Self {
+    /// `props` (bit `i` of a letter's masks is about `props[i]`), dropping
+    /// the labels whose condition literals no valuation over `schema`'s
+    /// variables satisfies (see the module docs).
+    pub fn new(buchi: &Buchi<TaskProp>, props: &[TaskProp], schema: &ArtifactSchema) -> Self {
         let words = props.len().div_ceil(64);
+        let mut feasibility = Feasibility::new(schema, props, words);
+        let mut compile = |label: &Label<TaskProp>| {
+            compile_label(label, props, words).filter(|(p, n)| feasibility.feasible(p, n))
+        };
 
         let state_count = buchi.state_count();
         let mut offsets = vec![0u32; state_count + 1];
@@ -124,7 +203,7 @@ impl CompiledBuchi {
         let mut targets = Vec::new();
         for s in 0..state_count {
             for (label, to) in buchi.transitions_from(BuchiState(s)) {
-                if let Some((p, n)) = compile_label(label, props, words) {
+                if let Some((p, n)) = compile(label) {
                     pos.extend_from_slice(&p);
                     neg.extend_from_slice(&n);
                     targets.push(to.0 as u32);
@@ -137,7 +216,7 @@ impl CompiledBuchi {
         let mut init_pos = Vec::new();
         let mut init_neg = Vec::new();
         for s in buchi.initial() {
-            if let Some((p, n)) = compile_label(buchi.entry_label(s), props, words) {
+            if let Some((p, n)) = compile(buchi.entry_label(s)) {
                 init_states.push(s.0 as u32);
                 init_pos.extend_from_slice(&p);
                 init_neg.extend_from_slice(&n);
@@ -227,9 +306,21 @@ impl CompiledBuchi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use has_arith::{LinExpr, LinearConstraint, Rational};
     use has_ltl::Ltl;
-    use has_model::ServiceRef;
-    use has_model::TaskId;
+    use has_model::{ServiceRef, SystemBuilder, TaskId, VarId};
+
+    /// A schema with one numeric variable `x`, and the variable.
+    fn schema_with_x() -> (ArtifactSchema, VarId) {
+        let mut b = SystemBuilder::new("compiled");
+        let root = b.root_task("Main");
+        let x = b.num_var(root, "x");
+        (b.build().unwrap().schema, x)
+    }
+
+    fn schema() -> ArtifactSchema {
+        schema_with_x().0
+    }
 
     fn prop(name: usize) -> TaskProp {
         // Distinct Service propositions are cheap to fabricate and ordered.
@@ -258,7 +349,7 @@ mod tests {
         let f: Ltl<TaskProp> = Ltl::prop(a.clone()).until(Ltl::prop(b.clone()));
         let buchi = Buchi::from_ltl(&f);
         let props = vec![a.clone(), b.clone()];
-        let compiled = CompiledBuchi::new(&buchi, &props);
+        let compiled = CompiledBuchi::new(&buchi, &props, &schema());
 
         // One buffer across every call: each call must clear what the
         // previous one left behind.
@@ -309,7 +400,7 @@ mod tests {
         let f = (a.clone().until(b.clone().and(c.clone().not())))
             .or(a.implies(c.next()).globally().and(b.eventually()));
         let buchi = Buchi::from_ltl(&f);
-        let compiled = CompiledBuchi::new(&buchi, &props);
+        let compiled = CompiledBuchi::new(&buchi, &props, &schema());
         let index = |p: &TaskProp| props.iter().position(|q| q == p).unwrap();
 
         let mut out = Vec::new();
@@ -359,5 +450,63 @@ mod tests {
         let (pos, neg) = compile_label(&label(&[0], &[1]), &props, 1).expect("satisfiable");
         assert_eq!((pos, neg), (vec![0b01], vec![0b10]));
         assert!(letter(&[false, false], &[true, true]).matches(&[0b01], &[0b10]));
+    }
+
+    /// `x > 5 ∧ x < 3` is unmatchable although each literal alone is not:
+    /// the label over both is dropped when the automaton is compiled, while
+    /// `x > 5 ∧ ¬(x < 3)` and labels without arithmetic stay.
+    #[test]
+    fn arithmetically_contradictory_label_matches_nothing() {
+        let (schema, x) = schema_with_x();
+        let cmp = |ge: bool, c: i64| {
+            let (x, c) = (LinExpr::var(x), LinExpr::constant(Rational::from_int(c)));
+            let constraint = if ge {
+                LinearConstraint::gt(x, c)
+            } else {
+                LinearConstraint::lt(x, c)
+            };
+            TaskProp::Condition(Condition::arith(constraint))
+        };
+        let mut props = vec![cmp(true, 5), cmp(false, 3), prop(0)];
+        props.sort();
+        let bit = |p: &TaskProp| 1u64 << props.iter().position(|q| q == p).unwrap();
+        let (above, below, service) = (bit(&cmp(true, 5)), bit(&cmp(false, 3)), bit(&prop(0)));
+        let mut feasibility = Feasibility::new(&schema, &props, 1);
+        assert!(!feasibility.feasible(&[above | below], &[0]));
+        assert!(!feasibility.feasible(&[above | below | service], &[0]));
+        assert!(feasibility.feasible(&[above], &[below]));
+        assert!(feasibility.feasible(&[service], &[above | below]));
+        assert!(feasibility.feasible(&[service], &[0]));
+        assert_eq!(
+            feasibility.decided.len(),
+            4,
+            "labels without arithmetic are not decided"
+        );
+
+        // `G ¬(x>5 ∧ x<3)` negated: its automaton needs a step where both
+        // hold, and no letter, even one leaving both undetermined, offers it.
+        let [p, q] = [cmp(true, 5), cmp(false, 3)].map(Ltl::prop);
+        let buchi = Buchi::from_ltl(&p.and(q).eventually());
+        let compiled = CompiledBuchi::new(&buchi, &props, &schema);
+        let unknown = Letter {
+            bits: vec![0].into_boxed_slice(),
+            unknown: vec![above | below].into_boxed_slice(),
+        };
+        let mut frontier = Vec::new();
+        compiled.initial_successors(&unknown, &mut frontier);
+        let mut seen: std::collections::BTreeSet<BuchiState> = frontier.iter().copied().collect();
+        let mut out = Vec::new();
+        while let Some(s) = frontier.pop() {
+            compiled.step(s, &unknown, &mut out);
+            for &t in &out {
+                if seen.insert(t) {
+                    frontier.push(t);
+                }
+            }
+        }
+        assert!(
+            !seen.iter().any(|&s| compiled.is_accepting(s)),
+            "no accepting state is reachable"
+        );
     }
 }

@@ -52,18 +52,20 @@ impl PropertyContext {
             })
             .collect();
         let bindings = Self::global_bindings(system, &extra_conditions);
+        // What no step reads is forgotten from the symbolic states
+        // (DESIGN.md §5.14).
+        let flow = has_analysis::dataflow(system, Some(property));
         let mut contexts = BTreeMap::new();
         for (task, _) in system.schema.tasks() {
-            contexts.insert(
+            let ctx = TaskContext::build_with_bindings(
+                system,
                 task,
-                TaskContext::build_with_bindings(
-                    system,
-                    task,
-                    &extra_conditions[&task],
-                    nav_depth,
-                    &bindings,
-                ),
+                &extra_conditions[&task],
+                nav_depth,
+                &bindings,
             );
+            let unobservable = has_analysis::unobservable_vars(&flow, system, task);
+            contexts.insert(task, ctx.with_unobservable(unobservable));
         }
         PropertyContext {
             flat,

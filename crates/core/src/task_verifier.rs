@@ -388,7 +388,7 @@ impl<'a> TaskVerifier<'a> {
             .collect();
         props.sort();
         props.dedup();
-        let cbuchi = CompiledBuchi::new(buchi, &props);
+        let cbuchi = CompiledBuchi::new(buchi, &props, &system.schema);
         let returns = system
             .schema
             .task(task)
@@ -650,7 +650,8 @@ impl<'a> TaskVerifier<'a> {
     /// transition): numeric returned variables are overwritten, ID returned
     /// variables only if currently `null`; their new pattern follows the
     /// child's output state, including its relationships to the variables
-    /// that were passed down on opening and to their navigations.
+    /// that were passed down on opening and to their navigations. The
+    /// result forgets the task's unobservable variables (DESIGN.md §5.14).
     fn apply_return(&self, sym: &SymState, child: TaskId, output: &SymState) -> SymState {
         let schema = self.schema();
         let child_ctx = &self.child_contexts[&child];
@@ -716,7 +717,7 @@ impl<'a> TaskVerifier<'a> {
                 }
             }
         }
-        next.normalize();
+        next.forget(self.ctx, self.ctx.unobservable());
         next
     }
 

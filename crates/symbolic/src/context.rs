@@ -60,6 +60,11 @@ pub struct TaskContext {
     /// The expression of each variable of the task, indexed by [`VarId`]
     /// (`None` for variables of other tasks).
     var_expr: Vec<Option<usize>>,
+    /// The task's variables that nothing reads, in ascending order: what
+    /// the post-state lists and the verifier's returns forget
+    /// ([`SymState::forget`](crate::SymState::forget)). Empty unless set
+    /// with [`TaskContext::with_unobservable`].
+    unobservable: Vec<VarId>,
     /// The internal services' post-state lists, shared by every `(T, β)`
     /// exploration of the task ([`TaskContext::post_states`]).
     pub(crate) successors: SuccessorCache,
@@ -371,8 +376,25 @@ impl TaskContext {
             nav_child,
             var_child,
             var_expr,
+            unobservable: Vec::new(),
             successors: SuccessorCache::default(),
         }
+    }
+
+    /// The context with `vars` — variables of the task that nothing reads
+    /// (`has_analysis::unobservable_vars`) — as the variables its post-state
+    /// lists forget (DESIGN.md §5.14). Set once, before any list is cached.
+    pub fn with_unobservable(mut self, mut vars: Vec<VarId>) -> Self {
+        vars.sort();
+        vars.dedup();
+        self.unobservable = vars;
+        self
+    }
+
+    /// The variables the task's symbolic states forget after every
+    /// internal step and every child return, in ascending order.
+    pub fn unobservable(&self) -> &[VarId] {
+        &self.unobservable
     }
 
     /// Number of expressions in the universe.

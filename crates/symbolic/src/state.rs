@@ -504,6 +504,78 @@ impl SymState {
             .find(|&i| self.class[i] == c)
     }
 
+    /// Forgets the variables `vars`, which nothing reads (DESIGN.md §5.14),
+    /// then normalizes: a numeric variable moves to a fresh singleton class,
+    /// an ID variable becomes `null` and its navigations die. Every other
+    /// expression keeps its class, so the equalities, bindings and constant
+    /// classes among the remaining expressions are unchanged.
+    ///
+    /// An ID variable `u` is kept when forgetting it would lose a fact that
+    /// a later union could still propagate: some live navigation `u.p` shares
+    /// its class with another expression while some other member `w` of
+    /// `u`'s class has no `w.p` in the universe to carry the fact by
+    /// congruence (e.g. `u = y.f` with `y.f.p` past the navigation depth).
+    /// The check only gets easier as other variables are forgotten, so ID
+    /// variables are retried until none changes; the result does not depend
+    /// on the order of `vars`, and forgetting twice equals forgetting once.
+    pub fn forget(&mut self, ctx: &TaskContext, vars: &[VarId]) {
+        let mut ids: Vec<VarId> = Vec::new();
+        for &v in vars {
+            if ctx.id_var_pos(v).is_some() {
+                ids.push(v);
+            } else {
+                self.fresh_numeric(ctx, v);
+            }
+        }
+        loop {
+            let before = ids.len();
+            ids.retain(|&v| {
+                let forgettable = self.forgettable(ctx, v);
+                if forgettable {
+                    self.bind(ctx, v, None);
+                }
+                !forgettable
+            });
+            if ids.len() == before {
+                break;
+            }
+        }
+        self.normalize();
+    }
+
+    /// Whether forgetting the ID variable `u` keeps every fact a later
+    /// union could propagate to the remaining expressions (see
+    /// [`SymState::forget`]).
+    fn forgettable(&self, ctx: &TaskContext, u: VarId) -> bool {
+        if self.binding_of(ctx, u).is_none() {
+            return true;
+        }
+        let ui = ctx.var_idx(u);
+        let c = self.class[ui];
+        let members: Vec<usize> = (0..ctx.len())
+            .filter(|&i| i != ui && self.class[i] == c)
+            .collect();
+        if members.is_empty() {
+            // No union can reach a singleton variable's class again.
+            return true;
+        }
+        ctx.navs_of(u).all(|(nav, _)| {
+            let nc = self.class[nav];
+            let shared = nc != DEAD && (0..ctx.len()).any(|i| i != nav && self.class[i] == nc);
+            if !shared {
+                return true;
+            }
+            let Expr::Nav { path, .. } = &ctx.exprs[nav] else {
+                unreachable!("navs_of yields navigations")
+            };
+            members.iter().all(|&w| {
+                path.iter()
+                    .try_fold(w, |at, &attr| self.child_idx(ctx, at, attr))
+                    .is_some()
+            })
+        })
+    }
+
     /// Number of live classes.
     pub fn class_count(&self) -> usize {
         let mut set = BTreeSet::new();
@@ -847,5 +919,129 @@ mod tests {
         // hotel untouched: still null.
         assert!(target.is_null(&f.ctx, f.hotel));
         assert!(target.class_count() >= 3);
+    }
+
+    /// Every pair of expressions not anchored at a forgotten variable keeps
+    /// its equality and liveness, and every remaining binding is unchanged.
+    fn assert_rest_unchanged(
+        ctx: &TaskContext,
+        before: &SymState,
+        after: &SymState,
+        gone: &[VarId],
+    ) {
+        let kept: Vec<usize> = (0..ctx.len())
+            .filter(|&i| match &ctx.exprs[i] {
+                Expr::Var(v) | Expr::Nav { var: v, .. } => !gone.contains(v),
+                _ => true,
+            })
+            .collect();
+        for &i in &kept {
+            assert_eq!(before.is_live(i), after.is_live(i), "{:?}", ctx.exprs[i]);
+            for &j in &kept {
+                assert_eq!(
+                    before.eq(i, j),
+                    after.eq(i, j),
+                    "{:?} vs {:?}",
+                    ctx.exprs[i],
+                    ctx.exprs[j]
+                );
+            }
+        }
+        for &v in ctx.id_vars() {
+            if !gone.contains(&v) {
+                assert_eq!(before.binding_of(ctx, v), after.binding_of(ctx, v));
+            }
+        }
+    }
+
+    #[test]
+    fn forget_keeps_the_rest_and_is_normalized_and_idempotent() {
+        let f = fixture();
+        let ctx = &f.ctx;
+        let hotels = f.system.schema.database.relation_by_name("HOTELS").unwrap();
+        let nav = |var, rel, attr| {
+            ctx.index_of(&Expr::Nav {
+                var,
+                rel,
+                path: vec![attr],
+            })
+            .unwrap()
+        };
+        // flight.comp_hotel = hotel, price = flight.price, status = 1.
+        let mut s = SymState::blank(ctx, &f.system.schema);
+        s.bind(ctx, f.flight, Some(f.flights));
+        s.bind(ctx, f.hotel, Some(hotels));
+        s.union(ctx, nav(f.flight, f.flights, 2), ctx.var_idx(f.hotel))
+            .unwrap();
+        s.fresh_numeric(ctx, f.price);
+        s.union(ctx, ctx.var_idx(f.price), nav(f.flight, f.flights, 1))
+            .unwrap();
+        s.fresh_numeric(ctx, f.status);
+        let one = ctx.index_of(&Expr::Const(Rational::from_int(1))).unwrap();
+        s.union(ctx, ctx.var_idx(f.status), one).unwrap();
+        s.normalize();
+
+        let gone = [f.price, f.hotel];
+        let mut t = s.clone();
+        t.forget(ctx, &gone);
+        assert_rest_unchanged(ctx, &s, &t, &gone);
+        // The numeric variable sits alone, the ID variable is null and its
+        // navigation is dead.
+        let price = ctx.var_idx(f.price);
+        assert!((0..ctx.len()).all(|i| i == price || !t.eq(i, price)));
+        assert!(t.is_null(ctx, f.hotel));
+        assert_eq!(t.binding_of(ctx, f.hotel), None);
+        assert!(!t.is_live(nav(f.hotel, hotels, 1)));
+        // Constant classes: status still equals 1, and 1 is not 0.
+        assert!(t.eq(ctx.var_idx(f.status), one));
+        assert!(!t.eq(one, ctx.zero_idx));
+        // Normalized, idempotent, and order-free.
+        let mut normalized = t.clone();
+        normalized.normalize();
+        assert_eq!(normalized, t);
+        let mut twice = t.clone();
+        twice.forget(ctx, &gone);
+        assert_eq!(twice, t);
+        let mut reversed = s.clone();
+        reversed.forget(ctx, &[f.hotel, f.price]);
+        assert_eq!(reversed, t);
+    }
+
+    /// An ID variable equal to a navigation is kept while one of its own
+    /// navigations holds a fact that the navigation's subtree cannot carry:
+    /// at depth 1, `hotel = flight.comp_hotel` with `hotel.unit_price =
+    /// price` has no `flight.comp_hotel.unit_price` to hold the equality.
+    /// At depth 2 congruence already put it there, so `hotel` goes.
+    #[test]
+    fn forget_keeps_an_id_variable_whose_navigation_facts_have_no_other_home() {
+        let f = fixture();
+        let hotels = f.system.schema.database.relation_by_name("HOTELS").unwrap();
+        for depth in [1, 2] {
+            let ctx = TaskContext::build(&f.system, f.system.root(), &[], depth);
+            let nav = |var, rel, path: Vec<usize>| ctx.index_of(&Expr::Nav { var, rel, path });
+            let mut s = SymState::blank(&ctx, &f.system.schema);
+            s.bind(&ctx, f.flight, Some(f.flights));
+            s.bind(&ctx, f.hotel, Some(hotels));
+            let comp = nav(f.flight, f.flights, vec![2]).unwrap();
+            s.union(&ctx, comp, ctx.var_idx(f.hotel)).unwrap();
+            s.fresh_numeric(&ctx, f.price);
+            let unit_price = nav(f.hotel, hotels, vec![1]).unwrap();
+            s.union(&ctx, unit_price, ctx.var_idx(f.price)).unwrap();
+            s.normalize();
+            let mut t = s.clone();
+            t.forget(&ctx, &[f.hotel]);
+            match nav(f.flight, f.flights, vec![2, 1]) {
+                None => {
+                    assert_eq!(depth, 1);
+                    assert_eq!(t, s, "kept at depth 1");
+                }
+                Some(deep) => {
+                    assert_eq!(depth, 2);
+                    assert!(t.is_null(&ctx, f.hotel));
+                    assert!(t.eq(deep, ctx.var_idx(f.price)));
+                    assert_rest_unchanged(&ctx, &s, &t, &[f.hotel]);
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,9 @@
 //! it cannot read the truth assignment `β` the Büchi product is built for.
 //! That is why one list per `(service, caps, base)` key can serve every β
 //! of the task: [`TaskContext::post_states`] enumerates it at most once and
-//! hands out the shared list (DESIGN.md §5.13).
+//! hands out the shared list (DESIGN.md §5.13). Each list holds its states
+//! with the task's unobservable variables forgotten
+//! ([`TaskContext::unobservable`], DESIGN.md §5.14).
 
 use crate::context::TaskContext;
 use crate::state::SymState;
@@ -54,7 +56,11 @@ pub fn post_base(ctx: &TaskContext, schema: &ArtifactSchema, state: &SymState) -
 /// of the context's task from the [`post_base`] of its pre-state: input
 /// variables keep their pattern, every other variable is rewritten,
 /// constrained by the post-condition. Arithmetic atoms are undetermined and
-/// resolved optimistically. The list is sorted and duplicate-free.
+/// resolved optimistically. The enumerated list is sorted, deduplicated and
+/// truncated at `max_successors`; then every state forgets the context's
+/// [unobservable](TaskContext::unobservable) variables and each image is
+/// kept at its first position (DESIGN.md §5.14), so the result is
+/// duplicate-free.
 pub(crate) fn enumerate_post_states(
     ctx: &TaskContext,
     schema: &ArtifactSchema,
@@ -100,7 +106,24 @@ pub(crate) fn enumerate_post_states(
     }
     let mut out = dedup(out);
     out.truncate(caps.max_successors);
-    out
+    forget_unobservable(ctx, out)
+}
+
+/// Forgets the context's unobservable variables in every state of `states`
+/// and drops repeated images, keeping each at its first position: the list
+/// becomes its quotient under forgetting, in its own order.
+fn forget_unobservable(ctx: &TaskContext, states: Vec<SymState>) -> Vec<SymState> {
+    if ctx.unobservable().is_empty() {
+        return states;
+    }
+    let mut seen: HashSet<SymState> = HashSet::with_capacity(states.len());
+    states
+        .into_iter()
+        .filter_map(|mut s| {
+            s.forget(ctx, ctx.unobservable());
+            seen.insert(s.clone()).then_some(s)
+        })
+        .collect()
 }
 
 /// Appends the candidate values of a single rewritten variable to `out`.

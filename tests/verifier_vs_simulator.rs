@@ -176,3 +176,37 @@ fn simulated_violations_are_never_missed_by_the_verifier() {
         );
     }
 }
+
+/// `G ¬(x>5 ∧ x<3)` on a one-task system whose one service leaves the
+/// numeric `x` unconstrained: no value satisfies both atoms, so the
+/// property holds. Both atoms are undetermined in every symbolic state; the
+/// Büchi label needing both is dropped when the automaton is compiled
+/// (DESIGN.md §5.5). Before that, a three-valued letter matched it and the
+/// verifier reported a spurious lasso.
+#[test]
+fn contradictory_arithmetic_atoms_are_never_violated() {
+    let mut b = SystemBuilder::new("contradiction");
+    let root = b.root_task("Main");
+    let x = b.num_var(root, "x");
+    b.internal_service(
+        root,
+        "any",
+        Condition::True,
+        Condition::True,
+        SetUpdate::None,
+    );
+    let system = b.build().expect("well-formed system");
+    let bound = |c: i64| LinExpr::constant(Rational::from_int(c));
+    let mut hb = HltlBuilder::new(root);
+    let above = hb.condition(Condition::arith(LinearConstraint::gt(
+        LinExpr::var(x),
+        bound(5),
+    )));
+    let below = hb.condition(Condition::arith(LinearConstraint::lt(
+        LinExpr::var(x),
+        bound(3),
+    )));
+    let property = hb.finish(above.and(below).not().globally());
+    let outcome = Verifier::with_config(&system, &property, quick_config()).verify();
+    assert!(outcome.holds, "{outcome:?}");
+}
