@@ -155,8 +155,9 @@ fn exp_travel(rec: &mut Recorder) {
 /// The `deep(d6w1)` column is the family the readiness scheduler exists
 /// for: a chain of six tasks has one task per hierarchy level, so PR 3's
 /// level barriers exposed almost no job supply per level and serialized the
-/// run; the work-stealing scheduler starts each task's pairs the moment its
-/// children commit instead (DESIGN.md §5.6).
+/// run; the readiness scheduler starts each task's pairs the moment its
+/// children commit instead (DESIGN.md §5.6). The `workers` column is the
+/// configured count; the scheduler runs at most one worker per pair job.
 fn exp_scaling(rec: &mut Recorder) {
     println!("== EXP-P1: parallel engine scaling — speedup vs thread count ==");
     println!(

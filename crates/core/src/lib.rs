@@ -27,19 +27,18 @@
 //! catalogued in DESIGN.md §5 together with the direction in which each can
 //! affect precision.
 //!
-//! The engine runs on a scoped work-stealing pool of
+//! The engine runs on one readiness scheduler with up to
 //! [`VerifierConfig::threads`] workers (one worker runs inline): the
 //! `(T, β)` explorations of a task are independent given its children's
-//! completed `R_T`, so they are fanned out as soon as those commit. The reported [`Outcome`] and [`Stats`] are
-//! identical at every thread count — DESIGN.md §5.6 states the determinism
-//! contract.
+//! committed `R_T`, so they are released as soon as those commit. The
+//! reported [`Outcome`] and [`Stats`] are identical at every thread count —
+//! DESIGN.md §5.6 states the determinism contract.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod compiled;
 pub mod outcome;
-mod parallel;
 pub mod property;
 pub mod task_verifier;
 pub mod verifier;

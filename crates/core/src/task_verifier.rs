@@ -49,8 +49,9 @@ pub struct QueryCost {
 
 /// The bottom-up store of completed task summaries the verifier threads
 /// through the hierarchy: values are reference-counted so a scheduler can
-/// publish a new snapshot per committed task (an `Arc` swap) without cloning
-/// any summary, and every [`TaskVerifier`] holds its own snapshot handle.
+/// publish a new snapshot per committed task (a shallow map copy at most)
+/// without cloning any summary, and every [`TaskVerifier`] holds its own
+/// snapshot handle.
 pub type SummaryMap = BTreeMap<TaskId, Arc<TaskSummary>>;
 
 /// Which of Lemma 21's non-returning path kinds were witnessed by a
@@ -589,10 +590,10 @@ impl<'a> TaskVerifier<'a> {
     // Cross-task transfer
     // ------------------------------------------------------------------
 
-    /// Builds the child's initial symbolic state induced by opening it from
-    /// the parent state `sym` (the paper's `τ'_in = f_in^{-1}(τ_i)` of
-    /// Definition 18), and returns its input projection key.
-    fn child_input(&self, sym: &SymState, child: TaskId) -> (SymState, ProjectionKey) {
+    /// The input projection key of the child's initial symbolic state induced
+    /// by opening it from the parent state `sym` (the paper's
+    /// `τ'_in = f_in^{-1}(τ_i)` of Definition 18).
+    fn child_input(&self, sym: &SymState, child: TaskId) -> ProjectionKey {
         let schema = self.schema();
         let child_ctx = &self.child_contexts[&child];
         let child_task = schema.task(child);
@@ -612,8 +613,7 @@ impl<'a> TaskVerifier<'a> {
             }
         }
         transfer_pattern(self.ctx, sym, child_ctx, &mut state, &map);
-        let key = state.project_vars(child_ctx, &child_task.input_vars);
-        (state, key)
+        state.project_vars(child_ctx, &child_task.input_vars)
     }
 
     /// The `(child expr, parent expr)` index pairs anchored at the child
@@ -830,7 +830,7 @@ impl<'a> TaskVerifier<'a> {
             ..
         } = memo;
         opens.entry((sym, child)).or_insert_with(|| {
-            let (_, key) = self.child_input(syms.get(sym), child);
+            let key = self.child_input(syms.get(sym), child);
             let sref = ServiceRef::Opening(child);
             let mut choices = Vec::new();
             for (entry, e) in self.children[&child].entries.iter().enumerate() {

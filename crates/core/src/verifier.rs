@@ -2,7 +2,6 @@
 //! model-checking answer.
 
 use crate::outcome::{Outcome, Stats, Violation, ViolationKind, WitnessNode, WitnessStep};
-use crate::parallel::run_pool;
 use crate::property::PropertyContext;
 use crate::task_verifier::{RtEntry, SummaryMap, TaskSummary, TaskVerifier};
 use has_analysis::{DeadServiceMap, DeadServices};
@@ -10,10 +9,10 @@ use has_arith::{HcdBuilder, LinExpr};
 use has_ltl::buchi::Buchi;
 use has_ltl::hltl::TaskProp;
 use has_ltl::HltlFormula;
-use has_model::{ArtifactSystem, TaskId, VarId};
+use has_model::{ArtifactSchema, ArtifactSystem, TaskId, VarId};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Tuning knobs of the verifier.
 ///
@@ -44,12 +43,12 @@ pub struct VerifierConfig {
     /// optimistically (DESIGN.md §5.5).
     pub use_cells: bool,
     /// Number of worker threads for the `(T, β)` fan-out. Every value runs
-    /// the same readiness-driven scheduler: a `(T, β)` pair becomes ready
-    /// the moment the last of its task's children commits its summary — no
-    /// level barrier — and runs on a work-stealing scoped pool; with `1`
-    /// the pool has one worker and runs inline on the calling thread (no
-    /// thread is spawned). The outcome and statistics are identical at
-    /// every thread count (DESIGN.md §5.6); `0` is treated as `1`.
+    /// the same readiness scheduler: a `(T, β)` pair becomes ready the
+    /// moment the last of its task's children commits its summary — no
+    /// level barrier. At most one worker runs per pair job; with one worker
+    /// the scheduler runs inline on the calling thread (no thread is
+    /// spawned). The outcome and statistics are identical at every thread
+    /// count (DESIGN.md §5.6); `0` is treated as `1`.
     ///
     /// Defaults to [`VerifierConfig::default_threads`].
     pub threads: usize,
@@ -149,13 +148,13 @@ impl<'a> Verifier<'a> {
     /// Returns an [`Outcome`] with the answer, a symbolic witness when the
     /// property can be violated, and exploration statistics.
     ///
-    /// The task hierarchy runs on a readiness-driven work-stealing
-    /// scheduler at every thread count: each `(T, β)` pair starts as soon as
-    /// *its* task's children have committed their summaries (no level
-    /// barrier), and all results are reduced and committed in the fixed
-    /// `(task, β, τ_in)` order — the outcome and statistics are identical at
-    /// every `config.threads` (DESIGN.md §5.6 states the contract;
-    /// `tests/parallel_determinism.rs` enforces it).
+    /// The task hierarchy runs on one readiness scheduler at every thread
+    /// count: each `(T, β)` pair starts as soon as *its* task's children
+    /// have committed their summaries (no level barrier), and all results
+    /// are reduced and committed in the fixed `(task, β, τ_in)` order — the
+    /// outcome and statistics are identical at every `config.threads`
+    /// (DESIGN.md §5.6 states the contract; `tests/parallel_determinism.rs`
+    /// enforces it).
     ///
     /// # Panics
     /// Panics if the property fails validation against the system.
@@ -357,178 +356,79 @@ impl<'a> Verifier<'a> {
         order
     }
 
-    /// The engine: a readiness-driven scheduler over one kind of work item,
-    /// the pair job `(T, β)` — one [`TaskVerifier::build_graph`] forward
-    /// exploration followed by its Lemma 21 queries, one pruned Karp–Miller
-    /// build per initial state in initial-state order
-    /// ([`TaskVerifier::prepare_shared`],
-    /// [`TaskVerifier::init_queries_shared`]) — on a work-stealing scoped
-    /// pool of `config.threads` workers ([`crate::parallel::run_pool`];
-    /// one worker runs inline). There is **no barrier between hierarchy
-    /// levels**: every task tracks its unfinished-children count, and all of
-    /// its pair jobs are pushed the moment the *last* child commits its
-    /// summary — sibling subtrees proceed independently, so a deep, narrow
-    /// hierarchy keeps every worker busy.
+    /// The engine: every pair job `(T, β)` — one
+    /// [`TaskVerifier::build_graph`] forward exploration followed by its
+    /// Lemma 21 queries, one pruned Karp–Miller build per initial state in
+    /// initial-state order ([`TaskVerifier::prepare_shared`],
+    /// [`TaskVerifier::init_queries_shared`]) — run on the readiness
+    /// scheduler ([`run_pairs`]) with `config.threads` workers. A task's
+    /// pairs start the moment its last child commits its summary; there is
+    /// no barrier between hierarchy levels.
     ///
-    /// Workers only *read* shared state: the committed summaries live behind
-    /// an `Arc` that is shallow-cloned and swapped on each task commit, so a
-    /// pair job snapshots the map without copying any summary. The one
-    /// shared cache, a task context's post-state lists
+    /// The one shared cache, a task context's post-state lists
     /// ([`has_symbolic::TaskContext::post_states`]), fills each list exactly
-    /// once whichever pair asks first, and is cleared when the task
-    /// commits. Reduced
-    /// pairs are buffered by canonical position and committed to the
-    /// summary map in β-enumeration order — which keeps the outcome
-    /// independent of scheduling (DESIGN.md §5.6).
+    /// once whichever pair asks first, and is cleared when the task commits.
+    /// Statistics are absorbed in canonical `(task, β)` order, which keeps
+    /// the outcome independent of scheduling (DESIGN.md §5.6).
     fn schedule(
         &self,
         pc: &PropertyContext,
         order: &[TaskId],
         dead: &DeadServiceMap,
     ) -> (SummaryMap, Stats) {
-        let schema = &self.system.schema;
         let contexts = &*pc.contexts;
-
         // Canonical pair enumeration: tasks in bottom-up order, assignments
-        // in β-enumeration order. Every buffer below is indexed by position
-        // in this list, and the final aggregation walks it front to back.
+        // in β-enumeration order.
         let pairs: Vec<(TaskId, Vec<bool>)> = pc.pairs(order);
         let buchis: Vec<Arc<Buchi<TaskProp>>> =
             pairs.iter().map(|(t, b)| pc.buchi_shared(*t, b)).collect();
-        let mut task_pairs: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-        for (p, (t, _)) in pairs.iter().enumerate() {
-            task_pairs.entry(*t).or_default().push(p);
-        }
-
-        // Readiness table: per task, how many children have not committed
-        // yet (pair jobs are released when this hits zero) and how many of
-        // its own pairs are still unreduced (the summary commits when this
-        // hits zero).
-        let pending_children: BTreeMap<TaskId, AtomicUsize> = order
-            .iter()
-            .map(|&t| (t, AtomicUsize::new(schema.task(t).children.len())))
-            .collect();
-        let remaining_pairs: BTreeMap<TaskId, AtomicUsize> = task_pairs
-            .iter()
-            .map(|(&t, ps)| (t, AtomicUsize::new(ps.len())))
-            .collect();
-
-        // Committed summaries, swapped wholesale on each task commit; a
-        // pair job clones the Arc (not the map) to snapshot every child it
-        // can ever look up.
-        let committed: Mutex<Arc<SummaryMap>> = Mutex::new(Arc::new(SummaryMap::new()));
-
-        // A pair's reduced result. `entries` is *moved* into the task
-        // summary when the task commits (leaving this empty), so the entry
-        // list exists once; the counts stay behind for the deterministic
-        // post-pool debug trace.
-        struct ReducedPair {
-            entries: Vec<RtEntry>,
-            stats: Stats,
-            total: usize,
-            returning: usize,
-        }
-        let reduced: Vec<Mutex<Option<ReducedPair>>> =
-            pairs.iter().map(|_| Mutex::new(None)).collect();
-
-        // Seed: the leaves' pair jobs, in canonical order.
-        let seeds: Vec<usize> = order
-            .iter()
-            .filter(|&&t| schema.task(t).children.is_empty())
-            .flat_map(|t| task_pairs[t].iter().copied())
-            .collect();
-
-        run_pool(self.config.threads, seeds, |p, handle| {
-            let task = pairs[p].0;
-            let snapshot = committed.lock().expect("summary map poisoned").clone();
-            let verifier = TaskVerifier::new(
-                self.system,
-                &self.config,
-                &contexts[&task],
-                task,
-                pairs[p].1.clone(),
-                pc.phi(task),
-                &buchis[p],
-                snapshot,
-                contexts,
-                dead,
-            );
-            let graph = verifier.build_graph();
-            // The pair's queries share one Karp–Miller scratch allocation;
-            // `reduce_queries` needs their results in initial-state order.
-            let mut shared = verifier.prepare_shared(&graph);
-            let per_init = (0..graph.initial_count())
-                .map(|pos| verifier.init_queries_shared(&graph, pos, &mut shared));
-            let (entries, stats) = TaskVerifier::reduce_queries(&graph, per_init);
-            *reduced[p].lock().expect("pair slot poisoned") = Some(ReducedPair {
-                total: entries.len(),
-                returning: entries.iter().filter(|e| e.output.is_some()).count(),
-                entries,
-                stats,
-            });
-
-            // The task's last pair commits the task summary (pairs
-            // concatenated in β order) and releases the parent's pair jobs
-            // if this task was its last unfinished child.
-            if remaining_pairs[&task].fetch_sub(1, Ordering::SeqCst) != 1 {
-                return;
-            }
-            let mut summary = TaskSummary::default();
-            for &q in &task_pairs[&task] {
-                let mut slot = reduced[q].lock().expect("pair slot poisoned");
-                let pair = slot.as_mut().expect("pair reduced");
-                summary.entries.append(&mut pair.entries);
-            }
-            {
-                let mut shared = committed.lock().expect("summary map poisoned");
-                let mut map = (**shared).clone();
-                map.insert(task, Arc::new(summary));
-                *shared = Arc::new(map);
-            }
+        let (summaries, reduced) = run_pairs(
+            &self.system.schema,
+            &pairs,
+            self.config.threads,
+            |p, snapshot| {
+                let task = pairs[p].0;
+                let verifier = TaskVerifier::new(
+                    self.system,
+                    &self.config,
+                    &contexts[&task],
+                    task,
+                    pairs[p].1.clone(),
+                    pc.phi(task),
+                    &buchis[p],
+                    snapshot,
+                    contexts,
+                    dead,
+                );
+                let graph = verifier.build_graph();
+                // The pair's queries share one Karp–Miller scratch
+                // allocation; `reduce_queries` needs their results in
+                // initial-state order.
+                let mut shared = verifier.prepare_shared(&graph);
+                let per_init = (0..graph.initial_count())
+                    .map(|pos| verifier.init_queries_shared(&graph, pos, &mut shared));
+                TaskVerifier::reduce_queries(&graph, per_init)
+            },
             // No pair of this task runs again: drop its post-state lists so
             // peak memory does not grow with the hierarchy.
-            contexts[&task].clear_post_states();
-            if let Some(parent) = schema.task(task).parent {
-                if pending_children[&parent].fetch_sub(1, Ordering::SeqCst) == 1 {
-                    for &q in &task_pairs[&parent] {
-                        handle.push(q);
-                    }
-                }
-            }
-        });
+            |task| contexts[&task].clear_post_states(),
+        );
 
         // Deterministic aggregation: walk the canonical pair order.
         let mut stats = Stats::default();
-        for (p, slot) in reduced.into_iter().enumerate() {
-            let pair = slot
-                .into_inner()
-                .expect("pair slot poisoned")
-                .expect("scheduler reduced every pair");
-            let (task, beta) = &pairs[p];
-            self.debug_pair(*task, beta, pair.total, pair.returning, &pair.stats);
+        for ((task, beta), pair) in pairs.iter().zip(&reduced) {
+            self.debug_pair(*task, beta, pair);
             stats.absorb(&pair.stats);
         }
-        let summaries = committed.into_inner().expect("summary map poisoned");
-        (
-            Arc::try_unwrap(summaries).unwrap_or_else(|shared| (*shared).clone()),
-            stats,
-        )
+        (summaries, stats)
     }
 
-    /// `HAS_VERIFIER_DEBUG` trace line for one reduced `(T, β)` pair, with
-    /// its entry counts precomputed: the scheduler moves a pair's entries
-    /// into the task summary at commit time and keeps only these counts for
-    /// the post-pool trace. The β is the pair's actual assignment, and the
+    /// `HAS_VERIFIER_DEBUG` trace line for one reduced `(T, β)` pair, from
+    /// the entry counts the scheduler kept when it moved the pair's entries
+    /// into the task summary. The β is the pair's actual assignment, and the
     /// variable is treated as a switch: unset, empty, or `0` disables the
     /// trace.
-    fn debug_pair(
-        &self,
-        task: TaskId,
-        beta: &[bool],
-        entries: usize,
-        returning: usize,
-        stats: &Stats,
-    ) {
+    fn debug_pair(&self, task: TaskId, beta: &[bool], pair: &ReducedPair) {
         if !verifier_debug_enabled() {
             return;
         }
@@ -536,9 +436,9 @@ impl<'a> Verifier<'a> {
             "[has-core] task {} beta {:?}: {} entries ({} returning), {}",
             self.system.schema.task(task).name,
             beta,
-            entries,
-            returning,
-            stats
+            pair.total,
+            pair.returning,
+            pair.stats
         );
     }
 
@@ -590,11 +490,179 @@ fn verifier_debug_enabled() -> bool {
         .unwrap_or(false)
 }
 
+/// A pair's reduced result. `entries` is *moved* into the task summary when
+/// the task commits (leaving this empty), so the entry list exists once; the
+/// counts stay behind for the deterministic post-schedule debug trace.
+struct ReducedPair {
+    entries: Vec<RtEntry>,
+    stats: Stats,
+    total: usize,
+    returning: usize,
+}
+
+/// The scheduler's whole shared state, behind its one lock.
+struct Board {
+    /// Released pair jobs; workers pop the newest first.
+    ready: Vec<usize>,
+    /// Jobs popped but not yet stored.
+    running: usize,
+    /// Set when a pair job panicked: idle workers exit instead of waiting.
+    failed: bool,
+    /// Per task: children that have not committed yet (its pairs are
+    /// released when this hits zero).
+    pending_children: BTreeMap<TaskId, usize>,
+    /// Per task: pairs not reduced yet (the summary commits when this hits
+    /// zero).
+    remaining_pairs: BTreeMap<TaskId, usize>,
+    /// Committed summaries. A job clones the `Arc`, not the map, so its
+    /// snapshot holds every child it can ever look up; a commit copies the
+    /// map only while some running job still holds the old snapshot.
+    committed: Arc<SummaryMap>,
+    /// Reduced pairs by canonical position.
+    reduced: Vec<Option<ReducedPair>>,
+}
+
+/// The readiness scheduler: runs every pair job of `pairs` (canonical
+/// order — tasks bottom-up, β in enumeration order) and returns the
+/// committed summaries with the reduced pairs in canonical order.
+///
+/// `run_pair(p, snapshot)` computes pair `p` against the summaries
+/// committed so far. A task's pairs are released the moment its last child
+/// commits; the task commits (its pairs' entries concatenated in β order,
+/// then `on_commit(task)`) when its last pair lands. All bookkeeping sits
+/// behind one `Mutex`, and one `Condvar` wakes idle workers; jobs run
+/// outside the lock.
+///
+/// One worker runs per pair job at most, up to `threads`. With one worker
+/// the loop runs inline on the calling thread and nothing is spawned:
+/// leaves run in canonical order and a released task's pairs run next,
+/// newest first (the ready list is a stack).
+///
+/// # Panics
+/// A panicking `run_pair` stops the other workers from taking new jobs and
+/// is propagated to the caller.
+fn run_pairs<R, C>(
+    schema: &ArtifactSchema,
+    pairs: &[(TaskId, Vec<bool>)],
+    threads: usize,
+    run_pair: R,
+    on_commit: C,
+) -> (SummaryMap, Vec<ReducedPair>)
+where
+    R: Fn(usize, Arc<SummaryMap>) -> (Vec<RtEntry>, Stats) + Sync,
+    C: Fn(TaskId) + Sync,
+{
+    let mut task_pairs: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
+    for (p, (t, _)) in pairs.iter().enumerate() {
+        task_pairs.entry(*t).or_default().push(p);
+    }
+    let board = Mutex::new(Board {
+        // Reversed, so the stack pops the leaves' pairs in canonical order.
+        ready: (0..pairs.len())
+            .rev()
+            .filter(|&p| schema.task(pairs[p].0).children.is_empty())
+            .collect(),
+        running: 0,
+        failed: false,
+        pending_children: task_pairs
+            .keys()
+            .map(|&t| (t, schema.task(t).children.len()))
+            .collect(),
+        remaining_pairs: task_pairs.iter().map(|(&t, ps)| (t, ps.len())).collect(),
+        committed: Arc::new(SummaryMap::new()),
+        reduced: pairs.iter().map(|_| None).collect(),
+    });
+    let wake = Condvar::new();
+
+    let work = || {
+        let mut guard = board.lock().expect("scheduler board poisoned");
+        loop {
+            if guard.failed {
+                return;
+            }
+            let Some(p) = guard.ready.pop() else {
+                if guard.running == 0 {
+                    // Nothing ready and nothing in flight: drained.
+                    wake.notify_all();
+                    return;
+                }
+                guard = wake.wait(guard).expect("scheduler board poisoned");
+                continue;
+            };
+            guard.running += 1;
+            let snapshot = Arc::clone(&guard.committed);
+            drop(guard);
+            let result = catch_unwind(AssertUnwindSafe(|| run_pair(p, snapshot)));
+            guard = board.lock().expect("scheduler board poisoned");
+            guard.running -= 1;
+            let (entries, stats) = match result {
+                Ok(reduced) => reduced,
+                Err(payload) => {
+                    guard.failed = true;
+                    drop(guard);
+                    wake.notify_all();
+                    resume_unwind(payload);
+                }
+            };
+            let b = &mut *guard;
+            b.reduced[p] = Some(ReducedPair {
+                total: entries.len(),
+                returning: entries.iter().filter(|e| e.output.is_some()).count(),
+                entries,
+                stats,
+            });
+            let task = pairs[p].0;
+            if !count_down(&mut b.remaining_pairs, task) {
+                continue;
+            }
+            let mut summary = TaskSummary::default();
+            for &q in &task_pairs[&task] {
+                let pair = b.reduced[q].as_mut().expect("pair reduced");
+                summary.entries.append(&mut pair.entries);
+            }
+            Arc::make_mut(&mut b.committed).insert(task, Arc::new(summary));
+            on_commit(task);
+            if let Some(parent) = schema.task(task).parent {
+                if count_down(&mut b.pending_children, parent) {
+                    b.ready.extend(&task_pairs[&parent]);
+                    wake.notify_all();
+                }
+            }
+        }
+    };
+
+    let workers = threads.clamp(1, pairs.len().max(1));
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
+    let board = board.into_inner().expect("scheduler board poisoned");
+    let reduced = board
+        .reduced
+        .into_iter()
+        .map(|slot| slot.expect("scheduler reduced every pair"))
+        .collect();
+    (Arc::unwrap_or_clone(board.committed), reduced)
+}
+
+/// Decrements `task`'s counter; true when it reaches zero.
+fn count_down(counts: &mut BTreeMap<TaskId, usize>, task: TaskId) -> bool {
+    let count = counts.get_mut(&task).expect("every task has pairs");
+    *count -= 1;
+    *count == 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use has_ltl::hltl::HltlBuilder;
     use has_model::{Condition, SetUpdate, SystemBuilder};
+    use std::sync::Barrier;
 
     /// A single-task system with one flag that is set by a service and never
     /// unset: `F set` should hold on every infinite run... except runs where
@@ -777,6 +845,115 @@ mod tests {
         let property = hb.finish(set.clone().and(set.not()).eventually().globally());
         let outcome = Verifier::new(&system, &property).verify();
         assert!(!outcome.holds);
+    }
+
+    /// Three levels: the root `R` has children `M` and `C`, and `M` has the
+    /// leaf `L`. The pairs are listed in a canonical (children-first) order:
+    /// `L` 0, `M` 1–2, `C` 3–4, `R` 5–6.
+    fn three_level_pairs() -> (ArtifactSystem, Vec<(TaskId, Vec<bool>)>) {
+        let mut b = SystemBuilder::new("levels");
+        let r = b.root_task("R");
+        let m = b.child_task(r, "M");
+        let l = b.child_task(m, "L");
+        let c = b.child_task(r, "C");
+        let system = b.build().unwrap();
+        let pairs = [(l, 1), (m, 2), (c, 2), (r, 2)]
+            .into_iter()
+            .flat_map(|(t, n)| (0..n).map(move |i| (t, vec![i == 1])))
+            .collect();
+        (system, pairs)
+    }
+
+    /// At one worker every job runs on the calling thread in the order the
+    /// readiness scheduler has always used: leaves in canonical order, and a
+    /// released task's pairs right away, newest first — `M`'s pairs run
+    /// before the leaf `C`'s. Tasks commit as their last pair lands, which
+    /// is where their post-state caches are cleared.
+    #[test]
+    fn one_worker_runs_inline_in_release_order() {
+        let (system, pairs) = three_level_pairs();
+        let caller = std::thread::current().id();
+        let ran = Mutex::new(Vec::new());
+        let committed = Mutex::new(Vec::new());
+        let (summaries, reduced) = run_pairs(
+            &system.schema,
+            &pairs,
+            1,
+            |p, snapshot| {
+                assert_eq!(std::thread::current().id(), caller);
+                ran.lock().unwrap().push((p, snapshot.len()));
+                (Vec::new(), Stats::default())
+            },
+            |task| {
+                committed
+                    .lock()
+                    .unwrap()
+                    .push(system.schema.task(task).name.clone())
+            },
+        );
+        // Each job sees the summaries committed before it started.
+        assert_eq!(
+            ran.into_inner().unwrap(),
+            [(0, 0), (2, 1), (1, 1), (3, 2), (4, 2), (6, 3), (5, 3)]
+        );
+        assert_eq!(committed.into_inner().unwrap(), ["L", "M", "C", "R"]);
+        assert_eq!(summaries.len(), 4);
+        assert_eq!(reduced.len(), pairs.len());
+    }
+
+    /// Workers are capped by the number of pair jobs: a one-pair system
+    /// runs inline even when eight threads are allowed.
+    #[test]
+    fn one_pair_runs_inline_at_any_thread_count() {
+        let (system, _) = flag_system();
+        let caller = std::thread::current().id();
+        let (summaries, _) = run_pairs(
+            &system.schema,
+            &[(system.root(), Vec::new())],
+            8,
+            |_, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                (Vec::new(), Stats::default())
+            },
+            |_| {},
+        );
+        assert_eq!(summaries.len(), 1);
+    }
+
+    /// A panicking pair job reaches the caller instead of leaving the other
+    /// workers waiting for a task that can never commit. With several
+    /// workers the panic is forced to land while another worker is parked:
+    /// the leaf `L`'s job waits until `C` commits, and `C`'s worker, holding
+    /// the lock until it parks (nothing else is ready), must be woken.
+    #[test]
+    fn pair_panic_propagates_at_every_thread_count() {
+        let (system, pairs) = three_level_pairs();
+        let c = system.schema.task_by_name("C").unwrap();
+        for threads in [1, 2, 8] {
+            let c_committed = Barrier::new(2);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_pairs(
+                    &system.schema,
+                    &pairs,
+                    threads,
+                    |p, _| {
+                        if p == 0 {
+                            if threads > 1 {
+                                c_committed.wait();
+                            }
+                            panic!("pair 0 fails");
+                        }
+                        (Vec::new(), Stats::default())
+                    },
+                    |task| {
+                        if threads > 1 && task == c {
+                            c_committed.wait();
+                        }
+                    },
+                )
+            }));
+            assert!(result.is_err(), "threads={threads}");
+        }
     }
 
     #[test]

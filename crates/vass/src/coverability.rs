@@ -328,7 +328,7 @@ impl CoverabilityGraph {
 
     /// Builds the coverability graph of `vass` from `(init, 0̄)`.
     pub fn build(vass: &Vass, init: usize) -> Self {
-        Self::build_exact(vass, init, usize::MAX, None)
+        Self::build_capped(vass, init, usize::MAX)
     }
 
     /// Like [`CoverabilityGraph::build`], but never creates more than
@@ -339,16 +339,8 @@ impl CoverabilityGraph {
     /// reports [`Self::capped`]; callers that rely on exhaustiveness should
     /// pass `usize::MAX`.
     pub fn build_capped(vass: &Vass, init: usize, max_nodes: usize) -> Self {
-        Self::build_exact(vass, init, max_nodes, None)
-    }
-
-    /// Like [`CoverabilityGraph::build`], but stops as soon as a node with
-    /// control state `target` is interned. The resulting graph is partial:
-    /// it is only useful for answering "is `target` coverable?" and for
-    /// extracting a witness path to `target` ([`Self::path_to_state`]) —
-    /// both of which only need the prefix built so far.
-    pub fn build_to_state(vass: &Vass, init: usize, target: usize) -> Self {
-        Self::build_exact(vass, init, usize::MAX, Some(target))
+        let mut scratch = KmScratch::new(vass);
+        Self::build_inner(vass, init, max_nodes, &mut scratch, false)
     }
 
     /// The subsumption-pruned build from `(init, 0̄)` with at most
@@ -372,12 +364,7 @@ impl CoverabilityGraph {
             "scratch created for another VASS"
         );
         scratch.antichains.current += 1;
-        Self::build_inner(vass, init, max_nodes, None, scratch, true)
-    }
-
-    fn build_exact(vass: &Vass, init: usize, max_nodes: usize, stop_at: Option<usize>) -> Self {
-        let mut scratch = KmScratch::new(vass);
-        Self::build_inner(vass, init, max_nodes, stop_at, &mut scratch, false)
+        Self::build_inner(vass, init, max_nodes, scratch, true)
     }
 
     /// The one Karp–Miller loop behind both builds; `prune` selects the
@@ -386,7 +373,6 @@ impl CoverabilityGraph {
         vass: &Vass,
         init: usize,
         max_nodes: usize,
-        stop_at: Option<usize>,
         scratch: &mut KmScratch,
         prune: bool,
     ) -> Self {
@@ -409,9 +395,6 @@ impl CoverabilityGraph {
         };
         if let Some(antichains) = antichains.as_deref_mut() {
             antichains.of(init).push(root);
-        }
-        if stop_at == Some(init) {
-            return graph;
         }
         // Retro-pruned nodes, never expanded: the ε-jump to the dominator
         // stands in for the whole subtree (monotonicity).
@@ -479,9 +462,6 @@ impl CoverabilityGraph {
                 pruned.push(false);
                 if let Some(antichains) = antichains.as_deref_mut() {
                     graph.retro_prune(antichains.of(action.to), target, &mut pruned);
-                }
-                if stop_at == Some(action.to) {
-                    return graph;
                 }
             }
         }
@@ -863,24 +843,6 @@ mod tests {
         }
         // Uncapped, the graph has the root plus all eight targets.
         assert_eq!(CoverabilityGraph::build(&v, 0).node_count(), 9);
-    }
-
-    #[test]
-    fn build_to_state_stops_early() {
-        // A chain 0 → 1 → … with a huge branching side-structure after the
-        // target: stopping at state 1 must not explore the rest.
-        let mut v = Vass::new(12, 2);
-        v.add_action(0, vec![1, 0], 1);
-        for s in 1..11 {
-            v.add_action(s, vec![0, 1], s + 1);
-            v.add_action(s, vec![1, 1], s);
-        }
-        let g = CoverabilityGraph::build_to_state(&v, 0, 1);
-        assert!(g.nodes().any(|n| n.state == 1));
-        let full = CoverabilityGraph::build(&v, 0);
-        assert!(g.node_count() < full.node_count());
-        // The partial graph still yields a witness path.
-        assert_eq!(g.path_to_state(1).unwrap().len(), 1);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   ω-acceleration, built exactly or with antichain subsumption pruning
 //!   ([`CoverabilityGraph::build_pruned`], the build behind every Lemma 21
 //!   query of the verifier);
-//! * [`Vass::state_reachable`] — control-state reachability (used for the
-//!   *returning* and *blocking* paths of Lemma 21);
+//! * [`Vass::state_reachable`] — control-state reachability over the exact
+//!   build (the question behind the *returning* and *blocking* paths of
+//!   Lemma 21, which the verifier answers on its pruned builds);
 //! * [`Vass::state_repeated_reachable`] — repeated reachability (the *lasso*
 //!   paths of Lemma 21): a reachable configuration with control state `q_f`
 //!   from which the same control state is reached again with componentwise

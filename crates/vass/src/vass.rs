@@ -103,17 +103,11 @@ impl Vass {
 
     /// Decides control-state reachability from `(init, 0̄)`: is there a run
     /// reaching some configuration with control state `target`?
-    ///
-    /// The coverability-graph construction stops as soon as the target is
-    /// discovered ([`CoverabilityGraph::build_to_state`]) rather than
-    /// building the whole graph.
     pub fn state_reachable(&self, init: usize, target: usize) -> bool {
-        if init == target {
-            return true;
-        }
-        let graph = CoverabilityGraph::build_to_state(self, init, target);
-        let reachable = graph.nodes().any(|n| n.state == target);
-        reachable
+        init == target
+            || CoverabilityGraph::build(self, init)
+                .nodes()
+                .any(|n| n.state == target)
     }
 
     /// Decides state repeated reachability from `(init, 0̄)`: is there a run

@@ -19,7 +19,7 @@
 //! * the full edge list `(from, action, to)`;
 //! * the coverability answers of every control state, and the chosen
 //!   reachability witness paths;
-//! * the capped variants (`build_capped`, `build_to_state`).
+//! * the capped variant (`build_capped`).
 
 use has_vass::{CoverabilityGraph, Marking, Vass, OMEGA};
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ fn leq(a: &Marking, b: &Marking) -> bool {
 }
 
 impl RefGraph {
-    fn build(vass: &Vass, init: usize, max_nodes: usize, stop_at: Option<usize>) -> Self {
+    fn build(vass: &Vass, init: usize, max_nodes: usize) -> Self {
         let mut graph = RefGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -78,9 +78,6 @@ impl RefGraph {
         let root = graph
             .intern(init, root_marking, None, None, max_nodes)
             .expect("first intern under non-zero cap");
-        if stop_at == Some(init) {
-            return graph;
-        }
         let mut worklist = VecDeque::from([root]);
         let mut expanded = vec![false; 1];
 
@@ -123,9 +120,6 @@ impl RefGraph {
                 if !existed {
                     expanded.push(false);
                     worklist.push_back(target);
-                    if stop_at == Some(action.to) {
-                        return graph;
-                    }
                 }
             }
         }
@@ -206,28 +200,21 @@ proptest! {
 
     #[test]
     fn full_graphs_are_identical(vass in arb_vass(4, 2)) {
-        let reference = RefGraph::build(&vass, 0, usize::MAX, None);
+        let reference = RefGraph::build(&vass, 0, usize::MAX);
         let dense = CoverabilityGraph::build(&vass, 0);
         assert_same(&reference, &dense);
     }
 
     #[test]
     fn capped_graphs_are_identical(vass in arb_vass(4, 2), cap in 0usize..12) {
-        let reference = RefGraph::build(&vass, 0, cap, None);
+        let reference = RefGraph::build(&vass, 0, cap);
         let dense = CoverabilityGraph::build_capped(&vass, 0, cap);
         assert_same(&reference, &dense);
     }
 
     #[test]
-    fn target_stopped_graphs_are_identical(vass in arb_vass(4, 2), target in 0usize..4) {
-        let reference = RefGraph::build(&vass, 0, usize::MAX, Some(target));
-        let dense = CoverabilityGraph::build_to_state(&vass, 0, target);
-        assert_same(&reference, &dense);
-    }
-
-    #[test]
     fn coverability_answers_and_witnesses_agree(vass in arb_vass(4, 2)) {
-        let reference = RefGraph::build(&vass, 0, usize::MAX, None);
+        let reference = RefGraph::build(&vass, 0, usize::MAX);
         let dense = CoverabilityGraph::build(&vass, 0);
         for state in 0..4 {
             let ref_path = reference.path_to_state(state);

@@ -171,7 +171,7 @@ fn arb_params() -> impl Strategy<Value = GeneratorParams> {
         ],
         any::<bool>(),
         any::<bool>(),
-        // Depth up to 3 so the work-stealing scheduler sees multi-level
+        // Depth up to 3 so the readiness scheduler sees multi-level
         // readiness chains (not just leaf + root) on generated instances.
         1usize..=3,
         1usize..=2,
