@@ -13,9 +13,7 @@
 
 use has_analysis::{analyze, Severity};
 use has_arith::{CellSet, LinExpr, Rational};
-use has_bench::{
-    bench_config, engine_modes, fast_config, measure, write_records, BenchRecord, Measurement,
-};
+use has_bench::{bench_config, fast_config, measure, write_records, BenchRecord, Measurement};
 use has_core::{Outcome, Verifier, VerifierConfig};
 use has_corpus::{fuzz, FuzzOptions};
 use has_model::SchemaClass;
@@ -69,31 +67,21 @@ fn grid_params(arithmetic: bool) -> Vec<GeneratorParams> {
     out
 }
 
-fn table_grid(arithmetic: bool, threads: usize) -> Vec<Measurement> {
-    let mut rows = Vec::new();
+fn exp_table(name: &str, arithmetic: bool, rec: &mut Recorder) {
     for params in grid_params(arithmetic) {
         let generated = params.generate();
         let config = VerifierConfig {
             use_cells: arithmetic,
             ..bench_config()
-        }
-        .with_threads(threads);
-        rows.push(measure(
+        };
+        let row = measure(
             &generated.label,
             &generated.system,
             &generated.property,
             config,
-        ));
-    }
-    rows
-}
-
-fn exp_table(name: &str, arithmetic: bool, rec: &mut Recorder) {
-    for (_, threads) in engine_modes() {
-        for row in table_grid(arithmetic, threads) {
-            rec.measurement(name, &row);
-            println!("{}", row.row());
-        }
+        );
+        rec.measurement(name, &row);
+        println!("{}", row.row());
     }
 }
 
@@ -114,113 +102,27 @@ fn exp_table2(rec: &mut Recorder) {
 fn exp_travel(rec: &mut Recorder) {
     println!("== EXP-F1: travel booking (Appendix A) — buggy vs fixed ==");
     println!("{}", Measurement::header());
-    for (_, threads) in engine_modes() {
-        for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
-            let t = travel_booking(variant);
-            let property = travel_property(&t);
-            let row = measure(
-                &format!("travel-booking/{variant:?}"),
-                &t.system,
-                &property,
-                fast_config().with_threads(threads),
-            );
-            rec.measurement("travel", &row);
-            println!("{}", row.row());
-        }
-        // The orders workload doubles as a second realistic process.
-        let o = order_fulfilment();
-        for (name, property) in [
-            ("orders/ship-after-quote", ship_after_quote_property(&o)),
-            ("orders/never-enqueue(false)", never_enqueue_property(&o)),
-        ] {
-            let row = measure(
-                name,
-                &o.system,
-                &property,
-                bench_config().with_threads(threads),
-            );
-            rec.measurement("travel", &row);
-            println!("{}", row.row());
-        }
-    }
-    println!();
-}
-
-/// EXP-P1 — wall-clock scaling of the parallel engine over the Tables 1/2
-/// grids plus the deep-narrow chain. One row per thread count with each
-/// workload's total verification time and the speedup relative to one
-/// worker. (On a single-core host the speedups hover around
-/// 1.0× — the jobs timeshare one CPU.)
-///
-/// The `deep(d6w1)` column is the family the readiness scheduler exists
-/// for: a chain of six tasks has one task per hierarchy level, so PR 3's
-/// level barriers exposed almost no job supply per level and serialized the
-/// run; the readiness scheduler starts each task's pairs the moment its
-/// children commit instead (DESIGN.md §5.6). The `workers` column is the
-/// configured count; the scheduler runs at most one worker per pair job.
-fn exp_scaling(rec: &mut Recorder) {
-    println!("== EXP-P1: parallel engine scaling — speedup vs thread count ==");
-    println!(
-        "{:<10} {:>8} {:>14} {:>9} {:>14} {:>9} {:>14} {:>9}",
-        "threads",
-        "workers",
-        "table1(ms)",
-        "speedup",
-        "table2(ms)",
-        "speedup",
-        "deep(d6w1,ms)",
-        "speedup"
-    );
-    let grid_time = |arithmetic: bool, threads: usize| -> f64 {
-        table_grid(arithmetic, threads)
-            .iter()
-            .map(|m| m.time.as_secs_f64())
-            .sum::<f64>()
-            * 1000.0
-    };
-    let deep = GeneratorParams::deep_narrow(6).generate();
-    let deep_time = |threads: usize| -> f64 {
-        measure(
-            &deep.label,
-            &deep.system,
-            &deep.property,
-            fast_config().with_threads(threads),
-        )
-        .time
-        .as_secs_f64()
-            * 1000.0
-    };
-    // Warm-up pass over every workload so first-touch effects (page faults,
-    // lazy allocation) do not contaminate the threads = 1 baselines.
-    let _ = grid_time(false, 1);
-    let _ = grid_time(true, 1);
-    let _ = deep_time(1);
-    let mut baseline: Option<(f64, f64, f64)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let t1 = grid_time(false, threads);
-        let t2 = grid_time(true, threads);
-        let td = deep_time(threads);
-        let (b1, b2, bd) = *baseline.get_or_insert((t1, t2, td));
-        for (workload, total) in [("table1", t1), ("table2", t2), ("deep-d6w1", td)] {
-            rec.raw(BenchRecord {
-                experiment: "scaling".to_string(),
-                label: format!("{workload}/threads={threads}"),
-                time_ms: total,
-                threads: Some(threads),
-                ..BenchRecord::default()
-            });
-        }
-        println!(
-            "{:<10} {:>8} {:>14.1} {:>8.2}x {:>14.1} {:>8.2}x {:>14.1} {:>8.2}x",
-            threads,
-            threads,
-            t1,
-            b1 / t1,
-            t2,
-            b2 / t2,
-            td,
-            bd / td
+    for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
+        let t = travel_booking(variant);
+        let property = travel_property(&t);
+        let row = measure(
+            &format!("travel-booking/{variant:?}"),
+            &t.system,
+            &property,
+            fast_config(),
         );
+        rec.measurement("travel", &row);
+        println!("{}", row.row());
+    }
+    // The orders workload doubles as a second realistic process.
+    let o = order_fulfilment();
+    for (name, property) in [
+        ("orders/ship-after-quote", ship_after_quote_property(&o)),
+        ("orders/never-enqueue(false)", never_enqueue_property(&o)),
+    ] {
+        let row = measure(name, &o.system, &property, bench_config());
+        rec.measurement("travel", &row);
+        println!("{}", row.row());
     }
     println!();
 }
@@ -438,7 +340,6 @@ fn exp_projection(rec: &mut Recorder) {
         max_successors: 48,
         max_control_states: 20_000,
         km_node_cap: 50_000,
-        threads: 1,
         ..VerifierConfig::default()
     };
     let row = measure("travel-A.2", &t.system, &property, config);
@@ -451,7 +352,7 @@ fn exp_projection(rec: &mut Recorder) {
 /// ground-truth corpus (DESIGN.md §5.10): every sampled instance carries a
 /// certificate (clean by construction, or exactly one planted violation with
 /// its kind and originating task), and every instance runs through the full
-/// configuration matrix — threads × witnesses — with each
+/// configuration matrix — witnesses off and on — with each
 /// reconstructed witness tree replayed through the `has-sim` executor and
 /// judged by the runtime monitor. Prints the per-certificate-kind
 /// scoreboard and exits with status 1 on any soundness mismatch — which is
@@ -463,7 +364,7 @@ fn exp_fuzz(rec: &mut Recorder) {
         .map(|v| v == "1")
         .unwrap_or(false);
     // The smoke batch runs 24 instances (four full plant rotations, so
-    // every certificate kind is scored evenly) over the 4-point matrix,
+    // every certificate kind is scored evenly) over the 2-point matrix,
     // well within CI's `timeout 120`; the deep sweep covers the acceptance
     // bar of ≥1,000 instances.
     let opts = FuzzOptions {
@@ -555,7 +456,6 @@ const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("gadget", exp_gadget),
     ("vass", exp_vass),
     ("cells", exp_cells),
-    ("scaling", exp_scaling),
     ("analyze", exp_analyze),
     ("projection", exp_projection),
     ("fuzz", exp_fuzz),

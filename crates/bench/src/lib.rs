@@ -29,8 +29,6 @@ pub struct Measurement {
     pub holds: bool,
     /// Wall-clock time.
     pub time: Duration,
-    /// Worker threads the verifier ran with (`1` = one inline worker).
-    pub threads: usize,
     /// Symbolic control states constructed across all per-task VASS.
     pub control_states: usize,
     /// Karp–Miller coverability-graph nodes.
@@ -58,10 +56,9 @@ impl Measurement {
     /// One formatted row for the `tables` binary.
     pub fn row(&self) -> String {
         format!(
-            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9.1}",
+            "{:<42} {:>7} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9.1}",
             self.label,
             if self.holds { "holds" } else { "viol." },
-            self.threads,
             self.control_states,
             self.coverability_nodes,
             self.counter_dimensions,
@@ -75,10 +72,9 @@ impl Measurement {
     /// The header matching [`Measurement::row`].
     pub fn header() -> String {
         format!(
-            "{:<42} {:>7} {:>4} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9}",
+            "{:<42} {:>7} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9}",
             "instance",
             "result",
-            "thr",
             "states",
             "km-nodes",
             "dims",
@@ -105,8 +101,6 @@ pub struct BenchRecord {
     pub time_ms: f64,
     /// Whether the verified property holds (verifier rows only).
     pub holds: Option<bool>,
-    /// Worker threads (verifier rows only).
-    pub threads: Option<usize>,
     /// Symbolic control states (verifier rows only).
     pub control_states: Option<usize>,
     /// Karp–Miller coverability nodes.
@@ -140,7 +134,6 @@ impl BenchRecord {
             label: m.label.clone(),
             time_ms: m.time.as_secs_f64() * 1000.0,
             holds: Some(m.holds),
-            threads: Some(m.threads),
             control_states: Some(m.control_states),
             km_nodes: Some(m.coverability_nodes),
             counter_dims: Some(m.counter_dimensions),
@@ -164,9 +157,6 @@ impl BenchRecord {
         );
         if let Some(holds) = self.holds {
             let _ = write!(out, ",\"holds\":{holds}");
-        }
-        if let Some(threads) = self.threads {
-            let _ = write!(out, ",\"threads\":{threads}");
         }
         if let Some(states) = self.control_states {
             let _ = write!(out, ",\"control_states\":{states}");
@@ -260,7 +250,6 @@ pub fn measure(
     property: &HltlFormula,
     config: VerifierConfig,
 ) -> Measurement {
-    let threads = config.threads.max(1);
     let start = Instant::now();
     let outcome: Outcome = Verifier::with_config(system, property, config).verify();
     let time = start.elapsed();
@@ -268,7 +257,6 @@ pub fn measure(
         label: label.to_string(),
         holds: outcome.holds,
         time,
-        threads,
         control_states: outcome.stats.control_states,
         coverability_nodes: outcome.stats.coverability_nodes,
         counter_dimensions: outcome.stats.counter_dimensions,
@@ -280,15 +268,6 @@ pub fn measure(
     }
 }
 
-/// The engine modes the `tables` sweeps report: one worker and the
-/// default worker count, floored at two workers — even on a single-core
-/// machine (or under `HAS_THREADS=1`) the `par` mode must spawn real
-/// threads, since a one-worker pool runs inline on the calling thread.
-pub fn engine_modes() -> Vec<(&'static str, usize)> {
-    let par = VerifierConfig::default_threads().max(2);
-    vec![("seq", 1), ("par", par)]
-}
-
 /// The verifier configuration used by the benchmarks: modest caps so the
 /// sweeps finish quickly while the *relative* cost ordering remains visible.
 pub fn bench_config() -> VerifierConfig {
@@ -296,10 +275,6 @@ pub fn bench_config() -> VerifierConfig {
         max_successors: 48,
         max_control_states: 3_000,
         km_node_cap: 20_000,
-        // Benchmarks pin one worker by default so rows are comparable
-        // across machines; the multi-worker mode is always reported
-        // explicitly (see `engine_modes` and EXP-P1).
-        threads: 1,
         ..VerifierConfig::default()
     }
 }
@@ -314,7 +289,6 @@ pub fn fast_config() -> VerifierConfig {
         max_successors: 24,
         max_control_states: 800,
         km_node_cap: 4_000,
-        threads: 1,
         ..VerifierConfig::default()
     }
 }

@@ -27,12 +27,11 @@
 //! catalogued in DESIGN.md §5 together with the direction in which each can
 //! affect precision.
 //!
-//! The engine runs on one readiness scheduler with up to
-//! [`VerifierConfig::threads`] workers (one worker runs inline): the
-//! `(T, β)` explorations of a task are independent given its children's
-//! committed `R_T`, so they are released as soon as those commit. The
-//! reported [`Outcome`] and [`Stats`] are identical at every thread count —
-//! DESIGN.md §5.6 states the determinism contract.
+//! The engine is one bottom-up loop on the calling thread: tasks children
+//! first, each task's `(T, β)` pairs in β-enumeration order, and a task's
+//! `R_T` committed after its last pair. The reported [`Outcome`] and
+//! [`Stats`] are identical from run to run — DESIGN.md §5.6 states the
+//! determinism contract.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -6,7 +6,7 @@
 //! (prefix + pump cycle or blocking point) with one nested node per child
 //! call on the run, down to the task where the violation actually
 //! originates. DESIGN.md §5.7 describes the reconstruction and how the
-//! chosen counterexample stays byte-identical at every thread count.
+//! chosen counterexample stays byte-identical from run to run.
 
 use has_model::TaskId;
 use has_symbolic::{ProjectionKey, SymState};
@@ -337,8 +337,8 @@ pub struct Stats {
     /// task, the service and the pre-state's input projection, and is
     /// enumerated once per `verify` call: the task context's cache shares
     /// it between all of the task's `(T, β)` pairs (DESIGN.md §5.13). The
-    /// aggregate is the number of distinct keys; which pair's statistics
-    /// record a given enumeration can vary at `threads > 1`.
+    /// aggregate is the number of distinct keys, and each enumeration is
+    /// recorded by the first pair in canonical order that asks for it.
     pub post_enumerations: usize,
     /// Post-state lookups served without enumerating: from the pair's own
     /// memo, or from the task's cache after another pair (or an earlier
@@ -350,10 +350,9 @@ impl Stats {
     /// Merges another statistics record into this one.
     ///
     /// The merge is associative and commutative (every field is a plain
-    /// count, combined by addition), which is what lets the scheduler
-    /// combine per-`(T, β)` statistics in *any* completion order and still
-    /// produce aggregates identical at every thread count — see DESIGN.md
-    /// §5.6 for the determinism contract this supports.
+    /// count, combined by addition), so the per-`(T, β)` statistics sum to
+    /// the same aggregate in any grouping — see DESIGN.md §5.6 for the
+    /// determinism contract this supports.
     pub fn absorb(&mut self, other: &Stats) {
         self.control_states += other.control_states;
         self.transitions += other.transitions;

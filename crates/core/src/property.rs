@@ -15,16 +15,14 @@ use std::sync::Arc;
 /// and a cache of Büchi automata per `(task, β)`.
 ///
 /// The contexts and the cached automata are the schema-wide tables every
-/// `(T, β)` exploration reads; both are reference-counted so the parallel
-/// engine can hand the same instances to all workers instead of deep-cloning
-/// them per assignment (DESIGN.md §2 lists which state is shared vs.
-/// per-worker).
+/// `(T, β)` exploration reads; both are reference-counted so every pair
+/// reads the same instances instead of deep-cloning them per assignment.
 pub struct PropertyContext {
     /// The flattened property.
     pub flat: FlattenedProperty,
     /// Symbolic context per task (for *all* tasks of the system, not only
-    /// those mentioned by the property), behind a shared handle: the
-    /// verifier's workers all read the same map.
+    /// those mentioned by the property), behind a shared handle: every
+    /// pair reads the same map.
     pub contexts: Arc<BTreeMap<TaskId, TaskContext>>,
     buchi_cache: BTreeMap<(TaskId, Vec<bool>), Arc<Buchi<TaskProp>>>,
 }
@@ -176,10 +174,10 @@ impl PropertyContext {
     /// The canonical `(task, β)` pair enumeration over a bottom-up task
     /// order: tasks in the given order, assignments in β-enumeration order.
     ///
-    /// The readiness scheduler indexes its result buffers by position in
-    /// this order and aggregates front to back — which is what makes the
-    /// determinism contract of DESIGN.md §5.6 a statement about
-    /// one fixed list rather than about scheduling. Witness reconstruction
+    /// The verifier's bottom-up pair loop runs, reduces and commits the
+    /// pairs front to back in this order — which is what makes the
+    /// determinism contract of DESIGN.md §5.6 a statement about one fixed
+    /// list. Witness reconstruction
     /// (§5.7) leans on the same order twice over: retained run details are
     /// reduced with their entries, and the descent reads the committed
     /// summary layout this order fixes.
@@ -192,9 +190,9 @@ impl PropertyContext {
 
     /// A shared handle to the cached `B(T, β)`.
     ///
-    /// The scheduler calls [`PropertyContext::precompute_automata`] once
-    /// and then distributes these handles to its workers, so every worker
-    /// reads the *same* automaton.
+    /// The verifier calls [`PropertyContext::precompute_automata`] once
+    /// and then hands these handles to its pairs, so every pair of one
+    /// `(task, β)` reads the *same* automaton.
     ///
     /// # Panics
     /// Panics if [`PropertyContext::precompute_automata`] has not run.
@@ -210,7 +208,7 @@ impl PropertyContext {
     ///
     /// This is exactly the set of automata one full verification run builds
     /// anyway; precomputing moves the only mutation of `self` ahead of the
-    /// fan-out so workers can share `&PropertyContext` immutably.
+    /// pair loop, which then shares `&PropertyContext` immutably.
     pub fn precompute_automata(&mut self) {
         let tasks: Vec<TaskId> = self.contexts.keys().copied().collect();
         for task in tasks {

@@ -48,10 +48,9 @@ pub struct QueryCost {
 }
 
 /// The bottom-up store of completed task summaries the verifier threads
-/// through the hierarchy: values are reference-counted so a scheduler can
-/// publish a new snapshot per committed task (a shallow map copy at most)
-/// without cloning any summary, and every [`TaskVerifier`] holds its own
-/// snapshot handle.
+/// through the hierarchy: values are reference-counted so committing a task
+/// never clones a summary, and every [`TaskVerifier`] holds a handle on the
+/// map it was built against.
 pub type SummaryMap = BTreeMap<TaskId, Arc<TaskSummary>>;
 
 /// Which of Lemma 21's non-returning path kinds were witnessed by a
@@ -89,9 +88,9 @@ impl NonReturningWitness {
 /// each [`WitnessStep::OpenChild`] records the child `R_T` tuple the run
 /// chose (input key, output, β), which identifies the child entry — and
 /// therefore the child's own retained details — in the committed summaries.
-/// The details ride inside the entry through the parallel engine's
-/// ordered-reduction buffers, so the reconstructed counterexample inherits
-/// the determinism contract of DESIGN.md §5.6 unchanged (see §5.7).
+/// The details ride inside the entry through the ordered reduction and
+/// commit, so the reconstructed counterexample inherits the determinism
+/// contract of DESIGN.md §5.6 unchanged (see §5.7).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EntryDetails {
     /// Steps from the initial state to the distinguished point: the closing
@@ -353,10 +352,9 @@ pub struct TaskVerifier<'a> {
     /// letter-stepping loops consult instead of `buchi`.
     cbuchi: CompiledBuchi,
     props: Vec<TaskProp>,
-    /// Snapshot of the completed child summaries this exploration reads.
-    /// Owned (not borrowed) so a scheduler job keeps the snapshot its graph
-    /// was built against while the published summary map keeps moving for
-    /// other tasks.
+    /// Handle on the completed child summaries this exploration reads.
+    /// Owned (not borrowed) so the caller decides how long the map lives;
+    /// the verifier drops it before it commits the next task.
     children: Arc<SummaryMap>,
     /// Child contexts (needed to transfer input patterns).
     child_contexts: &'a BTreeMap<TaskId, TaskContext>,
@@ -1352,7 +1350,7 @@ impl<'a> TaskVerifier<'a> {
     /// otherwise the first candidate in canonical order keeps its details.
     /// Because this reduction always runs over the canonical candidate
     /// order, the surviving details — and hence the reconstructed
-    /// counterexample — are identical at every thread count.
+    /// counterexample — are identical from run to run.
     pub fn reduce_queries(
         graph: &ExploredGraph,
         per_init: impl IntoIterator<Item = (Vec<RtEntry>, QueryCost)>,
@@ -1606,9 +1604,7 @@ mod tests {
         property: &has_ltl::HltlFormula,
         task: TaskId,
     ) -> usize {
-        let config = VerifierConfig::default()
-            .with_threads(1)
-            .with_witnesses(true);
+        let config = VerifierConfig::default().with_witnesses(true);
         let dead = has_analysis::analyze(system, Some(property)).dead;
         let mut pc = crate::property::PropertyContext::new(system, property, config.nav_depth);
         pc.precompute_automata();
@@ -1662,7 +1658,7 @@ mod tests {
     }
 
     /// Builds, queries and reduces one `(T, β)` pair on `pc` the way the
-    /// scheduler does.
+    /// verifier's pair loop does.
     fn run_pair(
         system: &ArtifactSystem,
         config: &VerifierConfig,
@@ -1697,7 +1693,7 @@ mod tests {
     #[test]
     fn warm_post_state_cache_builds_the_same_pair() {
         let (system, property) = booking();
-        let config = VerifierConfig::default().with_threads(1);
+        let config = VerifierConfig::default();
         let dead = has_analysis::analyze(&system, Some(&property)).dead;
         let prepare = || {
             let mut pc =

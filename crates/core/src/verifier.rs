@@ -6,13 +6,9 @@ use crate::property::PropertyContext;
 use crate::task_verifier::{RtEntry, SummaryMap, TaskSummary, TaskVerifier};
 use has_analysis::{DeadServiceMap, DeadServices};
 use has_arith::{HcdBuilder, LinExpr};
-use has_ltl::buchi::Buchi;
-use has_ltl::hltl::TaskProp;
 use has_ltl::HltlFormula;
-use has_model::{ArtifactSchema, ArtifactSystem, TaskId, VarId};
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use has_model::{ArtifactSystem, TaskId, VarId};
+use std::sync::Arc;
 
 /// Tuning knobs of the verifier.
 ///
@@ -42,16 +38,6 @@ pub struct VerifierConfig {
     /// decomposition, and arithmetic atoms stay three-valued and resolved
     /// optimistically (DESIGN.md §5.5).
     pub use_cells: bool,
-    /// Number of worker threads for the `(T, β)` fan-out. Every value runs
-    /// the same readiness scheduler: a `(T, β)` pair becomes ready the
-    /// moment the last of its task's children commits its summary — no
-    /// level barrier. At most one worker runs per pair job; with one worker
-    /// the scheduler runs inline on the calling thread (no thread is
-    /// spawned). The outcome and statistics are identical at every thread
-    /// count (DESIGN.md §5.6); `0` is treated as `1`.
-    ///
-    /// Defaults to [`VerifierConfig::default_threads`].
-    pub threads: usize,
     /// Whether to retain per-run witness data and reconstruct a hierarchical
     /// counterexample ([`crate::outcome::WitnessNode`]) when the property is
     /// violated. Off by default: retention records one step label per VASS
@@ -74,33 +60,17 @@ impl Default for VerifierConfig {
             max_merge_pairs: 6,
             km_node_cap: 50_000,
             use_cells: false,
-            threads: Self::default_threads(),
             witnesses: false,
         }
     }
 }
 
 impl VerifierConfig {
-    /// The default worker count: the `HAS_THREADS` environment variable when
-    /// it is set to a positive integer, otherwise the machine's available
-    /// parallelism (`1` if that cannot be determined).
-    pub fn default_threads() -> usize {
-        if let Ok(value) = std::env::var("HAS_THREADS") {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
-    /// Returns this configuration with the given worker count.
+    /// Returns `self` unchanged: the verifier runs one worker, and this
+    /// method is kept only because the frozen benchmark driver
+    /// (`perfbench/`) calls it.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -148,13 +118,10 @@ impl<'a> Verifier<'a> {
     /// Returns an [`Outcome`] with the answer, a symbolic witness when the
     /// property can be violated, and exploration statistics.
     ///
-    /// The task hierarchy runs on one readiness scheduler at every thread
-    /// count: each `(T, β)` pair starts as soon as *its* task's children
-    /// have committed their summaries (no level barrier), and all results
-    /// are reduced and committed in the fixed `(task, β, τ_in)` order — the
-    /// outcome and statistics are identical at every `config.threads`
-    /// (DESIGN.md §5.6 states the contract; `tests/parallel_determinism.rs`
-    /// enforces it).
+    /// The task hierarchy runs as one bottom-up loop over its `(T, β)`
+    /// pairs: tasks children first, each task's β in enumeration order, and
+    /// a task's summary is committed after its last pair (DESIGN.md §5.6
+    /// states the determinism contract; `tests/determinism.rs` enforces it).
     ///
     /// # Panics
     /// Panics if the property fails validation against the system.
@@ -170,8 +137,7 @@ impl<'a> Verifier<'a> {
 
         let mut pc = PropertyContext::new(self.system, self.property, self.config.nav_depth);
         // Every B(T, β) one verification run needs, built up front: after
-        // this the property context is never mutated again, so workers can
-        // share it immutably.
+        // this the property context is never mutated again.
         pc.precompute_automata();
 
         // Dead-service pruning: guards proven unsatisfiable by the exact
@@ -183,7 +149,7 @@ impl<'a> Verifier<'a> {
         stats.dead_services_pruned = dead.values().map(DeadServices::count).sum();
 
         let order = self.bottom_up_order();
-        let (summaries, explored) = self.schedule(&pc, &order, &dead);
+        let (summaries, explored) = self.summarize(&pc, &order, &dead);
         stats.absorb(&explored);
 
         // Γ ⊨ φ iff there is no non-returning root run with β(ξ) = 0.
@@ -254,7 +220,7 @@ impl<'a> Verifier<'a> {
     ///
     /// Everything read here — the entry list layout, each entry's details —
     /// is produced by the canonical-order reduction of DESIGN.md §5.6, so
-    /// the reconstructed tree is byte-identical at every thread count.
+    /// the reconstructed tree is byte-identical from run to run.
     fn reconstruct(&self, summaries: &SummaryMap, task: TaskId, entry: &RtEntry) -> WitnessNode {
         let schema = &self.system.schema;
         let kind = if entry.output.is_some() {
@@ -356,47 +322,40 @@ impl<'a> Verifier<'a> {
         order
     }
 
-    /// The engine: every pair job `(T, β)` — one
-    /// [`TaskVerifier::build_graph`] forward exploration followed by its
-    /// Lemma 21 queries, one pruned Karp–Miller build per initial state in
-    /// initial-state order ([`TaskVerifier::prepare_shared`],
-    /// [`TaskVerifier::init_queries_shared`]) — run on the readiness
-    /// scheduler ([`run_pairs`]) with `config.threads` workers. A task's
-    /// pairs start the moment its last child commits its summary; there is
-    /// no barrier between hierarchy levels.
+    /// The engine: every pair `(T, β)` — one [`TaskVerifier::build_graph`]
+    /// forward exploration followed by its Lemma 21 queries, one pruned
+    /// Karp–Miller build per initial state in initial-state order
+    /// ([`TaskVerifier::prepare_shared`],
+    /// [`TaskVerifier::init_queries_shared`]) — run by the bottom-up pair
+    /// loop [`bottom_up`], which commits each task's summary after its last
+    /// pair.
     ///
-    /// The one shared cache, a task context's post-state lists
-    /// ([`has_symbolic::TaskContext::post_states`]), fills each list exactly
-    /// once whichever pair asks first, and is cleared when the task commits.
-    /// Statistics are absorbed in canonical `(task, β)` order, which keeps
-    /// the outcome independent of scheduling (DESIGN.md §5.6).
-    fn schedule(
+    /// The one cache shared between pairs, a task context's post-state
+    /// lists ([`has_symbolic::TaskContext::post_states`]), fills each list
+    /// for the first pair that asks and is cleared when the task commits.
+    fn summarize(
         &self,
         pc: &PropertyContext,
         order: &[TaskId],
         dead: &DeadServiceMap,
     ) -> (SummaryMap, Stats) {
         let contexts = &*pc.contexts;
-        // Canonical pair enumeration: tasks in bottom-up order, assignments
-        // in β-enumeration order.
-        let pairs: Vec<(TaskId, Vec<bool>)> = pc.pairs(order);
-        let buchis: Vec<Arc<Buchi<TaskProp>>> =
-            pairs.iter().map(|(t, b)| pc.buchi_shared(*t, b)).collect();
-        let (summaries, reduced) = run_pairs(
-            &self.system.schema,
+        let pairs = pc.pairs(order);
+        let mut stats = Stats::default();
+        let summaries = bottom_up(
             &pairs,
-            self.config.threads,
-            |p, snapshot| {
-                let task = pairs[p].0;
+            |p, committed| {
+                let (task, beta) = &pairs[p];
+                let buchi = pc.buchi_shared(*task, beta);
                 let verifier = TaskVerifier::new(
                     self.system,
                     &self.config,
-                    &contexts[&task],
-                    task,
-                    pairs[p].1.clone(),
-                    pc.phi(task),
-                    &buchis[p],
-                    snapshot,
+                    &contexts[task],
+                    *task,
+                    beta.clone(),
+                    pc.phi(*task),
+                    &buchi,
+                    committed,
                     contexts,
                     dead,
                 );
@@ -407,28 +366,22 @@ impl<'a> Verifier<'a> {
                 let mut shared = verifier.prepare_shared(&graph);
                 let per_init = (0..graph.initial_count())
                     .map(|pos| verifier.init_queries_shared(&graph, pos, &mut shared));
-                TaskVerifier::reduce_queries(&graph, per_init)
+                let (entries, pair_stats) = TaskVerifier::reduce_queries(&graph, per_init);
+                self.debug_pair(*task, beta, &entries, &pair_stats);
+                stats.absorb(&pair_stats);
+                entries
             },
             // No pair of this task runs again: drop its post-state lists so
             // peak memory does not grow with the hierarchy.
             |task| contexts[&task].clear_post_states(),
         );
-
-        // Deterministic aggregation: walk the canonical pair order.
-        let mut stats = Stats::default();
-        for ((task, beta), pair) in pairs.iter().zip(&reduced) {
-            self.debug_pair(*task, beta, pair);
-            stats.absorb(&pair.stats);
-        }
         (summaries, stats)
     }
 
-    /// `HAS_VERIFIER_DEBUG` trace line for one reduced `(T, β)` pair, from
-    /// the entry counts the scheduler kept when it moved the pair's entries
-    /// into the task summary. The β is the pair's actual assignment, and the
-    /// variable is treated as a switch: unset, empty, or `0` disables the
-    /// trace.
-    fn debug_pair(&self, task: TaskId, beta: &[bool], pair: &ReducedPair) {
+    /// `HAS_VERIFIER_DEBUG` trace line for one `(T, β)` pair, printed right
+    /// after the pair is reduced. The variable is treated as a switch:
+    /// unset, empty, or `0` disables the trace.
+    fn debug_pair(&self, task: TaskId, beta: &[bool], entries: &[RtEntry], stats: &Stats) {
         if !verifier_debug_enabled() {
             return;
         }
@@ -436,9 +389,9 @@ impl<'a> Verifier<'a> {
             "[has-core] task {} beta {:?}: {} entries ({} returning), {}",
             self.system.schema.task(task).name,
             beta,
-            pair.total,
-            pair.returning,
-            pair.stats
+            entries.len(),
+            entries.iter().filter(|e| e.output.is_some()).count(),
+            stats
         );
     }
 
@@ -490,171 +443,33 @@ fn verifier_debug_enabled() -> bool {
         .unwrap_or(false)
 }
 
-/// A pair's reduced result. `entries` is *moved* into the task summary when
-/// the task commits (leaving this empty), so the entry list exists once; the
-/// counts stay behind for the deterministic post-schedule debug trace.
-struct ReducedPair {
-    entries: Vec<RtEntry>,
-    stats: Stats,
-    total: usize,
-    returning: usize,
-}
-
-/// The scheduler's whole shared state, behind its one lock.
-struct Board {
-    /// Released pair jobs; workers pop the newest first.
-    ready: Vec<usize>,
-    /// Jobs popped but not yet stored.
-    running: usize,
-    /// Set when a pair job panicked: idle workers exit instead of waiting.
-    failed: bool,
-    /// Per task: children that have not committed yet (its pairs are
-    /// released when this hits zero).
-    pending_children: BTreeMap<TaskId, usize>,
-    /// Per task: pairs not reduced yet (the summary commits when this hits
-    /// zero).
-    remaining_pairs: BTreeMap<TaskId, usize>,
-    /// Committed summaries. A job clones the `Arc`, not the map, so its
-    /// snapshot holds every child it can ever look up; a commit copies the
-    /// map only while some running job still holds the old snapshot.
-    committed: Arc<SummaryMap>,
-    /// Reduced pairs by canonical position.
-    reduced: Vec<Option<ReducedPair>>,
-}
-
-/// The readiness scheduler: runs every pair job of `pairs` (canonical
-/// order — tasks bottom-up, β in enumeration order) and returns the
-/// committed summaries with the reduced pairs in canonical order.
+/// The bottom-up pair loop: runs every pair of `pairs` one after another
+/// in the given canonical order — tasks bottom-up, each task's β
+/// consecutive and in enumeration order — and returns the committed
+/// summaries.
 ///
-/// `run_pair(p, snapshot)` computes pair `p` against the summaries
-/// committed so far. A task's pairs are released the moment its last child
-/// commits; the task commits (its pairs' entries concatenated in β order,
-/// then `on_commit(task)`) when its last pair lands. All bookkeeping sits
-/// behind one `Mutex`, and one `Condvar` wakes idle workers; jobs run
-/// outside the lock.
-///
-/// One worker runs per pair job at most, up to `threads`. With one worker
-/// the loop runs inline on the calling thread and nothing is spawned:
-/// leaves run in canonical order and a released task's pairs run next,
-/// newest first (the ready list is a stack).
-///
-/// # Panics
-/// A panicking `run_pair` stops the other workers from taking new jobs and
-/// is propagated to the caller.
-fn run_pairs<R, C>(
-    schema: &ArtifactSchema,
-    pairs: &[(TaskId, Vec<bool>)],
-    threads: usize,
-    run_pair: R,
-    on_commit: C,
-) -> (SummaryMap, Vec<ReducedPair>)
+/// `run_pair(p, committed)` computes pair `p`'s entries against the
+/// summaries committed so far, which hold every child of its task. After a
+/// task's last pair, its entries (concatenated in β order) are committed
+/// and `on_commit(task)` runs. The pair drops its handle on the map before
+/// the commit, so `Arc::make_mut` inserts in place.
+fn bottom_up<R, C>(pairs: &[(TaskId, Vec<bool>)], mut run_pair: R, mut on_commit: C) -> SummaryMap
 where
-    R: Fn(usize, Arc<SummaryMap>) -> (Vec<RtEntry>, Stats) + Sync,
-    C: Fn(TaskId) + Sync,
+    R: FnMut(usize, Arc<SummaryMap>) -> Vec<RtEntry>,
+    C: FnMut(TaskId),
 {
-    let mut task_pairs: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-    for (p, (t, _)) in pairs.iter().enumerate() {
-        task_pairs.entry(*t).or_default().push(p);
-    }
-    let board = Mutex::new(Board {
-        // Reversed, so the stack pops the leaves' pairs in canonical order.
-        ready: (0..pairs.len())
-            .rev()
-            .filter(|&p| schema.task(pairs[p].0).children.is_empty())
-            .collect(),
-        running: 0,
-        failed: false,
-        pending_children: task_pairs
-            .keys()
-            .map(|&t| (t, schema.task(t).children.len()))
-            .collect(),
-        remaining_pairs: task_pairs.iter().map(|(&t, ps)| (t, ps.len())).collect(),
-        committed: Arc::new(SummaryMap::new()),
-        reduced: pairs.iter().map(|_| None).collect(),
-    });
-    let wake = Condvar::new();
-
-    let work = || {
-        let mut guard = board.lock().expect("scheduler board poisoned");
-        loop {
-            if guard.failed {
-                return;
-            }
-            let Some(p) = guard.ready.pop() else {
-                if guard.running == 0 {
-                    // Nothing ready and nothing in flight: drained.
-                    wake.notify_all();
-                    return;
-                }
-                guard = wake.wait(guard).expect("scheduler board poisoned");
-                continue;
-            };
-            guard.running += 1;
-            let snapshot = Arc::clone(&guard.committed);
-            drop(guard);
-            let result = catch_unwind(AssertUnwindSafe(|| run_pair(p, snapshot)));
-            guard = board.lock().expect("scheduler board poisoned");
-            guard.running -= 1;
-            let (entries, stats) = match result {
-                Ok(reduced) => reduced,
-                Err(payload) => {
-                    guard.failed = true;
-                    drop(guard);
-                    wake.notify_all();
-                    resume_unwind(payload);
-                }
-            };
-            let b = &mut *guard;
-            b.reduced[p] = Some(ReducedPair {
-                total: entries.len(),
-                returning: entries.iter().filter(|e| e.output.is_some()).count(),
-                entries,
-                stats,
-            });
-            let task = pairs[p].0;
-            if !count_down(&mut b.remaining_pairs, task) {
-                continue;
-            }
-            let mut summary = TaskSummary::default();
-            for &q in &task_pairs[&task] {
-                let pair = b.reduced[q].as_mut().expect("pair reduced");
-                summary.entries.append(&mut pair.entries);
-            }
-            Arc::make_mut(&mut b.committed).insert(task, Arc::new(summary));
-            on_commit(task);
-            if let Some(parent) = schema.task(task).parent {
-                if count_down(&mut b.pending_children, parent) {
-                    b.ready.extend(&task_pairs[&parent]);
-                    wake.notify_all();
-                }
-            }
+    let mut committed = Arc::new(SummaryMap::new());
+    let mut summary = TaskSummary::default();
+    for (p, (task, _)) in pairs.iter().enumerate() {
+        summary
+            .entries
+            .append(&mut run_pair(p, Arc::clone(&committed)));
+        if pairs.get(p + 1).is_none_or(|(next, _)| next != task) {
+            Arc::make_mut(&mut committed).insert(*task, Arc::new(std::mem::take(&mut summary)));
+            on_commit(*task);
         }
-    };
-
-    let workers = threads.clamp(1, pairs.len().max(1));
-    if workers == 1 {
-        work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
-            }
-        });
     }
-    let board = board.into_inner().expect("scheduler board poisoned");
-    let reduced = board
-        .reduced
-        .into_iter()
-        .map(|slot| slot.expect("scheduler reduced every pair"))
-        .collect();
-    (Arc::unwrap_or_clone(board.committed), reduced)
-}
-
-/// Decrements `task`'s counter; true when it reaches zero.
-fn count_down(counts: &mut BTreeMap<TaskId, usize>, task: TaskId) -> bool {
-    let count = counts.get_mut(&task).expect("every task has pairs");
-    *count -= 1;
-    *count == 0
+    Arc::unwrap_or_clone(committed)
 }
 
 #[cfg(test)]
@@ -662,7 +477,7 @@ mod tests {
     use super::*;
     use has_ltl::hltl::HltlBuilder;
     use has_model::{Condition, SetUpdate, SystemBuilder};
-    use std::sync::Barrier;
+    use std::cell::RefCell;
 
     /// A single-task system with one flag that is set by a service and never
     /// unset: `F set` should hold on every infinite run... except runs where
@@ -864,96 +679,44 @@ mod tests {
         (system, pairs)
     }
 
-    /// At one worker every job runs on the calling thread in the order the
-    /// readiness scheduler has always used: leaves in canonical order, and a
-    /// released task's pairs right away, newest first — `M`'s pairs run
-    /// before the leaf `C`'s. Tasks commit as their last pair lands, which
-    /// is where their post-state caches are cleared.
+    /// Pairs run in canonical order, each against the summaries committed
+    /// before it, and a task commits (which is where its post-state cache
+    /// is cleared) right after its last pair.
     #[test]
-    fn one_worker_runs_inline_in_release_order() {
+    fn pairs_run_in_canonical_order_and_commit_after_the_last_pair() {
         let (system, pairs) = three_level_pairs();
-        let caller = std::thread::current().id();
-        let ran = Mutex::new(Vec::new());
-        let committed = Mutex::new(Vec::new());
-        let (summaries, reduced) = run_pairs(
-            &system.schema,
+        let events = RefCell::new(Vec::new());
+        let summaries = bottom_up(
             &pairs,
-            1,
-            |p, snapshot| {
-                assert_eq!(std::thread::current().id(), caller);
-                ran.lock().unwrap().push((p, snapshot.len()));
-                (Vec::new(), Stats::default())
+            |p, committed| {
+                events
+                    .borrow_mut()
+                    .push(format!("pair {p} sees {}", committed.len()));
+                Vec::new()
             },
             |task| {
-                committed
-                    .lock()
-                    .unwrap()
-                    .push(system.schema.task(task).name.clone())
+                events
+                    .borrow_mut()
+                    .push(format!("commit {}", system.schema.task(task).name))
             },
         );
-        // Each job sees the summaries committed before it started.
         assert_eq!(
-            ran.into_inner().unwrap(),
-            [(0, 0), (2, 1), (1, 1), (3, 2), (4, 2), (6, 3), (5, 3)]
+            events.into_inner(),
+            [
+                "pair 0 sees 0",
+                "commit L",
+                "pair 1 sees 1",
+                "pair 2 sees 1",
+                "commit M",
+                "pair 3 sees 2",
+                "pair 4 sees 2",
+                "commit C",
+                "pair 5 sees 3",
+                "pair 6 sees 3",
+                "commit R",
+            ]
         );
-        assert_eq!(committed.into_inner().unwrap(), ["L", "M", "C", "R"]);
         assert_eq!(summaries.len(), 4);
-        assert_eq!(reduced.len(), pairs.len());
-    }
-
-    /// Workers are capped by the number of pair jobs: a one-pair system
-    /// runs inline even when eight threads are allowed.
-    #[test]
-    fn one_pair_runs_inline_at_any_thread_count() {
-        let (system, _) = flag_system();
-        let caller = std::thread::current().id();
-        let (summaries, _) = run_pairs(
-            &system.schema,
-            &[(system.root(), Vec::new())],
-            8,
-            |_, _| {
-                assert_eq!(std::thread::current().id(), caller);
-                (Vec::new(), Stats::default())
-            },
-            |_| {},
-        );
-        assert_eq!(summaries.len(), 1);
-    }
-
-    /// A panicking pair job reaches the caller instead of leaving the other
-    /// workers waiting for a task that can never commit. With several
-    /// workers the panic is forced to land while another worker is parked:
-    /// the leaf `L`'s job waits until `C` commits, and `C`'s worker, holding
-    /// the lock until it parks (nothing else is ready), must be woken.
-    #[test]
-    fn pair_panic_propagates_at_every_thread_count() {
-        let (system, pairs) = three_level_pairs();
-        let c = system.schema.task_by_name("C").unwrap();
-        for threads in [1, 2, 8] {
-            let c_committed = Barrier::new(2);
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_pairs(
-                    &system.schema,
-                    &pairs,
-                    threads,
-                    |p, _| {
-                        if p == 0 {
-                            if threads > 1 {
-                                c_committed.wait();
-                            }
-                            panic!("pair 0 fails");
-                        }
-                        (Vec::new(), Stats::default())
-                    },
-                    |task| {
-                        if threads > 1 && task == c {
-                            c_committed.wait();
-                        }
-                    },
-                )
-            }));
-            assert!(result.is_err(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The differential fuzzing driver.
 //!
 //! [`fuzz`] samples a seeded corpus, runs every instance through the full
-//! configuration matrix (threads ∈ {1, 4} × witnesses on/off), and
+//! configuration matrix (witnesses off and on), and
 //! cross-checks each outcome against the instance's
 //! [`Certificate`]:
 //!
@@ -31,32 +31,22 @@ use std::fmt;
 /// One point of the configuration matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConfigPoint {
-    /// Worker threads.
-    pub threads: usize,
     /// Witness reconstruction.
     pub witnesses: bool,
 }
 
 impl fmt::Display for ConfigPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "threads={} witnesses={}",
-            self.threads,
-            if self.witnesses { "on" } else { "off" }
-        )
+        write!(f, "witnesses={}", if self.witnesses { "on" } else { "off" })
     }
 }
 
-/// The full matrix: threads ∈ {1, 4} × witnesses.
+/// The full matrix: witnesses off and on.
 pub fn config_matrix() -> Vec<ConfigPoint> {
-    let mut out = Vec::new();
-    for threads in [1usize, 4] {
-        for witnesses in [false, true] {
-            out.push(ConfigPoint { threads, witnesses });
-        }
-    }
-    out
+    [false, true]
+        .into_iter()
+        .map(|witnesses| ConfigPoint { witnesses })
+        .collect()
 }
 
 /// Options of a fuzzing run.
@@ -66,8 +56,8 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Number of instances.
     pub count: usize,
-    /// Base verifier configuration; the matrix overrides threads and
-    /// witnesses per run.
+    /// Base verifier configuration; the matrix overrides witnesses per
+    /// run.
     pub config: VerifierConfig,
     /// Sampling seeds tried per witness replay (each retry re-runs the
     /// script with fresh draws for unconstrained variables).
@@ -310,11 +300,7 @@ fn check_at(
     opts: &FuzzOptions,
     replays: &mut usize,
 ) -> RunVerdict {
-    let config = opts
-        .config
-        .clone()
-        .with_threads(at.threads)
-        .with_witnesses(at.witnesses);
+    let config = opts.config.clone().with_witnesses(at.witnesses);
     let outcome = Verifier::with_config(&inst.system, &inst.property, config.clone()).verify();
     check_outcome(inst, &outcome, at, &config, opts, replays)
 }
@@ -385,7 +371,7 @@ mod tests {
         };
         let report = fuzz(&opts);
         assert_eq!(report.instances, 6);
-        assert_eq!(report.runs, 6 * 4);
+        assert_eq!(report.runs, 6 * 2);
         assert!(report.sound(), "mismatches: {:#?}", report.mismatches);
         for (name, score) in [
             ("clean", report.clean),
@@ -412,10 +398,7 @@ mod tests {
         inst.certificate = Certificate::Clean; // lie
         let opts = FuzzOptions::default();
         let mut replays = 0;
-        let at = ConfigPoint {
-            threads: 1,
-            witnesses: false,
-        };
+        let at = ConfigPoint { witnesses: false };
         let verdict = check_at(&inst, at, &opts, &mut replays);
         assert!(matches!(verdict, RunVerdict::Mismatch(_)), "{verdict:?}");
     }

@@ -15,7 +15,7 @@
 //!   generator's parameter space (schema class, depth, width, arithmetic,
 //!   artifact relations) with plants cycled round-robin.
 //! * [`fuzz`] — the differential driver: runs every instance through the
-//!   configuration matrix (threads × witnesses), cross-checks
+//!   configuration matrix (witnesses off and on), cross-checks
 //!   verdict/kind/origin against the certificate, replays every
 //!   reconstructed witness tree in the `has-sim` executor, and
 //!   delta-minimizes any mismatching instance.

@@ -18,7 +18,7 @@ use crate::state::SymState;
 use has_model::{ArtifactSchema, VarId, VarSort};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// The caps a post-state enumeration truncates at: part of the cache key,
 /// since the truncated list depends on them.
@@ -225,19 +225,14 @@ fn merge_refinements(ctx: &TaskContext, state: &SymState, caps: SuccessorCaps) -
 /// The cache key: internal service index, enumeration caps, post base.
 type Key = (usize, SuccessorCaps, SymState);
 
-/// One cache entry: the list, filled once.
-type Entry = Arc<OnceLock<Arc<[SymState]>>>;
-
 /// The post-state lists of one task's internal services, shared by every
-/// `(T, β)` exploration of the task (see the module docs). Each entry is
-/// filled exactly once: the map's mutex is held only to find or insert the
-/// entry's cell, and concurrent askers of one key block on the cell while
-/// the first one enumerates.
+/// `(T, β)` exploration of the task (see the module docs). A key maps
+/// straight to its list, enumerated by the first request for the key.
 ///
 /// Cloning yields an empty cache.
 #[derive(Default)]
 pub(crate) struct SuccessorCache {
-    lists: Mutex<HashMap<Key, Entry>>,
+    lists: Mutex<HashMap<Key, Arc<[SymState]>>>,
 }
 
 impl Clone for SuccessorCache {
@@ -270,19 +265,18 @@ impl TaskContext {
         base: &SymState,
         caps: SuccessorCaps,
     ) -> (Arc<[SymState]>, bool) {
-        let cell = {
-            let mut lists = self
-                .successors
-                .lists
-                .lock()
-                .expect("successor cache poisoned");
-            Arc::clone(lists.entry((service_idx, caps, base.clone())).or_default())
-        };
+        let mut lists = self
+            .successors
+            .lists
+            .lock()
+            .expect("successor cache poisoned");
         let mut enumerated = false;
-        let list = cell.get_or_init(|| {
-            enumerated = true;
-            enumerate_post_states(self, schema, service_idx, base, caps).into()
-        });
+        let list = lists
+            .entry((service_idx, caps, base.clone()))
+            .or_insert_with(|| {
+                enumerated = true;
+                enumerate_post_states(self, schema, service_idx, base, caps).into()
+            });
         (Arc::clone(list), enumerated)
     }
 
@@ -302,7 +296,6 @@ mod tests {
     use super::*;
     use has_arith::Rational;
     use has_model::{ArtifactSystem, Condition, SetUpdate, SystemBuilder, Term};
-    use std::sync::Barrier;
 
     /// One task with two ID and two numeric variables, whose single service
     /// relates them through a relation atom and a constant.
@@ -331,46 +324,18 @@ mod tests {
     };
 
     #[test]
-    fn racing_threads_share_one_enumeration() {
-        let system = system();
-        let ctx = TaskContext::build(&system, system.root(), &[], 1);
-        let base = post_base(&ctx, &system.schema, &SymState::blank(&ctx, &system.schema));
-        let threads = 4;
-        let barrier = Barrier::new(threads);
-        let results: Vec<(Arc<[SymState]>, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        ctx.post_states(&system.schema, 0, &base, CAPS)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            results.iter().filter(|(_, enumerated)| *enumerated).count(),
-            1
-        );
-        let first = &results[0].0;
-        assert!(!first.is_empty());
-        for (list, _) in &results {
-            assert!(Arc::ptr_eq(first, list), "every thread gets the same list");
-        }
-        assert_eq!(
-            &first[..],
-            &enumerate_post_states(&ctx, &system.schema, 0, &base, CAPS)[..]
-        );
-    }
-
-    #[test]
     fn keys_separate_caps_and_clones_and_clears_start_empty() {
         let system = system();
         let ctx = TaskContext::build(&system, system.root(), &[], 1);
         let base = post_base(&ctx, &system.schema, &SymState::blank(&ctx, &system.schema));
         let (full, enumerated) = ctx.post_states(&system.schema, 0, &base, CAPS);
         assert!(enumerated && !full.is_empty());
-        assert!(!ctx.post_states(&system.schema, 0, &base, CAPS).1);
+        assert_eq!(
+            &full[..],
+            &enumerate_post_states(&ctx, &system.schema, 0, &base, CAPS)[..]
+        );
+        let (again, enumerated) = ctx.post_states(&system.schema, 0, &base, CAPS);
+        assert!(!enumerated && Arc::ptr_eq(&full, &again));
         let capped = SuccessorCaps {
             max_successors: 1,
             ..CAPS

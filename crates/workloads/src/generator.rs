@@ -75,11 +75,9 @@ impl GeneratorParams {
     /// The `depth ≫ width` stress family: a single chain of `depth` tasks
     /// (width 1, no artifact relations or arithmetic, acyclic schema).
     ///
-    /// This shape is the scheduling worst case for a level-synchronized
-    /// engine — every hierarchy level holds exactly one task, so level
-    /// barriers serialize the whole run — which is what makes it the
-    /// reference instance for the readiness-scheduler experiments (EXP-P1's
-    /// deep-narrow row) and the deep-narrow determinism regression test.
+    /// Every hierarchy level holds exactly one task, so this is the deepest
+    /// bottom-up order for a given task count; the determinism suite runs
+    /// it at depth 6.
     pub fn deep_narrow(depth: usize) -> GeneratorParams {
         GeneratorParams {
             schema_class: SchemaClass::Acyclic,

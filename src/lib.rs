@@ -18,9 +18,7 @@
 //! Build a one-task system with a flag that a service can set, ask whether
 //! the flag is *eventually* set on every run, and read the [`Outcome`]: the
 //! property is violated (the idle service can loop forever), and the outcome
-//! carries a symbolic witness plus exploration statistics. Setting
-//! [`VerifierConfig::threads`](verifier::VerifierConfig::threads) above `1`
-//! runs the same search on a worker pool with an identical result.
+//! carries a symbolic witness plus exploration statistics.
 //!
 //! [`Outcome`]: verifier::Outcome
 //!
@@ -28,7 +26,7 @@
 //! use has::arith::Rational;
 //! use has::ltl::hltl::HltlBuilder;
 //! use has::model::{Condition, SetUpdate, SystemBuilder};
-//! use has::verifier::{Verifier, VerifierConfig, ViolationKind};
+//! use has::verifier::{Verifier, ViolationKind};
 //!
 //! // A system with one task, one numeric flag, and two services.
 //! let mut b = SystemBuilder::new("quickstart");
@@ -49,10 +47,8 @@
 //! let set = hb.condition(Condition::eq_const(flag, Rational::from_int(1)));
 //! let property = hb.finish(set.eventually());
 //!
-//! // Verify — on one worker thread here, for reproducibility of the doc
-//! // test; any thread count produces the identical outcome.
-//! let config = VerifierConfig::default().with_threads(1);
-//! let outcome = Verifier::with_config(&system, &property, config).verify();
+//! // Verify with the default configuration.
+//! let outcome = Verifier::new(&system, &property).verify();
 //!
 //! // "F set" is violated by the run that only ever fires `idle`.
 //! assert!(!outcome.holds);

@@ -73,7 +73,7 @@ fn arb_instance() -> impl Strategy<Value = (GeneratorParams, Plant)> {
 
 /// Checks `φ` against `φ'` on `system` (see the module docs).
 fn assert_neutral(system: &ArtifactSystem, phi: &HltlFormula, label: &str) {
-    let config = VerifierConfig::default().with_threads(1);
+    let config = VerifierConfig::default();
     let observed = observing_every_root_variable(system, phi);
     let forgetting = Verifier::with_config(system, phi, config.clone()).verify();
     let keeping = Verifier::with_config(system, &observed, config).verify();

@@ -12,9 +12,7 @@
 //! the search must re-record them and say why.
 //!
 //! The expected renderings live in `tests/goldens/`, one file per instance
-//! (one file for the whole grid). Every configuration pins one thread, so a
-//! suite run under `HAS_THREADS=n` still checks the engine the goldens came
-//! from.
+//! (one file for the whole grid).
 
 use has::model::SchemaClass;
 use has::verifier::{Outcome, Stats, Verifier, VerifierConfig};
@@ -87,7 +85,6 @@ fn a2_config() -> VerifierConfig {
         ..VerifierConfig::default()
     }
     .with_witnesses(true)
-    .with_threads(1)
 }
 
 /// `has_bench::fast_config`'s caps, with witnesses on.
@@ -99,7 +96,6 @@ fn gadget_config() -> VerifierConfig {
         ..VerifierConfig::default()
     }
     .with_witnesses(true)
-    .with_threads(1)
 }
 
 /// perfbench's `grid` configuration: `has_bench::bench_config`'s caps, with
@@ -112,7 +108,6 @@ fn grid_config(arithmetic: bool) -> VerifierConfig {
         use_cells: arithmetic,
         ..VerifierConfig::default()
     }
-    .with_threads(1)
 }
 
 fn travel_a2(variant: TravelVariant) -> Outcome {
