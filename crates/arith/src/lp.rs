@@ -60,7 +60,7 @@ pub struct LpProblem {
 }
 
 /// Result of [`LpProblem::maximize`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LpOutcome {
     /// The constraint set is empty.
     Infeasible,
@@ -128,7 +128,11 @@ impl LpProblem {
     /// `objective` are summed; an empty objective turns this into a pure
     /// feasibility check).
     pub fn maximize(&self, objective: &[(usize, Rational)]) -> LpOutcome {
-        let mut tableau = Tableau::build(self);
+        self.solve(Tableau::build(self), objective)
+    }
+
+    /// Runs both phases on `tableau`, built from this program.
+    fn solve(&self, mut tableau: Tableau, objective: &[(usize, Rational)]) -> LpOutcome {
         if !tableau.phase1() {
             return LpOutcome::Infeasible;
         }
@@ -152,6 +156,11 @@ struct Tableau {
     num_vars: usize,
     /// Columns `>= artificial_start` are Phase-I artificials.
     artificial_start: usize,
+    /// Scratch for [`Tableau::pivot`]: the non-zero columns of the pivot row.
+    support: Vec<usize>,
+    /// Pivot with the dense reference instead (property tests only).
+    #[cfg(test)]
+    dense: bool,
 }
 
 impl Tableau {
@@ -211,6 +220,9 @@ impl Tableau {
             cols,
             num_vars: n,
             artificial_start,
+            support: Vec::new(),
+            #[cfg(test)]
+            dense: false,
         }
     }
 
@@ -236,7 +248,42 @@ impl Tableau {
         best.map(|(_, _, i)| i)
     }
 
+    /// Makes column `j` basic in row `r`. The row update subtracts a
+    /// multiple of the pivot row, so it reads and writes only the pivot
+    /// row's non-zero columns: the tableaus of network-shaped programs are
+    /// mostly zeros. Each entry it skips would be `x − 0·f = x`, so the
+    /// result is entry for entry that of [`Tableau::pivot_dense`].
     fn pivot(&mut self, r: usize, j: usize) {
+        #[cfg(test)]
+        if self.dense {
+            return self.pivot_dense(r, j);
+        }
+        let inv = self.rows[r][j].recip();
+        let mut pivot_row = std::mem::take(&mut self.rows[r]);
+        self.support.clear();
+        for (k, v) in pivot_row.iter_mut().enumerate() {
+            if !v.is_zero() {
+                *v = *v * inv;
+                self.support.push(k);
+            }
+        }
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            let factor = if i == r { Rational::ZERO } else { row[j] };
+            if factor.is_zero() {
+                continue;
+            }
+            for &k in &self.support {
+                row[k] = row[k] - pivot_row[k] * factor;
+            }
+        }
+        self.rows[r] = pivot_row;
+        self.basis[r] = j;
+    }
+
+    /// The textbook pivot over every column: the reference the property
+    /// tests hold [`Tableau::pivot`] to.
+    #[cfg(test)]
+    fn pivot_dense(&mut self, r: usize, j: usize) {
         let inv = self.rows[r][j].recip();
         for v in &mut self.rows[r] {
             *v = *v * inv;
@@ -380,6 +427,7 @@ fn dot(obj: &[Rational], x: &[Rational]) -> Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(n: i64) -> Rational {
         Rational::from_int(n)
@@ -487,6 +535,121 @@ mod tests {
         lp.add_constraint(&[(0, r(-1))], LpCmp::Le, r(-2));
         let p = lp.feasible_point().unwrap();
         assert!(p[0] >= r(2));
+    }
+
+    /// [`LpProblem::maximize`] with every pivot taken by
+    /// [`Tableau::pivot_dense`].
+    fn maximize_dense(lp: &LpProblem, objective: &[(usize, Rational)]) -> LpOutcome {
+        let mut tableau = Tableau::build(lp);
+        tableau.dense = true;
+        lp.solve(tableau, objective)
+    }
+
+    /// Random programs shaped like `tests/prop_lp.rs`'s: small integer
+    /// coefficients, every comparison, right-hand sides of either sign.
+    fn arb_program() -> impl Strategy<Value = LpProblem> {
+        (1usize..=4).prop_flat_map(|vars| {
+            let row = (
+                proptest::collection::vec(-3i64..=3, vars),
+                prop_oneof![Just(LpCmp::Le), Just(LpCmp::Eq), Just(LpCmp::Ge)],
+                -4i64..=4,
+            );
+            proptest::collection::vec(row, 1..7).prop_map(move |rows| {
+                let mut lp = LpProblem::new(vars);
+                for (coeffs, cmp, rhs) in rows {
+                    let coeffs: Vec<(usize, Rational)> =
+                        coeffs.iter().enumerate().map(|(j, &c)| (j, r(c))).collect();
+                    lp.add_constraint(&coeffs, cmp, r(rhs));
+                }
+                lp
+            })
+        })
+    }
+
+    /// Circulation programs as the lasso decision builds them: one
+    /// multiplicity per edge of a random multigraph, conservation at every
+    /// node, a componentwise non-negative summed effect and one unit of flow
+    /// out of node 0.
+    fn arb_circulation() -> impl Strategy<Value = LpProblem> {
+        (2usize..=5, 1usize..=3).prop_flat_map(|(nodes, dim)| {
+            let edge = (
+                0..nodes,
+                0..nodes,
+                proptest::collection::vec(-3i64..=3, dim),
+            );
+            proptest::collection::vec(edge, 1..10).prop_map(move |edges| {
+                let mut lp = LpProblem::new(edges.len());
+                for v in 0..nodes {
+                    let mut coeffs = Vec::new();
+                    for (p, (from, to, _)) in edges.iter().enumerate() {
+                        if *to == v {
+                            coeffs.push((p, Rational::ONE));
+                        }
+                        if *from == v {
+                            coeffs.push((p, -Rational::ONE));
+                        }
+                    }
+                    lp.add_constraint(&coeffs, LpCmp::Eq, Rational::ZERO);
+                }
+                for c in 0..dim {
+                    let coeffs: Vec<(usize, Rational)> = edges
+                        .iter()
+                        .enumerate()
+                        .map(|(p, (_, _, delta))| (p, r(delta[c])))
+                        .collect();
+                    lp.add_constraint(&coeffs, LpCmp::Ge, Rational::ZERO);
+                }
+                let outflow: Vec<(usize, Rational)> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (from, _, _))| *from == 0)
+                    .map(|(p, _)| (p, Rational::ONE))
+                    .collect();
+                lp.add_constraint(&outflow, LpCmp::Ge, Rational::ONE);
+                lp
+            })
+        })
+    }
+
+    /// The empty objective (what [`LpProblem::feasible_point`] asks), a
+    /// random one, and the all-ones objective of the support computation.
+    fn assert_pivots_agree(lp: &LpProblem, weights: &[i64]) {
+        let random: Vec<(usize, Rational)> = (0..lp.num_vars())
+            .map(|j| (j, r(weights[j % weights.len()])))
+            .collect();
+        let ones: Vec<(usize, Rational)> = (0..lp.num_vars()).map(|j| (j, r(1))).collect();
+        for objective in [&[][..], &random, &ones] {
+            assert_eq!(
+                lp.maximize(objective),
+                maximize_dense(lp, objective),
+                "objective {objective:?} on {lp:?}"
+            );
+        }
+        let dense_point = match maximize_dense(lp, &[]) {
+            LpOutcome::Infeasible => None,
+            LpOutcome::Optimal { point, .. } | LpOutcome::Unbounded { point } => Some(point),
+        };
+        assert_eq!(lp.feasible_point(), dense_point);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn sparse_pivot_matches_dense_on_random_programs(
+            lp in arb_program(),
+            weights in proptest::collection::vec(-2i64..=2, 1..5),
+        ) {
+            assert_pivots_agree(&lp, &weights);
+        }
+
+        #[test]
+        fn sparse_pivot_matches_dense_on_circulations(
+            lp in arb_circulation(),
+            weights in proptest::collection::vec(-2i64..=2, 1..5),
+        ) {
+            assert_pivots_agree(&lp, &weights);
+        }
     }
 
     #[test]

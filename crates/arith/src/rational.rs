@@ -143,9 +143,34 @@ impl From<i32> for Rational {
     }
 }
 
+// The fast paths in `+`, `−` and `·` return exactly the lowest-terms
+// pair the general `Rational::new` path would, and evaluate the same
+// products (up to factors of one), so an operation that overflows there
+// still panics here. A zero operand leaves the other unchanged. An integer
+// `n` plus or minus `a/b` is `(n·b ± a)/b`, already in lowest terms since
+// `gcd(n·b ± a, b) = gcd(a, b) = 1`; two integers are the case `b = 1`.
+
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
+        if rhs.num == 0 {
+            return self;
+        }
+        if self.num == 0 {
+            return rhs;
+        }
+        if self.den == 1 {
+            return Rational {
+                num: self.num * rhs.den + rhs.num,
+                den: rhs.den,
+            };
+        }
+        if rhs.den == 1 {
+            return Rational {
+                num: self.num + rhs.num * self.den,
+                den: self.den,
+            };
+        }
         Rational::new(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
     }
 }
@@ -159,6 +184,24 @@ impl AddAssign for Rational {
 impl Sub for Rational {
     type Output = Rational;
     fn sub(self, rhs: Rational) -> Rational {
+        if rhs.num == 0 {
+            return self;
+        }
+        if self.num == 0 {
+            return -rhs;
+        }
+        if self.den == 1 {
+            return Rational {
+                num: self.num * rhs.den - rhs.num,
+                den: rhs.den,
+            };
+        }
+        if rhs.den == 1 {
+            return Rational {
+                num: self.num - rhs.num * self.den,
+                den: self.den,
+            };
+        }
         Rational::new(self.num * rhs.den - rhs.num * self.den, self.den * rhs.den)
     }
 }
@@ -166,6 +209,15 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
+        if self.num == 0 || rhs.num == 0 {
+            return Rational::ZERO;
+        }
+        if self.den == 1 && rhs.den == 1 {
+            return Rational {
+                num: self.num * rhs.num,
+                den: 1,
+            };
+        }
         Rational::new(self.num * rhs.num, self.den * rhs.den)
     }
 }

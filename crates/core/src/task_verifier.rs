@@ -1309,7 +1309,10 @@ impl<'a> TaskVerifier<'a> {
                 (lasso, details.flatten())
             };
             let (mut lasso, mut details) = lasso_in(&run);
-            if !lasso && run.augmented_nonneg_cycle_through(vass, &accepting) {
+            // Without a jump or ε-jump (`subsumed() == 0`) the augmented
+            // edge set is the real one, and tier 2 would repeat tier 1's no.
+            if !lasso && run.subsumed() > 0 && run.augmented_nonneg_cycle_through(vass, &accepting)
+            {
                 // Ambiguous: a cycle exists only through jump edges, whose
                 // targets over-approximate. One exact build decides; it is
                 // charged to this query's cost.

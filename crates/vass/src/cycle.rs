@@ -141,16 +141,18 @@ pub fn strongly_connected_components(
 /// ω-saturated coverability graphs (pump loops repeat increments), where
 /// the circulation machinery otherwise grinds through huge strongly
 /// connected components; a miss here costs one SCC pass and falls through
-/// to the exact decision.
+/// to the exact decision — unless every edge is monotone, when the SCCs
+/// computed here are the whole graph's and a miss decides `None`
+/// ([`Monotone::NoCycle`]).
 ///
-/// Returns a materialized walk (edge indices, starting at a target) — the
-/// shortest monotone cycle through the first qualifying target, found by
-/// BFS inside its component.
+/// Returns [`Monotone::Walk`] with a materialized walk (edge indices,
+/// starting at a target) — the shortest monotone cycle through the first
+/// qualifying target, found by BFS inside its component.
 fn monotone_cycle(
     num_nodes: usize,
     edges: &[DeltaEdge<'_>],
     is_target: &dyn Fn(usize) -> bool,
-) -> Option<Vec<usize>> {
+) -> Monotone {
     let monotone: Vec<usize> = edges
         .iter()
         .enumerate()
@@ -158,7 +160,7 @@ fn monotone_cycle(
         .map(|(i, _)| i)
         .collect();
     if monotone.is_empty() {
-        return None;
+        return Monotone::Undecided;
     }
     let pairs: Vec<(usize, usize)> = monotone
         .iter()
@@ -167,13 +169,22 @@ fn monotone_cycle(
     let (comp, _) = strongly_connected_components(num_nodes, &pairs);
     // A monotone edge t → v with comp[t] == comp[v] and t a target closes
     // into a cycle through t (self-loops included).
-    let &first = monotone.iter().find(|&&i| {
+    let Some(&first) = monotone.iter().find(|&&i| {
         let e = &edges[i];
         is_target(e.from) && comp[e.from] == comp[e.to]
-    })?;
+    }) else {
+        // With every edge monotone these are the SCCs of the whole graph,
+        // and no target has an edge inside its own: no closed walk passes
+        // through a target at all.
+        return if monotone.len() == edges.len() {
+            Monotone::NoCycle
+        } else {
+            Monotone::Undecided
+        };
+    };
     let target = edges[first].from;
     if edges[first].to == target {
-        return Some(vec![first]);
+        return Monotone::Walk(vec![first]);
     }
     // BFS from the edge's head back to the target inside the component,
     // tracking the incoming monotone edge per node.
@@ -202,7 +213,7 @@ fn monotone_cycle(
                     }
                     walk.push(first);
                     walk.reverse();
-                    return Some(walk);
+                    return Monotone::Walk(walk);
                 }
                 queue.push_back(to);
             }
@@ -210,7 +221,18 @@ fn monotone_cycle(
     }
     // The SCC guarantees a path exists; unreachable in practice, but degrade
     // to the exact decision rather than panic.
-    None
+    Monotone::Undecided
+}
+
+/// What [`monotone_cycle`] settled.
+enum Monotone {
+    /// A monotone closed walk through a target.
+    Walk(Vec<usize>),
+    /// Every edge is monotone and no target lies on a cycle: the exact
+    /// decision would search the same components and find nothing.
+    NoCycle,
+    /// Nothing; the exact decision runs.
+    Undecided,
 }
 
 /// The outcome of [`nonneg_cycle_search`]: the decision *and* (when it can
@@ -277,14 +299,13 @@ pub fn nonneg_cycle_search(
     if edges.is_empty() {
         return CycleSearch::None;
     }
-    if let Some(walk) = monotone_cycle(num_nodes, edges, is_target) {
+    match monotone_cycle(num_nodes, edges, is_target) {
         // The monotone walk is itself a valid witness; past the caller's cap
         // the decision stands and only the rendering is withheld.
-        return if walk.len() <= max_len {
-            CycleSearch::Witness(walk)
-        } else {
-            CycleSearch::ExceedsCap
-        };
+        Monotone::Walk(walk) if walk.len() <= max_len => return CycleSearch::Witness(walk),
+        Monotone::Walk(_) => return CycleSearch::ExceedsCap,
+        Monotone::NoCycle => return CycleSearch::None,
+        Monotone::Undecided => {}
     }
     let mut admitted = false;
     for es in target_components(num_nodes, edges, is_target) {
@@ -887,6 +908,46 @@ mod tests {
         let walk = witness(n, 1, &edges, &|s| s == 0, 10_000).expect("ring cycles");
         assert_eq!(walk.len(), n);
         assert_valid_walk(&edges, &walk, 1, &|s| s == 0);
+    }
+
+    #[test]
+    fn all_monotone_graph_with_targets_off_every_cycle_decides_none() {
+        // Every edge is monotone; the targets 0 and 3 lie on no cycle (the
+        // only cycle is 1 ⇄ 2), so the monotone pass alone decides.
+        let edges = [
+            edge(0, 1, &[1, 0]),
+            edge(1, 2, &[0, 0]),
+            edge(2, 1, &[0, 2]),
+            edge(2, 3, &[1, 1]),
+        ];
+        let targets = |n: usize| n == 0 || n == 3;
+        assert!(matches!(
+            monotone_cycle(4, &edges, &targets),
+            Monotone::NoCycle
+        ));
+        assert_eq!(
+            nonneg_cycle_search(4, 2, &edges, &targets, 10_000),
+            CycleSearch::None
+        );
+        assert!(!exists(4, 2, &edges, &targets));
+        // A negative edge elsewhere leaves the decision to the circulation.
+        let mixed = [edges[0], edges[1], edges[2], edges[3], edge(3, 3, &[-1, 0])];
+        assert!(matches!(
+            monotone_cycle(4, &mixed, &targets),
+            Monotone::Undecided
+        ));
+        assert!(!exists(4, 2, &mixed, &targets));
+    }
+
+    #[test]
+    fn target_on_a_monotone_cycle_still_yields_a_witness() {
+        // All edges monotone, target 1 on the cycle 1 → 2 → 1.
+        let edges = [edge(0, 1, &[0]), edge(1, 2, &[1]), edge(2, 1, &[0])];
+        let targets = |n: usize| n == 1;
+        let walk = witness(3, 1, &edges, &targets, 10_000).expect("monotone lasso");
+        assert_eq!(walk, vec![1, 2]);
+        assert_valid_walk(&edges, &walk, 1, &targets);
+        assert!(exists(3, 1, &edges, &targets));
     }
 
     #[test]

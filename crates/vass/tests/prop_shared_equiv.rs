@@ -16,6 +16,9 @@
 //!   cycle is sound evidence, the absence of one over the jump-augmented
 //!   graph is a sound refutation — and the full tiered decision (with an
 //!   exact build in the ambiguous gap) agrees exactly;
+//! * a build that recorded no jump or ε-jump (`subsumed() == 0`) has an
+//!   augmented edge set equal to its real one, so the verifier skips the
+//!   refutation tier there: its answer is the real-edge decision's;
 //! * materialized pump-cycle witnesses are well-formed closed walks
 //!   through a target state with componentwise non-negative summed effect;
 //! * witness paths chain control states from the root;
@@ -52,14 +55,14 @@ fn reference_states(vass: &Vass, init: usize) -> BTreeSet<usize> {
 }
 
 /// The verifier's three-tier lasso decision over a pruned build: sound
-/// real-edge evidence, complete jump-augmented refutation, exact build in
-/// the gap.
+/// real-edge evidence, complete jump-augmented refutation (skipped when the
+/// build recorded no jump), exact build in the gap.
 fn tiered_lasso(vass: &Vass, init: usize, run: &CoverabilityGraph, target: usize) -> bool {
     let pred = |s: usize| s == target;
     if lasso(vass, run, target) {
         return true;
     }
-    if !run.augmented_nonneg_cycle_through(vass, &pred) {
+    if run.subsumed() == 0 || !run.augmented_nonneg_cycle_through(vass, &pred) {
         return false;
     }
     lasso(vass, &CoverabilityGraph::build(vass, init), target)
@@ -107,6 +110,24 @@ proptest! {
                     tiered_lasso(&vass, init, &run, target),
                     expect,
                     "tiered decision from init {} target {}", init, target
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unpruned_builds_need_no_refutation_tier(vass in arb_vass(4, 2)) {
+        let mut scratch = KmScratch::new(&vass);
+        for init in [0usize, 1, 2, 3] {
+            let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
+            if run.subsumed() > 0 {
+                continue;
+            }
+            for target in 0..4usize {
+                prop_assert_eq!(
+                    run.augmented_nonneg_cycle_through(&vass, &|s| s == target),
+                    lasso(&vass, &run, target),
+                    "augmented and real decisions from init {} target {}", init, target
                 );
             }
         }
