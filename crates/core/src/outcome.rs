@@ -416,8 +416,7 @@ impl fmt::Display for Outcome {
         if self.holds {
             write!(f, "property HOLDS ({})", self.stats)
         } else {
-            // Without a witness there is no kind segment at all — rendering
-            // an empty one used to produce a dangling "(;".
+            // Without a witness there is no kind segment at all.
             match self.violation.as_ref() {
                 Some(v) => match v.origin_name().filter(|_| v.origin() != v.task) {
                     // A reconstructed witness that descends below the root

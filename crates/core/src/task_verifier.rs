@@ -2,7 +2,7 @@
 //! computation of the relation `R_T` (Section 4.2, Lemma 21).
 
 use crate::compiled::{CompiledBuchi, Letter};
-use crate::outcome::{Stats, WitnessStep};
+use crate::outcome::Stats;
 use crate::verifier::VerifierConfig;
 use has_analysis::{dimension_cone_multi, DeadServiceMap, PresolveStats};
 use has_ltl::buchi::{Buchi, BuchiState};
@@ -79,15 +79,36 @@ impl NonReturningWitness {
     }
 }
 
-/// The retained Lemma 21 query structure of one [`RtEntry`]: a rendered
-/// realization of the entry's run, kept only when
-/// [`VerifierConfig::witnesses`] is enabled so the no-witness hot path pays
-/// no extra allocations.
+/// One transition of `V(T, β)`, recorded by index as
+/// [`TaskVerifier::build_graph`] creates it. Rendering it into a
+/// [`crate::WitnessStep`] needs the schema and the committed child
+/// summaries, which `Verifier::reconstruct` reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunStep {
+    /// The task's internal service with this index fired.
+    Internal(usize),
+    /// A child was opened with the `R_T` tuple at index `entry` of its
+    /// committed [`TaskSummary::entries`]. Entries are unique per
+    /// `(τ_in, τ_out, β)`, so the index names the tuple.
+    OpenChild {
+        /// The opened child task.
+        child: TaskId,
+        /// Index of the consumed tuple in the child's entries.
+        entry: usize,
+    },
+    /// A previously opened child returned.
+    CloseChild(TaskId),
+    /// The task applied its own closing service.
+    CloseTask,
+}
+
+/// The retained Lemma 21 query structure of one [`RtEntry`]: the run steps
+/// that realize the entry's run, kept only when
+/// [`VerifierConfig::witnesses`] is enabled.
 ///
-/// The steps carry everything witness reconstruction needs to *descend*:
-/// each [`WitnessStep::OpenChild`] records the child `R_T` tuple the run
-/// chose (input key, output, β), which identifies the child entry — and
-/// therefore the child's own retained details — in the committed summaries.
+/// Each [`RunStep::OpenChild`] indexes the child entry the run consumed —
+/// and therefore the child's own retained details — in the committed
+/// summaries, which is all witness reconstruction needs to *descend*.
 /// The details ride inside the entry through the ordered reduction and
 /// commit, so the reconstructed counterexample inherits the determinism
 /// contract of DESIGN.md §5.6 unchanged (see §5.7).
@@ -96,10 +117,10 @@ pub struct EntryDetails {
     /// Steps from the initial state to the distinguished point: the closing
     /// step (returning), the blocking state (blocking), or the pump cycle's
     /// entry node (lasso).
-    pub prefix: Vec<WitnessStep>,
+    pub prefix: Vec<RunStep>,
     /// The pump cycle of a lasso run (closed, componentwise non-negative
     /// counter effect); empty for the other kinds.
-    pub cycle: Vec<WitnessStep>,
+    pub cycle: Vec<RunStep>,
     /// A lasso whose pump cycle exceeded the materialization cap
     /// ([`WITNESS_CYCLE_CAP`]): the run is still a proven lasso, only the
     /// explicit cycle rendering is unavailable.
@@ -215,8 +236,9 @@ struct BuildMemo {
     /// The letter of each step without a child choice, keyed on
     /// `(sym id, service)`.
     letters: FxHashMap<(u32, ServiceRef), Letter>,
-    /// The ways of opening a child, keyed on `(sym id, child)`.
-    opens: FxHashMap<(u32, TaskId), OpenChild>,
+    /// The ways of opening a child, keyed on `(sym id, child)`: one choice
+    /// per summary entry matching the child's input key.
+    opens: FxHashMap<(u32, TaskId), Vec<OpenChoice>>,
     /// Returned-state ids keyed on `(sym, child, output)` ids.
     returns: FxHashMap<(u32, TaskId, u32), u32>,
 }
@@ -263,14 +285,6 @@ impl CounterDims {
     }
 }
 
-/// The opening steps of one child from one symbolic state: the child's
-/// input projection key and, per matching summary entry, the choice it
-/// offers.
-struct OpenChild {
-    key: ProjectionKey,
-    choices: Vec<OpenChoice>,
-}
-
 /// One summary entry a child can be opened with.
 struct OpenChoice {
     /// Index of the entry in the child's [`TaskSummary::entries`].
@@ -300,11 +314,8 @@ struct ReturnCorrespondence {
 ///
 /// Symbolic states are held as dense ids into the exploration's
 /// [`Interner`]-backed arena (equal states share an id, so id equality is
-/// exactly the structural equality the former `SymState`-carrying
-/// representation compared); children are a `Vec` kept sorted by [`TaskId`],
-/// which preserves the iteration order and equality of the former
-/// `BTreeMap` while making the whole control state a few words to clone and
-/// hash.
+/// structural equality); children are a `Vec` kept sorted by [`TaskId`],
+/// which makes the whole control state a few words to clone and hash.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct CState {
     /// Dense id of the symbolic state in the exploration's arena.
@@ -812,16 +823,16 @@ impl<'a> TaskVerifier<'a> {
     }
 
     /// The ways of opening `child` from `sym`, memoized on `(sym, child)`:
-    /// the child's input key ([`TaskVerifier::child_input`]), the summary
-    /// entries matching it with their outputs interned in entry order, and
-    /// each entry's opening letter.
+    /// the summary entries matching the child's input key
+    /// ([`TaskVerifier::child_input`]) with their outputs interned in entry
+    /// order, and each entry's opening letter.
     fn open_child<'m>(
         &self,
         memo: &'m mut BuildMemo,
         syms: &mut Interner<SymState>,
         sym: u32,
         child: TaskId,
-    ) -> &'m OpenChild {
+    ) -> &'m [OpenChoice] {
         let BuildMemo {
             opens,
             valuation_of,
@@ -844,7 +855,7 @@ impl<'a> TaskVerifier<'a> {
                     letter,
                 });
             }
-            OpenChild { key, choices }
+            choices
         })
     }
 
@@ -886,9 +897,8 @@ impl<'a> TaskVerifier<'a> {
         let inputs = self.enumerate_inputs();
         // Dense arenas: symbolic states and control states are interned once
         // into insertion-ordered ids ([`Interner`]); all hot-loop identity
-        // checks compare ids. Ids are assigned in worklist discovery order —
-        // the same order the former `BTreeMap<CState, usize>` assigned them —
-        // which is the canonical order of DESIGN.md §5.6/§5.8.
+        // checks compare ids. Ids are assigned in worklist discovery order,
+        // the canonical order of DESIGN.md §5.6/§5.8.
         let mut syms: Interner<SymState> = Interner::new();
         let mut cstates: Interner<CState> = Interner::new();
         let mut counter_dims = CounterDims {
@@ -909,11 +919,9 @@ impl<'a> TaskVerifier<'a> {
         let mut transitions = SparseActions::new();
         let mut initial_states: Vec<usize> = Vec::new();
         let mut input_keys: Vec<ProjectionKey> = Vec::new();
-        // Witness retention: one rendered step label per transition (and per
-        // VASS action, since actions are created in transition order). Gated
-        // so the no-witness hot path allocates nothing here.
-        let retain = self.config.witnesses;
-        let mut labels: Vec<WitnessStep> = Vec::new();
+        // One run step per transition, so per VASS action: actions are
+        // created in transition order.
+        let mut labels: Vec<RunStep> = Vec::new();
 
         // Büchi successors of the current step, one buffer for the build.
         let mut succ: Vec<BuchiState> = Vec::new();
@@ -944,10 +952,8 @@ impl<'a> TaskVerifier<'a> {
 
         // Forward exploration of the control-state graph (counter validity is
         // decided later by the coverability queries). A state enters the
-        // worklist exactly when it is newly interned (every enqueued state
-        // is interned at creation, so "newly interned" ⇔ the former
-        // `seen_in_worklist` insert succeeding); terminal `closed` states
-        // are interned but never enqueued.
+        // worklist exactly when it is newly interned; terminal `closed`
+        // states are interned but never enqueued.
         let mut worklist: VecDeque<u32> = initial_states.iter().map(|&i| i as u32).collect();
 
         while let Some(id) = worklist.pop_front() {
@@ -1003,11 +1009,7 @@ impl<'a> TaskVerifier<'a> {
                                 insert.into_iter().chain(retrieve),
                                 nid as usize,
                             );
-                            if retain {
-                                labels.push(WitnessStep::Internal {
-                                    service: service.name.clone(),
-                                });
-                            }
+                            labels.push(RunStep::Internal(service_idx));
                             if newly {
                                 worklist.push_back(nid);
                             }
@@ -1028,10 +1030,7 @@ impl<'a> TaskVerifier<'a> {
                 if !syms.get(current.sym).may_satisfy(self.ctx, opening_pre) {
                     continue;
                 }
-                let summary = &self.children[&child];
-                let open = self.open_child(&mut memo, &mut syms, current.sym, child);
-                for choice in &open.choices {
-                    let entry = &summary.entries[choice.entry];
+                for choice in self.open_child(&mut memo, &mut syms, current.sym, child) {
                     self.step_buchi(Some(current.q), &choice.letter, &mut succ);
                     for &q in &succ {
                         let next = CState {
@@ -1048,15 +1047,10 @@ impl<'a> TaskVerifier<'a> {
                         };
                         let (nid, newly) = cstates.intern(next);
                         transitions.push(id as usize, [], nid as usize);
-                        if retain {
-                            labels.push(WitnessStep::OpenChild {
-                                child,
-                                child_name: schema.task(child).name.clone(),
-                                beta: entry.beta.clone(),
-                                input_key: open.key.clone(),
-                                output: entry.output.clone(),
-                            });
-                        }
+                        labels.push(RunStep::OpenChild {
+                            child,
+                            entry: choice.entry,
+                        });
                         if newly {
                             worklist.push_back(nid);
                         }
@@ -1083,12 +1077,7 @@ impl<'a> TaskVerifier<'a> {
                     };
                     let (nid, newly) = cstates.intern(next);
                     transitions.push(id as usize, [], nid as usize);
-                    if retain {
-                        labels.push(WitnessStep::CloseChild {
-                            child,
-                            child_name: schema.task(child).name.clone(),
-                        });
-                    }
+                    labels.push(RunStep::CloseChild(child));
                     if newly {
                         worklist.push_back(nid);
                     }
@@ -1114,9 +1103,7 @@ impl<'a> TaskVerifier<'a> {
                     };
                     let (nid, _) = cstates.intern(next);
                     transitions.push(id as usize, [], nid as usize);
-                    if retain {
-                        labels.push(WitnessStep::CloseTask);
-                    }
+                    labels.push(RunStep::CloseTask);
                     // Closed states have no successors; no need to enqueue.
                 }
             }
@@ -1396,7 +1383,7 @@ pub struct ExploredGraph {
     /// [`CState::sym`] and [`ChildStatus::Active`].
     syms: Vec<SymState>,
     /// The transitions over control-state ids, in creation order: action
-    /// `a` of the pair's VASS is transition `a`, labelled `labels[a]`.
+    /// `a` of the pair's VASS is transition `a`, recorded as `labels[a]`.
     transitions: SparseActions,
     /// The counter dimension of `V(T, β)` (distinct counter projections
     /// met by the build), before any projection.
@@ -1406,9 +1393,9 @@ pub struct ExploredGraph {
     accepting: BitSet,
     out_vars: Vec<VarId>,
     stats: Stats,
-    /// One rendered step per transition/VASS action, in creation order —
-    /// empty unless [`VerifierConfig::witnesses`] retained them.
-    labels: Vec<WitnessStep>,
+    /// One run step per transition/VASS action, in creation order, recorded
+    /// on every build; only witness details read it.
+    labels: Vec<RunStep>,
 }
 
 impl ExploredGraph {
@@ -1418,18 +1405,18 @@ impl ExploredGraph {
         self.initial_states.len()
     }
 
-    /// The rendered actions of `run`'s Karp–Miller path from its root to
-    /// `node` — the prefix of a counterexample report.
-    fn steps_to(&self, run: &CoverabilityGraph, node: usize) -> Vec<WitnessStep> {
+    /// The run steps of `run`'s Karp–Miller path from its root to `node` —
+    /// the prefix of a counterexample report.
+    fn steps_to(&self, run: &CoverabilityGraph, node: usize) -> Vec<RunStep> {
         run.path_to_node(node)
             .into_iter()
-            .map(|action| self.labels[action].clone())
+            .map(|action| self.labels[action])
             .collect()
     }
 
     /// The retained details of a pump-cycle search over `run` (`None` when
     /// no lasso exists): the path to the walk's start node is the prefix,
-    /// the walk's actions label the cycle, and a walk past the
+    /// the walk's actions are the cycle, and a walk past the
     /// materialization cap truncates the rendering only, never the decision.
     fn lasso_details(
         &self,
@@ -1442,7 +1429,7 @@ impl ExploredGraph {
                 prefix: self.steps_to(run, walk[0].0),
                 cycle: walk
                     .iter()
-                    .map(|&(_, action, _)| self.labels[action].clone())
+                    .map(|&(_, action, _)| self.labels[action])
                     .collect(),
                 cycle_truncated: false,
             },
@@ -1493,7 +1480,7 @@ mod tests {
             details: (tag > 0).then(|| {
                 Arc::new(EntryDetails {
                     prefix: Vec::new(),
-                    cycle: vec![WitnessStep::CloseTask; tag],
+                    cycle: vec![RunStep::CloseTask; tag],
                     cycle_truncated: false,
                 })
             }),
@@ -1730,5 +1717,62 @@ mod tests {
         assert_eq!(memo_aside(warm), memo_aside(cold));
         assert!(!cold_entries.is_empty());
         assert_eq!(warm_entries, cold_entries);
+    }
+
+    /// With witnesses off, every build still records exactly one run step
+    /// per transition: the booking's `Pay` child and then its parent, over
+    /// `Pay`'s committed summary, record all four kinds of step, and each
+    /// opening indexes an entry of that summary.
+    #[test]
+    fn every_build_records_one_run_step_per_transition() {
+        let (system, property) = booking_with_payment();
+        let config = VerifierConfig::default();
+        assert!(!config.witnesses);
+        let dead = has_analysis::analyze(&system, Some(&property)).dead;
+        let mut pc = crate::property::PropertyContext::new(&system, &property, config.nav_depth);
+        pc.precompute_automata();
+        let root = system.root();
+        let pay = system.schema.task(root).children[0];
+        let mut committed = SummaryMap::new();
+        let mut steps: Vec<RunStep> = Vec::new();
+        for task in [pay, root] {
+            let children = Arc::new(committed.clone());
+            let mut summary = TaskSummary::default();
+            for beta in pc.assignments(task) {
+                let buchi = pc.buchi_shared(task, &beta);
+                let tv = TaskVerifier::new(
+                    &system,
+                    &config,
+                    pc.context(task),
+                    task,
+                    beta,
+                    pc.phi(task),
+                    &buchi,
+                    Arc::clone(&children),
+                    &pc.contexts,
+                    &dead,
+                );
+                let graph = tv.build_graph();
+                assert_eq!(graph.labels.len(), graph.transitions.len());
+                assert_eq!(graph.labels.len(), graph.stats.transitions);
+                steps.extend(&graph.labels);
+                let mut shared = tv.prepare_shared(&graph);
+                let per_init = (0..graph.initial_count())
+                    .map(|pos| tv.init_queries_shared(&graph, pos, &mut shared));
+                let (entries, _) = TaskVerifier::reduce_queries(&graph, per_init);
+                assert!(entries.iter().all(|e| e.details.is_none()));
+                summary.entries.extend(entries);
+            }
+            committed.insert(task, Arc::new(summary));
+        }
+        for step in &steps {
+            if let RunStep::OpenChild { child, entry } = *step {
+                assert!(entry < committed[&child].entries.len());
+            }
+        }
+        assert!(steps.iter().any(|s| matches!(s, RunStep::Internal(_))));
+        assert!(steps.iter().any(|s| matches!(s, RunStep::OpenChild { .. })));
+        assert!(steps.iter().any(|s| matches!(s, RunStep::CloseChild(_))));
+        assert!(steps.contains(&RunStep::CloseTask));
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::outcome::{Outcome, Stats, Violation, ViolationKind, WitnessNode, WitnessStep};
 use crate::property::PropertyContext;
-use crate::task_verifier::{RtEntry, SummaryMap, TaskSummary, TaskVerifier};
+use crate::task_verifier::{RtEntry, RunStep, SummaryMap, TaskSummary, TaskVerifier};
 use has_analysis::{DeadServiceMap, DeadServices};
 use has_arith::{HcdBuilder, LinExpr};
 use has_ltl::HltlFormula;
@@ -40,9 +40,9 @@ pub struct VerifierConfig {
     pub use_cells: bool,
     /// Whether to retain per-run witness data and reconstruct a hierarchical
     /// counterexample ([`crate::outcome::WitnessNode`]) when the property is
-    /// violated. Off by default: retention records one step label per VASS
-    /// transition and materializes pump cycles, so the no-witness hot path
-    /// keeps its current allocations (DESIGN.md §5.7 states the cost model).
+    /// violated. Off by default: retention keeps the run steps of every
+    /// candidate `R_T` entry and materializes pump cycles, which the
+    /// no-witness path skips (DESIGN.md §5.7 states the cost model).
     ///
     /// Enabling witnesses never changes `holds` or the statistics; it
     /// refines the reported violation — `Violation::witness` is populated,
@@ -212,11 +212,12 @@ impl<'a> Verifier<'a> {
 
     /// Reconstructs the hierarchical witness tree rooted at `entry` — one
     /// [`WitnessNode`] per task run, descending through the committed
-    /// summaries: every `OpenChild` step on the entry's retained run records
-    /// the child `R_T` tuple the run chose, which identifies the child's own
-    /// entry (and retained details) in `summaries`, recursively. Distinct
-    /// child calls appear once each, in run order; the hierarchy is a tree,
-    /// so the descent terminates at the leaves.
+    /// summaries: every [`RunStep::OpenChild`] on the entry's retained run
+    /// indexes the child entry the run consumed, whose own retained details
+    /// are read the same way, recursively. Distinct child calls appear once
+    /// each, in run order; the hierarchy is a tree, so the descent
+    /// terminates at the leaves. This is the one place run steps are
+    /// rendered into [`WitnessStep`]s, from the schema and the summaries.
     ///
     /// Everything read here — the entry list layout, each entry's details —
     /// is produced by the canonical-order reduction of DESIGN.md §5.6, so
@@ -231,56 +232,40 @@ impl<'a> Verifier<'a> {
             ViolationKind::Blocking
         };
         let (prefix, cycle, cycle_truncated) = match entry.details.as_deref() {
-            Some(d) => (d.prefix.clone(), d.cycle.clone(), d.cycle_truncated),
-            None => (Vec::new(), Vec::new(), false),
+            Some(d) => (&d.prefix[..], &d.cycle[..], d.cycle_truncated),
+            None => (&[][..], &[][..], false),
+        };
+        let render = |&step: &RunStep| match step {
+            RunStep::Internal(service) => WitnessStep::Internal {
+                service: schema.task(task).internal_services[service].name.clone(),
+            },
+            RunStep::OpenChild { child, entry } => {
+                let e = &summaries[&child].entries[entry];
+                WitnessStep::OpenChild {
+                    child,
+                    child_name: schema.task(child).name.clone(),
+                    beta: e.beta.clone(),
+                    input_key: e.input_key.clone(),
+                    output: e.output.clone(),
+                }
+            }
+            RunStep::CloseChild(child) => WitnessStep::CloseChild {
+                child,
+                child_name: schema.task(child).name.clone(),
+            },
+            RunStep::CloseTask => WitnessStep::CloseTask,
         };
         let mut children: Vec<WitnessNode> = Vec::new();
-        let mut seen: Vec<&WitnessStep> = Vec::new();
-        for step in prefix.iter().chain(cycle.iter()) {
-            let WitnessStep::OpenChild {
-                child,
-                beta,
-                input_key,
-                output,
-                ..
-            } = step
-            else {
+        let mut seen: Vec<RunStep> = Vec::new();
+        for &step in prefix.iter().chain(cycle) {
+            let RunStep::OpenChild { child, entry } = step else {
                 continue;
             };
             if seen.contains(&step) {
                 continue;
             }
             seen.push(step);
-            let child_entry = summaries.get(child).and_then(|summary| {
-                summary
-                    .entries
-                    .iter()
-                    .find(|e| e.input_key == *input_key && e.output == *output && e.beta == *beta)
-            });
-            let node = match child_entry {
-                Some(e) => self.reconstruct(summaries, *child, e),
-                // Defensive: the opening consumed this tuple from the
-                // committed summary, so it must be there — degrade to a
-                // detail-less node rather than panic in a reporting path.
-                None => WitnessNode {
-                    task: *child,
-                    task_name: schema.task(*child).name.clone(),
-                    kind: if output.is_some() {
-                        ViolationKind::Returning
-                    } else {
-                        ViolationKind::Blocking
-                    },
-                    input_description: format!(
-                        "input isomorphism type {}",
-                        crate::outcome::render_input_key(input_key)
-                    ),
-                    beta: beta.clone(),
-                    prefix: Vec::new(),
-                    cycle: Vec::new(),
-                    cycle_truncated: false,
-                    children: Vec::new(),
-                },
-            };
+            let node = self.reconstruct(summaries, child, &summaries[&child].entries[entry]);
             // Distinct calls can still reconstruct to structurally equal
             // runs (e.g. two openings that differ only in the promised
             // output pattern); listing one of them keeps the tree readable.
@@ -297,8 +282,8 @@ impl<'a> Verifier<'a> {
                 crate::outcome::render_input_key(&entry.input_key)
             ),
             beta: entry.beta.clone(),
-            prefix,
-            cycle,
+            prefix: prefix.iter().map(render).collect(),
+            cycle: cycle.iter().map(render).collect(),
             cycle_truncated,
             children,
         }
