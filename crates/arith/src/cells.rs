@@ -151,11 +151,6 @@ impl<V: Ord + Clone + Hash> Cell<V> {
         }
     }
 
-    /// Returns `true` if the cell is non-empty (satisfiable).
-    pub fn is_nonempty(&self) -> bool {
-        is_satisfiable(&self.constraints())
-    }
-
     /// A rational point inside the cell, if the cell is non-empty.
     pub fn witness(&self) -> Option<Vec<(V, Rational)>> {
         sample_point(&self.constraints())
@@ -326,18 +321,6 @@ impl<V: Ord + Clone + Hash> CellSet<V> {
             .enumerate()
             .map(|(i, s)| (CellId(i), Cell::new(self.polys.clone(), s.clone())))
     }
-
-    /// Finds the cell containing a concrete point.
-    pub fn locate<F>(&self, mut valuation: F) -> Option<CellId>
-    where
-        F: FnMut(&V) -> Option<Rational>,
-    {
-        let mut signs = Vec::with_capacity(self.polys.len());
-        for p in self.polys.iter() {
-            signs.push(Sign::of(p.eval(&mut valuation)?));
-        }
-        self.cells.iter().position(|s| *s == signs).map(CellId)
-    }
 }
 
 impl<V: Ord> fmt::Debug for CellSet<V> {
@@ -393,17 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_finds_the_right_cell() {
-        let cs = CellSet::enumerate(&[x(), y()]);
-        let id = cs
-            .locate(|v| Some(if *v == "x" { r(2) } else { r(-5) }))
-            .unwrap();
-        let cell = cs.cell(id);
-        assert_eq!(cell.sign_of(&x()), Some(Sign::Pos));
-        assert_eq!(cell.sign_of(&y()), Some(Sign::Neg));
-    }
-
-    #[test]
     fn cells_decide_atoms_over_their_polynomials() {
         let cs = CellSet::enumerate(&[x() - LinExpr::constant(r(3))]);
         // Cell with x - 3 > 0 must decide x > 3 as true and x <= 3 as false.
@@ -453,7 +425,6 @@ mod tests {
     fn no_polynomials_single_trivial_cell() {
         let cs = CellSet::enumerate(&[] as &[LinExpr<&'static str>]);
         assert_eq!(cs.len(), 1);
-        let cell = cs.cell(CellId(0));
-        assert!(cell.is_nonempty());
+        assert!(cs.cell(CellId(0)).witness().is_some());
     }
 }

@@ -154,11 +154,6 @@ impl<V: Ord + Clone> LinExpr<V> {
         }
     }
 
-    /// Adds a constant to the expression in place.
-    pub fn add_constant(&mut self, c: Rational) {
-        self.constant += c;
-    }
-
     /// The constant term.
     pub fn constant_term(&self) -> Rational {
         self.constant
@@ -452,7 +447,7 @@ mod tests {
         e.add_term(r(2), "x");
         e.add_term(r(3), "y");
         e.add_term(r(-2), "x");
-        e.add_constant(r(5));
+        let e = e + LinExpr::constant(r(5));
         assert_eq!(e.coeff(&"x"), Rational::ZERO);
         assert_eq!(e.coeff(&"y"), r(3));
         assert_eq!(e.constant_term(), r(5));

@@ -91,11 +91,6 @@ impl Rational {
         self.num < 0
     }
 
-    /// Returns `true` if this rational is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Sign of the rational: `-1`, `0` or `1`.
     pub fn signum(&self) -> i32 {
         self.num.signum() as i32
@@ -292,7 +287,6 @@ mod tests {
         let r = Rational::new(0, -17);
         assert_eq!(r, Rational::ZERO);
         assert!(r.is_zero());
-        assert!(r.is_integer());
     }
 
     #[test]

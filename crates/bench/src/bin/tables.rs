@@ -6,14 +6,15 @@
 //! ```text
 //! cargo run --release -p has-bench --bin tables            # all experiments
 //! cargo run --release -p has-bench --bin tables -- table1  # one experiment
-//! cargo run --release -p has-bench --bin tables -- --json pr6 table2 vass
-//! #   ... additionally writes BENCH_pr6.json with one machine-readable
-//! #   record per printed row (see has_bench::records_to_json)
+//! cargo run --release -p has-bench --bin tables -- table2 vass
 //! ```
+//!
+//! The rows are printed only; perfbench (`perfbench/run.py`,
+//! `BENCHMARK.json`) is the machine-readable timing record.
 
 use has_analysis::{analyze, Severity};
 use has_arith::{CellSet, LinExpr, Rational};
-use has_bench::{bench_config, fast_config, measure, write_records, BenchRecord, Measurement};
+use has_bench::{bench_config, fast_config, measure, Measurement};
 use has_core::{Outcome, Verifier, VerifierConfig};
 use has_corpus::{fuzz, FuzzOptions};
 use has_model::SchemaClass;
@@ -25,26 +26,6 @@ use has_workloads::travel::{
     travel_booking, travel_liveness_property, travel_property, TravelVariant,
 };
 use std::time::Instant;
-
-/// Collects the machine-readable benchmark records alongside the printed
-/// rows. Every experiment runner receives the recorder and pushes one
-/// [`BenchRecord`] per row; `--json <tag>` writes the accumulated set to
-/// `BENCH_<tag>.json` after the selected experiments finish.
-#[derive(Default)]
-struct Recorder {
-    records: Vec<BenchRecord>,
-}
-
-impl Recorder {
-    fn measurement(&mut self, experiment: &str, m: &Measurement) {
-        self.records
-            .push(BenchRecord::from_measurement(experiment, m));
-    }
-
-    fn raw(&mut self, record: BenchRecord) {
-        self.records.push(record);
-    }
-}
 
 fn grid_params(arithmetic: bool) -> Vec<GeneratorParams> {
     let mut out = Vec::new();
@@ -67,7 +48,7 @@ fn grid_params(arithmetic: bool) -> Vec<GeneratorParams> {
     out
 }
 
-fn exp_table(name: &str, arithmetic: bool, rec: &mut Recorder) {
+fn exp_table(arithmetic: bool) {
     for params in grid_params(arithmetic) {
         let generated = params.generate();
         let config = VerifierConfig {
@@ -80,26 +61,25 @@ fn exp_table(name: &str, arithmetic: bool, rec: &mut Recorder) {
             &generated.property,
             config,
         );
-        rec.measurement(name, &row);
         println!("{}", row.row());
     }
 }
 
-fn exp_table1(rec: &mut Recorder) {
+fn exp_table1() {
     println!("== EXP-T1: Table 1 (no arithmetic) — schema class x artifact relations ==");
     println!("{}", Measurement::header());
-    exp_table("table1", false, rec);
+    exp_table(false);
     println!();
 }
 
-fn exp_table2(rec: &mut Recorder) {
+fn exp_table2() {
     println!("== EXP-T2: Table 2 (with arithmetic) — schema class x artifact relations ==");
     println!("{}", Measurement::header());
-    exp_table("table2", true, rec);
+    exp_table(true);
     println!();
 }
 
-fn exp_travel(rec: &mut Recorder) {
+fn exp_travel() {
     println!("== EXP-F1: travel booking (Appendix A) — buggy vs fixed ==");
     println!("{}", Measurement::header());
     for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
@@ -111,7 +91,6 @@ fn exp_travel(rec: &mut Recorder) {
             &property,
             fast_config(),
         );
-        rec.measurement("travel", &row);
         println!("{}", row.row());
     }
     // The orders workload doubles as a second realistic process.
@@ -121,7 +100,6 @@ fn exp_travel(rec: &mut Recorder) {
         ("orders/never-enqueue(false)", never_enqueue_property(&o)),
     ] {
         let row = measure(name, &o.system, &property, bench_config());
-        rec.measurement("travel", &row);
         println!("{}", row.row());
     }
     println!();
@@ -133,21 +111,8 @@ fn exp_travel(rec: &mut Recorder) {
 /// blocking point, and the per-task nested runs down to the originating
 /// task. The verdict and statistics are identical to the retention-off runs
 /// of EXP-F1; only the violation report is richer.
-fn exp_witness(rec: &mut Recorder) {
+fn exp_witness() {
     println!("== EXP-W1: counterexample witness trees — travel (buggy) and orders ==");
-    let record = |rec: &mut Recorder, label: &str, outcome: &Outcome, ms: f64| {
-        rec.raw(BenchRecord {
-            experiment: "witness".to_string(),
-            label: label.to_string(),
-            time_ms: ms,
-            holds: Some(outcome.holds),
-            control_states: Some(outcome.stats.control_states),
-            km_nodes: Some(outcome.stats.coverability_nodes),
-            counter_dims: Some(outcome.stats.counter_dimensions),
-            hcd_cells: Some(outcome.stats.hcd_cells),
-            ..BenchRecord::default()
-        });
-    };
     let print_witness = |label: &str, outcome: &Outcome| {
         println!("{label}:  {outcome}");
         match outcome.violation.as_ref().and_then(|v| v.witness.as_ref()) {
@@ -161,37 +126,29 @@ fn exp_witness(rec: &mut Recorder) {
     // violated within the bounded budget, so it yields a full witness tree
     // (run prefix + pump cycle + nested child runs).
     let liveness = travel_liveness_property(&t);
-    let start = Instant::now();
     let outcome =
         Verifier::with_config(&t.system, &liveness, fast_config().with_witnesses(true)).verify();
-    let label = "travel-booking/Buggy vs F(status=PAID)";
-    record(rec, label, &outcome, start.elapsed().as_secs_f64() * 1000.0);
-    print_witness(label, &outcome);
+    print_witness("travel-booking/Buggy vs F(status=PAID)", &outcome);
     // The Appendix A.2 policy at the deliberately tight `fast_config` caps:
     // this line reads `HOLDS` — a *bounded* search result, kept in the
     // walkthrough to show what an exhausted budget looks like. The violation
-    // itself is no longer out of reach: EXP-S1 and `tests/a2_violation.rs`
-    // find it within the default search budgets once `max_merge_pairs` is
-    // raised to the branching depth the configuration needs.
+    // itself is no longer out of reach: `tests/a2_violation.rs` and
+    // perfbench's travel-a2 workload find it within the default search
+    // budgets once `max_merge_pairs` is raised to the branching depth the
+    // configuration needs.
     let property = travel_property(&t);
-    let start = Instant::now();
     let outcome =
         Verifier::with_config(&t.system, &property, fast_config().with_witnesses(true)).verify();
-    let label = "travel-booking/Buggy vs Appendix A.2 (bounded)";
-    record(rec, label, &outcome, start.elapsed().as_secs_f64() * 1000.0);
-    print_witness(label, &outcome);
+    print_witness("travel-booking/Buggy vs Appendix A.2 (bounded)", &outcome);
 
     let o = order_fulfilment();
     let property = never_enqueue_property(&o);
-    let start = Instant::now();
     let outcome =
         Verifier::with_config(&o.system, &property, bench_config().with_witnesses(true)).verify();
-    let label = "orders/never-enqueue(false)";
-    record(rec, label, &outcome, start.elapsed().as_secs_f64() * 1000.0);
-    print_witness(label, &outcome);
+    print_witness("orders/never-enqueue(false)", &outcome);
 }
 
-fn exp_gadget(rec: &mut Recorder) {
+fn exp_gadget() {
     println!("== EXP-F2: Theorem 11 counter gadget — HLTL-FO stays tractable ==");
     println!("{}", Measurement::header());
     for d in [1usize, 2, 3] {
@@ -203,13 +160,12 @@ fn exp_gadget(rec: &mut Recorder) {
             &property,
             fast_config(),
         );
-        rec.measurement("gadget", &row);
         println!("{}", row.row());
     }
     println!();
 }
 
-fn exp_vass(rec: &mut Recorder) {
+fn exp_vass() {
     println!("== EXP-F3: VASS dimension vs coverability cost ==");
     println!("{:<20} {:>12} {:>12}", "dimension", "km-nodes", "lasso");
     for d in [1usize, 2, 3, 4, 5] {
@@ -223,23 +179,14 @@ fn exp_vass(rec: &mut Recorder) {
             v.add_action(1, down, 1);
         }
         v.add_action(0, vec![0; d], 1);
-        let start = Instant::now();
         let g = CoverabilityGraph::build(&v, 0);
         let lasso = v.state_repeated_reachable(0, 0);
-        rec.raw(BenchRecord {
-            experiment: "vass".to_string(),
-            label: format!("pump-drain/d={d}"),
-            time_ms: start.elapsed().as_secs_f64() * 1000.0,
-            holds: Some(lasso),
-            km_nodes: Some(g.node_count()),
-            ..BenchRecord::default()
-        });
         println!("{:<20} {:>12} {:>12}", d, g.node_count(), lasso);
     }
     println!();
 }
 
-fn exp_cells(rec: &mut Recorder) {
+fn exp_cells() {
     println!("== EXP-F4: cell decomposition growth ==");
     println!("{:<20} {:>12}", "numeric vars", "cells");
     for nvars in [1usize, 2, 3, 4, 5] {
@@ -250,15 +197,7 @@ fn exp_cells(rec: &mut Recorder) {
                 polys.push(LinExpr::var(i) - LinExpr::var(i + 1));
             }
         }
-        let start = Instant::now();
         let cells = CellSet::enumerate(&polys).len();
-        rec.raw(BenchRecord {
-            experiment: "cells".to_string(),
-            label: format!("hcd/nvars={nvars}"),
-            time_ms: start.elapsed().as_secs_f64() * 1000.0,
-            hcd_cells: Some(cells),
-            ..BenchRecord::default()
-        });
         println!("{:<20} {:>12}", nvars, cells);
     }
     println!();
@@ -270,33 +209,22 @@ fn exp_cells(rec: &mut Recorder) {
 /// (stable `HASnnn` codes, `outcome.rs`-style rendering), and exits with
 /// status 1 if any model reports an `Error`-severity finding — which is how
 /// CI lints the workload zoo on every push.
-fn exp_analyze(rec: &mut Recorder) {
+fn exp_analyze() {
     println!("== EXP-A1: static analysis — diagnostics over all workloads ==");
     let mut errors = 0usize;
-    let mut lint = |rec: &mut Recorder,
-                    label: &str,
+    let mut lint = |label: &str,
                     system: &has_model::ArtifactSystem,
                     property: Option<&has_ltl::HltlFormula>| {
-        let start = Instant::now();
         let report = analyze(system, property);
-        let ms = start.elapsed().as_secs_f64() * 1000.0;
         errors += report.with_severity(Severity::Error).count();
         println!("--- {label} ---");
         println!("{report}");
         println!();
-        rec.raw(BenchRecord {
-            experiment: "analyze".to_string(),
-            label: label.to_string(),
-            time_ms: ms,
-            holds: Some(!report.has_errors()),
-            ..BenchRecord::default()
-        });
     };
     for variant in [TravelVariant::Buggy, TravelVariant::Fixed] {
         let t = travel_booking(variant);
         let property = travel_property(&t);
         lint(
-            rec,
             &format!("travel-booking/{variant:?}"),
             &t.system,
             Some(&property),
@@ -304,15 +232,14 @@ fn exp_analyze(rec: &mut Recorder) {
     }
     let o = order_fulfilment();
     let property = ship_after_quote_property(&o);
-    lint(rec, "orders", &o.system, Some(&property));
+    lint("orders", &o.system, Some(&property));
     let g = counter_gadget(2);
     let property = counter_liveness_property(&g);
-    lint(rec, "counter-gadget/d=2", &g.system, Some(&property));
+    lint("counter-gadget/d=2", &g.system, Some(&property));
     for arithmetic in [false, true] {
         for params in grid_params(arithmetic) {
             let generated = params.generate();
             lint(
-                rec,
                 &generated.label,
                 &generated.system,
                 Some(&generated.property),
@@ -331,7 +258,7 @@ fn exp_analyze(rec: &mut Recorder) {
 /// `proj` column is the summed query dimension before→after projection, and
 /// `km-nodes` is what the projected queries build. EXPERIMENTS.md keeps the
 /// measured unprojected row as the decision record.
-fn exp_projection(rec: &mut Recorder) {
+fn exp_projection() {
     println!("== EXP-A2: dimension cone-of-influence — travel A.2 at fixed KM cap ==");
     println!("{}", Measurement::header());
     let t = travel_booking(TravelVariant::Buggy);
@@ -343,7 +270,6 @@ fn exp_projection(rec: &mut Recorder) {
         ..VerifierConfig::default()
     };
     let row = measure("travel-A.2", &t.system, &property, config);
-    rec.measurement("projection", &row);
     println!("{}", row.row());
     println!();
 }
@@ -359,7 +285,7 @@ fn exp_projection(rec: &mut Recorder) {
 /// how CI scores the verifier on every push. `HAS_FUZZ_DEEP=1` switches
 /// from the smoke batch (EXP-C1) to the deep sweep (EXP-C2, ≥1,000
 /// instances).
-fn exp_fuzz(rec: &mut Recorder) {
+fn exp_fuzz() {
     let deep = std::env::var("HAS_FUZZ_DEEP")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -379,7 +305,7 @@ fn exp_fuzz(rec: &mut Recorder) {
     );
     let start = Instant::now();
     let report = fuzz(&opts);
-    let ms = start.elapsed().as_secs_f64() * 1000.0;
+    let secs = start.elapsed().as_secs_f64();
     println!(
         "{:<12} {:>6} {:>8} {:>8} {:>8}",
         "certificate", "runs", "agreed", "bounded", "recall"
@@ -398,16 +324,6 @@ fn exp_fuzz(rec: &mut Recorder) {
             score.bounded,
             score.recall() * 100.0
         );
-        rec.raw(BenchRecord {
-            experiment: "fuzz".to_string(),
-            label: format!("fuzz/{name}"),
-            time_ms: ms / 4.0,
-            holds: Some(score.agreed + score.bounded == score.runs),
-            instances: Some(score.runs),
-            mismatches: Some(score.runs - score.agreed - score.bounded),
-            bounded: Some(score.bounded),
-            ..BenchRecord::default()
-        });
     }
     println!(
         "instances {}  runs {}  witness replays {}  bounded {}  mismatches {}  ({:.1}s)",
@@ -416,18 +332,8 @@ fn exp_fuzz(rec: &mut Recorder) {
         report.replays,
         report.bounded(),
         report.mismatches.len(),
-        ms / 1000.0
+        secs
     );
-    rec.raw(BenchRecord {
-        experiment: "fuzz".to_string(),
-        label: format!("fuzz/total(seed={:#x},count={})", opts.seed, opts.count),
-        time_ms: ms,
-        holds: Some(report.sound()),
-        instances: Some(report.instances),
-        mismatches: Some(report.mismatches.len()),
-        bounded: Some(report.bounded()),
-        ..BenchRecord::default()
-    });
     println!();
     if !report.sound() {
         for m in &report.mismatches {
@@ -444,8 +350,8 @@ fn exp_fuzz(rec: &mut Recorder) {
     }
 }
 
-/// An experiment runner: records its rows into the shared recorder.
-type ExperimentFn = fn(&mut Recorder);
+/// An experiment runner: prints its rows to stdout.
+type ExperimentFn = fn();
 
 /// The accepted experiment names, in execution order, with their runners.
 const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
@@ -462,28 +368,7 @@ const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
 ];
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--json <tag>` writes BENCH_<tag>.json next to the working directory
-    // in addition to the printed tables. Parsed (and removed) before the
-    // experiment-name check below.
-    let mut json_tag: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if pos + 1 >= args.len() {
-            eprintln!("error: --json requires a tag argument (e.g. --json pr6)");
-            std::process::exit(2);
-        }
-        let tag = args[pos + 1].clone();
-        let tag_ok = !tag.is_empty()
-            && tag
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-        if !tag_ok {
-            eprintln!("error: --json tag must be non-empty [A-Za-z0-9._-], got {tag:?}");
-            std::process::exit(2);
-        }
-        args.drain(pos..=pos + 1);
-        json_tag = Some(tag);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let unknown: Vec<&String> = args
         .iter()
         .filter(|a| EXPERIMENTS.iter().all(|(name, _)| name != a))
@@ -502,24 +387,9 @@ fn main() {
         std::process::exit(2);
     }
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    let mut recorder = Recorder::default();
     for (name, run) in EXPERIMENTS {
         if want(name) {
-            run(&mut recorder);
-        }
-    }
-    if let Some(tag) = json_tag {
-        let path = std::path::PathBuf::from(format!("BENCH_{tag}.json"));
-        match write_records(&path, &tag, &recorder.records) {
-            Ok(()) => eprintln!(
-                "wrote {} record(s) to {}",
-                recorder.records.len(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: failed to write {}: {err}", path.display());
-                std::process::exit(1);
-            }
+            run();
         }
     }
 }

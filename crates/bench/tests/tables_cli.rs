@@ -34,16 +34,30 @@ fn paper_experiments_print_their_headers_in_order() {
     );
 }
 
-/// An unknown experiment name is an error that lists the accepted names.
+/// An unknown experiment name is an error that lists every accepted name.
+/// The binary takes no options (it prints rows only), so the old JSON
+/// writer's flag is rejected like any other unknown name.
 #[test]
 fn unknown_experiment_exits_2_with_the_accepted_list() {
-    let out = tables(&["no-such-experiment"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
-    assert!(stderr.contains("no-such-experiment"), "{stderr}");
-    assert!(
-        stderr.contains("accepted names: table1, table2, travel, witness, gadget, vass, cells"),
-        "{stderr}"
-    );
-    assert!(out.stdout.is_empty());
+    let cases: [(&[&str], &str); 2] = [
+        (&["no-such-experiment"], "no-such-experiment"),
+        (&["--json", "ci", "table1"], "--json"),
+    ];
+    for (args, named) in cases {
+        let out = tables(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+        assert!(
+            stderr.contains(&format!("unknown experiment name(s): {named}")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains(
+                "accepted names: table1, table2, travel, witness, gadget, vass, cells, \
+                 analyze, projection, fuzz\n"
+            ),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }

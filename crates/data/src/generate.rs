@@ -10,7 +10,7 @@
 
 use crate::database::DatabaseInstance;
 use crate::value::Value;
-use has_model::{AttrKind, DatabaseSchema, RelationId};
+use has_model::{AttrKind, DatabaseSchema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,24 +85,6 @@ impl DatabaseGenerator {
         db
     }
 
-    /// Draws a fresh id value for a relation that is *outside* the generated
-    /// pool (useful for modelling external inputs that are not in the active
-    /// domain).
-    pub fn fresh_id(&mut self, rel: RelationId) -> Value {
-        Value::id(
-            rel,
-            self.config.rows_per_relation as u64 + self.rng.random_range(0..1_000_000),
-        )
-    }
-
-    /// Draws a random id value from the generated pool of a relation.
-    pub fn existing_id(&mut self, rel: RelationId) -> Value {
-        Value::id(
-            rel,
-            self.rng.random_range(0..self.config.rows_per_relation) as u64,
-        )
-    }
-
     /// Draws a random numeric value in the configured range.
     pub fn numeric(&mut self) -> Value {
         Value::num(self.rng.random_range(0..=self.config.max_numeric))
@@ -112,7 +94,7 @@ impl DatabaseGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use has_model::SystemBuilder;
+    use has_model::{RelationId, SystemBuilder};
 
     fn schema(cyclic: bool) -> DatabaseSchema {
         let mut b = SystemBuilder::new("s");
@@ -170,14 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn fresh_ids_are_outside_the_pool() {
+    fn numeric_draws_a_number() {
         let mut g = DatabaseGenerator::new(GeneratorConfig::default());
-        let fresh = g.fresh_id(RelationId(0));
-        let existing = g.existing_id(RelationId(0));
-        let (_, fk) = fresh.as_id().unwrap();
-        let (_, ek) = existing.as_id().unwrap();
-        assert!(fk >= 8);
-        assert!(ek < 8);
         assert!(g.numeric().as_num().is_some());
     }
 }

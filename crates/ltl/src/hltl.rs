@@ -89,11 +89,6 @@ impl FlattenedProperty {
     pub fn phi(&self, task: TaskId) -> &[Ltl<TaskProp>] {
         self.per_task.get(&task).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Total number of flattened formulas (a size measure used in reports).
-    pub fn total_formulas(&self) -> usize {
-        self.per_task.values().map(Vec::len).sum()
-    }
 }
 
 impl HltlFormula {
@@ -412,7 +407,6 @@ mod tests {
         assert_eq!(flat.root_task, root);
         assert_eq!(flat.phi(child).len(), 1);
         assert_eq!(flat.phi(root).len(), 1);
-        assert_eq!(flat.total_formulas(), 2);
     }
 
     #[test]

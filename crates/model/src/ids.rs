@@ -48,16 +48,6 @@ impl ServiceRef {
     pub fn is_internal(&self) -> bool {
         matches!(self, ServiceRef::Internal(..))
     }
-
-    /// Returns `true` if this is an opening service.
-    pub fn is_opening(&self) -> bool {
-        matches!(self, ServiceRef::Opening(_))
-    }
-
-    /// Returns `true` if this is a closing service.
-    pub fn is_closing(&self) -> bool {
-        matches!(self, ServiceRef::Closing(_))
-    }
 }
 
 impl fmt::Debug for RelationId {
@@ -102,8 +92,6 @@ mod tests {
     fn service_ref_accessors() {
         let t = TaskId(3);
         assert!(ServiceRef::Internal(t, 0).is_internal());
-        assert!(ServiceRef::Opening(t).is_opening());
-        assert!(ServiceRef::Closing(t).is_closing());
         assert_eq!(ServiceRef::Closing(t).task(), t);
         assert!(!ServiceRef::Opening(t).is_internal());
     }

@@ -57,19 +57,6 @@ impl Relation {
                 _ => None,
             })
     }
-
-    /// Indices of the numeric attributes.
-    pub fn numeric_attributes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.attributes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| matches!(a.kind, AttrKind::Numeric).then_some(i))
-    }
-
-    /// Looks up an attribute index by name.
-    pub fn attribute_index(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a.name == name)
-    }
 }
 
 /// Classification of the foreign-key graph of a schema (Section 2 and
@@ -138,15 +125,6 @@ impl DatabaseSchema {
             .iter()
             .enumerate()
             .map(|(i, r)| (RelationId(i), r))
-    }
-
-    /// Maximum arity over all relations.
-    pub fn max_arity(&self) -> usize {
-        self.relations
-            .iter()
-            .map(Relation::arity)
-            .max()
-            .unwrap_or(0)
     }
 
     /// The edges of the foreign-key graph `FK`: one edge `(from, to)` per
@@ -402,12 +380,9 @@ mod tests {
         };
         let r = schema.relation(RelationId(0));
         assert_eq!(r.arity(), 3);
-        assert_eq!(r.attribute_index("price"), Some(1));
         assert_eq!(r.foreign_keys().count(), 1);
-        assert_eq!(r.numeric_attributes().count(), 1);
         assert_eq!(schema.relation_by_name("FLIGHTS"), Some(RelationId(0)));
         assert_eq!(schema.relation_by_name("NOPE"), None);
-        assert_eq!(schema.max_arity(), 3);
     }
 
     #[test]

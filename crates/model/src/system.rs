@@ -138,21 +138,6 @@ impl ArtifactSchema {
         out
     }
 
-    /// Human-readable name of a service reference.
-    pub fn service_name(&self, service: ServiceRef) -> String {
-        match service {
-            ServiceRef::Internal(t, i) => {
-                format!(
-                    "{}::{}",
-                    self.task(t).name,
-                    self.task(t).internal_services[i].name
-                )
-            }
-            ServiceRef::Opening(t) => format!("open({})", self.task(t).name),
-            ServiceRef::Closing(t) => format!("close({})", self.task(t).name),
-        }
-    }
-
     /// The paper's navigation depth `h(T)` (Section 4.1):
     /// `h(T) = 1 + |x̄^T| · F(δ)` where `δ = 1` for leaf tasks and
     /// `δ = max h(T_c)` over children otherwise, and `F(n)` is the maximum
@@ -314,8 +299,6 @@ mod tests {
         assert!(obs.contains(&ServiceRef::Opening(child)));
         assert!(obs.contains(&ServiceRef::Closing(child)));
         assert!(obs.contains(&ServiceRef::Opening(root)));
-        let name = schema.service_name(ServiceRef::Internal(root, 0));
-        assert!(name.contains("noop"));
     }
 
     #[test]

@@ -124,11 +124,6 @@ pub struct TaskSchema {
 }
 
 impl TaskSchema {
-    /// Returns `true` if this is the root task.
-    pub fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-
     /// Returns `true` if this is a leaf task.
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()
@@ -138,18 +133,6 @@ impl TaskSchema {
     /// output mapping (`x̄^T_ret` in the paper).
     pub fn return_vars(&self) -> Vec<VarId> {
         self.closing.output_map.iter().map(|(_, c)| *c).collect()
-    }
-
-    /// The parent-side variables written when this task returns
-    /// (`x̄^{parent}_{T↑}` in the paper).
-    pub fn written_parent_vars(&self) -> Vec<VarId> {
-        self.closing.output_map.iter().map(|(p, _)| *p).collect()
-    }
-
-    /// The parent-side variables read when this task opens
-    /// (`x̄^{parent}_{T↓}` in the paper).
-    pub fn read_parent_vars(&self) -> Vec<VarId> {
-        self.opening.input_map.iter().map(|(_, p)| *p).collect()
     }
 
     /// Returns `true` if the given variable is an input variable.
@@ -199,14 +182,11 @@ mod tests {
     #[test]
     fn task_variable_roles() {
         let t = minimal_task();
-        assert!(!t.is_root());
         assert!(t.is_leaf());
         assert!(t.owns(VarId(0)));
         assert!(!t.owns(VarId(9)));
         assert!(t.is_input_var(VarId(0)));
         assert!(!t.is_input_var(VarId(1)));
         assert_eq!(t.return_vars(), vec![VarId(1)]);
-        assert_eq!(t.written_parent_vars(), vec![VarId(8)]);
-        assert_eq!(t.read_parent_vars(), vec![VarId(7)]);
     }
 }

@@ -63,11 +63,6 @@ impl TreeOfRuns {
     pub fn invocation_count(&self) -> usize {
         self.nodes.len()
     }
-
-    /// All runs of a given task.
-    pub fn runs_of(&self, task: TaskId) -> impl Iterator<Item = &TaskTrace> {
-        self.nodes.iter().filter(move |n| n.task == task)
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +92,6 @@ mod tests {
         assert_eq!(tree.root().task, TaskId(0));
         assert_eq!(tree.total_steps(), 1);
         assert_eq!(tree.invocation_count(), 2);
-        assert_eq!(tree.runs_of(TaskId(1)).count(), 1);
         assert!(tree.nodes[1].is_empty());
         assert!(!tree.root().is_empty());
     }

@@ -75,19 +75,6 @@ impl Expr {
         }
     }
 
-    /// The anchoring variable, if the expression is a variable or navigation.
-    pub fn base_var(&self) -> Option<VarId> {
-        match self {
-            Expr::Var(v) | Expr::Nav { var: v, .. } => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if this is a navigation expression.
-    pub fn is_nav(&self) -> bool {
-        matches!(self, Expr::Nav { .. })
-    }
-
     /// Human-readable rendering using schema names.
     pub fn display(&self, schema: &ArtifactSchema) -> String {
         match self {
@@ -176,8 +163,6 @@ mod tests {
         assert_eq!(price.sort(&schema), Sort::Numeric);
         assert_eq!(hotel.sort(&schema), Sort::Id(hotels));
         assert_eq!(hotel_price.sort(&schema), Sort::Numeric);
-        assert_eq!(hotel_price.base_var(), Some(x));
-        assert!(hotel_price.is_nav());
         assert_eq!(hotel_price.display(&schema), "x@FLIGHTS.hotel.price");
     }
 }

@@ -575,17 +575,6 @@ impl SymState {
             })
         })
     }
-
-    /// Number of live classes.
-    pub fn class_count(&self) -> usize {
-        let mut set = BTreeSet::new();
-        for c in &self.class {
-            if *c != DEAD {
-                set.insert(*c);
-            }
-        }
-        set.len()
-    }
 }
 
 /// Transfers the equality/binding pattern of `src` (over `src_ctx`) onto
@@ -918,7 +907,6 @@ mod tests {
         assert!(!target.eq(f.ctx.var_idx(f.price), f.ctx.zero_idx));
         // hotel untouched: still null.
         assert!(target.is_null(&f.ctx, f.hotel));
-        assert!(target.class_count() >= 3);
     }
 
     /// Every pair of expressions not anchored at a forgotten variable keeps
