@@ -84,11 +84,6 @@ impl DatabaseGenerator {
         debug_assert!(db.check_foreign_keys(schema).is_ok());
         db
     }
-
-    /// Draws a random numeric value in the configured range.
-    pub fn numeric(&mut self) -> Value {
-        Value::num(self.rng.random_range(0..=self.config.max_numeric))
-    }
 }
 
 #[cfg(test)]
@@ -149,11 +144,5 @@ mod tests {
             ..GeneratorConfig::default()
         });
         assert_ne!(g1.generate(&s), g3.generate(&s));
-    }
-
-    #[test]
-    fn numeric_draws_a_number() {
-        let mut g = DatabaseGenerator::new(GeneratorConfig::default());
-        assert!(g.numeric().as_num().is_some());
     }
 }

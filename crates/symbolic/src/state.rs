@@ -26,8 +26,12 @@ const DEAD: u32 = u32::MAX;
 /// key iff their restrictions to those expressions are isomorphic.
 pub type ProjectionKey = Vec<u32>;
 
+/// Class ids below this bound are renumbered by [`SymState::normalize`]
+/// through a table on the stack; larger ids (rare) use a heap table.
+const STACK_CLASSES: usize = 128;
+
 /// A symbolic state (restricted T-isomorphism type) over a task's universe.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SymState {
     /// Class id per universe expression (`DEAD` for dead navigations).
     class: Vec<u32>,
@@ -40,6 +44,23 @@ pub struct SymState {
     /// comparisons, and hashing of states are plain `Vec` sweeps, which is
     /// what the successor enumeration's dedup loops spend their time on.
     binding: Vec<Option<RelationId>>,
+}
+
+// `clone_from` reuses both vectors' buffers, so a scratch state that is
+// reset from a base state before every trial union allocates nothing
+// (`#[derive(Clone)]` would reallocate in `clone_from`).
+impl Clone for SymState {
+    fn clone(&self) -> Self {
+        SymState {
+            class: self.class.clone(),
+            binding: self.binding.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.class.clone_from(&source.class);
+        self.binding.clone_from(&source.binding);
+    }
 }
 
 impl SymState {
@@ -115,30 +136,16 @@ impl SymState {
     pub fn normalize(&mut self) {
         // Class ids stay small (they grow by at most a handful per mutation
         // between normalizations), so a direct-indexed renumber table beats
-        // an ordered map — `u32::MAX` marks ids not yet encountered.
-        let mut max = 0u32;
-        let mut any = false;
-        for &c in &self.class {
-            if c != DEAD {
-                any = true;
-                max = max.max(c);
-            }
-        }
-        if !any {
+        // an ordered map — `u32::MAX` marks ids not yet encountered. Below
+        // `STACK_CLASSES` the table lives on the stack.
+        let Some(max) = self.class.iter().copied().filter(|&c| c != DEAD).max() else {
             return;
-        }
-        let mut map = vec![u32::MAX; max as usize + 1];
-        let mut next = 0u32;
-        for c in self.class.iter_mut() {
-            if *c == DEAD {
-                continue;
-            }
-            let m = &mut map[*c as usize];
-            if *m == u32::MAX {
-                *m = next;
-                next += 1;
-            }
-            *c = *m;
+        };
+        let len = max as usize + 1;
+        if len <= STACK_CLASSES {
+            renumber(&mut self.class, &mut [u32::MAX; STACK_CLASSES][..len]);
+        } else {
+            renumber(&mut self.class, &mut vec![u32::MAX; len]);
         }
     }
 
@@ -201,8 +208,12 @@ impl SymState {
     // consistency, and the hot path discards the reason.
     #[allow(clippy::result_unit_err)]
     pub fn union(&mut self, ctx: &TaskContext, a: usize, b: usize) -> Result<(), ()> {
-        let mut pending = vec![(a, b)];
-        while let Some((x, y)) = pending.pop() {
+        // A stack of pairs still to merge, popped last-in first-out; the
+        // first pair is held apart, so the vector allocates only when
+        // congruence pushes a pair.
+        let mut pending: Vec<(usize, usize)> = Vec::new();
+        let mut next = Some((a, b));
+        while let Some((x, y)) = next.take().or_else(|| pending.pop()) {
             let (cx, cy) = (self.class[x], self.class[y]);
             if cx == DEAD || cy == DEAD {
                 return Err(());
@@ -249,12 +260,21 @@ impl SymState {
                 }
             }
             // Congruence: children of expressions now equal must be equal.
-            // Collect pairs (child_x, child_y) for representatives of the
-            // merged class whose children exist in the universe.
-            let members: Vec<usize> = (0..ctx.len()).filter(|i| self.class[*i] == cx).collect();
-            for i in 0..members.len() {
-                for j in i + 1..members.len() {
-                    let (mi, mj) = (members[i], members[j]);
+            // Push the pairs (child_x, child_y) of members of the merged
+            // class whose children exist in the universe. Only ID-sorted
+            // expressions have children, so numeric and null classes skip
+            // the member scan.
+            if !matches!(sx, Sort::Id(_)) {
+                continue;
+            }
+            for mi in 0..ctx.len() {
+                if self.class[mi] != cx {
+                    continue;
+                }
+                for mj in mi + 1..ctx.len() {
+                    if self.class[mj] != cx {
+                        continue;
+                    }
                     for attr in 0..ctx.max_attr() {
                         let (ci, cj) =
                             (self.child_idx(ctx, mi, attr), self.child_idx(ctx, mj, attr));
@@ -574,6 +594,23 @@ impl SymState {
                     .is_some()
             })
         })
+    }
+}
+
+/// Renumbers the live ids of `class` in first-occurrence order through
+/// `map`, which covers every live id and holds `u32::MAX` throughout.
+fn renumber(class: &mut [u32], map: &mut [u32]) {
+    let mut next = 0u32;
+    for c in class.iter_mut() {
+        if *c == DEAD {
+            continue;
+        }
+        let m = &mut map[*c as usize];
+        if *m == u32::MAX {
+            *m = next;
+            next += 1;
+        }
+        *c = *m;
     }
 }
 

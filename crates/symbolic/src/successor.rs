@@ -12,11 +12,18 @@
 //! hands out the shared list (DESIGN.md §5.13). Each list holds its states
 //! with the task's unobservable variables forgotten
 //! ([`TaskContext::unobservable`], DESIGN.md §5.14).
+//!
+//! Enumerating on a cache miss is the largest part of the graph build on
+//! the grid workload, so the enumeration allocates only for states it
+//! keeps: trial unions run in one scratch state reset with `clone_from`,
+//! sets of states are [`Interner`]s, and the merge refinement skips the
+//! attempts that provably add no state (DESIGN.md §5.8).
 
 use crate::context::TaskContext;
 use crate::state::SymState;
 use has_model::{ArtifactSchema, VarId, VarSort};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use has_vass::Interner;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -37,7 +44,8 @@ pub fn dedup(mut states: Vec<SymState>) -> Vec<SymState> {
     for s in &mut states {
         s.normalize();
     }
-    states.sort();
+    // Equal states are identical, so an unstable sort orders them alike.
+    states.sort_unstable();
     states.dedup();
     states
 }
@@ -77,12 +85,13 @@ pub(crate) fn enumerate_post_states(
         .filter(|v| !t.input_vars.contains(v))
         .collect();
 
+    let mut scratch = base.clone();
     let mut states = vec![base.clone()];
     let mut remaining: BTreeSet<VarId> = free_vars.iter().copied().collect();
     for &v in &free_vars {
         let mut next = Vec::new();
         for s in &states {
-            choices_for_var(ctx, schema, s, v, &mut next);
+            choices_for_var(ctx, schema, s, v, &mut scratch, &mut next);
         }
         remaining.remove(&v);
         // Early pruning: drop states that already contradict the
@@ -98,7 +107,7 @@ pub(crate) fn enumerate_post_states(
     // Final filter plus the optional merge refinement over related pairs.
     let mut out = Vec::new();
     for s in &states {
-        for refined in merge_refinements(ctx, s, caps) {
+        for refined in merge_refinements(ctx, s, caps, &mut scratch) {
             if refined.may_satisfy(ctx, post) {
                 out.push(refined);
             }
@@ -116,25 +125,36 @@ fn forget_unobservable(ctx: &TaskContext, states: Vec<SymState>) -> Vec<SymState
     if ctx.unobservable().is_empty() {
         return states;
     }
-    let mut seen: HashSet<SymState> = HashSet::with_capacity(states.len());
-    states
-        .into_iter()
-        .filter_map(|mut s| {
-            s.forget(ctx, ctx.unobservable());
-            seen.insert(s.clone()).then_some(s)
-        })
-        .collect()
+    let mut images: Interner<SymState> = Interner::new();
+    for mut s in states {
+        s.forget(ctx, ctx.unobservable());
+        images.intern(s);
+    }
+    images.into_items()
 }
 
 /// Appends the candidate values of a single rewritten variable to `out`.
+/// Each candidate union is tried in `scratch`, and only a consistent
+/// result is cloned into `out`.
 fn choices_for_var(
     ctx: &TaskContext,
     schema: &ArtifactSchema,
     state: &SymState,
     v: VarId,
+    scratch: &mut SymState,
     out: &mut Vec<SymState>,
 ) {
     let vi = ctx.var_idx(v);
+    // The candidates equal to a related expression, from the state `f` in
+    // which `v` holds a fresh value.
+    let mut unions_of = |f: &SymState, out: &mut Vec<SymState>| {
+        for &cand in ctx.related_to(vi) {
+            scratch.clone_from(f);
+            if scratch.union(ctx, vi, cand).is_ok() {
+                out.push(scratch.clone());
+            }
+        }
+    };
     match schema.variable(v).sort {
         VarSort::Id => {
             // null
@@ -147,12 +167,7 @@ fn choices_for_var(
                 f.bind(ctx, v, Some(rel));
                 // or equal to an existing expression of sort Id(rel)
                 // related to v through the atom basis
-                for &cand in ctx.related_to(vi) {
-                    let mut e = f.clone();
-                    if e.union(ctx, vi, cand).is_ok() {
-                        out.push(e);
-                    }
-                }
+                unions_of(&f, out);
                 out.push(f);
             }
         }
@@ -167,24 +182,15 @@ fn choices_for_var(
             f.fresh_numeric(ctx, v);
             // equal to a related expression (constants, navigations,
             // other numeric variables mentioned together in atoms)
-            for &cand in ctx.related_to(vi) {
-                let mut e = f.clone();
-                if e.union(ctx, vi, cand).is_ok() {
-                    out.push(e);
-                }
-            }
+            unions_of(&f, out);
             out.push(f);
         }
     }
 }
 
-/// Optionally merges related expression pairs that are still distinct:
-/// this lets the enumeration produce "coincidental" equalities that the
-/// specification's atoms can observe (2^k branching over undecided related
-/// pairs, capped). Each round keeps the set of normalized states in a hash
-/// set; the list is sorted only when a round overflows `max_successors`, so
-/// the truncation keeps the same (smallest) states a sorted list would.
-fn merge_refinements(ctx: &TaskContext, state: &SymState, caps: SuccessorCaps) -> Vec<SymState> {
+/// The related expression pairs that are live and still distinct in
+/// `state`, in universe order, the first `max_merge_pairs` of them.
+fn merge_pairs(ctx: &TaskContext, state: &SymState, max_merge_pairs: usize) -> Vec<(usize, usize)> {
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for i in 0..ctx.len() {
         for &j in ctx.related_to(i) {
@@ -193,7 +199,81 @@ fn merge_refinements(ctx: &TaskContext, state: &SymState, caps: SuccessorCaps) -
             }
         }
     }
-    pairs.truncate(caps.max_merge_pairs);
+    pairs.truncate(max_merge_pairs);
+    pairs
+}
+
+/// Optionally merges related expression pairs that are still distinct:
+/// this lets the enumeration produce "coincidental" equalities that the
+/// specification's atoms can observe (2^k branching over undecided related
+/// pairs, capped). Each pair's round tries its union in every state the
+/// previous rounds produced and adds each new normalized result; the list
+/// is sorted only when a round overflows `max_successors`, so the
+/// truncation keeps the same (smallest) states a sorted list would.
+///
+/// Two kinds of attempt are skipped because they cannot add a state
+/// (DESIGN.md §5.8). A state in which the pair is already equal is its own
+/// union, and it is already in the round's set. A union that fails on the
+/// base state (the first of the list) fails on every other state of the
+/// list, since each is the base refined by successful unions, so the
+/// pair's round ends there. Attempts run in `scratch`, reset with
+/// `clone_from`, and the round's set is an [`Interner`], so a state is
+/// cloned only when it is new.
+fn merge_refinements(
+    ctx: &TaskContext,
+    state: &SymState,
+    caps: SuccessorCaps,
+    scratch: &mut SymState,
+) -> Vec<SymState> {
+    let pairs = merge_pairs(ctx, state, caps.max_merge_pairs);
+    let mut first = state.clone();
+    first.normalize();
+    if pairs.is_empty() {
+        return vec![first];
+    }
+    let mut round: Interner<SymState> = Interner::new();
+    round.intern(first);
+    for (i, j) in pairs {
+        let unmerged = round.len() as u32;
+        for k in 0..unmerged {
+            let s = round.get(k);
+            if s.eq(i, j) {
+                continue;
+            }
+            scratch.clone_from(s);
+            if scratch.union(ctx, i, j).is_err() {
+                if k == 0 {
+                    // It fails on every refinement of the base too.
+                    break;
+                }
+                continue;
+            }
+            scratch.normalize();
+            if round.lookup(scratch).is_none() {
+                round.intern(scratch.clone());
+            }
+        }
+        if round.len() > caps.max_successors {
+            let mut out = round.into_items();
+            out.sort_unstable();
+            out.truncate(caps.max_successors);
+            return out;
+        }
+    }
+    round.into_items()
+}
+
+/// The merge refinement as it was before the prunings, the scratch state
+/// and the interned round set: the reference the property tests hold
+/// [`merge_refinements`] to.
+#[cfg(test)]
+fn merge_refinements_reference(
+    ctx: &TaskContext,
+    state: &SymState,
+    caps: SuccessorCaps,
+) -> Vec<SymState> {
+    use std::collections::HashSet;
+    let pairs = merge_pairs(ctx, state, caps.max_merge_pairs);
     let mut first = state.clone();
     first.normalize();
     let mut out = vec![first];
@@ -294,8 +374,9 @@ impl TaskContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use has_arith::Rational;
+    use has_arith::{LinExpr, LinearConstraint, Rational};
     use has_model::{ArtifactSystem, Condition, SetUpdate, SystemBuilder, Term};
+    use proptest::prelude::*;
 
     /// One task with two ID and two numeric variables, whose single service
     /// relates them through a relation atom and a constant.
@@ -345,5 +426,153 @@ mod tests {
         assert!(ctx.clone().post_states(&system.schema, 0, &base, CAPS).1);
         ctx.clear_post_states();
         assert!(ctx.post_states(&system.schema, 0, &base, CAPS).1);
+    }
+
+    /// The test system's context with property conditions that relate
+    /// more expression pairs (`hotel.unit_price` with `price` and
+    /// `status`, `price` with `1`, and the arithmetic pair `price`,
+    /// `status` with `0`), so the caps 6 and 12 keep different pair lists.
+    fn rich_context(system: &ArtifactSystem, depth: usize) -> TaskContext {
+        let root = system.root();
+        let var = |name| system.schema.var_by_name(root, name).unwrap();
+        let (hotel, price, status) = (var("hotel_id"), var("price"), var("status"));
+        let hotels = system.schema.database.relation_by_name("HOTELS").unwrap();
+        let extra = [
+            Condition::relation(hotels, vec![Term::Var(hotel), Term::Var(price)]),
+            Condition::relation(hotels, vec![Term::Var(hotel), Term::Var(status)]),
+            Condition::eq_const(price, Rational::from_int(1)),
+            Condition::arith(LinearConstraint::ge(
+                LinExpr::var(price) + LinExpr::var(status),
+                LinExpr::zero(),
+            )),
+        ];
+        TaskContext::build(system, root, &extra, depth)
+    }
+
+    /// One random step of building a state: bind an ID variable (to null
+    /// or a candidate relation), give a numeric variable a fresh value, or
+    /// union two expressions (the second related to the first, or any),
+    /// kept only when consistent. Indices are reduced modulo the choices.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Bind(usize, usize),
+        Fresh(usize),
+        Union(usize, usize, bool),
+    }
+
+    fn arb_steps(max: usize) -> impl Strategy<Value = Vec<Step>> {
+        let step = prop_oneof![
+            (0..4usize, 0..3usize).prop_map(|(v, r)| Step::Bind(v, r)),
+            (0..4usize).prop_map(Step::Fresh),
+            (0..64usize, 0..64usize, any::<bool>()).prop_map(|(a, b, rel)| Step::Union(a, b, rel)),
+        ];
+        proptest::collection::vec(step, 0..max)
+    }
+
+    /// Applies one step to `state` (see [`Step`]).
+    fn apply(ctx: &TaskContext, schema: &ArtifactSchema, state: &mut SymState, step: &Step) {
+        let vars = &schema.task(ctx.task).variables;
+        match *step {
+            Step::Bind(v, r) => {
+                let ids = ctx.id_vars();
+                let v = ids[v % ids.len()];
+                let rels = ctx.bindings_for(v);
+                state.bind(ctx, v, (r < rels.len()).then(|| rels[r]));
+            }
+            Step::Fresh(v) => {
+                let nums: Vec<VarId> = vars
+                    .iter()
+                    .copied()
+                    .filter(|&v| schema.variable(v).sort == VarSort::Numeric)
+                    .collect();
+                state.fresh_numeric(ctx, nums[v % nums.len()]);
+            }
+            Step::Union(a, b, related) => {
+                let (a, b) = union_pair(ctx, (a, b, related));
+                let mut t = state.clone();
+                if t.union(ctx, a, b).is_ok() {
+                    *state = t;
+                }
+            }
+        }
+    }
+
+    /// The expression pair a union step names.
+    fn union_pair(ctx: &TaskContext, (a, b, related): (usize, usize, bool)) -> (usize, usize) {
+        let a = a % ctx.len();
+        let rel = ctx.related_to(a);
+        if related && !rel.is_empty() {
+            (a, *rel.iter().nth(b % rel.len()).unwrap())
+        } else {
+            (a, b % ctx.len())
+        }
+    }
+
+    fn random_state(ctx: &TaskContext, schema: &ArtifactSchema, steps: &[Step]) -> SymState {
+        let mut state = SymState::blank(ctx, schema);
+        for step in steps {
+            apply(ctx, schema, &mut state, step);
+        }
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pruned merge refinement over a reused scratch state lists
+        /// exactly the states, in exactly the order, of the reference
+        /// routine, for every cap combination, including the rounds that
+        /// overflow `max_successors` and sort and truncate.
+        #[test]
+        fn merge_refinements_equal_the_reference(
+            depth in 1usize..=2,
+            steps in arb_steps(14),
+            noise in arb_steps(4),
+        ) {
+            let system = system();
+            let ctx = rich_context(&system, depth);
+            let state = random_state(&ctx, &system.schema, &steps);
+            // The scratch starts as an unrelated state: every attempt
+            // resets it, so its contents must not leak.
+            let mut scratch = random_state(&ctx, &system.schema, &noise);
+            for max_merge_pairs in [0, 1, 6, 12] {
+                for max_successors in [1, 3, 512] {
+                    let caps = SuccessorCaps { max_successors, max_merge_pairs };
+                    prop_assert_eq!(
+                        merge_refinements(&ctx, &state, caps, &mut scratch),
+                        merge_refinements_reference(&ctx, &state, caps),
+                        "caps {:?}", caps
+                    );
+                }
+            }
+        }
+
+        /// The premise of ending a pair's round at the base state: a union
+        /// that fails on a state fails on every refinement of it by
+        /// successful unions.
+        #[test]
+        fn a_failed_union_fails_on_every_refinement(
+            depth in 1usize..=2,
+            steps in arb_steps(14),
+            pair in (0..64usize, 0..64usize, any::<bool>()),
+            refinement in proptest::collection::vec(
+                (0..64usize, 0..64usize, any::<bool>()), 1..8),
+        ) {
+            let system = system();
+            let ctx = rich_context(&system, depth);
+            let state = random_state(&ctx, &system.schema, &steps);
+            let (a, b) = union_pair(&ctx, pair);
+            if state.clone().union(&ctx, a, b).is_ok() {
+                continue;
+            }
+            let mut refined = state;
+            for (x, y, related) in refinement {
+                apply(&ctx, &system.schema, &mut refined, &Step::Union(x, y, related));
+                prop_assert!(refined.clone().union(&ctx, a, b).is_err());
+                let mut normalized = refined.clone();
+                normalized.normalize();
+                prop_assert!(normalized.union(&ctx, a, b).is_err());
+            }
+        }
     }
 }
