@@ -10,7 +10,7 @@ use has_ltl::hltl::TaskProp;
 use has_ltl::Ltl;
 use has_model::{ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort};
 use has_symbolic::successor::{self, SuccessorCaps};
-use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
+use has_symbolic::{transfer_pattern, Correspondence, ProjectionKey, SymState, TaskContext};
 use has_vass::{
     BitSet, CoverabilityGraph, CycleSearch, FxBuildHasher, FxHashMap, Interner, KmScratch,
     SparseActions, Vass,
@@ -295,21 +295,6 @@ struct OpenChoice {
     letter: Letter,
 }
 
-/// The expression correspondence of one child's return, computed for each
-/// child by [`TaskVerifier::new`], so once per `(T, β)` pair rather than
-/// once per return (DESIGN.md §5.13): per variable pair of
-/// the child's `closing.output_map` and `opening.input_map`, the
-/// `(child expr, parent expr)` index pairs anchored at the pair — the
-/// variables themselves and their navigations present in both universes.
-/// [`TaskVerifier::apply_return`] reads the rows instead of rebuilding
-/// them per call.
-struct ReturnCorrespondence {
-    /// One row per `closing.output_map` pair, in map order.
-    outputs: Vec<Vec<(usize, usize)>>,
-    /// One row per `opening.input_map` pair, in map order.
-    inputs: Vec<Vec<(usize, usize)>>,
-}
-
 /// A control state of `V(T, β)`.
 ///
 /// Symbolic states are held as dense ids into the exploration's
@@ -373,8 +358,13 @@ pub struct TaskVerifier<'a> {
     /// transitions are skipped during graph construction (empty when the
     /// system fails validation).
     dead: &'a DeadServiceMap,
-    /// The return correspondence of each child task.
-    returns: BTreeMap<TaskId, ReturnCorrespondence>,
+    /// Per child, the correspondence of its opening (parent to child,
+    /// along `opening.input_map`) and of its return (child to parent:
+    /// `closing.output_map`'s entries, then `opening.input_map`'s).
+    transfers: BTreeMap<TaskId, (Correspondence, Correspondence)>,
+    /// The `τ_out` projection's correspondence: the task's input and
+    /// return variables, each onto itself.
+    output: Correspondence,
 }
 
 impl<'a> TaskVerifier<'a> {
@@ -399,24 +389,33 @@ impl<'a> TaskVerifier<'a> {
         props.sort();
         props.dedup();
         let cbuchi = CompiledBuchi::new(buchi, &props, &system.schema);
-        let returns = system
-            .schema
-            .task(task)
+        let t = system.schema.task(task);
+        let transfers = t
             .children
             .iter()
             .map(|&child| {
                 let child_ctx = &child_contexts[&child];
-                let child_task = system.schema.task(child);
-                let row = |cv, pv| Self::corresponding(ctx, child_ctx, cv, pv);
-                let outputs = child_task.closing.output_map.iter();
-                let inputs = child_task.opening.input_map.iter();
-                let correspondence = ReturnCorrespondence {
-                    outputs: outputs.map(|&(pv, cv)| row(cv, pv)).collect(),
-                    inputs: inputs.map(|&(cv, pv)| row(cv, pv)).collect(),
+                let (inputs, outputs) = {
+                    let c = system.schema.task(child);
+                    (&c.opening.input_map, &c.closing.output_map)
                 };
-                (child, correspondence)
+                // `input_map` lists `(child, parent)` pairs and `output_map`
+                // `(parent, child)` pairs; entries are `(source, destination)`.
+                let passed: Vec<(VarId, VarId)> = inputs.iter().map(|&(c, p)| (p, c)).collect();
+                let returned = outputs.iter().map(|&(p, c)| (c, p));
+                let returning: Vec<(VarId, VarId)> =
+                    returned.chain(inputs.iter().copied()).collect();
+                let open = Correspondence::new(ctx, child_ctx, &passed);
+                let back = Correspondence::new(child_ctx, ctx, &returning);
+                (child, (open, back))
             })
             .collect();
+        let mut out_vars = t.input_vars.clone();
+        out_vars.extend(t.return_vars());
+        out_vars.sort();
+        out_vars.dedup();
+        let identity: Vec<(VarId, VarId)> = out_vars.iter().map(|&v| (v, v)).collect();
+        let output = Correspondence::new(ctx, ctx, &identity);
         TaskVerifier {
             system,
             config,
@@ -429,7 +428,8 @@ impl<'a> TaskVerifier<'a> {
             children,
             child_contexts,
             dead,
-            returns,
+            transfers,
+            output,
         }
     }
 
@@ -603,56 +603,11 @@ impl<'a> TaskVerifier<'a> {
     /// by opening it from the parent state `sym` (the paper's
     /// `τ'_in = f_in^{-1}(τ_i)` of Definition 18).
     fn child_input(&self, sym: &SymState, child: TaskId) -> ProjectionKey {
-        let schema = self.schema();
         let child_ctx = &self.child_contexts[&child];
-        let child_task = schema.task(child);
-        let mut state = SymState::blank(child_ctx, schema);
-        // (parent_var -> child_var) correspondence for the pattern transfer.
-        let map: Vec<(VarId, VarId)> = child_task
-            .opening
-            .input_map
-            .iter()
-            .map(|(cv, pv)| (*pv, *cv))
-            .collect();
-        // Numeric mapped variables must leave the zero class before the
-        // transfer so that only the parent's equalities constrain them.
-        for (_, cv) in &map {
-            if schema.variable(*cv).sort == VarSort::Numeric {
-                state.fresh_numeric(child_ctx, *cv);
-            }
-        }
-        transfer_pattern(self.ctx, sym, child_ctx, &mut state, &map);
-        state.project_vars(child_ctx, &child_task.input_vars)
-    }
-
-    /// The `(child expr, parent expr)` index pairs anchored at the child
-    /// variable `cv` and the parent variable `pv`: each parent expression
-    /// that is `pv` or a navigation from it, with the child expression that
-    /// reads the same from `cv`, where the child's universe has one.
-    fn corresponding(
-        ctx: &TaskContext,
-        child_ctx: &TaskContext,
-        cv: VarId,
-        pv: VarId,
-    ) -> Vec<(usize, usize)> {
-        ctx.exprs
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, pe)| {
-                let ce = match pe {
-                    has_symbolic::Expr::Var(v) if *v == pv => has_symbolic::Expr::Var(cv),
-                    has_symbolic::Expr::Nav { var, rel, path } if *var == pv => {
-                        has_symbolic::Expr::Nav {
-                            var: cv,
-                            rel: *rel,
-                            path: path.clone(),
-                        }
-                    }
-                    _ => return None,
-                };
-                child_ctx.index_of(&ce).map(|ci| (ci, pi))
-            })
-            .collect()
+        let mut state = SymState::blank(child_ctx, self.schema());
+        let opening = &self.transfers[&child].0;
+        transfer_pattern(self.ctx, sym, child_ctx, &mut state, opening, |_| true);
+        state.project_vars(child_ctx, &self.schema().task(child).input_vars)
     }
 
     /// Applies a child's return to the parent state (Definition 8's closing
@@ -662,57 +617,30 @@ impl<'a> TaskVerifier<'a> {
     /// that were passed down on opening and to their navigations. The
     /// result forgets the task's unobservable variables (DESIGN.md §5.14).
     fn apply_return(&self, sym: &SymState, child: TaskId, output: &SymState) -> SymState {
-        let schema = self.schema();
         let child_ctx = &self.child_contexts[&child];
-        let child_task = schema.task(child);
-        let correspondence = &self.returns[&child];
+        let returning = &self.transfers[&child].1;
+        let outputs = self.schema().task(child).closing.output_map.len();
+        // The overwritten parent variables, by entry.
+        let written = |k: usize| {
+            k < outputs
+                && match self.schema().variable(returning.dst_var(k)).sort {
+                    VarSort::Numeric => true,
+                    VarSort::Id => sym.is_null(self.ctx, returning.dst_var(k)),
+                }
+        };
         let mut next = sym.clone();
-        // The overwritten returned variables `(child_var, parent_var)`, with
-        // their correspondence rows.
-        let mut written_map: Vec<(VarId, VarId)> = Vec::new();
-        let mut written_rows: Vec<&[(usize, usize)]> = Vec::new();
-        let outputs = child_task.closing.output_map.iter();
-        for ((pv, cv), row) in outputs.zip(&correspondence.outputs) {
-            let overwrite = match schema.variable(*pv).sort {
-                VarSort::Numeric => true,
-                VarSort::Id => sym.is_null(self.ctx, *pv),
-            };
-            if overwrite {
-                written_map.push((*cv, *pv));
-                written_rows.push(row);
-            }
-        }
-        // Re-initialize the written numeric parent variables so the transfer
-        // determines their pattern from scratch.
-        for (_, pv) in &written_map {
-            if schema.variable(*pv).sort == VarSort::Numeric {
-                next.fresh_numeric(self.ctx, *pv);
-            }
-        }
-        // The transfer re-binds the written parent variables; the input
-        // parent variables keep their classes because transfer only *adds*
-        // equalities among live expressions... except that `transfer_pattern`
-        // rebinds every mapped destination variable, which would disturb the
-        // parent's own pattern for the passed (input) variables. To avoid
-        // that, the transfer is restricted to the written variables (an
-        // input pair joins only when its parent variable is written), and
-        // the input variables participate only as sources of equalities
-        // checked directly below.
-        let inputs = child_task.opening.input_map.iter();
-        for ((cv, pv), row) in inputs.zip(&correspondence.inputs) {
-            if written_map.iter().any(|(_, w)| w == pv) {
-                written_map.push((*cv, *pv));
-                written_rows.push(row);
-            }
-        }
-        transfer_pattern(child_ctx, output, self.ctx, &mut next, &written_map);
-        // Equalities between written parent variables (and their navigations)
-        // and the *passed* parent variables (and theirs), as dictated by the
-        // child's output pattern.
-        for written_row in &written_rows {
-            for input_row in &correspondence.inputs {
-                for &(cw, pw) in *written_row {
-                    for &(ci, pi) in input_row {
+        transfer_pattern(child_ctx, output, self.ctx, &mut next, returning, written);
+        // Equalities between the written parent variables (and their
+        // navigations) and the passed ones that keep their value (and
+        // theirs), as dictated by the child's output pattern. A passed
+        // variable that is also written holds the returned value now.
+        let passed = outputs..outputs + self.schema().task(child).opening.input_map.len();
+        let kept =
+            |i| !(0..outputs).any(|w| written(w) && returning.dst_var(w) == returning.dst_var(i));
+        for w in (0..outputs).filter(|&w| written(w)) {
+            for i in passed.clone().filter(|&i| kept(i)) {
+                for &(pw, cw) in returning.rows(w) {
+                    for &(pi, ci) in returning.rows(i) {
                         if output.is_live(cw)
                             && output.is_live(ci)
                             && output.eq(cw, ci)
@@ -730,19 +658,12 @@ impl<'a> TaskVerifier<'a> {
         next
     }
 
-    /// Projects a closing state onto the given variables (the paper's
-    /// `τ_out = τ|（x̄_in ∪ x̄_ret)`): a fresh state carrying only the
-    /// equality/binding pattern of those variables.
-    fn project_output(&self, state: &SymState, vars: &[VarId]) -> SymState {
-        let schema = self.schema();
-        let mut out = SymState::blank(self.ctx, schema);
-        for &v in vars {
-            if schema.variable(v).sort == VarSort::Numeric {
-                out.fresh_numeric(self.ctx, v);
-            }
-        }
-        let map: Vec<(VarId, VarId)> = vars.iter().map(|v| (*v, *v)).collect();
-        transfer_pattern(self.ctx, state, self.ctx, &mut out, &map);
+    /// Projects a closing state onto the task's input and return variables
+    /// (the paper's `τ_out = τ|（x̄_in ∪ x̄_ret)`): a fresh state carrying
+    /// only the equality/binding pattern of those variables.
+    fn project_output(&self, state: &SymState) -> SymState {
+        let mut out = SymState::blank(self.ctx, self.schema());
+        transfer_pattern(self.ctx, state, self.ctx, &mut out, &self.output, |_| true);
         out
     }
 
@@ -1124,16 +1045,6 @@ impl<'a> TaskVerifier<'a> {
             }
         }
 
-        // The variables a parent can observe in a returning run's output
-        // (the paper's τ_out projection target).
-        let out_vars: Vec<VarId> = {
-            let mut v = t.input_vars.clone();
-            v.extend(schema.task(self.task).return_vars());
-            v.sort();
-            v.dedup();
-            v
-        };
-
         ExploredGraph {
             states,
             syms,
@@ -1142,7 +1053,6 @@ impl<'a> TaskVerifier<'a> {
             initial_states,
             input_keys,
             accepting,
-            out_vars,
             stats,
             labels,
         }
@@ -1251,7 +1161,7 @@ impl<'a> TaskVerifier<'a> {
             if cs.closed && finite_ok(cs) && seen_syms.insert(cs.sym) {
                 let output = *sym_slot(output_of, cs.sym).get_or_insert_with(|| {
                     let sym = &graph.syms[cs.sym as usize];
-                    outputs.intern(self.project_output(sym, &graph.out_vars)).0
+                    outputs.intern(self.project_output(sym)).0
                 });
                 if seen_outputs.insert(output) {
                     candidates.push(RtEntry {
@@ -1391,7 +1301,6 @@ pub struct ExploredGraph {
     initial_states: Vec<usize>,
     input_keys: Vec<ProjectionKey>,
     accepting: BitSet,
-    out_vars: Vec<VarId>,
     stats: Stats,
     /// One run step per transition/VASS action, in creation order, recorded
     /// on every build; only witness details read it.

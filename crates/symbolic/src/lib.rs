@@ -65,7 +65,9 @@ pub mod context;
 pub mod expr;
 pub mod state;
 pub mod successor;
+#[cfg(test)]
+mod testing;
 
 pub use context::TaskContext;
 pub use expr::{Expr, Sort};
-pub use state::{transfer_pattern, ProjectionKey, SymState};
+pub use state::{transfer_pattern, Correspondence, ProjectionKey, SymState};

@@ -614,36 +614,149 @@ fn renumber(class: &mut [u32], map: &mut [u32]) {
     }
 }
 
-/// Transfers the equality/binding pattern of `src` (over `src_ctx`) onto
-/// `dst` (over `dst_ctx`) along a variable correspondence `var_map`
-/// (`(src_var, dst_var)` pairs): destination variables listed in the map are
-/// re-bound according to the source, and every pair of destination
-/// expressions whose corresponding source expressions are equal in `src` is
-/// unioned in `dst`. Corresponding expressions are: mapped variables, their
-/// navigations with identical relation and path, `null`, `0`, and identical
-/// named constants.
+/// The expression correspondence of one cross-task transfer, derived once
+/// from two task contexts and a variable map of `(src_var, dst_var)`
+/// entries: per entry, the `(dst expr, src expr)` index rows anchored at its
+/// variables (the variables themselves and their navigations with identical
+/// relation and path, where both universes have one), plus the rows of
+/// `null`, `0` and the named constants both universes share. Rows are in
+/// destination-expression order.
 ///
-/// This is the workhorse of the cross-task steps of the verifier: computing a
-/// child's input isomorphism type from the parent's state on opening
-/// (Definition 18), and writing a child's output pattern back into the parent
-/// on closing.
+/// The verifier builds every correspondence it transfers along when it
+/// creates a pair's explorer: a child's opening (Definition 18's
+/// `τ'_in`), a child's return (Definition 8's closing transition) and the
+/// task's own `τ_out` projection (DESIGN.md §5.13).
+#[derive(Clone, Debug)]
+pub struct Correspondence {
+    entries: Vec<CorrespondenceEntry>,
+    constants: Vec<(usize, usize)>,
+}
+
+#[derive(Clone, Debug)]
+struct CorrespondenceEntry {
+    src_var: VarId,
+    dst_var: VarId,
+    numeric: bool,
+    rows: Vec<(usize, usize)>,
+}
+
+impl Correspondence {
+    /// Derives the rows of `var_map` between `src_ctx` and `dst_ctx`.
+    pub fn new(src_ctx: &TaskContext, dst_ctx: &TaskContext, var_map: &[(VarId, VarId)]) -> Self {
+        let rows = |src_of: &dyn Fn(&Expr) -> Option<Expr>| -> Vec<(usize, usize)> {
+            let dst = dst_ctx.exprs.iter().enumerate();
+            dst.filter_map(|(di, e)| Some((di, src_ctx.index_of(&src_of(e)?)?)))
+                .collect()
+        };
+        let entries = var_map
+            .iter()
+            .map(|&(src_var, dst_var)| CorrespondenceEntry {
+                src_var,
+                dst_var,
+                numeric: dst_ctx.sorts[dst_ctx.var_idx(dst_var)] == Sort::Numeric,
+                rows: rows(&|e| match e {
+                    Expr::Var(v) if *v == dst_var => Some(Expr::Var(src_var)),
+                    Expr::Nav { var, rel, path } if *var == dst_var => Some(Expr::Nav {
+                        var: src_var,
+                        rel: *rel,
+                        path: path.clone(),
+                    }),
+                    _ => None,
+                }),
+            })
+            .collect();
+        let constants = rows(&|e| match e {
+            Expr::Null | Expr::Zero | Expr::Const(_) => Some(e.clone()),
+            Expr::Var(_) | Expr::Nav { .. } => None,
+        });
+        Correspondence { entries, constants }
+    }
+
+    /// The destination variable of entry `entry`.
+    pub fn dst_var(&self, entry: usize) -> VarId {
+        self.entries[entry].dst_var
+    }
+
+    /// The `(dst expr, src expr)` rows anchored at entry `entry`.
+    pub fn rows(&self, entry: usize) -> &[(usize, usize)] {
+        &self.entries[entry].rows
+    }
+}
+
+/// Transfers the equality/binding pattern of `src` (over `src_ctx`) onto
+/// `dst` (over `dst_ctx`) along the entries of `correspondence` that
+/// `selected` picks (by index, in map order).
+///
+/// Each selected destination variable is re-bound exactly once, from its
+/// first selected entry: an ID variable to its source variable's binding, a
+/// numeric variable to a fresh class. Then every pair of destination
+/// expressions whose source expressions are equal in `src` is unioned in
+/// `dst`, over the rows of those first entries and the constant rows, in
+/// destination-expression order. A later entry for the same destination
+/// variable is ignored: when a child both receives a parent variable and
+/// returns into it, the returned value wins (DESIGN.md §5.4).
 pub fn transfer_pattern(
+    src_ctx: &TaskContext,
+    src: &SymState,
+    dst_ctx: &TaskContext,
+    dst: &mut SymState,
+    correspondence: &Correspondence,
+    selected: impl Fn(usize) -> bool,
+) {
+    let entries = &correspondence.entries;
+    let mut rows = correspondence.constants.clone();
+    for (k, entry) in entries.iter().enumerate() {
+        let repeated = || (0..k).any(|j| selected(j) && entries[j].dst_var == entry.dst_var);
+        if !selected(k) || repeated() {
+            continue;
+        }
+        if entry.numeric {
+            dst.fresh_numeric(dst_ctx, entry.dst_var);
+        } else {
+            dst.bind(
+                dst_ctx,
+                entry.dst_var,
+                src.binding_of(src_ctx, entry.src_var),
+            );
+        }
+        rows.extend_from_slice(&entry.rows);
+    }
+    rows.sort_unstable();
+    for (a, &(di, si)) in rows.iter().enumerate() {
+        for &(dj, sj) in &rows[a + 1..] {
+            if SymState::eq(src, si, sj)
+                && dst.is_live(di)
+                && dst.is_live(dj)
+                && !SymState::eq(dst, di, dj)
+            {
+                let _ = dst.union(dst_ctx, di, dj);
+            }
+        }
+    }
+    dst.normalize();
+}
+
+/// The transfer as it was before correspondences were precomputed: it
+/// derives the rows per call and re-binds a destination ID variable once per
+/// map entry (so a repeated destination takes its *last* entry's binding,
+/// while its rows come from the first). Callers gave the mapped numeric
+/// destination variables fresh classes first. The reference the property
+/// tests hold [`transfer_pattern`] to, on maps without repeated
+/// destinations.
+#[cfg(test)]
+fn transfer_pattern_reference(
     src_ctx: &TaskContext,
     src: &SymState,
     dst_ctx: &TaskContext,
     dst: &mut SymState,
     var_map: &[(VarId, VarId)],
 ) {
-    // Re-bind the destination ID variables first so their navigations are
-    // live. Numeric variables have no binding; their classes are set by the
-    // equality replication below (callers give them fresh classes first).
     for (sv, dv) in var_map {
         let idx = dst_ctx.var_idx(*dv);
         if dst_ctx.sorts[idx] != Sort::Numeric {
             dst.bind(dst_ctx, *dv, src.binding_of(src_ctx, *sv));
         }
     }
-    // Build the correspondence dst expression -> src expression.
     let corresponding = |dst_expr: &Expr| -> Option<Expr> {
         match dst_expr {
             Expr::Null => Some(Expr::Null),
@@ -690,8 +803,10 @@ pub fn transfer_pattern(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{arb_steps, random_state, rich_context, system};
     use has_arith::Rational;
     use has_model::{SetUpdate, SystemBuilder};
+    use proptest::prelude::*;
 
     struct Fix {
         system: has_model::ArtifactSystem,
@@ -1068,5 +1183,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A random variable map over the test system's root task: each
+    /// destination variable at most once, each from a random source
+    /// variable of the same sort (sources may repeat).
+    fn random_map(
+        system: &has_model::ArtifactSystem,
+        picks: &[(usize, bool)],
+    ) -> Vec<(VarId, VarId)> {
+        let vars = &system.schema.task(system.root()).variables;
+        let same_sort = |d: VarId| -> Vec<VarId> {
+            let sort = system.schema.variable(d).sort;
+            let vars = vars.iter().copied();
+            vars.filter(|&s| system.schema.variable(s).sort == sort)
+                .collect()
+        };
+        vars.iter()
+            .zip(picks)
+            .filter(|(_, &(_, mapped))| mapped)
+            .map(|(&d, &(s, _))| {
+                let sources = same_sort(d);
+                (sources[s % sources.len()], d)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On maps without a repeated destination, the transfer over a
+        /// precomputed correspondence equals the reference for every
+        /// selection of entries: same bindings, same unions in the same
+        /// order, same normalized state. Source and destination use
+        /// different universes, so some rows exist on one side only.
+        #[test]
+        fn transfer_equals_the_reference(
+            src_depth in 1usize..=2,
+            dst_depth in 1usize..=2,
+            src_steps in arb_steps(14),
+            dst_steps in arb_steps(8),
+            picks in proptest::collection::vec((0..4usize, any::<bool>()), 4),
+            mask in 0u32..16,
+        ) {
+            let system = system();
+            let src_ctx = rich_context(&system, src_depth);
+            let dst_ctx = TaskContext::build(&system, system.root(), &[], dst_depth);
+            let src = random_state(&src_ctx, &system.schema, &src_steps);
+            let dst = random_state(&dst_ctx, &system.schema, &dst_steps);
+            let map = random_map(&system, &picks);
+            let correspondence = Correspondence::new(&src_ctx, &dst_ctx, &map);
+            let selected = |k: usize| mask & (1 << k) != 0;
+            let mut new = dst.clone();
+            transfer_pattern(&src_ctx, &src, &dst_ctx, &mut new, &correspondence, selected);
+            let kept: Vec<(VarId, VarId)> = map
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| selected(k))
+                .map(|(_, &pair)| pair)
+                .collect();
+            let mut reference = dst;
+            for &(_, d) in &kept {
+                if system.schema.variable(d).sort == VarSort::Numeric {
+                    reference.fresh_numeric(&dst_ctx, d);
+                }
+            }
+            transfer_pattern_reference(&src_ctx, &src, &dst_ctx, &mut reference, &kept);
+            prop_assert_eq!(new, reference, "map {:?}", kept);
+        }
+    }
+
+    /// A destination variable listed twice is re-bound once, from its
+    /// first entry; the reference re-binds it per entry, so the last one
+    /// wins there.
+    #[test]
+    fn a_repeated_destination_takes_its_first_entry() {
+        let f = fixture();
+        let src_ctx = &f.ctx;
+        let mut src = SymState::blank(src_ctx, &f.system.schema);
+        src.bind(src_ctx, f.flight, Some(f.flights));
+        let map = [(f.flight, f.hotel), (f.hotel, f.hotel)];
+        let correspondence = Correspondence::new(src_ctx, src_ctx, &map);
+        let mut dst = SymState::blank(src_ctx, &f.system.schema);
+        transfer_pattern(src_ctx, &src, src_ctx, &mut dst, &correspondence, |_| true);
+        assert_eq!(dst.binding_of(src_ctx, f.hotel), Some(f.flights));
+        let mut reference = SymState::blank(src_ctx, &f.system.schema);
+        transfer_pattern_reference(src_ctx, &src, src_ctx, &mut reference, &map);
+        assert_eq!(reference.binding_of(src_ctx, f.hotel), None);
     }
 }
