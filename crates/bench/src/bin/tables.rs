@@ -131,11 +131,13 @@ fn exp_witness() {
     print_witness("travel-booking/Buggy vs F(status=PAID)", &outcome);
     // The Appendix A.2 policy at the deliberately tight `fast_config` caps:
     // this line reads `HOLDS` — a *bounded* search result, kept in the
-    // walkthrough to show what an exhausted budget looks like. The violation
-    // itself is no longer out of reach: `tests/a2_violation.rs` and
-    // perfbench's travel-a2 workload find it within the default search
-    // budgets once `max_merge_pairs` is raised to the branching depth the
-    // configuration needs.
+    // walkthrough to show what a too-small budget looks like. Its
+    // Karp–Miller builds finish untruncated (`km-capped=0`); the default
+    // `max_merge_pairs` of 6 alone hides the violation. Raised to 12 (the
+    // branching depth the configuration needs), this run reads VIOLATED,
+    // as `tests/a2_violation.rs` and perfbench's travel-a2 workload do at
+    // the default caps; raising `max_successors`, `max_control_states` or
+    // `km_node_cap` instead does not.
     let property = travel_property(&t);
     let outcome =
         Verifier::with_config(&t.system, &property, fast_config().with_witnesses(true)).verify();

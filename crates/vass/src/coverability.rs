@@ -7,8 +7,8 @@
 //! holds node ids (so a lookup hit clones nothing and a miss copies the
 //! candidate marking exactly once, into the arena), and ω-acceleration
 //! consults a per-expansion ancestor index instead of re-walking the full
-//! parent chain per successor. Node ids are assigned in BFS-discovery
-//! order, which is what makes every downstream iteration deterministic.
+//! parent chain per successor. Node ids are assigned in discovery order,
+//! which is what makes every downstream iteration deterministic.
 //!
 //! Two builds share that machinery (DESIGN.md §5.12):
 //!
@@ -31,6 +31,15 @@
 //! lassos, a non-negative cycle over *real* edges is sound evidence, and
 //! the absence of one over real plus jump edges refutes the lasso
 //! ([`CoverabilityGraph::augmented_nonneg_cycle_through`]).
+//!
+//! The worklist decides which waiting node is expanded next. The exact
+//! build, and every build without counters, expands in id order: plain
+//! BFS. The pruned build with counters expands **ω-first**: a waiting node
+//! whose marking has the most [`OMEGA`] coordinates next, FIFO among equal
+//! counts (one queue per count). Dominating markings then reach a control
+//! state before the smaller waves they subsume, which are arrival-pruned
+//! instead of expanded and retro-pruned later. The order changes the graph,
+//! not its answers (DESIGN.md §5.12, "Exploration order").
 
 use crate::cycle::{self, DeltaEdge};
 use crate::dense::FxHasher;
@@ -257,6 +266,66 @@ impl Antichains {
     }
 }
 
+/// The order in which a build expands its interned nodes.
+enum Worklist {
+    /// Id (discovery) order: the next id not yet expanded. Interning
+    /// appends to it implicitly.
+    Cursor(usize),
+    /// ω-first: one FIFO queue of waiting node ids per ω count `0..=dim`,
+    /// threaded through `link` (per node: the next id in its queue).
+    /// `head` and `tail` hold each queue's ends; [`NONE`] marks an empty
+    /// queue and a queue's last node.
+    OmegaFirst {
+        head: Vec<u32>,
+        tail: Vec<u32>,
+        link: Vec<u32>,
+    },
+}
+
+impl Worklist {
+    fn omega_first(dim: usize) -> Self {
+        Worklist::OmegaFirst {
+            head: vec![NONE; dim + 1],
+            tail: vec![NONE; dim + 1],
+            link: Vec::new(),
+        }
+    }
+
+    /// Queues the node just interned as `id` with marking `row`.
+    fn push(&mut self, id: u32, row: &[u64]) {
+        if let Worklist::OmegaFirst { head, tail, link } = self {
+            debug_assert_eq!(link.len(), id as usize, "nodes are queued in id order");
+            link.push(NONE);
+            let omegas = row.iter().filter(|&&x| x == OMEGA).count();
+            match tail[omegas] {
+                NONE => head[omegas] = id,
+                last => link[last as usize] = id,
+            }
+            tail[omegas] = id;
+        }
+    }
+
+    /// The next node to expand, if any waits; `node_count` is the graph's
+    /// current size.
+    fn pop(&mut self, node_count: usize) -> Option<usize> {
+        match self {
+            Worklist::Cursor(next) => (*next < node_count).then(|| {
+                *next += 1;
+                *next - 1
+            }),
+            Worklist::OmegaFirst { head, tail, link } => {
+                let omegas = head.iter().rposition(|&h| h != NONE)?;
+                let node = head[omegas];
+                head[omegas] = link[node as usize];
+                if head[omegas] == NONE {
+                    tail[omegas] = NONE;
+                }
+                Some(node as usize)
+            }
+        }
+    }
+}
+
 /// The per-VASS scratch of the Karp–Miller builds: the VASS's per-state
 /// action adjacency ([`Vass::action_csr`]), computed once, and the
 /// ω-acceleration ancestor index and the pruned build's subsumption
@@ -368,7 +437,8 @@ impl CoverabilityGraph {
     }
 
     /// The one Karp–Miller loop behind both builds; `prune` selects the
-    /// pruned build.
+    /// pruned build, and with it the ω-first worklist when the VASS has
+    /// counters.
     fn build_inner(
         vass: &Vass,
         init: usize,
@@ -406,12 +476,17 @@ impl CoverabilityGraph {
         // index entirely.
         let accelerable = vass.dim > 0;
 
-        // BFS: ids are assigned in discovery order, so expanding them in id
-        // order is the FIFO worklist.
-        let mut next_node = 0;
-        while next_node < graph.node_count() {
-            let node = next_node;
-            next_node += 1;
+        // Ids are assigned in discovery order. The pruned build with
+        // counters expands ω-first, so dominating markings reach a state
+        // before the waves they subsume; every other build expands in id
+        // order, i.e. BFS (module docs).
+        let mut worklist = if prune && accelerable {
+            Worklist::omega_first(vass.dim)
+        } else {
+            Worklist::Cursor(0)
+        };
+        worklist.push(root, &root_row);
+        while let Some(node) = worklist.pop(graph.node_count()) {
             if pruned[node] {
                 continue;
             }
@@ -460,6 +535,7 @@ impl CoverabilityGraph {
                 let target = graph.insert(probe, action.to as u32, &next, node_id, action_idx);
                 graph.edges.push((node_id, action_idx, target));
                 pruned.push(false);
+                worklist.push(target, &next);
                 if let Some(antichains) = antichains.as_deref_mut() {
                     graph.retro_prune(antichains.of(action.to), target, &mut pruned);
                 }
@@ -564,7 +640,9 @@ impl CoverabilityGraph {
         }
     }
 
-    /// Iterates over the nodes in id (BFS-discovery) order.
+    /// Iterates over the nodes in id (discovery) order. That is BFS order
+    /// for the exact build; the pruned build discovers in ω-first
+    /// expansion order (see the module docs).
     pub fn nodes(&self) -> impl Iterator<Item = NodeRef<'_>> {
         (0..self.node_count()).map(|id| self.node(id))
     }
@@ -935,6 +1013,27 @@ mod tests {
             coverable_states(&g),
             coverable_states(&CoverabilityGraph::build(&v, 0))
         );
+    }
+
+    #[test]
+    fn omega_first_order_outruns_the_flood() {
+        // A ring of `n` states with one pumping self-loop at state 0. The
+        // exact build floods the ring twice, at 0 and at ω. The ω-first
+        // pruned build expands `(0, ω)` before the waiting `(1, 0)`, whose
+        // ω twin then retro-prunes it unexpanded: the ring is walked once,
+        // at ω, plus the root and `(1, 0)`.
+        let n = 16;
+        let mut v = Vass::new(n, 1);
+        for s in 0..n {
+            v.add_action(s, vec![0], (s + 1) % n);
+        }
+        v.add_action(0, vec![1], 0);
+        let exact = CoverabilityGraph::build(&v, 0);
+        let g = pruned(&v, 0, usize::MAX);
+        assert_eq!(exact.node_count(), 2 * n);
+        assert_eq!(g.node_count(), n + 2);
+        assert_eq!(coverable_states(&g), coverable_states(&exact));
+        assert!(lasso(&g, &v, 0));
     }
 
     #[test]

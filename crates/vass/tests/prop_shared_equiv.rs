@@ -21,6 +21,10 @@
 //!   refutation tier there: its answer is the real-edge decision's;
 //! * materialized pump-cycle witnesses are well-formed closed walks
 //!   through a target state with componentwise non-negative summed effect;
+//! * on larger random VASS (6 states, 3 counters, up to 16 actions), where
+//!   the pruned build's ω-first worklist expands in another order than
+//!   the exact build's BFS, the coverable sets, the tiered lasso decision
+//!   and the materialized cycles still hold as above;
 //! * witness paths chain control states from the root;
 //! * capped builds under-approximate (and one that reports no truncation
 //!   is complete), and repeated builds are byte-identical (`Debug`
@@ -31,13 +35,14 @@ use has_vass::{CoverabilityGraph, KmScratch, Vass};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-fn arb_vass(states: usize, dim: usize) -> impl Strategy<Value = Vass> {
+/// A random VASS with fewer than `max_actions` actions.
+fn arb_vass(states: usize, dim: usize, max_actions: usize) -> impl Strategy<Value = Vass> {
     let action = (
         0..states,
         proptest::collection::vec(-2i64..=2, dim),
         0..states,
     );
-    proptest::collection::vec(action, 1..10).prop_map(move |actions| {
+    proptest::collection::vec(action, 1..max_actions).prop_map(move |actions| {
         let mut v = Vass::new(states, dim);
         for (from, delta, to) in actions {
             v.add_action(from, delta, to);
@@ -75,11 +80,32 @@ fn lasso(vass: &Vass, graph: &CoverabilityGraph, target: usize) -> bool {
         .exists()
 }
 
+/// A materialized pump cycle is a closed walk over real edges that starts
+/// at a `target` node and has a componentwise non-negative summed effect.
+fn check_walk(vass: &Vass, run: &CoverabilityGraph, target: usize, walk: &[(usize, usize, usize)]) {
+    prop_assert!(!walk.is_empty());
+    let (start, _, _) = walk[0];
+    prop_assert_eq!(run.node(start).state, target, "walk starts at a target");
+    let mut total = vec![0i64; vass.dim];
+    let mut at = start;
+    for &(from, action, to) in walk {
+        prop_assert_eq!(from, at, "consecutive edges chain");
+        prop_assert_eq!(vass.actions()[action].from, run.node(from).state);
+        prop_assert_eq!(vass.actions()[action].to, run.node(to).state);
+        for (t, d) in total.iter_mut().zip(vass.delta(action)) {
+            *t += d;
+        }
+        at = to;
+    }
+    prop_assert_eq!(at, start, "walk is closed");
+    prop_assert!(total.iter().all(|&d| d >= 0), "summed effect nonneg");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
-    fn coverable_state_sets_match_from_scratch(vass in arb_vass(4, 2)) {
+    fn coverable_state_sets_match_from_scratch(vass in arb_vass(4, 2, 10)) {
         let mut scratch = KmScratch::new(&vass);
         // Every state as init, twice over: the second round runs on a
         // warm scratch.
@@ -95,7 +121,7 @@ proptest! {
     }
 
     #[test]
-    fn lasso_tiers_bracket_and_decide(vass in arb_vass(4, 2)) {
+    fn lasso_tiers_bracket_and_decide(vass in arb_vass(4, 2, 10)) {
         let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
@@ -116,7 +142,7 @@ proptest! {
     }
 
     #[test]
-    fn unpruned_builds_need_no_refutation_tier(vass in arb_vass(4, 2)) {
+    fn unpruned_builds_need_no_refutation_tier(vass in arb_vass(4, 2, 10)) {
         let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
@@ -134,7 +160,7 @@ proptest! {
     }
 
     #[test]
-    fn materialized_cycles_are_wellformed(vass in arb_vass(4, 2)) {
+    fn materialized_cycles_are_wellformed(vass in arb_vass(4, 2, 10)) {
         let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
@@ -153,29 +179,14 @@ proptest! {
                     "cap-0 decision from init {} target {}", init, target
                 );
                 if let has_vass::CycleSearch::Witness(walk) = search {
-                    prop_assert!(!walk.is_empty());
-                    let (start, _, _) = walk[0];
-                    prop_assert_eq!(run.node(start).state, target, "walk starts at a target");
-                    let mut total = vec![0i64; vass.dim];
-                    let mut at = start;
-                    for &(from, action, to) in &walk {
-                        prop_assert_eq!(from, at, "consecutive edges chain");
-                        prop_assert_eq!(vass.actions()[action].from, run.node(from).state);
-                        prop_assert_eq!(vass.actions()[action].to, run.node(to).state);
-                        for (t, d) in total.iter_mut().zip(vass.delta(action)) {
-                            *t += d;
-                        }
-                        at = to;
-                    }
-                    prop_assert_eq!(at, start, "walk is closed");
-                    prop_assert!(total.iter().all(|&d| d >= 0), "summed effect nonneg");
+                    check_walk(&vass, &run, target, &walk);
                 }
             }
         }
     }
 
     #[test]
-    fn witness_paths_chain_control_states(vass in arb_vass(4, 2)) {
+    fn witness_paths_chain_control_states(vass in arb_vass(4, 2, 10)) {
         let mut scratch = KmScratch::new(&vass);
         for init in [0usize, 1, 2, 3, 2, 1] {
             let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
@@ -191,7 +202,7 @@ proptest! {
     }
 
     #[test]
-    fn capped_runs_underapproximate(vass in arb_vass(4, 2), cap in 0usize..12) {
+    fn capped_runs_underapproximate(vass in arb_vass(4, 2, 10), cap in 0usize..12) {
         let mut scratch = KmScratch::new(&vass);
         // Warm the scratch first so the capped build runs on stale stamps.
         let _ = CoverabilityGraph::build_pruned(&vass, 0, usize::MAX, &mut scratch);
@@ -205,7 +216,7 @@ proptest! {
     }
 
     #[test]
-    fn repeated_builds_are_byte_identical(vass in arb_vass(4, 2)) {
+    fn repeated_builds_are_byte_identical(vass in arb_vass(4, 2, 10)) {
         let mut warm = KmScratch::new(&vass);
         for init in [0usize, 3, 1, 2, 0, 3] {
             let ra = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut warm);
@@ -216,6 +227,33 @@ proptest! {
                 &mut KmScratch::new(&vass),
             );
             prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+        }
+    }
+
+    /// Larger VASS, where the pruned build's ω-first worklist expands nodes
+    /// in another order than the exact build's BFS: the order changes the
+    /// graph, never the coverable set, the tiered lasso decision or the
+    /// shape of a materialized cycle.
+    #[test]
+    fn omega_first_order_keeps_the_answers(vass in arb_vass(6, 3, 17)) {
+        let mut scratch = KmScratch::new(&vass);
+        for init in 0..6usize {
+            let run = CoverabilityGraph::build_pruned(&vass, init, usize::MAX, &mut scratch);
+            let reference = CoverabilityGraph::build(&vass, init);
+            prop_assert!(!run.capped());
+            prop_assert_eq!(states_of(&run), states_of(&reference), "coverable set from init {}", init);
+            for target in 0..6usize {
+                prop_assert_eq!(
+                    tiered_lasso(&vass, init, &run, target),
+                    lasso(&vass, &reference, target),
+                    "tiered decision from init {} target {}", init, target
+                );
+                if let has_vass::CycleSearch::Witness(walk) =
+                    run.nonneg_cycle_through(&vass, &|s| s == target, 4_096)
+                {
+                    check_walk(&vass, &run, target, &walk);
+                }
+            }
         }
     }
 }
