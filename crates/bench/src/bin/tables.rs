@@ -129,19 +129,14 @@ fn exp_witness() {
     let outcome =
         Verifier::with_config(&t.system, &liveness, fast_config().with_witnesses(true)).verify();
     print_witness("travel-booking/Buggy vs F(status=PAID)", &outcome);
-    // The Appendix A.2 policy at the deliberately tight `fast_config` caps:
-    // this line reads `HOLDS` — a *bounded* search result, kept in the
-    // walkthrough to show what a too-small budget looks like. Its
-    // Karp–Miller builds finish untruncated (`km-capped=0`); the default
-    // `max_merge_pairs` of 6 alone hides the violation. Raised to 12 (the
-    // branching depth the configuration needs), this run reads VIOLATED,
-    // as `tests/a2_violation.rs` and perfbench's travel-a2 workload do at
-    // the default caps; raising `max_successors`, `max_control_states` or
-    // `km_node_cap` instead does not.
+    // The Appendix A.2 policy at the tight `fast_config` caps: the
+    // violation is found here as at the default caps (`tests/a2_violation.rs`
+    // checks both), a blocking run of `ManageTrips` that originates in
+    // `AlsoBookHotel`.
     let property = travel_property(&t);
     let outcome =
         Verifier::with_config(&t.system, &property, fast_config().with_witnesses(true)).verify();
-    print_witness("travel-booking/Buggy vs Appendix A.2 (bounded)", &outcome);
+    print_witness("travel-booking/Buggy vs Appendix A.2", &outcome);
 
     let o = order_fulfilment();
     let property = never_enqueue_property(&o);

@@ -7,6 +7,7 @@ use has_model::{
 };
 use has_symbolic::TaskContext;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Everything derived from the property before state exploration starts:
@@ -22,8 +23,9 @@ pub struct PropertyContext {
     pub flat: FlattenedProperty,
     /// Symbolic context per task (for *all* tasks of the system, not only
     /// those mentioned by the property), behind a shared handle: every
-    /// pair reads the same map.
-    pub contexts: Arc<BTreeMap<TaskId, TaskContext>>,
+    /// pair reads the same map. An `Rc`, since a context's post-state
+    /// cache is a single-threaded `RefCell`.
+    pub contexts: Rc<BTreeMap<TaskId, TaskContext>>,
     buchi_cache: BTreeMap<(TaskId, Vec<bool>), Arc<Buchi<TaskProp>>>,
 }
 
@@ -67,7 +69,7 @@ impl PropertyContext {
         }
         PropertyContext {
             flat,
-            contexts: Arc::new(contexts),
+            contexts: Rc::new(contexts),
             buchi_cache: BTreeMap::new(),
         }
     }

@@ -9,7 +9,7 @@ use has_ltl::buchi::{Buchi, BuchiState};
 use has_ltl::hltl::TaskProp;
 use has_ltl::Ltl;
 use has_model::{ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort};
-use has_symbolic::successor::{self, SuccessorCaps};
+use has_symbolic::successor;
 use has_symbolic::{transfer_pattern, Correspondence, ProjectionKey, SymState, TaskContext};
 use has_vass::{
     BitSet, CoverabilityGraph, CycleSearch, FxBuildHasher, FxHashMap, Interner, KmScratch,
@@ -527,7 +527,6 @@ impl<'a> TaskVerifier<'a> {
                 }
             }
             states = successor::dedup(next);
-            states.truncate(self.config.max_successors);
         }
         states.retain(|s| s.may_satisfy(self.ctx, &constraint));
         successor::dedup(states)
@@ -695,12 +694,10 @@ impl<'a> TaskVerifier<'a> {
             memo.post_hits += 1;
             return ids.clone();
         }
-        let caps = SuccessorCaps {
-            max_successors: self.config.max_successors,
-            max_merge_pairs: self.config.max_merge_pairs,
-        };
         let base_state = memo.bases.get(base);
-        let (list, enumerated) = self.ctx.post_states(schema, service_idx, base_state, caps);
+        let (list, enumerated) =
+            self.ctx
+                .post_states(schema, service_idx, base_state, self.config.max_successors);
         if enumerated {
             memo.post_enumerations += 1;
         } else {

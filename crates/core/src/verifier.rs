@@ -26,8 +26,9 @@ pub struct VerifierConfig {
     pub max_successors: usize,
     /// Cap on the number of control states explored per `(T, β)` pair.
     pub max_control_states: usize,
-    /// Cap on the number of undecided related-expression pairs branched over
-    /// when refining a successor state.
+    /// Ignored: the merge refinement branches over every undecided related
+    /// pair. Kept only because the frozen benchmark driver (`perfbench/`)
+    /// sets it. Deleted with ROADMAP 5(c).
     pub max_merge_pairs: usize,
     /// Cap on the number of Karp–Miller coverability-graph nodes built per
     /// reachability query (truncation under-approximates the search).

@@ -5,13 +5,13 @@
 //! (restriction 1 of Section 6), so its symbolic post-states depend on the
 //! pre-state only through the input variables' pattern — the
 //! [`post_base`]. `enumerate_post_states` takes exactly the context, the
-//! schema, the service, that base and the enumeration caps; in particular
-//! it cannot read the truth assignment `β` the Büchi product is built for.
-//! That is why one list per `(service, caps, base)` key can serve every β
-//! of the task: [`TaskContext::post_states`] enumerates it at most once and
-//! hands out the shared list (DESIGN.md §5.13). Each list holds its states
-//! with the task's unobservable variables forgotten
-//! ([`TaskContext::unobservable`], DESIGN.md §5.14).
+//! schema, the service, that base and the `max_successors` cap; in
+//! particular it cannot read the truth assignment `β` the Büchi product is
+//! built for. That is why one list per `(service, max_successors, base)`
+//! key can serve every β of the task: [`TaskContext::post_states`]
+//! enumerates it at most once and hands out the shared list (DESIGN.md
+//! §5.13). Each list holds its states with the task's unobservable
+//! variables forgotten ([`TaskContext::unobservable`], DESIGN.md §5.14).
 //!
 //! Enumerating on a cache miss is the largest part of the graph build on
 //! the grid workload, so the enumeration allocates only for states it
@@ -23,20 +23,10 @@ use crate::context::TaskContext;
 use crate::state::SymState;
 use has_model::{ArtifactSchema, VarId, VarSort};
 use has_vass::Interner;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
-
-/// The caps a post-state enumeration truncates at: part of the cache key,
-/// since the truncated list depends on them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SuccessorCaps {
-    /// Cap on the number of symbolic states kept per enumeration step.
-    pub max_successors: usize,
-    /// Cap on the number of undecided related-expression pairs branched
-    /// over by the merge refinement.
-    pub max_merge_pairs: usize,
-}
+use std::sync::Arc;
 
 /// Normalizes every state, then sorts and deduplicates the list: the
 /// canonical form of an enumeration step's state set.
@@ -74,7 +64,7 @@ pub(crate) fn enumerate_post_states(
     schema: &ArtifactSchema,
     service_idx: usize,
     base: &SymState,
-    caps: SuccessorCaps,
+    max_successors: usize,
 ) -> Vec<SymState> {
     let t = schema.task(ctx.task);
     let post = &t.internal_services[service_idx].post;
@@ -102,19 +92,19 @@ pub(crate) fn enumerate_post_states(
                 .unwrap_or(true)
         });
         states = dedup(next);
-        states.truncate(caps.max_successors);
+        states.truncate(max_successors);
     }
     // Final filter plus the optional merge refinement over related pairs.
     let mut out = Vec::new();
     for s in &states {
-        for refined in merge_refinements(ctx, s, caps, &mut scratch) {
+        for refined in merge_refinements(ctx, s, max_successors, &mut scratch) {
             if refined.may_satisfy(ctx, post) {
                 out.push(refined);
             }
         }
     }
     let mut out = dedup(out);
-    out.truncate(caps.max_successors);
+    out.truncate(max_successors);
     forget_unobservable(ctx, out)
 }
 
@@ -189,8 +179,8 @@ fn choices_for_var(
 }
 
 /// The related expression pairs that are live and still distinct in
-/// `state`, in universe order, the first `max_merge_pairs` of them.
-fn merge_pairs(ctx: &TaskContext, state: &SymState, max_merge_pairs: usize) -> Vec<(usize, usize)> {
+/// `state`, in universe order.
+fn merge_pairs(ctx: &TaskContext, state: &SymState) -> Vec<(usize, usize)> {
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for i in 0..ctx.len() {
         for &j in ctx.related_to(i) {
@@ -199,17 +189,17 @@ fn merge_pairs(ctx: &TaskContext, state: &SymState, max_merge_pairs: usize) -> V
             }
         }
     }
-    pairs.truncate(max_merge_pairs);
     pairs
 }
 
 /// Optionally merges related expression pairs that are still distinct:
 /// this lets the enumeration produce "coincidental" equalities that the
-/// specification's atoms can observe (2^k branching over undecided related
-/// pairs, capped). Each pair's round tries its union in every state the
-/// previous rounds produced and adds each new normalized result; the list
-/// is sorted only when a round overflows `max_successors`, so the
-/// truncation keeps the same (smallest) states a sorted list would.
+/// specification's atoms can observe. Each pair's round tries its union in
+/// every state the previous rounds produced and adds each new normalized
+/// result; the list is sorted only when a round overflows `max_successors`,
+/// so the truncation keeps the same (smallest) states a sorted list would.
+/// That truncation ends the refinement, so the 2^k branching over k pairs
+/// is bounded by k × `max_successors` union attempts.
 ///
 /// Two kinds of attempt are skipped because they cannot add a state
 /// (DESIGN.md §5.8). A state in which the pair is already equal is its own
@@ -222,10 +212,10 @@ fn merge_pairs(ctx: &TaskContext, state: &SymState, max_merge_pairs: usize) -> V
 fn merge_refinements(
     ctx: &TaskContext,
     state: &SymState,
-    caps: SuccessorCaps,
+    max_successors: usize,
     scratch: &mut SymState,
 ) -> Vec<SymState> {
-    let pairs = merge_pairs(ctx, state, caps.max_merge_pairs);
+    let pairs = merge_pairs(ctx, state);
     let mut first = state.clone();
     first.normalize();
     if pairs.is_empty() {
@@ -253,10 +243,10 @@ fn merge_refinements(
                 round.intern(scratch.clone());
             }
         }
-        if round.len() > caps.max_successors {
+        if round.len() > max_successors {
             let mut out = round.into_items();
             out.sort_unstable();
-            out.truncate(caps.max_successors);
+            out.truncate(max_successors);
             return out;
         }
     }
@@ -270,10 +260,10 @@ fn merge_refinements(
 fn merge_refinements_reference(
     ctx: &TaskContext,
     state: &SymState,
-    caps: SuccessorCaps,
+    max_successors: usize,
 ) -> Vec<SymState> {
     use std::collections::HashSet;
-    let pairs = merge_pairs(ctx, state, caps.max_merge_pairs);
+    let pairs = merge_pairs(ctx, state);
     let mut first = state.clone();
     first.normalize();
     let mut out = vec![first];
@@ -293,17 +283,17 @@ fn merge_refinements_reference(
                 }
             }
         }
-        if out.len() > caps.max_successors {
+        if out.len() > max_successors {
             out.sort();
-            out.truncate(caps.max_successors);
+            out.truncate(max_successors);
             break;
         }
     }
     out
 }
 
-/// The cache key: internal service index, enumeration caps, post base.
-type Key = (usize, SuccessorCaps, SymState);
+/// The cache key: internal service index, `max_successors`, post base.
+type Key = (usize, usize, SymState);
 
 /// The post-state lists of one task's internal services, shared by every
 /// `(T, β)` exploration of the task (see the module docs). A key maps
@@ -312,7 +302,7 @@ type Key = (usize, SuccessorCaps, SymState);
 /// Cloning yields an empty cache.
 #[derive(Default)]
 pub(crate) struct SuccessorCache {
-    lists: Mutex<HashMap<Key, Arc<[SymState]>>>,
+    lists: RefCell<HashMap<Key, Arc<[SymState]>>>,
 }
 
 impl Clone for SuccessorCache {
@@ -323,9 +313,8 @@ impl Clone for SuccessorCache {
 
 impl fmt::Debug for SuccessorCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let len = self.lists.lock().map_or(0, |lists| lists.len());
         f.debug_struct("SuccessorCache")
-            .field("lists", &len)
+            .field("lists", &self.lists.borrow().len())
             .finish()
     }
 }
@@ -333,7 +322,8 @@ impl fmt::Debug for SuccessorCache {
 impl TaskContext {
     /// The post-states of internal service `service_idx` from `base` (a
     /// [`post_base`]), enumerated by `enumerate_post_states` on the first
-    /// request for the `(service_idx, caps, base)` key and shared from then
+    /// request for the `(service_idx, max_successors, base)` key and shared
+    /// from then
     /// on. Returns the list and whether this call was the one that
     /// enumerated it.
     ///
@@ -343,19 +333,15 @@ impl TaskContext {
         schema: &ArtifactSchema,
         service_idx: usize,
         base: &SymState,
-        caps: SuccessorCaps,
+        max_successors: usize,
     ) -> (Arc<[SymState]>, bool) {
-        let mut lists = self
-            .successors
-            .lists
-            .lock()
-            .expect("successor cache poisoned");
+        let mut lists = self.successors.lists.borrow_mut();
         let mut enumerated = false;
         let list = lists
-            .entry((service_idx, caps, base.clone()))
+            .entry((service_idx, max_successors, base.clone()))
             .or_insert_with(|| {
                 enumerated = true;
-                enumerate_post_states(self, schema, service_idx, base, caps).into()
+                enumerate_post_states(self, schema, service_idx, base, max_successors).into()
             });
         (Arc::clone(list), enumerated)
     }
@@ -363,11 +349,7 @@ impl TaskContext {
     /// Drops every cached post-state list (the task's explorations are
     /// done, so nothing will ask again).
     pub fn clear_post_states(&self) {
-        self.successors
-            .lists
-            .lock()
-            .expect("successor cache poisoned")
-            .clear();
+        self.successors.lists.borrow_mut().clear();
     }
 }
 
@@ -377,33 +359,26 @@ mod tests {
     use crate::testing::{apply, arb_steps, random_state, rich_context, system, union_pair, Step};
     use proptest::prelude::*;
 
-    const CAPS: SuccessorCaps = SuccessorCaps {
-        max_successors: 512,
-        max_merge_pairs: 6,
-    };
+    const CAP: usize = 512;
 
     #[test]
     fn keys_separate_caps_and_clones_and_clears_start_empty() {
         let system = system();
         let ctx = TaskContext::build(&system, system.root(), &[], 1);
         let base = post_base(&ctx, &system.schema, &SymState::blank(&ctx, &system.schema));
-        let (full, enumerated) = ctx.post_states(&system.schema, 0, &base, CAPS);
+        let (full, enumerated) = ctx.post_states(&system.schema, 0, &base, CAP);
         assert!(enumerated && !full.is_empty());
         assert_eq!(
             &full[..],
-            &enumerate_post_states(&ctx, &system.schema, 0, &base, CAPS)[..]
+            &enumerate_post_states(&ctx, &system.schema, 0, &base, CAP)[..]
         );
-        let (again, enumerated) = ctx.post_states(&system.schema, 0, &base, CAPS);
+        let (again, enumerated) = ctx.post_states(&system.schema, 0, &base, CAP);
         assert!(!enumerated && Arc::ptr_eq(&full, &again));
-        let capped = SuccessorCaps {
-            max_successors: 1,
-            ..CAPS
-        };
-        let (one, enumerated) = ctx.post_states(&system.schema, 0, &base, capped);
+        let (one, enumerated) = ctx.post_states(&system.schema, 0, &base, 1);
         assert!(enumerated && one.len() <= 1);
-        assert!(ctx.clone().post_states(&system.schema, 0, &base, CAPS).1);
+        assert!(ctx.clone().post_states(&system.schema, 0, &base, CAP).1);
         ctx.clear_post_states();
-        assert!(ctx.post_states(&system.schema, 0, &base, CAPS).1);
+        assert!(ctx.post_states(&system.schema, 0, &base, CAP).1);
     }
 
     proptest! {
@@ -411,8 +386,8 @@ mod tests {
 
         /// The pruned merge refinement over a reused scratch state lists
         /// exactly the states, in exactly the order, of the reference
-        /// routine, for every cap combination, including the rounds that
-        /// overflow `max_successors` and sort and truncate.
+        /// routine, for every cap, including the rounds that overflow
+        /// `max_successors` and sort and truncate.
         #[test]
         fn merge_refinements_equal_the_reference(
             depth in 1usize..=2,
@@ -425,15 +400,12 @@ mod tests {
             // The scratch starts as an unrelated state: every attempt
             // resets it, so its contents must not leak.
             let mut scratch = random_state(&ctx, &system.schema, &noise);
-            for max_merge_pairs in [0, 1, 6, 12] {
-                for max_successors in [1, 3, 512] {
-                    let caps = SuccessorCaps { max_successors, max_merge_pairs };
-                    prop_assert_eq!(
-                        merge_refinements(&ctx, &state, caps, &mut scratch),
-                        merge_refinements_reference(&ctx, &state, caps),
-                        "caps {:?}", caps
-                    );
-                }
+            for max_successors in [1, 3, 512] {
+                prop_assert_eq!(
+                    merge_refinements(&ctx, &state, max_successors, &mut scratch),
+                    merge_refinements_reference(&ctx, &state, max_successors),
+                    "max_successors {}", max_successors
+                );
             }
         }
 

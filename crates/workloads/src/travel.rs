@@ -442,11 +442,8 @@ pub fn travel_property(t: &TravelSystem) -> HltlFormula {
 /// `BookInitialTrip` — so it reliably produces a rendered witness tree under
 /// the bounded budgets the examples use. The Appendix A.2 policy
 /// ([`travel_property`]) is the paper-faithful property; its violation on
-/// the buggy variant is found within the default search budgets once
-/// `max_merge_pairs` is raised to 12 — the branching depth the misbehaving
-/// `Cancel` configuration needs (`tests/a2_violation.rs`, EXP-S1) — while
-/// under the deliberately tight example caps it still reads `HOLDS
-/// (bounded search)`.
+/// the buggy variant is found at the default caps and at the tight example
+/// caps alike (`tests/a2_violation.rs`, EXP-S1).
 pub fn travel_liveness_property(t: &TravelSystem) -> HltlFormula {
     let status_var = t
         .system

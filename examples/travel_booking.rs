@@ -52,7 +52,7 @@ fn main() {
         );
         match variant {
             TravelVariant::Buggy => println!(
-                "  modelled bug: Cancel may run while AddHotel is adding a discounted hotel\n  (the default max_merge_pairs = 6 alone keeps the search from generating that\n  configuration, so this line reads HOLDS; at 12 it reads VIOLATED, while raising\n  max_successors, max_control_states or km_node_cap does not — see EXPERIMENTS.md\n  on bounded verdicts)"
+                "  modelled bug: Cancel may run while AddHotel is adding a discounted hotel\n  expected: VIOLATED — found at these caps and at the default ones"
             ),
             TravelVariant::Fixed => println!(
                 "  expected: HOLDS — Cancel only opens once the hotel reservation is visible"

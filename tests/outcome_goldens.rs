@@ -77,14 +77,10 @@ fn assert_stats_golden(label: &str, stats: &Stats) {
     );
 }
 
-/// The `tests/a2_violation.rs` configuration: default search budgets,
-/// `max_merge_pairs = 12`, witnesses on.
+/// The `tests/a2_violation.rs` configuration: every cap at its default,
+/// witnesses on.
 fn a2_config() -> VerifierConfig {
-    VerifierConfig {
-        max_merge_pairs: 12,
-        ..VerifierConfig::default()
-    }
-    .with_witnesses(true)
+    VerifierConfig::default().with_witnesses(true)
 }
 
 /// `has_bench::fast_config`'s caps, with witnesses on.
