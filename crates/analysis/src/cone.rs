@@ -78,13 +78,6 @@ impl DimensionCone {
         self.disabled[a]
     }
 
-    /// `true` when the cone changes nothing: every dimension is in the cone
-    /// and no action is disabled, so [`DimensionCone::assemble`] yields the
-    /// full-dimension VASS.
-    pub fn is_trivial(&self) -> bool {
-        self.kept == self.keep.len() && !self.any_disabled
-    }
-
     /// Assembles the VASS of `list` over `states` control states, restricted
     /// to the cone: same action count, **order** and endpoints (so action
     /// indices keep identifying the same transition — witness paths index
@@ -283,7 +276,6 @@ mod tests {
         v.add_action(0, vec![0], 1);
         let (cone, p) = cone_of(&v, &[0]);
         assert_eq!((cone.dims_before(), cone.dims_after()), (1, 0));
-        assert!(!cone.is_trivial());
         assert_eq!(p.dim, 0);
         assert_eq!(p.actions(), v.actions());
     }
@@ -313,8 +305,8 @@ mod tests {
         v.add_action(0, vec![1], 1);
         v.add_action(1, vec![-1], 0);
         let (cone, p) = cone_of(&v, &[0]);
-        assert!(cone.is_trivial());
-        assert_eq!(cone.dims_after(), 1);
+        assert_eq!((cone.dims_before(), cone.dims_after()), (1, 1));
+        assert!((0..2).all(|a| !cone.disables(a)));
         assert_eq!((p.dim, p.actions()), (1, v.actions()));
         assert_eq!((p.delta(0), p.delta(1)), (&[1][..], &[-1][..]));
     }
@@ -351,7 +343,6 @@ mod tests {
             list.push(from, [], to);
         }
         let cone = dimension_cone_multi(&list, 0, &list.action_csr(2), &[0]);
-        assert!(cone.is_trivial());
         assert_eq!((cone.dims_before(), cone.dims_after()), (0, 0));
         assert!((0..3).all(|a| !cone.disables(a)));
         let p = cone.assemble(&list, 2);
@@ -403,7 +394,9 @@ mod tests {
         let mut v = Vass::new(3, 1);
         v.add_action(0, vec![1], 1);
         v.add_action(1, vec![-1], 2);
-        assert!(cone_of(&v, &[0]).0.is_trivial());
+        let (from_start, _) = cone_of(&v, &[0]);
+        assert_eq!(from_start.dims_after(), from_start.dims_before());
+        assert!((0..2).all(|a| !from_start.disables(a)));
         let (from_mid, _) = cone_of(&v, &[1]);
         assert_eq!(from_mid.dims_after(), 0);
         assert!(from_mid.disables(1));

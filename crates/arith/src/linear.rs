@@ -408,17 +408,6 @@ impl<V: Ord + Clone> LinearConstraint<V> {
             None
         }
     }
-
-    /// Renames every variable through `f`.
-    pub fn rename<W: Ord + Clone, F>(&self, f: F) -> LinearConstraint<W>
-    where
-        F: FnMut(&V) -> W,
-    {
-        LinearConstraint {
-            expr: self.expr.rename(f),
-            op: self.op,
-        }
-    }
 }
 
 impl<V: Ord + fmt::Display> fmt::Display for LinearConstraint<V> {

@@ -295,7 +295,9 @@ impl Violation {
 /// (EXP-T1 / EXP-T2 / EXP-F3 in DESIGN.md).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Symbolic control states constructed across all per-task VASS.
+    /// Symbolic control states constructed across all per-task VASS: one
+    /// graph `V(T, β)` per pair, shared by the pair's inputs, so a state
+    /// reached from several initial states counts once.
     pub control_states: usize,
     /// VASS actions (transitions) constructed.
     pub transitions: usize,

@@ -310,10 +310,6 @@ struct CState {
     children: Vec<(TaskId, ChildStatus)>,
     /// Set when the task's own closing service has been applied (terminal).
     closed: bool,
-    /// Index of the initial input state this control state originated from
-    /// (keeps runs originating from different inputs separate, as the paper
-    /// does by fixing `τ_in` per query).
-    input_index: usize,
 }
 
 impl CState {
@@ -362,9 +358,6 @@ pub struct TaskVerifier<'a> {
     /// along `opening.input_map`) and of its return (child to parent:
     /// `closing.output_map`'s entries, then `opening.input_map`'s).
     transfers: BTreeMap<TaskId, (Correspondence, Correspondence)>,
-    /// The `τ_out` projection's correspondence: the task's input and
-    /// return variables, each onto itself.
-    output: Correspondence,
 }
 
 impl<'a> TaskVerifier<'a> {
@@ -410,12 +403,6 @@ impl<'a> TaskVerifier<'a> {
                 (child, (open, back))
             })
             .collect();
-        let mut out_vars = t.input_vars.clone();
-        out_vars.extend(t.return_vars());
-        out_vars.sort();
-        out_vars.dedup();
-        let identity: Vec<(VarId, VarId)> = out_vars.iter().map(|&v| (v, v)).collect();
-        let output = Correspondence::new(ctx, ctx, &identity);
         TaskVerifier {
             system,
             config,
@@ -429,7 +416,6 @@ impl<'a> TaskVerifier<'a> {
             child_contexts,
             dead,
             transfers,
-            output,
         }
     }
 
@@ -658,11 +644,15 @@ impl<'a> TaskVerifier<'a> {
     }
 
     /// Projects a closing state onto the task's input and return variables
-    /// (the paper's `τ_out = τ|（x̄_in ∪ x̄_ret)`): a fresh state carrying
-    /// only the equality/binding pattern of those variables.
+    /// (the paper's `τ_out = τ|（x̄_in ∪ x̄_ret)`): the blank state carrying
+    /// only the equality/binding pattern of those variables, restricted the
+    /// way [`successor::post_base`] restricts to the input variables.
     fn project_output(&self, state: &SymState) -> SymState {
+        let t = self.schema().task(self.task);
+        let mut vars = t.input_vars.clone();
+        vars.extend(t.return_vars());
         let mut out = SymState::blank(self.ctx, self.schema());
-        transfer_pattern(self.ctx, state, self.ctx, &mut out, &self.output, |_| true);
+        out.adopt_vars(self.ctx, state, &vars);
         out
     }
 
@@ -848,8 +838,10 @@ impl<'a> TaskVerifier<'a> {
         let mut memo = BuildMemo::default();
 
         // Initial states: step the Büchi automaton on the opening letter.
-        for (input_index, input) in inputs.iter().enumerate() {
-            input_keys.push(input.project_vars(self.ctx, &t.input_vars));
+        // Each records its input key as it is interned; the states reached
+        // from it are shared with every other input that reaches them.
+        for input in &inputs {
+            let key = input.project_vars(self.ctx, &t.input_vars);
             let sym_id = syms.intern(input.clone()).0;
             let letter = self.letter_of(&mut memo, &syms, sym_id, ServiceRef::Opening(self.task));
             self.step_buchi(None, letter, &mut succ);
@@ -859,11 +851,11 @@ impl<'a> TaskVerifier<'a> {
                     q,
                     children: Vec::new(),
                     closed: false,
-                    input_index,
                 };
                 let (id, newly) = cstates.intern(c);
                 if newly {
                     initial_states.push(id as usize);
+                    input_keys.push(key.clone());
                 }
             }
         }
@@ -871,7 +863,7 @@ impl<'a> TaskVerifier<'a> {
         // Forward exploration of the control-state graph (counter validity is
         // decided later by the coverability queries). A state enters the
         // worklist exactly when it is newly interned; terminal `closed`
-        // states are interned but never enqueued.
+        // states are skipped when popped.
         let mut worklist: VecDeque<u32> = initial_states.iter().map(|&i| i as u32).collect();
 
         while let Some(id) = worklist.pop_front() {
@@ -882,6 +874,16 @@ impl<'a> TaskVerifier<'a> {
             if current.closed {
                 continue;
             }
+            // Every transition of the pair: intern the target, record the
+            // transition and its run step, and enqueue a new target.
+            let mut emit = |next: CState, counters: [Option<(u32, i64)>; 2], step: RunStep| {
+                let (nid, newly) = cstates.intern(next);
+                transitions.push(id as usize, counters.into_iter().flatten(), nid as usize);
+                labels.push(step);
+                if newly {
+                    worklist.push_back(nid);
+                }
+            };
             let has_active_children = current
                 .children
                 .iter()
@@ -919,18 +921,8 @@ impl<'a> TaskVerifier<'a> {
                                 q,
                                 children: Vec::new(),
                                 closed: false,
-                                input_index: current.input_index,
                             };
-                            let (nid, newly) = cstates.intern(next);
-                            transitions.push(
-                                id as usize,
-                                insert.into_iter().chain(retrieve),
-                                nid as usize,
-                            );
-                            labels.push(RunStep::Internal(service_idx));
-                            if newly {
-                                worklist.push_back(nid);
-                            }
+                            emit(next, [insert, retrieve], RunStep::Internal(service_idx));
                         }
                     }
                 }
@@ -950,28 +942,21 @@ impl<'a> TaskVerifier<'a> {
                 }
                 for choice in self.open_child(&mut memo, &mut syms, current.sym, child) {
                     self.step_buchi(Some(current.q), &choice.letter, &mut succ);
+                    let status = ChildStatus::Active {
+                        output: choice.output,
+                    };
+                    let step = RunStep::OpenChild {
+                        child,
+                        entry: choice.entry,
+                    };
                     for &q in &succ {
                         let next = CState {
                             sym: current.sym,
                             q,
-                            children: current.with_child(
-                                child,
-                                ChildStatus::Active {
-                                    output: choice.output,
-                                },
-                            ),
+                            children: current.with_child(child, status),
                             closed: false,
-                            input_index: current.input_index,
                         };
-                        let (nid, newly) = cstates.intern(next);
-                        transitions.push(id as usize, [], nid as usize);
-                        labels.push(RunStep::OpenChild {
-                            child,
-                            entry: choice.entry,
-                        });
-                        if newly {
-                            worklist.push_back(nid);
-                        }
+                        emit(next, [None, None], step);
                     }
                 }
             }
@@ -991,14 +976,8 @@ impl<'a> TaskVerifier<'a> {
                         q,
                         children: current.with_child(child, ChildStatus::Closed),
                         closed: false,
-                        input_index: current.input_index,
                     };
-                    let (nid, newly) = cstates.intern(next);
-                    transitions.push(id as usize, [], nid as usize);
-                    labels.push(RunStep::CloseChild(child));
-                    if newly {
-                        worklist.push_back(nid);
-                    }
+                    emit(next, [None, None], RunStep::CloseChild(child));
                 }
             }
 
@@ -1017,12 +996,8 @@ impl<'a> TaskVerifier<'a> {
                         q,
                         children: current.children.clone(),
                         closed: true,
-                        input_index: current.input_index,
                     };
-                    let (nid, _) = cstates.intern(next);
-                    transitions.push(id as usize, [], nid as usize);
-                    labels.push(RunStep::CloseTask);
-                    // Closed states have no successors; no need to enqueue.
+                    emit(next, [None, None], RunStep::CloseTask);
                 }
             }
         }
@@ -1116,7 +1091,7 @@ impl<'a> TaskVerifier<'a> {
     ) -> (Vec<RtEntry>, QueryCost) {
         let init = graph.initial_states[pos];
         let states = &graph.states;
-        let input_key = graph.input_keys[states[init].input_index].clone();
+        let input_key = graph.input_keys[pos].clone();
         let PairShared {
             vass,
             dims_after,
@@ -1296,6 +1271,9 @@ pub struct ExploredGraph {
     /// met by the build), before any projection.
     dim: usize,
     initial_states: Vec<usize>,
+    /// The input key `τ_in` of each initial state, parallel to
+    /// `initial_states`: the query from `initial_states[pos]` reports
+    /// `input_keys[pos]`.
     input_keys: Vec<ProjectionKey>,
     accepting: BitSet,
     stats: Stats,
@@ -1680,5 +1658,93 @@ mod tests {
         assert!(steps.iter().any(|s| matches!(s, RunStep::OpenChild { .. })));
         assert!(steps.iter().any(|s| matches!(s, RunStep::CloseChild(_))));
         assert!(steps.contains(&RunStep::CloseTask));
+    }
+
+    /// A root with two numeric inputs `x`, `y` and one service `match`
+    /// whose post-condition equates them: the inputs with `x`, `y` fresh
+    /// and distinct and with `y = x` reach the same state after one step.
+    fn converging_inputs() -> (ArtifactSystem, has_ltl::HltlFormula) {
+        use has_model::{SetUpdate, SystemBuilder};
+        let mut b = SystemBuilder::new("converging-inputs");
+        let root = b.root_task("Main");
+        let x = b.num_var(root, "x");
+        let y = b.num_var(root, "y");
+        b.input_vars(root, &[x, y]);
+        let matched = Condition::var_eq(x, y);
+        b.internal_service(root, "match", Condition::True, matched, SetUpdate::None);
+        let system = b.build().unwrap();
+        let mut hb = has_ltl::hltl::HltlBuilder::new(system.root());
+        let matched = hb.service(ServiceRef::Internal(root, 0));
+        let property = hb.finish(matched.eventually());
+        (system, property)
+    }
+
+    /// Control states do not record their input: where the runs of two
+    /// inputs reach the same state, the pair's graph holds it once, and
+    /// each initial state's query still reports its own `τ_in`.
+    #[test]
+    fn converging_inputs_share_their_successors() {
+        let (system, property) = converging_inputs();
+        let config = VerifierConfig::default();
+        let dead = has_analysis::analyze(&system, Some(&property)).dead;
+        let mut pc = crate::property::PropertyContext::new(&system, &property, config.nav_depth);
+        pc.precompute_automata();
+        let root = system.root();
+        // β = [true]: `F match`, so `match` may fire.
+        let beta = vec![true];
+        let buchi = pc.buchi_shared(root, &beta);
+        let tv = TaskVerifier::new(
+            &system,
+            &config,
+            pc.context(root),
+            root,
+            beta,
+            pc.phi(root),
+            &buchi,
+            Arc::new(SummaryMap::new()),
+            &pc.contexts,
+            &dead,
+        );
+        let graph = tv.build_graph();
+        // Five inputs: (0, 0), (0, fresh), (fresh, 0), y = x fresh and
+        // (fresh, fresh), one initial state each.
+        let inputs = tv.enumerate_inputs();
+        assert_eq!(inputs.len(), 5);
+        assert_eq!(graph.initial_count(), 5);
+        // `match` leads every input to x = y = 0 or to x = y fresh, each
+        // under two Büchi states: four successors in all, interned once.
+        assert_eq!(graph.stats.control_states, 9);
+        let targets = |init: usize| -> Vec<usize> {
+            let actions = graph.transitions.actions();
+            let mut to: Vec<usize> = (actions.iter())
+                .filter(|a| a.from == init)
+                .map(|a| a.to)
+                .collect();
+            to.sort();
+            to.dedup();
+            to
+        };
+        let mut shared_targets: Vec<Vec<usize>> =
+            graph.initial_states.iter().map(|&i| targets(i)).collect();
+        shared_targets.sort();
+        shared_targets.dedup();
+        assert_eq!(shared_targets.len(), 2, "{shared_targets:?}");
+        // Each query reports its own initial state's input key.
+        let mut shared = tv.prepare_shared(&graph);
+        let per_init: Vec<_> = (0..graph.initial_count())
+            .map(|pos| tv.init_queries_shared(&graph, pos, &mut shared))
+            .collect();
+        for (pos, (candidates, _)) in per_init.iter().enumerate() {
+            assert!(!candidates.is_empty());
+            assert!(candidates
+                .iter()
+                .all(|e| e.input_key == graph.input_keys[pos]));
+        }
+        let (entries, _) = TaskVerifier::reduce_queries(&graph, per_init);
+        let keys: Vec<&ProjectionKey> = entries.iter().map(|e| &e.input_key).collect();
+        let expected: Vec<ProjectionKey> = (inputs.iter())
+            .map(|s| s.project_vars(tv.ctx, &system.schema.task(root).input_vars))
+            .collect();
+        assert_eq!(keys, expected.iter().collect::<Vec<_>>());
     }
 }

@@ -32,11 +32,6 @@ impl Valuation {
         self.values.insert(var, value);
     }
 
-    /// Gets the raw value of a variable, if explicitly set.
-    pub fn get_raw(&self, var: VarId) -> Option<Value> {
-        self.values.get(&var).copied()
-    }
-
     /// Gets the value of a variable, defaulting per the variable's sort:
     /// `null` for ID variables, `0` for numeric ones.
     pub fn get(&self, schema: &ArtifactSchema, var: VarId) -> Value {
@@ -223,8 +218,7 @@ mod tests {
         let cond = Condition::not_null(f.x).and(Condition::is_null(f.hotel));
         assert!(eval_condition(&f.schema, &f.db, &val, &cond));
         let projected = val.project(&[f.price]);
-        assert_eq!(projected.get_raw(f.x), None);
-        assert_eq!(projected.get_raw(f.price), Some(Value::num(1)));
-        assert_eq!(projected.iter().count(), 1);
+        let kept: Vec<(VarId, Value)> = projected.iter().collect();
+        assert_eq!(kept, [(f.price, Value::num(1))]);
     }
 }

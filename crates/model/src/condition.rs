@@ -265,33 +265,6 @@ impl Condition {
         }
     }
 
-    /// Rewrites every variable through the given mapping (used when inlining
-    /// conditions across task boundaries and when renaming in the verifier).
-    pub fn rename_vars<F>(&self, f: &F) -> Condition
-    where
-        F: Fn(VarId) -> VarId,
-    {
-        let rename_term = |t: &Term| match t {
-            Term::Var(v) => Term::Var(f(*v)),
-            other => *other,
-        };
-        match self {
-            Condition::True => Condition::True,
-            Condition::False => Condition::False,
-            Condition::Atom(a) => Condition::Atom(match a {
-                Atom::Eq(s, t) => Atom::Eq(rename_term(s), rename_term(t)),
-                Atom::Relation { relation, args } => Atom::Relation {
-                    relation: *relation,
-                    args: args.iter().map(rename_term).collect(),
-                },
-                Atom::Arith(c) => Atom::Arith(c.rename(|v| f(*v))),
-            }),
-            Condition::Not(c) => Condition::Not(Box::new(c.rename_vars(f))),
-            Condition::And(cs) => Condition::And(cs.iter().map(|c| c.rename_vars(f)).collect()),
-            Condition::Or(cs) => Condition::Or(cs.iter().map(|c| c.rename_vars(f)).collect()),
-        }
-    }
-
     /// Collects all atoms of the condition.
     pub fn atoms(&self) -> Vec<Atom> {
         let mut out = Vec::new();
@@ -386,18 +359,5 @@ mod tests {
         assert!(imp.eval_with(&mut |_| false));
         assert_eq!(Condition::all(std::iter::empty()), Condition::True);
         assert_eq!(Condition::any(std::iter::empty()), Condition::False);
-    }
-
-    #[test]
-    fn rename_vars_applies_to_every_atom() {
-        let cond = Condition::var_eq(v(0), v(1)).and(Condition::arith(LinearConstraint::gt(
-            LinExpr::var(v(0)),
-            LinExpr::constant(Rational::ZERO),
-        )));
-        let renamed = cond.rename_vars(&|VarId(i)| VarId(i + 10));
-        let vars = renamed.variables();
-        assert!(vars.contains(&v(10)));
-        assert!(vars.contains(&v(11)));
-        assert!(!vars.contains(&v(0)));
     }
 }

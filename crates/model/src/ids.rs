@@ -43,11 +43,6 @@ impl ServiceRef {
             ServiceRef::Internal(t, _) | ServiceRef::Opening(t) | ServiceRef::Closing(t) => *t,
         }
     }
-
-    /// Returns `true` if this is an internal service.
-    pub fn is_internal(&self) -> bool {
-        matches!(self, ServiceRef::Internal(..))
-    }
 }
 
 impl fmt::Debug for RelationId {
@@ -91,9 +86,7 @@ mod tests {
     #[test]
     fn service_ref_accessors() {
         let t = TaskId(3);
-        assert!(ServiceRef::Internal(t, 0).is_internal());
         assert_eq!(ServiceRef::Closing(t).task(), t);
-        assert!(!ServiceRef::Opening(t).is_internal());
     }
 
     #[test]

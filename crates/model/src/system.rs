@@ -109,17 +109,6 @@ impl ArtifactSchema {
         rec(self, self.root)
     }
 
-    /// Depth of a specific task below the root (the root has depth 0).
-    pub fn task_depth(&self, task: TaskId) -> usize {
-        let mut d = 0;
-        let mut cur = task;
-        while let Some(p) = self.task(cur).parent {
-            d += 1;
-            cur = p;
-        }
-        d
-    }
-
     /// The services observable in runs of task `T` (`Σ^obs_T`): the task's
     /// internal services, its own opening and closing services, and the
     /// opening/closing services of its children.
@@ -269,8 +258,6 @@ mod tests {
         assert_eq!(schema.depth(), 2);
         let root = schema.root;
         let child = schema.task_by_name("Child").unwrap();
-        assert_eq!(schema.task_depth(root), 0);
-        assert_eq!(schema.task_depth(child), 1);
         assert_eq!(schema.descendants(root), vec![child]);
         assert!(schema.descendants(child).is_empty());
     }

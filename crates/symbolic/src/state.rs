@@ -624,8 +624,9 @@ fn renumber(class: &mut [u32], map: &mut [u32]) {
 ///
 /// The verifier builds every correspondence it transfers along when it
 /// creates a pair's explorer: a child's opening (Definition 18's
-/// `τ'_in`), a child's return (Definition 8's closing transition) and the
-/// task's own `τ_out` projection (DESIGN.md §5.13).
+/// `τ'_in`) and a child's return (Definition 8's closing transition).
+/// Restricting a state to some of its own task's variables needs none:
+/// that is [`SymState::adopt_vars`] onto the blank state.
 #[derive(Clone, Debug)]
 pub struct Correspondence {
     entries: Vec<CorrespondenceEntry>,
@@ -1250,6 +1251,36 @@ mod tests {
             }
             transfer_pattern_reference(&src_ctx, &src, &dst_ctx, &mut reference, &kept);
             prop_assert_eq!(new, reference, "map {:?}", kept);
+        }
+
+        /// Restricting a state to a set of its task's variables — the
+        /// blank state adopting their pattern, as `post_base` and the
+        /// `τ_out` projection do — equals the transfer over the identity
+        /// correspondence of those variables, for every subset of the
+        /// root task's variables.
+        #[test]
+        fn adopting_onto_blank_equals_the_identity_transfer(
+            depth in 1usize..=2,
+            steps in arb_steps(14),
+        ) {
+            let system = system();
+            let schema = &system.schema;
+            let ctx = rich_context(&system, depth);
+            let state = random_state(&ctx, schema, &steps);
+            let vars = &schema.task(system.root()).variables;
+            for mask in 0..1u32 << vars.len() {
+                let subset: Vec<VarId> = (vars.iter().enumerate())
+                    .filter(|&(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, &v)| v)
+                    .collect();
+                let mut adopted = SymState::blank(&ctx, schema);
+                adopted.adopt_vars(&ctx, &state, &subset);
+                let identity: Vec<(VarId, VarId)> = subset.iter().map(|&v| (v, v)).collect();
+                let correspondence = Correspondence::new(&ctx, &ctx, &identity);
+                let mut transferred = SymState::blank(&ctx, schema);
+                transfer_pattern(&ctx, &state, &ctx, &mut transferred, &correspondence, |_| true);
+                prop_assert_eq!(adopted, transferred, "vars {:?}", subset);
+            }
         }
     }
 
