@@ -5,7 +5,9 @@
 //! workload and extracts the cost measures the paper's complexity analysis
 //! talks about: wall time, symbolic control states, Karp–Miller coverability
 //! nodes, counter dimensions, HCD cells, and the static-reduction counters
-//! (projection dimensions, Karp–Miller subsumption). [`bench_config`] and
+//! (projection dimensions, Karp–Miller subsumption), plus the union
+//! attempts of the post-state enumeration's merge refinement
+//! (`Stats::merge_unions`, the `unions` column). [`bench_config`] and
 //! [`fast_config`] are also the caps perfbench measures with; perfbench,
 //! not this crate, keeps the machine-readable timing record.
 
@@ -36,7 +38,7 @@ impl Measurement {
     pub fn row(&self) -> String {
         let s = &self.stats;
         format!(
-            "{:<42} {:>7} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9.1}",
+            "{:<42} {:>7} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>7} {:>9.1}",
             self.label,
             if self.holds { "holds" } else { "viol." },
             s.control_states,
@@ -45,6 +47,7 @@ impl Measurement {
             format!("{}->{}", s.counter_dims_before, s.counter_dims_after),
             s.km_subsumed,
             s.hcd_cells,
+            s.merge_unions,
             self.time.as_secs_f64() * 1000.0
         )
     }
@@ -52,7 +55,7 @@ impl Measurement {
     /// The header matching [`Measurement::row`].
     pub fn header() -> String {
         format!(
-            "{:<42} {:>7} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>9}",
+            "{:<42} {:>7} {:>9} {:>9} {:>6} {:>9} {:>8} {:>7} {:>7} {:>9}",
             "instance",
             "result",
             "states",
@@ -61,6 +64,7 @@ impl Measurement {
             "proj",
             "subsume",
             "cells",
+            "unions",
             "time(ms)"
         )
     }

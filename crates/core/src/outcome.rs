@@ -342,6 +342,11 @@ pub struct Stats {
     /// aggregate is the number of distinct keys, and each enumeration is
     /// recorded by the first pair in canonical order that asks for it.
     pub post_enumerations: usize,
+    /// Union attempts made by the merge refinements of the post-state
+    /// enumerations this run performed (the coincidental equalities between
+    /// related expressions, DESIGN.md §5.8). Each is counted by the pair
+    /// that enumerated its list, as [`Stats::post_enumerations`] is.
+    pub merge_unions: usize,
     /// Post-state lookups served without enumerating: from the pair's own
     /// memo, or from the task's cache after another pair (or an earlier
     /// lookup of this one) enumerated the list.
@@ -371,6 +376,7 @@ impl Stats {
         self.km_capped += other.km_capped;
         self.lasso_fallbacks += other.lasso_fallbacks;
         self.post_enumerations += other.post_enumerations;
+        self.merge_unions += other.merge_unions;
         self.post_memo_hits += other.post_memo_hits;
     }
 }
@@ -381,7 +387,7 @@ impl fmt::Display for Stats {
             f,
             "states={} transitions={} km-nodes={} dims={} buchi={} (T,β)={} R_T={} cells={} \
              proj={}->{} dead={} km-subsume={} km-capped={} lasso-fallbacks={} post-enum={} \
-             post-hits={}",
+             merge-unions={} post-hits={}",
             self.control_states,
             self.transitions,
             self.coverability_nodes,
@@ -397,6 +403,7 @@ impl fmt::Display for Stats {
             self.km_capped,
             self.lasso_fallbacks,
             self.post_enumerations,
+            self.merge_unions,
             self.post_memo_hits
         )
     }

@@ -17,6 +17,7 @@ use has_vass::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The cost measures of one `(T, β, τ_in)` Lemma 21 query, accumulated into
@@ -224,13 +225,19 @@ struct BuildMemo {
     base_of: Vec<Option<u32>>,
     /// Distinct post-state bases (input-variable projections).
     bases: Interner<SymState>,
-    /// Post-state id lists keyed on `(base id, internal service index)`.
-    posts: FxHashMap<(u32, usize), Vec<u32>>,
-    /// Lists this pair enumerated ([`Stats::post_enumerations`]), and
-    /// lookups served from `posts` or the task context's cache
-    /// ([`Stats::post_memo_hits`]).
+    /// Post-state id lists keyed on `(base id, internal service index)`,
+    /// shared with each lookup that hits.
+    posts: FxHashMap<(u32, usize), Rc<[u32]>>,
+    /// Lists this pair enumerated ([`Stats::post_enumerations`]), the
+    /// union attempts their merge refinements made
+    /// ([`Stats::merge_unions`]), and lookups served from `posts` or the
+    /// task context's cache ([`Stats::post_memo_hits`]).
     post_enumerations: usize,
+    merge_unions: usize,
     post_hits: usize,
+    /// Whether a sym id may satisfy the guard of an internal service, a
+    /// child's opening or the task's closing, keyed on `(sym id, service)`.
+    guards: FxHashMap<(u32, ServiceRef), bool>,
     /// The condition valuation of each sym id.
     valuation_of: Vec<Option<Letter>>,
     /// The letter of each step without a child choice, keyed on
@@ -673,7 +680,7 @@ impl<'a> TaskVerifier<'a> {
         syms: &mut Interner<SymState>,
         sym: u32,
         service_idx: usize,
-    ) -> Vec<u32> {
+    ) -> Rc<[u32]> {
         let schema = self.schema();
         let base = *sym_slot(&mut memo.base_of, sym).get_or_insert_with(|| {
             memo.bases
@@ -682,23 +689,42 @@ impl<'a> TaskVerifier<'a> {
         });
         if let Some(ids) = memo.posts.get(&(base, service_idx)) {
             memo.post_hits += 1;
-            return ids.clone();
+            return Rc::clone(ids);
         }
         let base_state = memo.bases.get(base);
-        let (list, enumerated) =
+        let (list, merge_unions) =
             self.ctx
                 .post_states(schema, service_idx, base_state, self.config.max_successors);
-        if enumerated {
-            memo.post_enumerations += 1;
-        } else {
-            memo.post_hits += 1;
+        match merge_unions {
+            Some(unions) => {
+                memo.post_enumerations += 1;
+                memo.merge_unions += unions;
+            }
+            None => memo.post_hits += 1,
         }
-        let ids: Vec<u32> = list
+        let ids: Rc<[u32]> = list
             .iter()
             .map(|s| syms.lookup(s).unwrap_or_else(|| syms.intern(s.clone()).0))
             .collect();
-        memo.posts.insert((base, service_idx), ids.clone());
+        memo.posts.insert((base, service_idx), Rc::clone(&ids));
         ids
+    }
+
+    /// Whether `sym` may satisfy `guard`, the pre-condition of `service`
+    /// (an internal service, a child's opening or the task's closing),
+    /// memoized on `(sym, service)`.
+    fn may_fire(
+        &self,
+        memo: &mut BuildMemo,
+        syms: &Interner<SymState>,
+        sym: u32,
+        service: ServiceRef,
+        guard: &Condition,
+    ) -> bool {
+        *memo
+            .guards
+            .entry((sym, service))
+            .or_insert_with(|| syms.get(sym).may_satisfy(self.ctx, guard))
     }
 
     /// The [`TaskVerifier::valuation`] of `sym`, memoized per sym id.
@@ -892,8 +918,9 @@ impl<'a> TaskVerifier<'a> {
             // --- Internal services -------------------------------------
             if !has_active_children {
                 for (service_idx, service) in t.internal_services.iter().enumerate() {
+                    let sref = ServiceRef::Internal(self.task, service_idx);
                     if self.dead_internal(service_idx)
-                        || !syms.get(current.sym).may_satisfy(self.ctx, &service.pre)
+                        || !self.may_fire(&mut memo, &syms, current.sym, sref, &service.pre)
                     {
                         continue;
                     }
@@ -909,8 +936,7 @@ impl<'a> TaskVerifier<'a> {
                         |d: usize| u32::try_from(d).expect("counter dimensions are u32-indexed");
                     let insert = (counted && service.delta.inserts() && !posts.is_empty())
                         .then(|| (index(counter_dims.dim(self.ctx, &syms, current.sym)), 1));
-                    let sref = ServiceRef::Internal(self.task, service_idx);
-                    for post_id in posts {
+                    for &post_id in posts.iter() {
                         let retrieve = (counted && service.delta.retrieves())
                             .then(|| (index(counter_dims.dim(self.ctx, &syms, post_id)), -1));
                         let letter = self.letter_of(&mut memo, &syms, post_id, sref);
@@ -937,7 +963,8 @@ impl<'a> TaskVerifier<'a> {
                     continue;
                 }
                 let opening_pre = &schema.task(child).opening.pre;
-                if !syms.get(current.sym).may_satisfy(self.ctx, opening_pre) {
+                let sref = ServiceRef::Opening(child);
+                if !self.may_fire(&mut memo, &syms, current.sym, sref, opening_pre) {
                     continue;
                 }
                 for choice in self.open_child(&mut memo, &mut syms, current.sym, child) {
@@ -982,12 +1009,12 @@ impl<'a> TaskVerifier<'a> {
             }
 
             // --- Closing the task itself --------------------------------
+            let sref = ServiceRef::Closing(self.task);
             if self.task != schema.root
                 && !has_active_children
                 && !self.dead.get(&self.task).is_some_and(|d| d.closing)
-                && syms.get(current.sym).may_satisfy(self.ctx, &t.closing.pre)
+                && self.may_fire(&mut memo, &syms, current.sym, sref, &t.closing.pre)
             {
-                let sref = ServiceRef::Closing(self.task);
                 let letter = self.letter_of(&mut memo, &syms, current.sym, sref);
                 self.step_buchi(Some(current.q), letter, &mut succ);
                 for &q in &succ {
@@ -1008,6 +1035,7 @@ impl<'a> TaskVerifier<'a> {
         stats.transitions = transitions.len();
         stats.counter_dimensions = counter_dims.index.len();
         stats.post_enumerations = memo.post_enumerations;
+        stats.merge_unions = memo.merge_unions;
         stats.post_memo_hits = memo.post_hits;
 
         let mut accepting = BitSet::new(states.len());
@@ -1563,7 +1591,8 @@ mod tests {
 
     /// A pair built after its sibling β warmed the task's post-state cache
     /// builds the same graph and `R_T` as on a cold cache: only the split of
-    /// its lookups between enumerations and hits moves.
+    /// its lookups between enumerations and hits moves, and with it the
+    /// merge unions its own enumerations made.
     #[test]
     fn warm_post_state_cache_builds_the_same_pair() {
         let (system, property) = booking();
@@ -1593,8 +1622,10 @@ mod tests {
             warm.post_enumerations + warm.post_memo_hits,
             cold.post_enumerations + cold.post_memo_hits
         );
+        assert!(warm.merge_unions <= cold.merge_unions);
         let memo_aside = |s: Stats| Stats {
             post_enumerations: 0,
+            merge_unions: 0,
             post_memo_hits: 0,
             ..s
         };

@@ -149,6 +149,18 @@ impl SymState {
         }
     }
 
+    /// The number of classes of a [normalized](SymState::normalize) state
+    /// (its live class ids are exactly `0..count`). A union of two distinct
+    /// classes lowers it, so a state refined by successful unions into a
+    /// different state has fewer classes.
+    pub(crate) fn class_count(&self) -> usize {
+        self.class
+            .iter()
+            .filter(|&&c| c != DEAD)
+            .max()
+            .map_or(0, |&c| c as usize + 1)
+    }
+
     /// Binds an ID variable to a relation, bringing its navigation
     /// expressions to life in fresh classes (one per navigation), and moving
     /// the variable itself out of the `null` class into a fresh class.

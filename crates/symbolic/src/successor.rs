@@ -17,13 +17,18 @@
 //! the grid workload, so the enumeration allocates only for states it
 //! keeps: trial unions run in one scratch state reset with `clone_from`,
 //! sets of states are [`Interner`]s, and the merge refinement skips the
-//! attempts that provably add no state (DESIGN.md §5.8).
+//! attempts that provably add no state (DESIGN.md §5.8). It also computes
+//! each merge closure once: the variable loop's states are refined finest
+//! first, and a state that already lies in an earlier state's complete
+//! closure is not refined again, since its own closure lies inside that one.
+//! Each distinct refinement is checked against the post-condition once.
 
 use crate::context::TaskContext;
 use crate::state::SymState;
-use has_model::{ArtifactSchema, VarId, VarSort};
+use has_model::{ArtifactSchema, Condition, VarId, VarSort};
 use has_vass::Interner;
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -58,30 +63,81 @@ pub fn post_base(ctx: &TaskContext, schema: &ArtifactSchema, state: &SymState) -
 /// truncated at `max_successors`; then every state forgets the context's
 /// [unobservable](TaskContext::unobservable) variables and each image is
 /// kept at its first position (DESIGN.md §5.14), so the result is
-/// duplicate-free.
+/// duplicate-free. Also returns the number of union attempts the merge
+/// refinement made.
 pub(crate) fn enumerate_post_states(
     ctx: &TaskContext,
     schema: &ArtifactSchema,
     service_idx: usize,
     base: &SymState,
     max_successors: usize,
+) -> (Vec<SymState>, usize) {
+    let post = &schema.task(ctx.task).internal_services[service_idx].post;
+    let mut scratch = base.clone();
+    let mut states = rewrite_free_vars(ctx, schema, post, base, max_successors, &mut scratch);
+    // Finest first: a state that another one's merge closure holds has
+    // fewer classes than it, so that closure is computed first.
+    states.sort_by_cached_key(|s| Reverse(s.class_count()));
+    // Every distinct refinement, whether it may satisfy the post-condition,
+    // and whether it lies in a merge closure that no cap cut.
+    let mut refined: Interner<SymState> = Interner::new();
+    let mut satisfiable: Vec<bool> = Vec::new();
+    let mut covered: Vec<bool> = Vec::new();
+    let mut unions = 0;
+    for s in &states {
+        // The closure of a state in a complete closure lies inside that
+        // closure (DESIGN.md §5.8), so it adds no state.
+        if refined.lookup(s).is_some_and(|id| covered[id as usize]) {
+            continue;
+        }
+        let (closure, complete) =
+            merge_refinements(ctx, s, max_successors, &mut scratch, &mut unions);
+        for m in closure {
+            let id = refined.lookup(&m).unwrap_or_else(|| {
+                satisfiable.push(m.may_satisfy(ctx, post));
+                covered.push(false);
+                refined.intern(m).0
+            });
+            covered[id as usize] |= complete;
+        }
+    }
+    let mut out: Vec<SymState> = refined
+        .into_items()
+        .into_iter()
+        .zip(satisfiable)
+        .filter_map(|(s, keep)| keep.then_some(s))
+        .collect();
+    // Distinct normalized states: the unstable sort orders them as `dedup`.
+    out.sort_unstable();
+    out.truncate(max_successors);
+    (forget_unobservable(ctx, out), unions)
+}
+
+/// The per-variable loop of the enumeration: rewrites every non-input
+/// variable in turn from `base`, pruning on the post-condition's decided
+/// atoms and truncating each step's sorted, deduplicated list at
+/// `max_successors`.
+fn rewrite_free_vars(
+    ctx: &TaskContext,
+    schema: &ArtifactSchema,
+    post: &Condition,
+    base: &SymState,
+    max_successors: usize,
+    scratch: &mut SymState,
 ) -> Vec<SymState> {
     let t = schema.task(ctx.task);
-    let post = &t.internal_services[service_idx].post;
     let free_vars: Vec<VarId> = t
         .variables
         .iter()
         .copied()
         .filter(|v| !t.input_vars.contains(v))
         .collect();
-
-    let mut scratch = base.clone();
     let mut states = vec![base.clone()];
     let mut remaining: BTreeSet<VarId> = free_vars.iter().copied().collect();
     for &v in &free_vars {
         let mut next = Vec::new();
         for s in &states {
-            choices_for_var(ctx, schema, s, v, &mut scratch, &mut next);
+            choices_for_var(ctx, schema, s, v, scratch, &mut next);
         }
         remaining.remove(&v);
         // Early pruning: drop states that already contradict the
@@ -94,10 +150,27 @@ pub(crate) fn enumerate_post_states(
         states = dedup(next);
         states.truncate(max_successors);
     }
-    // Final filter plus the optional merge refinement over related pairs.
+    states
+}
+
+/// The enumeration as it was before merge closures were shared: every
+/// state of the variable loop refined, each refinement filtered on the
+/// post-condition. The reference the property tests hold
+/// [`enumerate_post_states`] to.
+#[cfg(test)]
+fn enumerate_post_states_reference(
+    ctx: &TaskContext,
+    schema: &ArtifactSchema,
+    service_idx: usize,
+    base: &SymState,
+    max_successors: usize,
+) -> Vec<SymState> {
+    let post = &schema.task(ctx.task).internal_services[service_idx].post;
+    let mut scratch = base.clone();
+    let states = rewrite_free_vars(ctx, schema, post, base, max_successors, &mut scratch);
     let mut out = Vec::new();
     for s in &states {
-        for refined in merge_refinements(ctx, s, max_successors, &mut scratch) {
+        for refined in merge_refinements(ctx, s, max_successors, &mut scratch, &mut 0).0 {
             if refined.may_satisfy(ctx, post) {
                 out.push(refined);
             }
@@ -192,14 +265,19 @@ fn merge_pairs(ctx: &TaskContext, state: &SymState) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Optionally merges related expression pairs that are still distinct:
-/// this lets the enumeration produce "coincidental" equalities that the
-/// specification's atoms can observe. Each pair's round tries its union in
-/// every state the previous rounds produced and adds each new normalized
-/// result; the list is sorted only when a round overflows `max_successors`,
-/// so the truncation keeps the same (smallest) states a sorted list would.
-/// That truncation ends the refinement, so the 2^k branching over k pairs
-/// is bounded by k × `max_successors` union attempts.
+/// The merge closure of `state`: optionally merges related expression
+/// pairs that are still distinct, which lets the enumeration produce
+/// "coincidental" equalities that the specification's atoms can observe.
+/// Each pair's round tries its union in every state the previous rounds
+/// produced and adds each new normalized result; the list is sorted only
+/// when a round overflows `max_successors`, so the truncation keeps the
+/// same (smallest) states a sorted list would. That truncation ends the
+/// refinement, so the 2^k branching over k pairs is bounded by k ×
+/// `max_successors` union attempts. Returns the closure and whether it is
+/// complete (no round overflowed), and adds the union attempts to `unions`.
+/// A complete closure is every consistent `state ⊕ S` over subsets `S` of
+/// [`merge_pairs`], so it holds the closure of each of its members
+/// (DESIGN.md §5.8); a truncated one need not.
 ///
 /// Two kinds of attempt are skipped because they cannot add a state
 /// (DESIGN.md §5.8). A state in which the pair is already equal is its own
@@ -214,12 +292,13 @@ fn merge_refinements(
     state: &SymState,
     max_successors: usize,
     scratch: &mut SymState,
-) -> Vec<SymState> {
+    unions: &mut usize,
+) -> (Vec<SymState>, bool) {
     let pairs = merge_pairs(ctx, state);
     let mut first = state.clone();
     first.normalize();
     if pairs.is_empty() {
-        return vec![first];
+        return (vec![first], true);
     }
     let mut round: Interner<SymState> = Interner::new();
     round.intern(first);
@@ -231,6 +310,7 @@ fn merge_refinements(
                 continue;
             }
             scratch.clone_from(s);
+            *unions += 1;
             if scratch.union(ctx, i, j).is_err() {
                 if k == 0 {
                     // It fails on every refinement of the base too.
@@ -247,10 +327,10 @@ fn merge_refinements(
             let mut out = round.into_items();
             out.sort_unstable();
             out.truncate(max_successors);
-            return out;
+            return (out, false);
         }
     }
-    round.into_items()
+    (round.into_items(), true)
 }
 
 /// The merge refinement as it was before the prunings, the scratch state
@@ -323,9 +403,9 @@ impl TaskContext {
     /// The post-states of internal service `service_idx` from `base` (a
     /// [`post_base`]), enumerated by `enumerate_post_states` on the first
     /// request for the `(service_idx, max_successors, base)` key and shared
-    /// from then
-    /// on. Returns the list and whether this call was the one that
-    /// enumerated it.
+    /// from then on. Returns the list and, when this call was the one that
+    /// enumerated it, the number of union attempts its merge refinement
+    /// made (`None` when the list came from the cache).
     ///
     /// `schema` must be the schema the context was built from.
     pub fn post_states(
@@ -334,16 +414,18 @@ impl TaskContext {
         service_idx: usize,
         base: &SymState,
         max_successors: usize,
-    ) -> (Arc<[SymState]>, bool) {
+    ) -> (Arc<[SymState]>, Option<usize>) {
         let mut lists = self.successors.lists.borrow_mut();
-        let mut enumerated = false;
+        let mut merge_unions = None;
         let list = lists
             .entry((service_idx, max_successors, base.clone()))
             .or_insert_with(|| {
-                enumerated = true;
-                enumerate_post_states(self, schema, service_idx, base, max_successors).into()
+                let (list, unions) =
+                    enumerate_post_states(self, schema, service_idx, base, max_successors);
+                merge_unions = Some(unions);
+                list.into()
             });
-        (Arc::clone(list), enumerated)
+        (Arc::clone(list), merge_unions)
     }
 
     /// Drops every cached post-state list (the task's explorations are
@@ -356,7 +438,10 @@ impl TaskContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{apply, arb_steps, random_state, rich_context, system, union_pair, Step};
+    use crate::testing::{
+        apply, arb_dnf, arb_steps, random_context, random_state, random_system, rich_context,
+        system, union_pair, Step,
+    };
     use proptest::prelude::*;
 
     const CAP: usize = 512;
@@ -366,19 +451,22 @@ mod tests {
         let system = system();
         let ctx = TaskContext::build(&system, system.root(), &[], 1);
         let base = post_base(&ctx, &system.schema, &SymState::blank(&ctx, &system.schema));
-        let (full, enumerated) = ctx.post_states(&system.schema, 0, &base, CAP);
-        assert!(enumerated && !full.is_empty());
-        assert_eq!(
-            &full[..],
-            &enumerate_post_states(&ctx, &system.schema, 0, &base, CAP)[..]
-        );
-        let (again, enumerated) = ctx.post_states(&system.schema, 0, &base, CAP);
-        assert!(!enumerated && Arc::ptr_eq(&full, &again));
-        let (one, enumerated) = ctx.post_states(&system.schema, 0, &base, 1);
-        assert!(enumerated && one.len() <= 1);
-        assert!(ctx.clone().post_states(&system.schema, 0, &base, CAP).1);
+        let (full, unions) = ctx.post_states(&system.schema, 0, &base, CAP);
+        assert!(!full.is_empty());
+        let (listed, listed_unions) = enumerate_post_states(&ctx, &system.schema, 0, &base, CAP);
+        assert_eq!(&full[..], &listed[..]);
+        assert_eq!(unions, Some(listed_unions));
+        let (again, unions) = ctx.post_states(&system.schema, 0, &base, CAP);
+        assert!(unions.is_none() && Arc::ptr_eq(&full, &again));
+        let (one, unions) = ctx.post_states(&system.schema, 0, &base, 1);
+        assert!(unions.is_some() && one.len() <= 1);
+        assert!(ctx
+            .clone()
+            .post_states(&system.schema, 0, &base, CAP)
+            .1
+            .is_some());
         ctx.clear_post_states();
-        assert!(ctx.post_states(&system.schema, 0, &base, CAP).1);
+        assert!(ctx.post_states(&system.schema, 0, &base, CAP).1.is_some());
     }
 
     proptest! {
@@ -387,7 +475,8 @@ mod tests {
         /// The pruned merge refinement over a reused scratch state lists
         /// exactly the states, in exactly the order, of the reference
         /// routine, for every cap, including the rounds that overflow
-        /// `max_successors` and sort and truncate.
+        /// `max_successors` and sort and truncate. A closure reported
+        /// complete is the uncapped closure.
         #[test]
         fn merge_refinements_equal_the_reference(
             depth in 1usize..=2,
@@ -400,12 +489,16 @@ mod tests {
             // The scratch starts as an unrelated state: every attempt
             // resets it, so its contents must not leak.
             let mut scratch = random_state(&ctx, &system.schema, &noise);
+            let uncapped = merge_refinements_reference(&ctx, &state, usize::MAX);
             for max_successors in [1, 3, 512] {
+                let (closure, complete) =
+                    merge_refinements(&ctx, &state, max_successors, &mut scratch, &mut 0);
                 prop_assert_eq!(
-                    merge_refinements(&ctx, &state, max_successors, &mut scratch),
-                    merge_refinements_reference(&ctx, &state, max_successors),
+                    &closure,
+                    &merge_refinements_reference(&ctx, &state, max_successors),
                     "max_successors {}", max_successors
                 );
+                prop_assert_eq!(complete, closure == uncapped, "max_successors {}", max_successors);
             }
         }
 
@@ -434,6 +527,40 @@ mod tests {
                 let mut normalized = refined.clone();
                 normalized.normalize();
                 prop_assert!(normalized.union(&ctx, a, b).is_err());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Skipping the states that lie in an earlier complete merge
+        /// closure lists exactly the states, in exactly the order, of the
+        /// reference that refines every state of the variable loop, on
+        /// random input variables, services, context conditions and pre-
+        /// states, under caps that cut the variable loop and the closures.
+        #[test]
+        fn post_states_equal_the_reference(
+            depth in 1usize..=2,
+            inputs in 0u8..16,
+            posts in proptest::collection::vec(arb_dnf(), 1..=2),
+            extra in arb_dnf(),
+            steps in arb_steps(10),
+        ) {
+            let system = random_system(inputs, &posts);
+            let ctx = random_context(&system, depth, &extra);
+            let pre = random_state(&ctx, &system.schema, &steps);
+            let base = post_base(&ctx, &system.schema, &pre);
+            for service_idx in 0..posts.len() {
+                for max_successors in [1, 2, 3, 8, 48, 512] {
+                    prop_assert_eq!(
+                        enumerate_post_states(&ctx, &system.schema, service_idx, &base,
+                            max_successors).0,
+                        enumerate_post_states_reference(&ctx, &system.schema, service_idx,
+                            &base, max_successors),
+                        "service {} max_successors {}", service_idx, max_successors
+                    );
+                }
             }
         }
     }

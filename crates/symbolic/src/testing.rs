@@ -1,53 +1,145 @@
 //! Test support shared by the crate's property tests: a small one-task
-//! system and random symbolic states over its contexts.
+//! system, random variants of it (input variables, internal services and
+//! context conditions drawn from one atom pool) and random symbolic states
+//! over their contexts.
 
 use crate::context::TaskContext;
 use crate::state::SymState;
 use has_arith::{LinExpr, LinearConstraint, Rational};
 use has_model::{
-    ArtifactSchema, ArtifactSystem, Condition, SetUpdate, SystemBuilder, Term, VarId, VarSort,
+    ArtifactSchema, ArtifactSystem, Condition, RelationId, SetUpdate, SystemBuilder, Term, VarId,
+    VarSort,
 };
 use proptest::prelude::*;
 
 /// One task with two ID and two numeric variables, whose single service
 /// relates them through a relation atom and a constant.
 pub(crate) fn system() -> ArtifactSystem {
-    let mut b = SystemBuilder::new("succ");
-    b.relation("HOTELS", &["unit_price"], &[]);
-    b.relation("FLIGHTS", &["price"], &[("comp_hotel", "HOTELS")]);
-    let root = b.root_task("Root");
-    let flight = b.id_var(root, "flight_id");
-    let hotel = b.id_var(root, "hotel_id");
-    let price = b.num_var(root, "price");
-    let status = b.num_var(root, "status");
-    let flights = b.relation_id("FLIGHTS").unwrap();
-    let post = Condition::relation(
-        flights,
-        vec![Term::Var(flight), Term::Var(price), Term::Var(hotel)],
-    )
-    .and(Condition::eq_const(status, Rational::from_int(1)));
-    b.internal_service(root, "choose", Condition::True, post, SetUpdate::None);
-    b.build().unwrap()
+    // FLIGHTS(flight_id, price, hotel_id) ∧ status = 1.
+    random_system(0, &[vec![vec![(0, false), (3, false)]]])
 }
 
 /// The test system's context with property conditions that relate
 /// more expression pairs (`hotel.unit_price` with `price` and
 /// `status`, `price` with `1`, and the arithmetic pair `price`,
-/// `status` with `0`), so the caps 6 and 12 keep different pair lists.
+/// `status` with `0`).
 pub(crate) fn rich_context(system: &ArtifactSystem, depth: usize) -> TaskContext {
+    random_context(
+        system,
+        depth,
+        &vec![vec![(1, false), (2, false), (4, false), (8, false)]],
+    )
+}
+
+/// The number of atoms in [`atom`]'s pool.
+const ATOMS: usize = 10;
+
+/// Atom `k` of the pool random services and contexts draw from, over the
+/// root variables `[flight_id, hotel_id, price, status]` of
+/// [`random_system`]'s schema and its relations `FLIGHTS` and `HOTELS`.
+fn atom(vars: [VarId; 4], flights: RelationId, hotels: RelationId, k: usize) -> Condition {
+    let [flight, hotel, price, status] = vars;
+    let sum = || LinExpr::var(price) + LinExpr::var(status);
+    match k % ATOMS {
+        0 => Condition::relation(
+            flights,
+            vec![Term::Var(flight), Term::Var(price), Term::Var(hotel)],
+        ),
+        1 => Condition::relation(hotels, vec![Term::Var(hotel), Term::Var(price)]),
+        2 => Condition::relation(hotels, vec![Term::Var(hotel), Term::Var(status)]),
+        3 => Condition::eq_const(status, Rational::from_int(1)),
+        4 => Condition::eq_const(price, Rational::from_int(1)),
+        5 => Condition::eq_const(price, Rational::from_int(0)),
+        6 => Condition::var_eq(price, status),
+        7 => Condition::is_null(flight),
+        8 => Condition::arith(LinearConstraint::ge(sum(), LinExpr::zero())),
+        _ => Condition::arith(LinearConstraint::ge(
+            LinExpr::var(status),
+            LinExpr::constant(Rational::from_int(2)),
+        )),
+    }
+}
+
+/// A formula in disjunctive normal form over [`atom`]'s pool: each inner
+/// list is a conjunction of `(atom, negated)` literals.
+pub(crate) type Dnf = Vec<Vec<(usize, bool)>>;
+
+/// Random [`Dnf`]s of one to two conjunctions of up to three literals.
+pub(crate) fn arb_dnf() -> impl Strategy<Value = Dnf> {
+    let literal = (0..ATOMS, any::<bool>());
+    proptest::collection::vec(proptest::collection::vec(literal, 0..=3), 1..=2)
+}
+
+/// The condition a [`Dnf`] denotes.
+fn dnf_condition(
+    vars: [VarId; 4],
+    flights: RelationId,
+    hotels: RelationId,
+    dnf: &Dnf,
+) -> Condition {
+    Condition::any(dnf.iter().map(|conjunction| {
+        Condition::all(conjunction.iter().map(|&(k, negated)| {
+            let a = atom(vars, flights, hotels, k);
+            if negated {
+                a.negate()
+            } else {
+                a
+            }
+        }))
+    }))
+}
+
+/// The test schema (relations `HOTELS` and `FLIGHTS`; a root task with ID
+/// variables `flight_id`, `hotel_id` and numeric variables `price`,
+/// `status`), with the root variables selected by the bits of `inputs`
+/// declared input variables and one internal service per post-condition
+/// in `posts`.
+pub(crate) fn random_system(inputs: u8, posts: &[Dnf]) -> ArtifactSystem {
+    let mut b = SystemBuilder::new("succ");
+    b.relation("HOTELS", &["unit_price"], &[]);
+    b.relation("FLIGHTS", &["price"], &[("comp_hotel", "HOTELS")]);
+    let root = b.root_task("Root");
+    let vars = [
+        b.id_var(root, "flight_id"),
+        b.id_var(root, "hotel_id"),
+        b.num_var(root, "price"),
+        b.num_var(root, "status"),
+    ];
+    let (flights, hotels) = (
+        b.relation_id("FLIGHTS").unwrap(),
+        b.relation_id("HOTELS").unwrap(),
+    );
+    let selected: Vec<VarId> = (0..4)
+        .filter(|i| inputs & (1 << i) != 0)
+        .map(|i| vars[i])
+        .collect();
+    b.input_vars(root, &selected);
+    for (i, post) in posts.iter().enumerate() {
+        let post = dnf_condition(vars, flights, hotels, post);
+        b.internal_service(
+            root,
+            &format!("s{i}"),
+            Condition::True,
+            post,
+            SetUpdate::None,
+        );
+    }
+    b.build().unwrap()
+}
+
+/// The root context of a [`random_system`] with `extra` as its property
+/// conditions, which relate further expression pairs.
+pub(crate) fn random_context(system: &ArtifactSystem, depth: usize, extra: &Dnf) -> TaskContext {
     let root = system.root();
     let var = |name| system.schema.var_by_name(root, name).unwrap();
-    let (hotel, price, status) = (var("hotel_id"), var("price"), var("status"));
-    let hotels = system.schema.database.relation_by_name("HOTELS").unwrap();
-    let extra = [
-        Condition::relation(hotels, vec![Term::Var(hotel), Term::Var(price)]),
-        Condition::relation(hotels, vec![Term::Var(hotel), Term::Var(status)]),
-        Condition::eq_const(price, Rational::from_int(1)),
-        Condition::arith(LinearConstraint::ge(
-            LinExpr::var(price) + LinExpr::var(status),
-            LinExpr::zero(),
-        )),
+    let vars = [
+        var("flight_id"),
+        var("hotel_id"),
+        var("price"),
+        var("status"),
     ];
+    let rel = |name| system.schema.database.relation_by_name(name).unwrap();
+    let extra = [dnf_condition(vars, rel("FLIGHTS"), rel("HOTELS"), extra)];
     TaskContext::build(system, root, &extra, depth)
 }
 
