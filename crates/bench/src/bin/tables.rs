@@ -271,6 +271,44 @@ fn exp_projection() {
     println!();
 }
 
+/// EXP-S1 — generated instances a little larger than the grid's d2w1,
+/// each verified at [`bench_config`] and at the default config. Every
+/// merge closure is enumerated in full, so these rows are the guard against
+/// closure blow-up; CI runs them under a timeout. Rows that read holds at
+/// `bench_config` and VIOLATED at the default config are cut short by the
+/// `bench_config` caps (ROADMAP item 1).
+fn exp_scale() {
+    println!("== EXP-S1: scale — generated instances at bench_config and the default config ==");
+    println!("{}", Measurement::header());
+    let probe = |schema_class, arithmetic, depth, width, numeric_vars| GeneratorParams {
+        schema_class,
+        artifact_relations: true,
+        arithmetic,
+        depth,
+        width,
+        numeric_vars,
+    };
+    for params in [
+        probe(SchemaClass::Cyclic, true, 3, 2, 3),
+        probe(SchemaClass::Cyclic, true, 3, 2, 4),
+        probe(SchemaClass::Cyclic, true, 3, 3, 3),
+        probe(SchemaClass::Cyclic, true, 4, 3, 3),
+        probe(SchemaClass::Acyclic, true, 4, 3, 3),
+        probe(SchemaClass::Cyclic, false, 4, 3, 3),
+    ] {
+        let generated = params.generate();
+        for (name, config) in [
+            ("bench", bench_config()),
+            ("default", VerifierConfig::default()),
+        ] {
+            let label = format!("{} @{name}", generated.label);
+            let row = measure(&label, &generated.system, &generated.property, config);
+            println!("{}", row.row());
+        }
+    }
+    println!();
+}
+
 /// EXP-C1/C2 — differential fuzzing of the verifier against the seeded
 /// ground-truth corpus (DESIGN.md §5.10): every sampled instance carries a
 /// certificate (clean by construction, or exactly one planted violation with
@@ -361,6 +399,7 @@ const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("cells", exp_cells),
     ("analyze", exp_analyze),
     ("projection", exp_projection),
+    ("scale", exp_scale),
     ("fuzz", exp_fuzz),
 ];
 

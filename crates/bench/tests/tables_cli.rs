@@ -54,7 +54,7 @@ fn unknown_experiment_exits_2_with_the_accepted_list() {
         assert!(
             stderr.contains(
                 "accepted names: table1, table2, travel, witness, gadget, vass, cells, \
-                 analyze, projection, fuzz\n"
+                 analyze, projection, scale, fuzz\n"
             ),
             "{stderr}"
         );

@@ -235,9 +235,6 @@ struct BuildMemo {
     post_enumerations: usize,
     merge_unions: usize,
     post_hits: usize,
-    /// Whether a sym id may satisfy the guard of an internal service, a
-    /// child's opening or the task's closing, keyed on `(sym id, service)`.
-    guards: FxHashMap<(u32, ServiceRef), bool>,
     /// The condition valuation of each sym id.
     valuation_of: Vec<Option<Letter>>,
     /// The letter of each step without a child choice, keyed on
@@ -710,23 +707,6 @@ impl<'a> TaskVerifier<'a> {
         ids
     }
 
-    /// Whether `sym` may satisfy `guard`, the pre-condition of `service`
-    /// (an internal service, a child's opening or the task's closing),
-    /// memoized on `(sym, service)`.
-    fn may_fire(
-        &self,
-        memo: &mut BuildMemo,
-        syms: &Interner<SymState>,
-        sym: u32,
-        service: ServiceRef,
-        guard: &Condition,
-    ) -> bool {
-        *memo
-            .guards
-            .entry((sym, service))
-            .or_insert_with(|| syms.get(sym).may_satisfy(self.ctx, guard))
-    }
-
     /// The [`TaskVerifier::valuation`] of `sym`, memoized per sym id.
     fn valuation_of<'m>(
         &self,
@@ -918,12 +898,12 @@ impl<'a> TaskVerifier<'a> {
             // --- Internal services -------------------------------------
             if !has_active_children {
                 for (service_idx, service) in t.internal_services.iter().enumerate() {
-                    let sref = ServiceRef::Internal(self.task, service_idx);
                     if self.dead_internal(service_idx)
-                        || !self.may_fire(&mut memo, &syms, current.sym, sref, &service.pre)
+                        || !syms.get(current.sym).may_satisfy(self.ctx, &service.pre)
                     {
                         continue;
                     }
+                    let sref = ServiceRef::Internal(self.task, service_idx);
                     let posts = self.post_states(&mut memo, &mut syms, current.sym, service_idx);
                     // Counter update (Definition 17's a̅ vector): at most
                     // one insert (+1) and one retrieve (−1); on one
@@ -963,8 +943,7 @@ impl<'a> TaskVerifier<'a> {
                     continue;
                 }
                 let opening_pre = &schema.task(child).opening.pre;
-                let sref = ServiceRef::Opening(child);
-                if !self.may_fire(&mut memo, &syms, current.sym, sref, opening_pre) {
+                if !syms.get(current.sym).may_satisfy(self.ctx, opening_pre) {
                     continue;
                 }
                 for choice in self.open_child(&mut memo, &mut syms, current.sym, child) {
@@ -1013,7 +992,7 @@ impl<'a> TaskVerifier<'a> {
             if self.task != schema.root
                 && !has_active_children
                 && !self.dead.get(&self.task).is_some_and(|d| d.closing)
-                && self.may_fire(&mut memo, &syms, current.sym, sref, &t.closing.pre)
+                && syms.get(current.sym).may_satisfy(self.ctx, &t.closing.pre)
             {
                 let letter = self.letter_of(&mut memo, &syms, current.sym, sref);
                 self.step_buchi(Some(current.q), letter, &mut succ);

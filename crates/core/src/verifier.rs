@@ -22,7 +22,9 @@ use std::sync::Arc;
 pub struct VerifierConfig {
     /// Foreign-key navigation depth of the symbolic expression universe.
     pub nav_depth: usize,
-    /// Cap on the number of symbolic successor states per enumeration step.
+    /// Cap on an internal service's symbolic post-states. It cuts two sites
+    /// of the enumeration: each step of the per-variable rewrite loop and
+    /// the final list. A merge closure is never cut (DESIGN.md §5.8).
     pub max_successors: usize,
     /// Cap on the number of control states explored per `(T, β)` pair.
     pub max_control_states: usize,

@@ -19,9 +19,11 @@
 //! sets of states are [`Interner`]s, and the merge refinement skips the
 //! attempts that provably add no state (DESIGN.md §5.8). It also computes
 //! each merge closure once: the variable loop's states are refined finest
-//! first, and a state that already lies in an earlier state's complete
-//! closure is not refined again, since its own closure lies inside that one.
-//! Each distinct refinement is checked against the post-condition once.
+//! first, and a state that already lies in an earlier state's closure is
+//! not refined again, since its own closure lies inside that one. Each
+//! distinct refinement is checked against the post-condition once. A merge
+//! closure is never truncated: `max_successors` cuts only the variable
+//! loop's steps and the final list.
 
 use crate::context::TaskContext;
 use crate::state::SymState;
@@ -59,8 +61,9 @@ pub fn post_base(ctx: &TaskContext, schema: &ArtifactSchema, state: &SymState) -
 /// of the context's task from the [`post_base`] of its pre-state: input
 /// variables keep their pattern, every other variable is rewritten,
 /// constrained by the post-condition. Arithmetic atoms are undetermined and
-/// resolved optimistically. The enumerated list is sorted, deduplicated and
-/// truncated at `max_successors`; then every state forgets the context's
+/// resolved optimistically. Each step of the variable loop and the final
+/// list are sorted, deduplicated and truncated at `max_successors` (the
+/// merge closures are never cut); then every state forgets the context's
 /// [unobservable](TaskContext::unobservable) variables and each image is
 /// kept at its first position (DESIGN.md §5.14), so the result is
 /// duplicate-free. Also returns the number of union attempts the merge
@@ -78,27 +81,22 @@ pub(crate) fn enumerate_post_states(
     // Finest first: a state that another one's merge closure holds has
     // fewer classes than it, so that closure is computed first.
     states.sort_by_cached_key(|s| Reverse(s.class_count()));
-    // Every distinct refinement, whether it may satisfy the post-condition,
-    // and whether it lies in a merge closure that no cap cut.
+    // Every distinct refinement and whether it may satisfy the
+    // post-condition.
     let mut refined: Interner<SymState> = Interner::new();
     let mut satisfiable: Vec<bool> = Vec::new();
-    let mut covered: Vec<bool> = Vec::new();
     let mut unions = 0;
     for s in &states {
-        // The closure of a state in a complete closure lies inside that
+        // The closure of a state in an earlier closure lies inside that
         // closure (DESIGN.md §5.8), so it adds no state.
-        if refined.lookup(s).is_some_and(|id| covered[id as usize]) {
+        if refined.lookup(s).is_some() {
             continue;
         }
-        let (closure, complete) =
-            merge_refinements(ctx, s, max_successors, &mut scratch, &mut unions);
-        for m in closure {
-            let id = refined.lookup(&m).unwrap_or_else(|| {
-                satisfiable.push(m.may_satisfy(ctx, post));
-                covered.push(false);
-                refined.intern(m).0
-            });
-            covered[id as usize] |= complete;
+        for m in merge_refinements(ctx, s, &mut scratch, &mut unions) {
+            let (id, newly) = refined.intern(m);
+            if newly {
+                satisfiable.push(refined.get(id).may_satisfy(ctx, post));
+            }
         }
     }
     let mut out: Vec<SymState> = refined
@@ -154,9 +152,9 @@ fn rewrite_free_vars(
 }
 
 /// The enumeration as it was before merge closures were shared: every
-/// state of the variable loop refined, each refinement filtered on the
-/// post-condition. The reference the property tests hold
-/// [`enumerate_post_states`] to.
+/// state of the variable loop refined by the reference merge refinement,
+/// each refinement filtered on the post-condition. The reference the
+/// property tests hold [`enumerate_post_states`] to.
 #[cfg(test)]
 fn enumerate_post_states_reference(
     ctx: &TaskContext,
@@ -170,7 +168,7 @@ fn enumerate_post_states_reference(
     let states = rewrite_free_vars(ctx, schema, post, base, max_successors, &mut scratch);
     let mut out = Vec::new();
     for s in &states {
-        for refined in merge_refinements(ctx, s, max_successors, &mut scratch, &mut 0).0 {
+        for refined in merge_refinements_reference(ctx, s) {
             if refined.may_satisfy(ctx, post) {
                 out.push(refined);
             }
@@ -269,15 +267,11 @@ fn merge_pairs(ctx: &TaskContext, state: &SymState) -> Vec<(usize, usize)> {
 /// pairs that are still distinct, which lets the enumeration produce
 /// "coincidental" equalities that the specification's atoms can observe.
 /// Each pair's round tries its union in every state the previous rounds
-/// produced and adds each new normalized result; the list is sorted only
-/// when a round overflows `max_successors`, so the truncation keeps the
-/// same (smallest) states a sorted list would. That truncation ends the
-/// refinement, so the 2^k branching over k pairs is bounded by k ×
-/// `max_successors` union attempts. Returns the closure and whether it is
-/// complete (no round overflowed), and adds the union attempts to `unions`.
-/// A complete closure is every consistent `state ⊕ S` over subsets `S` of
-/// [`merge_pairs`], so it holds the closure of each of its members
-/// (DESIGN.md §5.8); a truncated one need not.
+/// produced and adds each new normalized result. Returns the closure, in
+/// the order its states were found, and adds the union attempts to
+/// `unions`. The closure is every consistent `state ⊕ S` over subsets `S`
+/// of [`merge_pairs`], so it holds the closure of each of its members
+/// (DESIGN.md §5.8).
 ///
 /// Two kinds of attempt are skipped because they cannot add a state
 /// (DESIGN.md §5.8). A state in which the pair is already equal is its own
@@ -290,15 +284,14 @@ fn merge_pairs(ctx: &TaskContext, state: &SymState) -> Vec<(usize, usize)> {
 fn merge_refinements(
     ctx: &TaskContext,
     state: &SymState,
-    max_successors: usize,
     scratch: &mut SymState,
     unions: &mut usize,
-) -> (Vec<SymState>, bool) {
+) -> Vec<SymState> {
     let pairs = merge_pairs(ctx, state);
     let mut first = state.clone();
     first.normalize();
     if pairs.is_empty() {
-        return (vec![first], true);
+        return vec![first];
     }
     let mut round: Interner<SymState> = Interner::new();
     round.intern(first);
@@ -323,25 +316,15 @@ fn merge_refinements(
                 round.intern(scratch.clone());
             }
         }
-        if round.len() > max_successors {
-            let mut out = round.into_items();
-            out.sort_unstable();
-            out.truncate(max_successors);
-            return (out, false);
-        }
     }
-    (round.into_items(), true)
+    round.into_items()
 }
 
 /// The merge refinement as it was before the prunings, the scratch state
 /// and the interned round set: the reference the property tests hold
 /// [`merge_refinements`] to.
 #[cfg(test)]
-fn merge_refinements_reference(
-    ctx: &TaskContext,
-    state: &SymState,
-    max_successors: usize,
-) -> Vec<SymState> {
+fn merge_refinements_reference(ctx: &TaskContext, state: &SymState) -> Vec<SymState> {
     use std::collections::HashSet;
     let pairs = merge_pairs(ctx, state);
     let mut first = state.clone();
@@ -362,11 +345,6 @@ fn merge_refinements_reference(
                     out.push(m);
                 }
             }
-        }
-        if out.len() > max_successors {
-            out.sort();
-            out.truncate(max_successors);
-            break;
         }
     }
     out
@@ -474,9 +452,7 @@ mod tests {
 
         /// The pruned merge refinement over a reused scratch state lists
         /// exactly the states, in exactly the order, of the reference
-        /// routine, for every cap, including the rounds that overflow
-        /// `max_successors` and sort and truncate. A closure reported
-        /// complete is the uncapped closure.
+        /// routine.
         #[test]
         fn merge_refinements_equal_the_reference(
             depth in 1usize..=2,
@@ -489,17 +465,10 @@ mod tests {
             // The scratch starts as an unrelated state: every attempt
             // resets it, so its contents must not leak.
             let mut scratch = random_state(&ctx, &system.schema, &noise);
-            let uncapped = merge_refinements_reference(&ctx, &state, usize::MAX);
-            for max_successors in [1, 3, 512] {
-                let (closure, complete) =
-                    merge_refinements(&ctx, &state, max_successors, &mut scratch, &mut 0);
-                prop_assert_eq!(
-                    &closure,
-                    &merge_refinements_reference(&ctx, &state, max_successors),
-                    "max_successors {}", max_successors
-                );
-                prop_assert_eq!(complete, closure == uncapped, "max_successors {}", max_successors);
-            }
+            prop_assert_eq!(
+                merge_refinements(&ctx, &state, &mut scratch, &mut 0),
+                merge_refinements_reference(&ctx, &state)
+            );
         }
 
         /// The premise of ending a pair's round at the base state: a union
@@ -534,11 +503,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Skipping the states that lie in an earlier complete merge
-        /// closure lists exactly the states, in exactly the order, of the
-        /// reference that refines every state of the variable loop, on
-        /// random input variables, services, context conditions and pre-
-        /// states, under caps that cut the variable loop and the closures.
+        /// Skipping the states that lie in an earlier merge closure lists
+        /// exactly the states, in exactly the order, of the reference that
+        /// refines every state of the variable loop through the reference
+        /// merge refinement, on random input variables, services, context
+        /// conditions and pre-states, under caps that cut the variable loop
+        /// and the final list.
         #[test]
         fn post_states_equal_the_reference(
             depth in 1usize..=2,
